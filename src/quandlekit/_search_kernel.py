@@ -7,10 +7,12 @@ no stratum all n digits are free.  Chunks are contiguous index ranges,
 so multi-worker runs partition the space deterministically and merge by
 construction.
 
-numpy only batches int64 arithmetic here; the driver re-verifies every
-hit with exact arbitrary-precision arithmetic.  A magnitude guard routes
-to a pure-Python evaluator if int64 could ever overflow (it cannot for
-any in-budget search, but the guard keeps that a checked fact).
+There is one evaluator.  Indices and digits are always int64 (callers
+refuse spaces of 2^63 or more); a magnitude guard then picks the
+coefficient dtype: int64 when no square entry can overflow it, numpy
+object arrays of Python ints otherwise, so large moduli and boxes run
+the same code path in exact arithmetic.  The driver re-verifies every
+hit with exact arbitrary-precision arithmetic.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 BATCH = 1 << 15
+INDEX_LIMIT = 2**63  # indices are int64
 
 
 def space_size(order: int, mode: str, param: int, stratified: bool) -> int:
@@ -25,9 +28,9 @@ def space_size(order: int, mode: str, param: int, stratified: bool) -> int:
     return base ** (order - 1 if stratified else order)
 
 
-def _int64_safe(order: int, mode: str, param: int) -> bool:
-    cmax = param if mode == "zp" else param
-    return order * order * cmax * cmax < 2**62 and space_size(order, mode, param, False) < 2**63
+def _int64_safe(order: int, param: int) -> bool:
+    """True when no sum of order^2 coefficient products can overflow int64."""
+    return order * order * param * param < 2**62
 
 
 def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
@@ -39,8 +42,7 @@ def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
     None for the whole space.
     """
     table, n, mode, param, stratum, start, stop, max_support = args
-    if not _int64_safe(n, mode, param):
-        return _evaluate_chunk_py(args)
+    dtype = np.int64 if _int64_safe(n, param) else object
     tbl = np.array(table, dtype=np.int64)
     base = param if mode == "zp" else 2 * param + 1
     free = n if stratum is None else n - 1
@@ -54,6 +56,7 @@ def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
         digits = np.empty((m, free), dtype=np.int64)
         for pos, w in enumerate(pos_weights):
             digits[:, pos] = (idx // w) % base
+        digits = digits.astype(dtype, copy=False)
         coeffs = digits if mode == "zp" else digits - param
         if stratum is None:
             full = coeffs
@@ -84,47 +87,4 @@ def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
             for vec in full[ok]:
                 hits.append(tuple(int(v) for v in vec))
         idx0 += m
-    return hits, tested
-
-
-def _evaluate_chunk_py(args) -> tuple[list[tuple[int, ...]], int]:
-    """Reference evaluator in exact Python ints; same contract."""
-    table, n, mode, param, stratum, start, stop, max_support = args
-    base = param if mode == "zp" else 2 * param + 1
-    free = n if stratum is None else n - 1
-    offset = 0 if mode == "zp" else param
-    hits: list[tuple[int, ...]] = []
-    tested = 0
-    for idx in range(start, stop):
-        digits = []
-        rem = idx
-        for _ in range(free):
-            digits.append(rem % base)
-            rem //= base
-        digits.reverse()
-        coeffs = [d - offset for d in digits]
-        if stratum is not None:
-            last = stratum - sum(coeffs)
-            if mode == "zp":
-                last %= param
-            elif abs(last) > param:
-                continue
-            coeffs.append(last)
-        tested += 1
-        support = sum(1 for c in coeffs if c)
-        if not 1 <= support <= max_support:
-            continue
-        sq = [0] * n
-        for i in range(n):
-            ci = coeffs[i]
-            if not ci:
-                continue
-            row = table[i]
-            for j in range(n):
-                if coeffs[j]:
-                    sq[row[j]] += ci * coeffs[j]
-        if mode == "zp":
-            sq = [v % param for v in sq]
-        if sq == coeffs:
-            hits.append(tuple(coeffs))
     return hits, tested

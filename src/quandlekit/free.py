@@ -13,7 +13,6 @@ operation conjugates the other way.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from functools import reduce as _fold
 
 from .errors import BudgetExceededError, IndexOutOfRangeError, InvalidParamsError
 from .reports import IdempotentReport
-from .ring import ZZ, RingElement
+from .idempotents import _support_search
 
 Word = tuple[tuple[int, int], ...]
 
@@ -308,6 +307,11 @@ def fq_idempotent_search(
     infinite basis, only the support of candidates is restricted.
     Candidates whose coefficient sum is not 0 or 1 cannot square to
     themselves over the integers and are skipped.
+
+    This is the support enumerator (idempotents._support_search), not
+    the table kernel in _search_kernel.  candidates_tested counts every
+    (support, coefficient tuple) pair, including those the
+    coefficient-sum filter skips.
     """
     if max_support < 1 or bound < 1:
         raise InvalidParamsError("max_support and bound must be >= 1")
@@ -319,29 +323,7 @@ def fq_idempotent_search(
         total += math.comb(u_count, k) * (2 * bound) ** k
     if total > budget:
         raise BudgetExceededError(total, budget)
-    carrier = FreeQuandle(rank)
-    nonzero = [c for c in range(-bound, bound + 1) if c != 0]
-    found: list[RingElement] = []
-    tested = 0
-    for k in range(1, min(max_support, u_count) + 1):
-        for subset in itertools.combinations(range(u_count), k):
-            elems = [universe[i] for i in subset]
-            prods = [[carrier.op(a, b) for b in elems] for a in elems]
-            for coeffs in itertools.product(nonzero, repeat=k):
-                tested += 1
-                if sum(coeffs) not in (0, 1):
-                    continue
-                square: dict = {}
-                for i in range(k):
-                    ci = coeffs[i]
-                    row = prods[i]
-                    for j in range(k):
-                        key = row[j]
-                        square[key] = square.get(key, 0) + ci * coeffs[j]
-                if {e: c for e, c in zip(elems, coeffs)} == {
-                    e: c for e, c in square.items() if c
-                }:
-                    found.append(RingElement(ZZ, list(zip(elems, coeffs))))
+    tested, found = _support_search(universe, FreeQuandle(rank).op, bound, max_support)
     elapsed = int((time.monotonic() - start) * 1000)
     spec = {
         "ring": "Z",

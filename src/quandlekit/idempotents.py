@@ -108,6 +108,9 @@ def _enumerate_table(
     total = space * (len(spec.augmentation) if stratified else 1)
     if total > budget:
         raise BudgetExceededError(total, budget)
+    if space >= _search_kernel.INDEX_LIMIT:
+        # kernel indices are int64; refuse before any chunk is built
+        raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
     strata = sorted(spec.augmentation) if stratified else [None]
     tasks = [
@@ -917,11 +920,46 @@ def right_zero_divisor_from_fiber(covering: Covering, y: int, alphas, ring: Coef
     return {"element": v, "verified": matrix.is_zero()}
 
 
+def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[RingElement]]:
+    """Every integer idempotent supported on at most max_support of keys.
+
+    Walks each support S (combinations of keys in order) and each tuple of
+    nonzero coefficients in [-bound, bound] on S.  Products op(a, b) are
+    computed once per support and may land outside keys.  Returns
+    (tested, idempotents): tested counts every (support, coefficient
+    tuple) pair, including those skipped because their coefficient sum is
+    not 0 or 1 (an integer idempotent's augmentation squares to itself).
+    """
+    keys = list(keys)
+    nonzero = [c for c in range(-bound, bound + 1) if c != 0]
+    found: list[RingElement] = []
+    tested = 0
+    for k in range(1, min(max_support, len(keys)) + 1):
+        for support in itertools.combinations(keys, k):
+            prods = [[op(a, b) for b in support] for a in support]
+            for coeffs in itertools.product(nonzero, repeat=k):
+                tested += 1
+                if sum(coeffs) not in (0, 1):
+                    continue
+                square: dict = {}
+                for ca, row in zip(coeffs, prods):
+                    for cb, key in zip(coeffs, row):
+                        square[key] = square.get(key, 0) + ca * cb
+                if {key: c for key, c in square.items() if c} == dict(zip(support, coeffs)):
+                    found.append(RingElement(ZZ, list(zip(support, coeffs))))
+    return tested, found
+
+
 def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     """Exhaust small-support idempotents of a reflection table over an
     abelian group with orders coprime to 2 and 3; only basis elements are
     expected.  Supports run up to 3 distinct keys, nonzero coefficients
-    in [-bound, bound]."""
+    in [-bound, bound].
+
+    This is the support enumerator (_support_search), not the table
+    kernel in _search_kernel.  candidates_tested counts every (support,
+    coefficient tuple) pair, including those the coefficient-sum filter
+    skips."""
     factors = [int(a) for a in factors]
     order = math.prod(factors)
     if math.gcd(order, 6) != 1:
@@ -931,28 +969,14 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     total = sum(math.comb(n, k) * (2 * bound) ** k for k in (1, 2, 3))
     if total > budget:
         raise BudgetExceededError(total, budget)
-    nonzero = [c for c in range(-bound, bound + 1) if c != 0]
-    tested = 0
-    trivial = 0
-    nontrivial = []
-    for k in (1, 2, 3):
-        if k > n:
-            break
-        for subset in itertools.combinations(range(n), k):
-            for coeffs in itertools.product(nonzero, repeat=k):
-                tested += 1
-                u = RingElement(ZZ, list(zip(subset, coeffs)))
-                if is_idempotent(u, q):
-                    if len(u.coeffs) == 1 and u.coeffs[0][1] == 1:
-                        trivial += 1
-                    else:
-                        nontrivial.append(u)
+    tested, found = _support_search(range(n), q.op, bound, 3)
+    nontrivial = [u for u in found if not (len(u.coeffs) == 1 and u.coeffs[0][1] == 1)]
     return {
         "quandle": q.name,
         "box_bound": bound,
         "max_support": 3,
         "candidates_tested": tested,
-        "trivial_found": trivial,
+        "trivial_found": len(found) - len(nontrivial),
         "nontrivial": [element_to_json(u) for u in nontrivial],
     }
 

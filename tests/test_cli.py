@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,6 +150,21 @@ def test_budget_refusal_is_exit_two(capsys):
     assert doc["error"] == "BudgetExceeded"
     assert doc["budget"] == 100
     assert doc["needed"] == 2 * 7**5
+
+
+def test_index_space_beyond_int64_is_exit_two(capsys):
+    started = time.monotonic()
+    code, out, _ = run_cli(
+        ["idem", "enumerate", fx("r10.json"), "--ring", "z", "--bound", "100",
+         "--budget", str(10**40)],
+        capsys,
+    )
+    assert time.monotonic() - started < 5
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "BudgetExceeded"
+    assert doc["needed"] == 201**9
+    assert doc["budget"] == 2**63 - 1
 
 
 # ------------------------------------------------------------- plumbing

@@ -21,6 +21,7 @@ from quandlekit import (
     basis,
     check_covering,
     conjecture_scan,
+    core_quandle,
     core_three_support_check,
     covering_classify,
     covering_family_params,
@@ -41,8 +42,10 @@ from quandlekit import (
     union_quandle,
 )
 
+from quandlekit.idempotents import _support_search
+
 from conftest import read_json
-from oracles import poly_eval, poly_from_grid
+from oracles import element_to_vector, naive_idempotents_boxed, poly_eval, poly_from_grid
 
 
 def elem(ring, pairs):
@@ -390,6 +393,17 @@ def test_core_small_support_only_trivial_mod_coprime():
     assert out["trivial_found"] == 7
     assert out["nontrivial"] == []
     assert out["candidates_tested"] == 28 + 336 + 2240
+
+
+def test_support_search_finds_non_basis_idempotents(r6):
+    # order 6 is not coprime to 2 and 3, so this support window holds
+    # idempotents other than the basis; the naive oracle knows all of them
+    tested, found = _support_search(range(6), core_quandle([6]).op, 2, 3)
+    vectors = {element_to_vector(u, 6) for u in found}
+    assert len(vectors) == len(found) == 12
+    assert vectors == naive_idempotents_boxed(r6.table, 2, max_support=3)
+    assert sum(1 for u in found if len(u.coeffs) > 1) == 6
+    assert tested == 6 * 4 + 15 * 16 + 20 * 64
 
 
 def test_core_small_support_hypothesis(t2):

@@ -1,6 +1,7 @@
 """Exhaustive idempotent enumeration: completeness, soundness, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -11,13 +12,21 @@ from quandlekit import (
     SearchSpec,
     ZZ,
     augmentation,
+    dihedral_quandle,
     enumerate_boxed_Z,
     enumerate_mod_p,
     is_idempotent,
     make,
+    trivial_quandle,
 )
+from quandlekit import _search_kernel
 
-from oracles import naive_idempotents_boxed, naive_idempotents_mod_p, report_vectors
+from oracles import (
+    naive_idempotents_boxed,
+    naive_idempotents_mod_p,
+    report_vectors,
+    square_vector,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +180,19 @@ def test_budget_precheck(r6):
     assert err.needed == 2 * 7**5
 
 
+def test_index_space_beyond_int64_is_refused_up_front():
+    # 201^9 indices per stratum fit the budget but not the kernel's int64
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_boxed_Z(make("dihedral", 10), 100, budget=10**40)
+    assert time.monotonic() - started < 5
+    err = exc.value
+    assert err.exit_code == 2
+    assert err.needed == 201**9
+    assert err.budget == 2**63 - 1
+    assert err.payload()["error"] == "BudgetExceeded"
+
+
 def test_search_spec_json_spellings():
     spec = SearchSpec(ZZ, box_bound=2, max_support=None, augmentation=None)
     assert spec.to_json() == {
@@ -204,3 +226,55 @@ def test_timing_zeroed_unless_requested(r3):
     report = enumerate_boxed_Z(r3, 2)
     assert report.to_json()["elapsed_ms"] == 0
     assert report.to_json(include_timing=True)["elapsed_ms"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# coefficients too large for int64: the kernel switches to object arrays
+
+
+def test_order_one_large_scopes_take_the_object_path():
+    q = trivial_quandle(1)
+    p = 2147483659
+    assert not _search_kernel._int64_safe(1, p)
+    assert not _search_kernel._int64_safe(1, 2**40)
+    for report in (enumerate_mod_p(q, p), enumerate_boxed_Z(q, 2**40)):
+        assert [u.coeffs for u in report.idempotents] == [((0, 1),)]
+        assert report.candidates_tested == 2
+
+
+def _decode(index, n, p, stratum):
+    free = n if stratum is None else n - 1
+    digits = []
+    for _ in range(free):
+        digits.append(index % p)
+        index //= p
+    digits.reverse()
+    if stratum is not None:
+        digits.append((stratum - sum(digits)) % p)
+    return tuple(digits)
+
+
+@pytest.mark.parametrize("p", [800000011, 3000000019])
+def test_object_path_slices_agree_with_oracle(p):
+    # 9 p^2 > 2^62 routes both primes to object arrays; at the larger one
+    # the centroid idempotent (e0 + e1 + e2) / 3 has squares past 2^63
+    q = dihedral_quandle(3)
+    assert not _search_kernel._int64_safe(3, p)
+    third = pow(3, -1, p)
+    centroid_index = third * p + third  # stratum 1: digits (third, third)
+    slices = [(s, 0) for s in (0, p * p // 2, p * p - 40)]
+    slices += [(s, 1) for s in (0, centroid_index - 20, p * p - 40)]
+    slices += [(s, None) for s in (0, p * p // 2)]
+    found = set()
+    for start, stratum in slices:
+        hits, tested = _search_kernel.evaluate_chunk(
+            (q.table, 3, "zp", p, stratum, start, start + 40, 3)
+        )
+        assert tested == 40
+        vecs = [_decode(i, 3, p, stratum) for i in range(start, start + 40)]
+        expected = [
+            v for v in vecs if any(v) and list(v) == square_vector(q.table, v, reduce=p)
+        ]
+        assert hits == expected
+        found.update(hits)
+    assert (third, third, third) in found
