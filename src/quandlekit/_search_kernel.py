@@ -13,6 +13,11 @@ coefficient dtype: int64 when no square entry can overflow it, numpy
 object arrays of Python ints otherwise, so large moduli and boxes run
 the same code path in exact arithmetic.  The driver re-verifies every
 hit with exact arbitrary-precision arithmetic.
+
+`table_product` is the dense product itself: it multiplies stacks of
+coefficient vectors under e_x e_y = e_{x*y}, broadcasting over leading
+axes and keeping the dtype, so the squaring loop here and the batched
+checks on idempotent sets share one implementation.
 """
 
 from __future__ import annotations
@@ -31,6 +36,24 @@ def space_size(order: int, mode: str, param: int, stratified: bool) -> int:
 def _int64_safe(order: int, param: int) -> bool:
     """True when no sum of order^2 coefficient products can overflow int64."""
     return order * order * param * param < 2**62
+
+
+def table_product(u, v, table):
+    """Products of coefficient vectors under e_x e_y = e_{x*y}.
+
+    u and v are arrays of shape (..., n) that broadcast against each
+    other; table is the n x n operation table.  The result has the
+    broadcast shape and the common dtype of u and v: int64 arithmetic
+    wraps, so callers pick object dtype when a guard says it must.
+    """
+    tbl = np.asarray(table, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
+    for i in range(tbl.shape[0]):
+        ci = u[..., i]
+        row = tbl[i]
+        for j in range(tbl.shape[0]):
+            out[..., row[j]] += ci * v[..., j]
+    return out
 
 
 def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
@@ -75,12 +98,7 @@ def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
         keep = (support >= 1) & (support <= max_support)
         full = full[keep]
         if full.shape[0]:
-            sq = np.zeros_like(full)
-            for i in range(n):
-                ci = full[:, i]
-                row = tbl[i]
-                for j in range(n):
-                    sq[:, row[j]] += ci * full[:, j]
+            sq = table_product(full, full, tbl)
             if mode == "zp":
                 sq %= param
             ok = (sq == full).all(axis=1)

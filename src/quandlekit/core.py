@@ -29,7 +29,10 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def _normalize_table(table) -> Table:
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    try:
+        rows = tuple(tuple(int(v) for v in row) for row in table)
+    except (TypeError, ValueError):
+        raise InvalidParamsError("table must be a list of rows of integers") from None
     n = len(rows)
     if n == 0:
         raise InvalidParamsError("empty table")
@@ -127,8 +130,14 @@ def quandle_from_json(doc: dict, as_magma: bool = False) -> FiniteQuandle | Magm
     if "table" not in doc:
         raise InvalidParamsError("quandle JSON needs a 'table' field")
     table = doc["table"]
-    if "order" in doc and int(doc["order"]) != len(table):
-        raise InvalidParamsError("'order' disagrees with table size")
+    if "order" in doc:
+        try:
+            mismatch = int(doc["order"]) != len(table)
+        except (TypeError, ValueError):
+            msg = "'order' must be an integer and 'table' a list of rows"
+            raise InvalidParamsError(msg) from None
+        if mismatch:
+            raise InvalidParamsError("'order' disagrees with table size")
     cls = MagmaTable if as_magma else FiniteQuandle
     return cls(table, labels=doc.get("labels"))
 

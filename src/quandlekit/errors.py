@@ -104,6 +104,17 @@ class IndexOutOfRangeError(QuandleKitError):
     pass
 
 
+class InternalCheckError(QuandleKitError):
+    """A computed result failed the package's own exact re-verification."""
+
+    def __init__(self, message: str, vector):
+        self.vector = [int(c) for c in vector]
+        super().__init__(message)
+
+    def payload(self) -> dict:
+        return {**super().payload(), "vector": self.vector}
+
+
 class BudgetExceededError(QuandleKitError):
     exit_code = 2
 

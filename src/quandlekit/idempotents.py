@@ -18,6 +18,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _search_kernel
 from .core import (
     Covering,
@@ -32,8 +34,10 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
+    CarrierMismatchError,
     ConstraintViolatedError,
     HypothesisFailedError,
+    InternalCheckError,
     InvalidParamsError,
     NotIdempotentInputError,
     NotNilpotentError,
@@ -129,9 +133,10 @@ def _enumerate_table(
             seen.add(vec)
             u = RingElement(spec.ring, list(enumerate(vec)))
             # exact re-verification of every kernel hit
-            assert is_idempotent(u, carrier), f"kernel hit fails exact recheck: {vec}"
-            if spec.ring.is_domain:
-                assert augmentation(u) in (spec.ring.zero, spec.ring.one)
+            if not is_idempotent(u, carrier):
+                raise InternalCheckError(f"kernel hit fails exact recheck: {vec}", vec)
+            if spec.ring.is_domain and augmentation(u) not in (spec.ring.zero, spec.ring.one):
+                raise InternalCheckError(f"kernel hit has augmentation not 0 or 1: {vec}", vec)
             found.append(u)
     flags = []
     exhaustive = True
@@ -861,11 +866,49 @@ class IdempotentSetReport:
         return {"passed": self.passed, "size": self.size, "failures": self.failures}
 
 
+def _dense_sample(sample, q: FiniteQuandle, ring: CoeffRing):
+    """The sample as a k x n integer array D*S, with its scale D.
+
+    Over Q, D is the common denominator of all coefficients; over Z and
+    Z/m it is 1.  Over Z and Q every entry and partial sum the check
+    computes is bounded by L^4, L the largest l1 norm of a scaled row,
+    because |uv|_1 <= |u|_1 |v|_1 and D <= L (a nonzero idempotent has
+    l1 norm at least 1); int64 holds that when L^4 < 2^62.  Z/m reduces
+    after every product, so the kernel's guard applies.  Otherwise the
+    array holds Python ints.
+    """
+    n = q.order
+    for i, u in enumerate(sample):
+        for key in u.support:
+            if not q.contains_key(key):
+                raise CarrierMismatchError(f"sample element {i}: basis key {key!r} is not in the carrier")
+    scale = 1
+    if ring.kind == "Q":
+        scale = math.lcm(*(c.denominator for u in sample for _, c in u.coeffs))
+    if ring.kind == "Zmod":
+        safe = _search_kernel._int64_safe(n, ring.modulus)
+    else:
+        norm = max(sum(abs(c) for _, c in u.coeffs) for u in sample) * scale
+        safe = norm**4 < 2**62
+    dense = np.zeros((len(sample), n), dtype=np.int64 if safe else object)
+    for i, u in enumerate(sample):
+        for key, c in u.coeffs:
+            dense[i, key] = int(c * scale)
+    return dense, scale
+
+
 def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     """Check a set of idempotents under the ring product: closure into
     idempotents, self-distributivity on all triples, and that right
     multiplication by each member equals right multiplication by some
-    basis element.  All failures are reported, not just the first.
+    basis element.  All failures are reported, not just the first, in
+    index order.
+
+    The products run on dense integer arrays: P = S.S once, closure on
+    all of P at once, then self-distributivity one first index at a
+    time, so no step holds more than k^2 n entries.  With S scaled by D,
+    P carries D^2, so closure compares PP with D^2 P and
+    self-distributivity compares D (P S) with P P.
     """
     sample = list(sample)
     if not sample:
@@ -877,17 +920,22 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
         if not is_idempotent(u, q):
             raise NotIdempotentInputError(f"sample element {i} is not idempotent")
     k = len(sample)
-    prod = [[mul(a, b, q) for b in sample] for a in sample]
+    s, d = _dense_sample(sample, q, ring)
+
+    def product(a, b):
+        out = _search_kernel.table_product(a, b, q.table)
+        return out % ring.modulus if ring.kind == "Zmod" else out
+
+    p = product(s[:, None], s[None, :])
     failures = []
+    not_idempotent = (p == 0).all(axis=-1) | (product(p, p) != d * d * p).any(axis=-1)
+    for i, j in np.argwhere(not_idempotent):
+        failures.append({"check": "closure", "indices": [int(i), int(j)]})
     for i in range(k):
-        for j in range(k):
-            if not is_idempotent(prod[i][j], q):
-                failures.append({"check": "closure", "indices": [i, j]})
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                if mul(prod[i][j], sample[l], q) != mul(prod[i][l], prod[j][l], q):
-                    failures.append({"check": "self_distributivity", "indices": [i, j, l]})
+        # (P[i,j] S[l])[x] != (P[i,l] P[j,l])[x] over all j, l
+        broken = (d * product(p[i][:, None], s[None, :]) != product(p[i][None, :], p)).any(axis=-1)
+        for j, l in np.argwhere(broken):
+            failures.append({"check": "self_distributivity", "indices": [i, int(j), int(l)]})
     basis_matrices = [right_mult_matrix(basis(ring, t), q) for t in range(q.order)]
     for i, u in enumerate(sample):
         m = right_mult_matrix(u, q)

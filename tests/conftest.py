@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import random
 
 import pytest
 
-from quandlekit import QuandleHom, check_covering, load_quandle
+from quandlekit import ZZ, QuandleHom, check_covering, dihedral_even_family, load_quandle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -24,6 +25,18 @@ def load_fixture(name: str, as_magma: bool = False):
 def read_json(name: str) -> dict:
     with open(FIXTURES / name) as fh:
         return json.load(fh)
+
+
+def family_grid(values, js=(0, 1, 2), ring=ZZ):
+    """Deduplicated order-6 family members over a coefficient grid."""
+    out, seen = [], set()
+    for j in js:
+        for beta, a0, a1 in itertools.product(values, repeat=3):
+            u = dihedral_even_family(3, j, beta, [a0, a1], ring=ring)
+            if u not in seen:
+                seen.add(u)
+                out.append(u)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -18,20 +18,52 @@ from quandlekit import fq_op, generator
 # idempotent enumeration over a raw table
 
 
-def square_vector(table, vec, reduce=None):
-    """Coefficient vector of (sum a_x e_x)^2 under e_x e_y = e_{x*y}."""
+def product_vector(table, u, v, reduce=None):
+    """Coefficient vector of (sum a_x e_x)(sum b_y e_y) under e_x e_y = e_{x*y}."""
     n = len(table)
-    sq = [0] * n
-    for x, a in enumerate(vec):
+    out = [0] * n
+    for x, a in enumerate(u):
         if not a:
             continue
-        for y, b in enumerate(vec):
+        for y, b in enumerate(v):
             if not b:
                 continue
-            sq[table[x][y]] += a * b
+            out[table[x][y]] += a * b
     if reduce is not None:
-        sq = [c % reduce for c in sq]
-    return sq
+        out = [c % reduce for c in out]
+    return out
+
+
+def square_vector(table, vec, reduce=None):
+    """Coefficient vector of (sum a_x e_x)^2 under e_x e_y = e_{x*y}."""
+    return product_vector(table, vec, vec, reduce)
+
+
+def naive_idempotent_set_failures(table, vecs, reduce=None):
+    """Closure and self-distributivity failures of a set of idempotent
+    coefficient vectors, in the order idempotent_quandle_check lists them:
+    (i, j) with v_i v_j zero or not idempotent, then (i, j, l) with
+    (v_i v_j) v_l != (v_i v_l)(v_j v_l).  Products are memoized on the
+    vectors, since a set that is nearly closed repeats them."""
+    memo = {}
+
+    def prod(u, v):
+        key = (tuple(u), tuple(v))
+        if key not in memo:
+            memo[key] = product_vector(table, u, v, reduce)
+        return memo[key]
+
+    k = len(vecs)
+    pairs = [[prod(a, b) for b in vecs] for a in vecs]
+    failures = []
+    for i, j in itertools.product(range(k), repeat=2):
+        p = pairs[i][j]
+        if not any(p) or prod(p, p) != p:
+            failures.append({"check": "closure", "indices": [i, j]})
+    for i, j, l in itertools.product(range(k), repeat=3):
+        if prod(pairs[i][j], vecs[l]) != prod(pairs[i][l], pairs[j][l]):
+            failures.append({"check": "self_distributivity", "indices": [i, j, l]})
+    return failures
 
 
 def naive_idempotents_mod_p(table, p):

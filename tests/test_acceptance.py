@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import family_grid
 from oracles import eval_tree, random_rewrite, random_tree
 
 from quandlekit import (
@@ -24,7 +25,6 @@ from quandlekit import (
     basis,
     core_three_support_check,
     covering_family_verify,
-    dihedral_even_family,
     dihedral_quandle,
     enumerate_boxed_Z,
     enumerate_elements,
@@ -49,7 +49,7 @@ from quandlekit import (
 
 LIMITS_S = {
     1: 1, 2: 5, 3: 60, 4: 1, 5: 1, 6: 1, 7: 5,
-    8: 30, 9: 1, 10: 600, 11: 30, 12: 60, 13: 60, 14: None,
+    8: 5, 9: 1, 10: 600, 11: 30, 12: 60, 13: 60, 14: None,
 }
 
 
@@ -74,18 +74,6 @@ def criterion(capfd):
             print(f"criterion {num:02d}: PASS", flush=True)
 
     return watcher
-
-
-def family_grid(values, js=(0, 1, 2)):
-    """Deduplicated order-6 family members over a coefficient grid."""
-    out, seen = [], set()
-    for j in js:
-        for beta, a0, a1 in itertools.product(values, repeat=3):
-            u = dihedral_even_family(3, j, beta, [a0, a1])
-            if u not in seen:
-                seen.add(u)
-                out.append(u)
-    return out
 
 
 def test_criterion_01_smallest_dihedral_box_is_trivial(r3, criterion):

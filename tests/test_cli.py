@@ -111,6 +111,25 @@ def test_malformed_values_are_structured_errors(argv, capsys):
     assert json.loads(out)["error"] == "InvalidParams"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"table": "abc"}, {"table": 5}, {"order": 3, "table": 5}, {"order": "x", "table": [[0]]}],
+    ids=["string-table", "int-table", "int-table-with-order", "word-order"],
+)
+def test_hostile_table_documents_are_structured_errors(doc, tmp_path, checkout_env):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlekit.cli", "quandle", "check", str(path)],
+        env=checkout_env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == "InvalidParams"
+    assert proc.stderr == ""
+
+
 def test_integer_ring_requires_bound(capsys):
     code, out, _ = run_cli(["idem", "enumerate", fx("r3.json"), "--ring", "z"], capsys)
     assert code == 1

@@ -10,6 +10,7 @@ from quandlekit import (
     QQ,
     ZZ,
     BudgetExceededError,
+    CarrierMismatchError,
     ConstraintViolatedError,
     HypothesisFailedError,
     InvalidParamsError,
@@ -29,6 +30,7 @@ from quandlekit import (
     covering_idempotent,
     dihedral_even_family,
     enumerate_boxed_Z,
+    enumerate_mod_p,
     family_params_from_json,
     idempotent_quandle_check,
     is_idempotent,
@@ -42,10 +44,18 @@ from quandlekit import (
     union_quandle,
 )
 
-from quandlekit.idempotents import _support_search
+from quandlekit._search_kernel import table_product
+from quandlekit.idempotents import _dense_sample, _support_search
 
-from conftest import read_json
-from oracles import element_to_vector, naive_idempotents_boxed, poly_eval, poly_from_grid
+from conftest import family_grid, read_json
+from oracles import (
+    element_to_vector,
+    naive_idempotent_set_failures,
+    naive_idempotents_boxed,
+    poly_eval,
+    poly_from_grid,
+    product_vector,
+)
 
 
 def elem(ring, pairs):
@@ -501,3 +511,70 @@ def test_idempotent_set_input_validation(r6, p6):
         idempotent_quandle_check([elem(ZZ, [(0, 1), (3, -1)])], r6)
     with pytest.raises(RingMismatchError):
         idempotent_quandle_check([basis(ZZ, 0), basis(QQ, 1)], p6)
+
+
+@pytest.mark.parametrize("key", [6, -1])
+def test_idempotent_set_keys_outside_the_carrier(r6, key):
+    # a key of -1 would silently index the last column of a dense array
+    sample = [basis(ZZ, 0), basis(ZZ, key)]
+    with pytest.raises(CarrierMismatchError):
+        idempotent_quandle_check(sample, r6)
+    with pytest.raises(CarrierMismatchError):
+        _dense_sample(sample, r6, ZZ)
+
+
+def pair_element(ring, block, c):
+    """c e_{2b} + (1 - c) e_{2b+1}: idempotent for every c, since each pair
+    of pairs6 is a trivial subquandle."""
+    return elem(ring, [(2 * block, c), (2 * block + 1, 1 - c)])
+
+
+def big_pair_sample():
+    # l1 norms near 2 * 10^5: L^4 > 2^63, and products of products exceed int64
+    return [pair_element(ZZ, b, c) for b, c in ((0, 98304), (1, -65535), (2, 100003))]
+
+
+IDEMPOTENT_SETS = {
+    "z-family57": ("r6", None, lambda q: family_grid((-1, 0, 1))),
+    "z-pairs6-failing": ("p6", None, lambda q: [
+        basis(ZZ, 0), basis(ZZ, 3), elem(ZZ, [(4, 2), (5, -1)])
+    ]),
+    "q-family": ("r6", None, lambda q: family_grid((Fraction(1, 2), -3), js=(0, 2), ring=QQ)),
+    "q-pairs-failing": ("p6", None, lambda q: [
+        pair_element(QQ, b, c) for b, c in ((0, Fraction(1, 3)), (1, Fraction(5, 2)), (2, -2))
+    ]),
+    # every idempotent of Z/7[pairs6]: closure and self-distributivity both fail
+    "zmod7-all": ("p6", 7, lambda q: enumerate_mod_p(q, 7).idempotents),
+    "z-past-int64": ("p6", None, lambda q: big_pair_sample()),
+}
+
+
+@pytest.mark.parametrize("name", IDEMPOTENT_SETS)
+def test_idempotent_set_check_matches_naive_oracle(name, request):
+    q_name, modulus, build = IDEMPOTENT_SETS[name]
+    q = request.getfixturevalue(q_name)
+    sample = build(q)
+    vecs = [[u.coeff(x) for x in range(q.order)] for u in sample]
+    report = idempotent_quandle_check(sample, q)
+    dense = [f for f in report.failures if f["check"] != "right_mult_is_basis_action"]
+    assert dense == naive_idempotent_set_failures(q.table, vecs, reduce=modulus)
+    assert report.size == len(sample)
+
+
+def test_idempotent_set_products_stay_exact_past_int64(p6):
+    # P[i,l] P[j,l] reaches past 2^63 on this sample: int64 would wrap there
+    sample = big_pair_sample()
+    vecs = [[u.coeff(x) for x in range(6)] for u in sample]
+    pairs = [[product_vector(p6.table, a, b) for b in vecs] for a in vecs]
+    s, scale = _dense_sample(sample, p6, ZZ)
+    assert scale == 1
+    p = table_product(s[:, None], s[None, :], p6.table)
+    assert p.tolist() == pairs
+    biggest = 0
+    for i in range(len(sample)):
+        products = table_product(p[i][None, :], p, p6.table).tolist()
+        for j, l in itertools.product(range(len(sample)), repeat=2):
+            expected = product_vector(p6.table, pairs[i][l], pairs[j][l])
+            assert products[j][l] == expected
+            biggest = max(biggest, *map(abs, expected))
+    assert biggest > 2**63

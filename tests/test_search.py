@@ -3,11 +3,14 @@
 import json
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     BudgetExceededError,
     CompositeModulusError,
+    InternalCheckError,
     InvalidParamsError,
     SearchSpec,
     ZZ,
@@ -278,3 +281,34 @@ def test_object_path_slices_agree_with_oracle(p):
         assert hits == expected
         found.update(hits)
     assert (third, third, third) in found
+
+
+# ---------------------------------------------------------------------------
+# the dense product shared by the kernel and the idempotent-set check
+
+
+@pytest.mark.parametrize("dtype,bound", [(np.int64, 10**6), (object, 2**70)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_product_matches_square_vector(r10, dtype, bound, data):
+    vecs = data.draw(st.lists(
+        st.lists(st.integers(-bound, bound), min_size=10, max_size=10), min_size=1, max_size=4,
+    ))
+    batch = np.array(vecs, dtype=dtype)
+    squares = _search_kernel.table_product(batch, batch, r10.table)
+    assert squares.dtype == batch.dtype
+    assert squares.tolist() == [square_vector(r10.table, v) for v in vecs]
+
+
+def test_kernel_hit_failing_the_exact_recheck_is_an_internal_error(r3, monkeypatch):
+    # augmentation 6 = 1 mod 5, so only the idempotency recheck can catch it
+    hit = (1, 1, 4)
+
+    def lying_kernel(args):
+        return [hit], 1
+
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", lying_kernel)
+    with pytest.raises(InternalCheckError, match="fails exact recheck") as info:
+        enumerate_mod_p(r3, 5)
+    assert info.value.payload()["error"] == "InternalCheck"
+    assert info.value.payload()["vector"] == list(hit)
