@@ -14,15 +14,20 @@ object arrays of Python ints otherwise, so large moduli and boxes run
 the same code path in exact arithmetic.  The driver re-verifies every
 hit with exact arbitrary-precision arithmetic.
 
-`table_product` is the dense product itself: it multiplies stacks of
-coefficient vectors under e_x e_y = e_{x*y}, broadcasting over leading
-axes and keeping the dtype, so the squaring loop here and the batched
-checks on idempotent sets share one implementation.
+A batch is held coefficient-major, one row per basis key, and squared
+one key at a time: the coefficient of e_k in u^2 is the sum of c_i c_j
+over the pairs with i*j = k, and only the candidates whose coefficient
+matches c_k go on to the next key.  Nearly every candidate fails on the
+first key, so it costs about n products instead of n^2.
+
+`table_product` multiplies whole stacks of coefficient vectors under
+e_x e_y = e_{x*y}; the batched checks on idempotent sets use it.
+
+numpy is imported inside the functions, so commands that never search
+do not pay for importing it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 BATCH = 1 << 15
 INDEX_LIMIT = 2**63  # indices are int64
@@ -46,6 +51,8 @@ def table_product(u, v, table):
     broadcast shape and the common dtype of u and v: int64 arithmetic
     wraps, so callers pick object dtype when a guard says it must.
     """
+    import numpy as np
+
     tbl = np.asarray(table, dtype=np.int64)
     out = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
     for i in range(tbl.shape[0]):
@@ -64,9 +71,14 @@ def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
     -B..B over the integers), stratum an int coefficient-sum target or
     None for the whole space.
     """
+    import numpy as np
+
     table, n, mode, param, stratum, start, stop, max_support = args
     dtype = np.int64 if _int64_safe(n, param) else object
-    tbl = np.array(table, dtype=np.int64)
+    tbl = np.asarray(table, dtype=np.int64)
+    # the pairs (i, j) with i*j = k, for each key k: n of them in a
+    # quandle, anywhere from 0 to n^2 in a magma table
+    pairs = [np.argwhere(tbl == k).tolist() for k in range(n)]
     base = param if mode == "zp" else 2 * param + 1
     free = n if stratum is None else n - 1
     hits: list[tuple[int, ...]] = []
@@ -76,33 +88,34 @@ def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
     while idx0 < stop:
         m = min(BATCH, stop - idx0)
         idx = np.arange(idx0, idx0 + m, dtype=np.int64)
-        digits = np.empty((m, free), dtype=np.int64)
+        # coefficient-major: row k holds coefficient k of every candidate
+        full = np.empty((n, m), dtype=np.int64)
         for pos, w in enumerate(pos_weights):
-            digits[:, pos] = (idx // w) % base
-        digits = digits.astype(dtype, copy=False)
-        coeffs = digits if mode == "zp" else digits - param
-        if stratum is None:
-            full = coeffs
-            valid = np.ones(m, dtype=bool)
-        else:
-            last = stratum - coeffs.sum(axis=1)
+            full[pos] = (idx // w) % base
+        full = full.astype(dtype, copy=False)
+        if mode == "zbox":
+            full[:free] -= param
+        if stratum is not None:
+            last = stratum - full[:free].sum(axis=0)
             if mode == "zp":
                 last %= param
-                valid = np.ones(m, dtype=bool)
-            else:
-                valid = np.abs(last) <= param
-            full = np.concatenate([coeffs, last[:, None]], axis=1)
-        full = full[valid]
-        tested += int(full.shape[0])
-        support = (full != 0).sum(axis=1)
-        keep = (support >= 1) & (support <= max_support)
-        full = full[keep]
-        if full.shape[0]:
-            sq = table_product(full, full, tbl)
+            full[free] = last
+            if mode == "zbox":
+                full = full.compress(np.abs(last) <= param, axis=1)
+        tested += int(full.shape[1])
+        support = np.count_nonzero(full, axis=0)
+        full = full.compress((support >= 1) & (support <= max_support), axis=1)
+        # square key by key, keeping only the candidates that still match
+        for k, key_pairs in enumerate(pairs):
+            if not full.shape[1]:
+                break
+            coeff = np.zeros(full.shape[1], dtype=dtype)
+            for i, j in key_pairs:
+                coeff += full[i] * full[j]
             if mode == "zp":
-                sq %= param
-            ok = (sq == full).all(axis=1)
-            for vec in full[ok]:
-                hits.append(tuple(int(v) for v in vec))
+                coeff %= param
+            full = full.compress(coeff == full[k], axis=1)
+        for vec in full.T:
+            hits.append(tuple(int(v) for v in vec))
         idx0 += m
     return hits, tested

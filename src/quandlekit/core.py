@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceededError,
     CoveringConditionError,
+    InternalCheckError,
     InvalidParamsError,
     NotIdempotentError,
     NotPermutationError,
@@ -671,7 +672,8 @@ def check_covering(hom: QuandleHom) -> Covering:
     for fiber in fibers.values():
         for a in fiber:
             for b in fiber:
-                assert x_q.table[a][b] == a
+                if x_q.table[a][b] != a:
+                    raise InternalCheckError(f"fiber element {a} moved by {b}", pair=[a, b])
     nontrivial = any(
         all(len(fibers[y]) >= 2 for y in component) for component in inner_orbits(y_q)
     )

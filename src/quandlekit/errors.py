@@ -105,14 +105,18 @@ class IndexOutOfRangeError(QuandleKitError):
 
 
 class InternalCheckError(QuandleKitError):
-    """A computed result failed the package's own exact re-verification."""
+    """A computed result failed the package's own exact re-verification.
 
-    def __init__(self, message: str, vector):
-        self.vector = [int(c) for c in vector]
+    Keyword arguments are JSON values naming the offending result; they
+    become fields of the payload.
+    """
+
+    def __init__(self, message: str, **details):
+        self.details = details
         super().__init__(message)
 
     def payload(self) -> dict:
-        return {**super().payload(), "vector": self.vector}
+        return {**super().payload(), **self.details}
 
 
 class BudgetExceededError(QuandleKitError):

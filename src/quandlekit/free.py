@@ -18,7 +18,12 @@ import time
 from dataclasses import dataclass
 from functools import reduce as _fold
 
-from .errors import BudgetExceededError, IndexOutOfRangeError, InvalidParamsError
+from .errors import (
+    BudgetExceededError,
+    IndexOutOfRangeError,
+    InternalCheckError,
+    InvalidParamsError,
+)
 from .reports import IdempotentReport
 from .idempotents import _support_search
 
@@ -258,7 +263,11 @@ def left_assoc_product(expr_a: LeftAssocExpr, expr_b: LeftAssocExpr, mu0: int = 
         + [g for g, _ in expr_a.tail]
         + [g for g, _ in expr_b.tail]
     )
-    assert eval_expr(out, rank) == fq_op(eval_expr(expr_a, rank), eval_expr(expr_b, rank), mu0)
+    if eval_expr(out, rank) != fq_op(eval_expr(expr_a, rank), eval_expr(expr_b, rank), mu0):
+        raise InternalCheckError(
+            "left-associated product differs from the direct product",
+            head=out.head, tail=[list(t) for t in out.tail],
+        )
     return out
 
 

@@ -18,8 +18,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _search_kernel
 from .core import (
     Covering,
@@ -80,10 +78,16 @@ class SearchSpec:
         }
 
 
-def _chunk_ranges(space: int, jobs: int) -> list[tuple[int, int]]:
+# Fewer candidates than this, all strata together, run serially whatever
+# the job count: below it starting a process pool costs more than the
+# second worker saves (break-even measured on a 2-core host).
+POOL_MIN_SPACE = 1 << 21
+
+
+def _chunk_ranges(space: int, pieces: int) -> list[tuple[int, int]]:
     if space <= 0:
         return []
-    pieces = 1 if space < 8192 else max(1, min(jobs, space))
+    pieces = max(1, min(pieces, space))
     step = (space + pieces - 1) // pieces
     return [(s, min(space, s + step)) for s in range(0, space, step)]
 
@@ -92,6 +96,9 @@ def _run_tasks(tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [_search_kernel.evaluate_chunk(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers inherit numpy instead of each importing it again
+    import numpy  # noqa: F401
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_search_kernel.evaluate_chunk, tasks))
@@ -117,15 +124,16 @@ def _enumerate_table(
         raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
     strata = sorted(spec.augmentation) if stratified else [None]
+    workers = jobs if total >= POOL_MIN_SPACE else 1
     tasks = [
         (carrier.table, n, mode, param, s, a, b, max_support)
         for s in strata
-        for (a, b) in _chunk_ranges(space, jobs)
+        for (a, b) in _chunk_ranges(space, workers)
     ]
     seen: set[tuple[int, ...]] = set()
     found: list[RingElement] = []
     tested = 0
-    for hits, count in _run_tasks(tasks, jobs):
+    for hits, count in _run_tasks(tasks, workers):
         tested += count
         for vec in hits:
             if vec in seen:
@@ -134,9 +142,11 @@ def _enumerate_table(
             u = RingElement(spec.ring, list(enumerate(vec)))
             # exact re-verification of every kernel hit
             if not is_idempotent(u, carrier):
-                raise InternalCheckError(f"kernel hit fails exact recheck: {vec}", vec)
+                raise InternalCheckError(f"kernel hit fails exact recheck: {vec}", vector=list(vec))
             if spec.ring.is_domain and augmentation(u) not in (spec.ring.zero, spec.ring.one):
-                raise InternalCheckError(f"kernel hit has augmentation not 0 or 1: {vec}", vec)
+                raise InternalCheckError(
+                    f"kernel hit has augmentation not 0 or 1: {vec}", vector=list(vec)
+                )
             found.append(u)
     flags = []
     exhaustive = True
@@ -299,7 +309,10 @@ def _assemble_family_element(covering: Covering, params: CoveringFamilyParams) -
 def covering_idempotent(covering: Covering, params: CoveringFamilyParams) -> RingElement:
     """Assemble the family element; the result is checked idempotent."""
     u = _assemble_family_element(covering, params)
-    assert is_idempotent(u, covering.hom.domain), "family element failed the idempotency check"
+    if not is_idempotent(u, covering.hom.domain):
+        raise InternalCheckError(
+            "family element failed the idempotency check", element=element_to_json(u)
+        )
     return u
 
 
@@ -499,7 +512,8 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
                 False, reason="orbit multipliers do not cancel over a fiber class", flags=flags
             )
     params = covering_family_params(covering, ring, y0, dict(w.coeffs), x0, groups)
-    assert _assemble_family_element(covering, params) == u, "classification failed to round-trip"
+    if _assemble_family_element(covering, params) != u:
+        raise InternalCheckError("classification failed to round-trip", element=element_to_json(u))
     return ClassifyResult(True, params=params, flags=flags)
 
 
@@ -544,7 +558,10 @@ def dihedral_even_family(n: int, j: int, beta, alphas, ring: CoeffRing = ZZ) -> 
         pairs.append(((2 * j - i) % order, a))
         pairs.append(((n + 2 * j - i) % order, ring.neg(a)))
     u = RingElement(ring, pairs)
-    assert is_idempotent(u, dihedral_quandle(order)), "family element failed the idempotency check"
+    if not is_idempotent(u, dihedral_quandle(order)):
+        raise InternalCheckError(
+            "family element failed the idempotency check", element=element_to_json(u)
+        )
     return u
 
 
@@ -627,7 +644,10 @@ def union_idempotents(
             raise ConstraintViolatedError(f"total weighted mass is {mass}, need 1")
     else:
         raise InvalidParamsError(f"unknown union family kind {kind!r}")
-    assert is_idempotent(out, union_q), "union element failed the idempotency check"
+    if not is_idempotent(out, union_q):
+        raise InternalCheckError(
+            "union element failed the idempotency check", element=element_to_json(out)
+        )
     return out
 
 
@@ -877,6 +897,8 @@ def _dense_sample(sample, q: FiniteQuandle, ring: CoeffRing):
     after every product, so the kernel's guard applies.  Otherwise the
     array holds Python ints.
     """
+    import numpy as np
+
     n = q.order
     for i, u in enumerate(sample):
         for key in u.support:
@@ -910,6 +932,8 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     P carries D^2, so closure compares PP with D^2 P and
     self-distributivity compares D (P S) with P P.
     """
+    import numpy as np
+
     sample = list(sample)
     if not sample:
         raise InvalidParamsError("sample is empty")

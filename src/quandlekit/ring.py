@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import (
     CarrierMismatchError,
     CompositeModulusError,
+    InternalCheckError,
     InvalidParamsError,
     RingMismatchError,
 )
@@ -474,7 +475,10 @@ def has_nontrivial_right_annihilator(v: RingElement, q: FiniteQuandle | MagmaTab
     if vec is None:
         return False, None
     witness = RingElement(v.ring, [(k, c) for k, c in enumerate(vec) if c != 0])
-    assert mul(witness, v, q).is_zero()
+    if not mul(witness, v, q).is_zero():
+        raise InternalCheckError(
+            "annihilator witness does not annihilate", element=element_to_json(witness)
+        )
     return True, witness
 
 
@@ -498,18 +502,33 @@ def ring_from_tag(tag: str, force: bool = False) -> CoeffRing:
         return ZZ
     if tag == "Q":
         return QQ
-    if tag.startswith("Zmod:"):
-        return IntegersMod(int(tag.split(":", 1)[1]), force=force)
+    if isinstance(tag, str) and tag.startswith("Zmod:"):
+        modulus = tag.split(":", 1)[1]
+        try:
+            return IntegersMod(int(modulus), force=force)
+        except ValueError:
+            raise InvalidParamsError(f"modulus must be an integer, got {modulus!r}") from None
     raise InvalidParamsError(f"unknown ring tag {tag!r}")
 
 
 def element_from_json(doc: dict, key_parser=None, force: bool = False) -> RingElement:
+    if not isinstance(doc, dict):
+        raise InvalidParamsError(f"element document must be an object, got {type(doc).__name__}")
     ring = ring_from_tag(doc["ring"], force=force)
+    coeffs = doc["coeffs"]
+    if not isinstance(coeffs, (list, tuple)):
+        raise InvalidParamsError(f"coeffs must be a list of [key, coefficient] pairs: {coeffs!r}")
     pairs = []
-    for key, coeff in doc["coeffs"]:
+    for entry in coeffs:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise InvalidParamsError(f"expected a [key, coefficient] pair, got {entry!r}")
+        key, coeff = entry
         if key_parser is not None:
             key = key_parser(key)
-        elif not isinstance(key, int):
+        elif not isinstance(key, int) or isinstance(key, bool):
             raise InvalidParamsError(f"expected integer basis key, got {key!r}")
-        pairs.append((key, ring.scalar_parse(str(coeff))))
+        try:
+            pairs.append((key, ring.scalar_parse(str(coeff))))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidParamsError(f"coefficient {coeff!r} is not in {ring.tag}") from None
     return RingElement(ring, pairs)

@@ -46,6 +46,7 @@ from quandlekit import (
     validate_table,
     zero,
 )
+from quandlekit import idempotents
 
 LIMITS_S = {
     1: 1, 2: 5, 3: 60, 4: 1, 5: 1, 6: 1, 7: 5,
@@ -265,7 +266,9 @@ def test_criterion_13_free_word_property_suites(rng, criterion):
             assert eval_expr(out, 3) == fq_op(a, b, mu0)
 
 
-def test_criterion_14_reports_do_not_depend_on_worker_count(r3, r5, r6, criterion):
+def test_criterion_14_reports_do_not_depend_on_worker_count(r3, r5, r6, criterion, monkeypatch):
+    # these spaces are below the pool threshold; lower it so jobs=4 really forks
+    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
     with criterion(14):
         for q, bound in ((r3, 3), (r5, 2), (r6, 2)):
             serial = enumerate_boxed_Z(q, bound, jobs=1)

@@ -130,6 +130,61 @@ def test_hostile_table_documents_are_structured_errors(doc, tmp_path, checkout_e
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ring": "Z", "coeffs": 5},
+        {"ring": "Z", "coeffs": [[0]]},
+        {"ring": "Z", "coeffs": [[0, "x"]]},
+        {"ring": 5, "coeffs": [[0, "1"]]},
+        [[0, "1"]],
+    ],
+    ids=["int-coeffs", "short-pair", "word-coefficient", "int-ring-tag", "top-level-list"],
+)
+def test_malformed_element_documents_are_structured_errors(doc, tmp_path, capsys):
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        [
+            "covering", "classify",
+            "--total", fx("r6.json"), "--base", fx("r3.json"), "--map", "0,1,2,0,1,2",
+            "--element", str(path),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidParams"
+    assert err == ""
+
+
+KERNEL_COMMANDS = {
+    ("idem", "enumerate"), ("idem", "union"), ("idem", "twisted-union"), ("idem", "scan"),
+}
+
+
+def test_commands_without_a_kernel_search_do_not_import_numpy(checkout_env):
+    # one child process runs every golden case that searches no table
+    cases = [argv for _, argv in CASES if tuple(argv[:2]) not in KERNEL_COMMANDS]
+    assert ["quandle", "check", fx("r3.json")] in cases
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import quandlekit\n"
+        "from quandlekit import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(cases)],
+        env=checkout_env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_integer_ring_requires_bound(capsys):
     code, out, _ = run_cli(["idem", "enumerate", fx("r3.json"), "--ring", "z"], capsys)
     assert code == 1

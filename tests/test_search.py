@@ -1,6 +1,8 @@
 """Exhaustive idempotent enumeration: completeness, soundness, determinism."""
 
+import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -22,7 +24,7 @@ from quandlekit import (
     make,
     trivial_quandle,
 )
-from quandlekit import _search_kernel
+from quandlekit import _search_kernel, idempotents
 
 from oracles import (
     naive_idempotents_boxed,
@@ -213,7 +215,8 @@ def test_search_spec_json_spellings():
 # determinism
 
 
-def test_single_and_multi_worker_reports_are_byte_identical(r3, r6):
+def test_single_and_multi_worker_reports_are_byte_identical(r3, r6, monkeypatch):
+    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
     cases = [
         (r3, lambda jobs: enumerate_boxed_Z(r3, 3, jobs=jobs)),
         (r6, lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs)),
@@ -298,6 +301,117 @@ def test_table_product_matches_square_vector(r10, dtype, bound, data):
     squares = _search_kernel.table_product(batch, batch, r10.table)
     assert squares.dtype == batch.dtype
     assert squares.tolist() == [square_vector(r10.table, v) for v in vecs]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the naive oracles
+
+
+def _alexander_table(m, t):
+    return [[(t * x + (1 - t) * y) % m for y in range(m)] for x in range(m)]
+
+
+ALEXANDER = [(m, t) for m in range(1, 6) for t in range(1, max(m, 2)) if math.gcd(m, t) == 1]
+
+
+@st.composite
+def kernel_cases(draw):
+    if draw(st.booleans()):
+        m, t = draw(st.sampled_from(ALEXANDER))
+        table = _alexander_table(m, t)
+    else:
+        n = draw(st.integers(1, 3))
+        table = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n,
+        ))
+    n = len(table)
+    mode, param = draw(st.sampled_from([("zp", 2), ("zp", 3), ("zp", 5), ("zbox", 1), ("zbox", 2)]))
+    stratum = draw(st.sampled_from([None, 0, 1]))
+    max_support = draw(st.integers(1, n))
+    return table, n, mode, param, stratum, max_support
+
+
+def _oracle_chunk(table, n, mode, param, stratum, max_support):
+    """(hits in index order, tested) of a whole-space chunk, from the oracles."""
+    if mode == "zp":
+        found = naive_idempotents_mod_p(table, param)
+        if stratum is not None:
+            found = {v for v in found if (sum(v) - stratum) % param == 0}
+        tested = param ** (n if stratum is None else n - 1)
+    else:
+        found = naive_idempotents_boxed(table, param)
+        if stratum is not None:
+            found = {v for v in found if sum(v) == stratum}
+        box = range(-param, param + 1)
+        tested = sum(
+            1 for vec in itertools.product(box, repeat=n)
+            if stratum is None or sum(vec) == stratum
+        )
+    found = {v for v in found if sum(1 for c in v if c) <= max_support}
+    # digits grow with the coefficients, so index order is lexicographic
+    return sorted(found), tested
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases())
+def test_evaluate_chunk_matches_the_naive_oracles(case):
+    table, n, mode, param, stratum, max_support = case
+    space = _search_kernel.space_size(n, mode, param, stratum is not None)
+    got = _search_kernel.evaluate_chunk((table, n, mode, param, stratum, 0, space, max_support))
+    assert got == _oracle_chunk(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_cases(), data=st.data())
+def test_chunks_split_anywhere_concatenate_to_the_whole(case, data):
+    table, n, mode, param, stratum, max_support = case
+    space = _search_kernel.space_size(n, mode, param, stratum is not None)
+    cuts = sorted(data.draw(st.lists(st.integers(0, space), max_size=6)))
+    bounds = [0, *cuts, space]
+    hits, tested = [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        h, t = _search_kernel.evaluate_chunk((table, n, mode, param, stratum, a, b, max_support))
+        hits += h
+        tested += t
+    whole = _search_kernel.evaluate_chunk((table, n, mode, param, stratum, 0, space, max_support))
+    assert (hits, tested) == whole
+
+
+@pytest.mark.parametrize("mode,param,hits,tested", [
+    ("zbox", 2, 500, 1_694_045),
+    ("zp", 5, 625, 3_906_250),
+])
+def test_r10_kernel_counts_are_pinned(r10, mode, param, hits, tested):
+    space = _search_kernel.space_size(10, mode, param, True)
+    results = [
+        _search_kernel.evaluate_chunk((r10.table, 10, mode, param, s, 0, space, 10)) for s in (0, 1)
+    ]
+    assert sum(len(h) for h, _ in results) == hits
+    assert sum(t for _, t in results) == tested
+    assert all(square_vector(r10.table, v, reduce=param if mode == "zp" else None) == list(v)
+               for h, _ in results for v in h)
+
+
+# ---------------------------------------------------------------------------
+# process pool dispatch
+
+
+def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
+    # r6 mod 5: two strata of 5^5 candidates
+    runs = []
+    real = idempotents._run_tasks
+
+    def spy(tasks, jobs):
+        runs.append((len(tasks), jobs))
+        return real(tasks, jobs)
+
+    monkeypatch.setattr(idempotents, "_run_tasks", spy)
+    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 2 * 5**5 + 1)
+    serial = enumerate_mod_p(r6, 5, jobs=2)
+    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 2 * 5**5)
+    pooled = enumerate_mod_p(r6, 5, jobs=2)
+    assert runs == [(2, 1), (4, 2)]
+    assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(pooled.to_json(), sort_keys=True)
 
 
 def test_kernel_hit_failing_the_exact_recheck_is_an_internal_error(r3, monkeypatch):
