@@ -1,11 +1,14 @@
 """Batched evaluation of idempotency over a coefficient grid.
 
-The candidate space is indexed lexicographically: with an augmentation
-stratum fixed, the first n-1 coefficients are free digits (index 0 most
-significant) and the last coefficient is determined by the stratum; with
-no stratum all n digits are free.  Chunks are contiguous index ranges,
-so multi-worker runs partition the space deterministically and merge by
-construction.
+A sweep is constrained by fiber sums: a partition of some of the keys
+into blocks, each with a target for the sum of its coefficients.  The
+last key of each block is determined by its target; every other key is
+a free digit.  Indices run lexicographically over the free digits in
+ascending key order (the lowest key most significant), so the index
+space has base^(n - blocks) points.  The augmentation stratum s is the
+one-block partition ((all keys, s),); the whole space is no blocks, ().
+Chunks are contiguous index ranges, so multi-worker runs partition the
+space deterministically and merge by construction.
 
 There is one evaluator.  Indices and digits are always int64 (callers
 refuse spaces of 2^63 or more); a magnitude guard then picks the
@@ -33,9 +36,10 @@ BATCH = 1 << 15
 INDEX_LIMIT = 2**63  # indices are int64
 
 
-def space_size(order: int, mode: str, param: int, stratified: bool) -> int:
+def space_size(order: int, mode: str, param: int, blocks: int) -> int:
+    """Indices of a sweep whose keys carry `blocks` fiber-sum constraints."""
     base = param if mode == "zp" else 2 * param + 1
-    return base ** (order - 1 if stratified else order)
+    return base ** (order - blocks)
 
 
 def _int64_safe(order: int, param: int) -> bool:
@@ -66,42 +70,48 @@ def table_product(u, v, table):
 def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
     """Evaluate candidate indices [start, stop); return (hits, tested).
 
-    args = (table, n, mode, param, stratum, start, stop, max_support)
+    args = (table, n, mode, param, fibers, start, stop, max_support)
     with mode "zp" (coefficients 0..p-1 mod p) or "zbox" (coefficients
-    -B..B over the integers), stratum an int coefficient-sum target or
-    None for the whole space.
+    -B..B over the integers) and fibers a tuple of (keys, target) pairs:
+    the coefficients on keys sum to target (mod p in "zp").  tested
+    counts the candidates whose determined coefficients fall in the box.
     """
     import numpy as np
 
-    table, n, mode, param, stratum, start, stop, max_support = args
+    table, n, mode, param, fibers, start, stop, max_support = args
     dtype = np.int64 if _int64_safe(n, param) else object
-    tbl = np.asarray(table, dtype=np.int64)
     # the pairs (i, j) with i*j = k, for each key k: n of them in a
     # quandle, anywhere from 0 to n^2 in a magma table
-    pairs = [np.argwhere(tbl == k).tolist() for k in range(n)]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            pairs[k].append((i, j))
     base = param if mode == "zp" else 2 * param + 1
-    free = n if stratum is None else n - 1
+    offset = param if mode == "zbox" else 0
+    determined = {keys[-1] for keys, _ in fibers}
+    digits = [k for k in range(n) if k not in determined]
+    weights = [base**k for k in range(len(digits) - 1, -1, -1)]
     hits: list[tuple[int, ...]] = []
     tested = 0
-    pos_weights = [base**k for k in range(free - 1, -1, -1)]
     idx0 = start
     while idx0 < stop:
         m = min(BATCH, stop - idx0)
         idx = np.arange(idx0, idx0 + m, dtype=np.int64)
         # coefficient-major: row k holds coefficient k of every candidate
         full = np.empty((n, m), dtype=np.int64)
-        for pos, w in enumerate(pos_weights):
-            full[pos] = (idx // w) % base
+        for key, w in zip(digits, weights):
+            full[key] = (idx // w) % base - offset
         full = full.astype(dtype, copy=False)
-        if mode == "zbox":
-            full[:free] -= param
-        if stratum is not None:
-            last = stratum - full[:free].sum(axis=0)
+        in_box = np.ones(m, dtype=bool)
+        for keys, target in fibers:
+            last = target - full[list(keys[:-1])].sum(axis=0)
             if mode == "zp":
                 last %= param
-            full[free] = last
-            if mode == "zbox":
-                full = full.compress(np.abs(last) <= param, axis=1)
+            else:
+                in_box &= np.abs(last) <= param
+            full[keys[-1]] = last
+        if not in_box.all():
+            full = full.compress(in_box, axis=1)
         tested += int(full.shape[1])
         support = np.count_nonzero(full, axis=0)
         full = full.compress((support >= 1) & (support <= max_support), axis=1)

@@ -2,9 +2,18 @@
 
 Enumerations are exhaustive for a declared scope: a prime modulus, or an
 integer coefficient box.  Over an integral domain the coefficient sum of
-an idempotent is 0 or 1, so the space is swept in augmentation strata;
+an idempotent is 0 or 1, so the scope is declared in augmentation strata;
 a non-domain modulus (forced) widens to all strata on request and the
 report says the claim is weaker.
+
+The sweep goes through a quotient.  A congruence of the table gives a
+surjective hom X -> Y whose linear extension k[X] -> k[Y] is a ring map
+keeping the augmentation, so every idempotent in scope lies over 0 or
+over an idempotent of k[Y] in the same strata.  The search finds those
+on the quotient table first, then sweeps only the vectors whose sum over
+each fiber matches one of them.  Augmentation strata are the quotient to
+one point.  candidates_tested still counts the in-box vectors of the
+declared scope, not the vectors the sweep evaluates.
 
 Family constructors build idempotents from structure (coverings, even
 dihedral tables, unions) and every construction is re-checked by exact
@@ -23,10 +32,12 @@ from .core import (
     Covering,
     FiniteQuandle,
     MagmaTable,
+    congruences,
     core_quandle,
     dihedral_quandle,
     perm_order,
     properties,
+    quotient_table,
     union_quandle,
     twisted_union_quandle,
 )
@@ -83,6 +94,11 @@ class SearchSpec:
 # second worker saves (break-even measured on a 2-core host).
 POOL_MIN_SPACE = 1 << 21
 
+# A kernel call costs about as much as this many indices on top of them
+# (numpy's per-operation overhead on tiny batches, measured on the same
+# host), so a quotient is not worth many small sweeps.
+SWEEP_COST = 1 << 10
+
 
 def _chunk_ranges(space: int, pieces: int) -> list[tuple[int, int]]:
     if space <= 0:
@@ -104,6 +120,78 @@ def _run_tasks(tasks, jobs: int):
         return list(pool.map(_search_kernel.evaluate_chunk, tasks))
 
 
+def _declared_count(n: int, mode: str, param: int, strata) -> int:
+    """In-box vectors of the declared scope: those of the box, or of
+    (Z/p)^n, whose coefficient sum lies in a stratum, counted per stratum."""
+    if strata is None:
+        return _search_kernel.space_size(n, mode, param, 0)
+    if mode == "zp":
+        return len(strata) * param ** (n - 1)
+    return sum(_box_sum_count(n, param, s) for s in strata)
+
+
+def _box_sum_count(n: int, bound: int, s: int) -> int:
+    """Vectors in [-bound, bound]^n with coefficient sum s.
+
+    Shifted to coefficients in [0, 2 bound] the sum is s + n bound; count
+    by stars and bars with inclusion-exclusion over the j coefficients
+    forced past the top of the box.  Exact for any bound, where a DP over
+    the sums would need n * 2 bound + 1 cells.
+    """
+    shifted = s + n * bound
+    width = 2 * bound + 1
+    total = 0
+    for j in range(n + 1):
+        rest = shifted - j * width
+        if rest < 0:
+            break
+        total += (-1) ** j * math.comb(n, j) * math.comb(rest + n - 1, n - 1)
+    return total
+
+
+def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, jobs: int) -> list:
+    """The fiber-sum constraints to sweep: one tuple of (keys, target) pairs
+    per sweep, in a fixed order.
+
+    A congruence gives a surjective hom f: X -> Y, and its linear
+    extension k[X] -> k[Y] is a ring map that keeps the augmentation.  So
+    every idempotent u in scope maps to 0 or to an idempotent of k[Y] in
+    the same strata, inside the box max|fiber| * B over Z; the same search
+    on the quotient table finds those, and each one (0 first, when the
+    strata admit it) fixes the coefficient sum of u over every fiber.
+    The quotient taken has the fewest free digits per target, ties broken
+    by the sorted partition, among those whose own search is no larger
+    than the direct sweep.  Without one, or when its targets would cost
+    more than the direct sweep (SWEEP_COST per kernel call), the quotient
+    is the one point: one block of all keys per augmentation stratum.
+    """
+    n = carrier.order
+    strata = None if spec.augmentation is None else sorted(spec.augmentation)
+    direct = [()] if strata is None else [((tuple(range(n)), s),) for s in strata]
+    direct_blocks = len(direct[0])
+    space = _search_kernel.space_size(n, mode, param, direct_blocks)
+    proper = [c for c in congruences(carrier) if len(c) > 1]
+    for partition in sorted(proper, key=lambda c: (-len(c), c)):
+        k = len(partition)
+        base_param = param if mode == "zp" else param * max(map(len, partition))
+        if _search_kernel.space_size(k, mode, base_param, direct_blocks) > space:
+            continue
+        base_spec = SearchSpec(
+            spec.ring, None if mode == "zp" else base_param, spec.max_support, spec.augmentation
+        )
+        base = _enumerate_table(
+            MagmaTable(quotient_table(carrier, partition)), base_spec, mode, base_param, budget, jobs
+        )
+        targets = [tuple(u.coeff(y) for y in range(k)) for u in base.idempotents]
+        if strata is None or any(spec.ring.coerce(s) == spec.ring.zero for s in strata):
+            targets.insert(0, (0,) * k)
+        sweep = _search_kernel.space_size(n, mode, param, k)
+        if len(targets) * (sweep + SWEEP_COST) > len(direct) * (space + SWEEP_COST):
+            break
+        return [tuple(zip(partition, v)) for v in targets]
+    return direct
+
+
 def _enumerate_table(
     carrier: FiniteQuandle | MagmaTable,
     spec: SearchSpec,
@@ -115,7 +203,7 @@ def _enumerate_table(
     start = time.monotonic()
     n = carrier.order
     stratified = spec.augmentation is not None
-    space = _search_kernel.space_size(n, mode, param, stratified)
+    space = _search_kernel.space_size(n, mode, param, int(stratified))
     total = space * (len(spec.augmentation) if stratified else 1)
     if total > budget:
         raise BudgetExceededError(total, budget)
@@ -123,18 +211,17 @@ def _enumerate_table(
         # kernel indices are int64; refuse before any chunk is built
         raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
-    strata = sorted(spec.augmentation) if stratified else [None]
-    workers = jobs if total >= POOL_MIN_SPACE else 1
+    plan = _sweep_plan(carrier, spec, mode, param, budget, jobs)
+    sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers in plan]
+    workers = jobs if sum(sweeps) >= POOL_MIN_SPACE else 1
     tasks = [
-        (carrier.table, n, mode, param, s, a, b, max_support)
-        for s in strata
-        for (a, b) in _chunk_ranges(space, workers)
+        (carrier.table, n, mode, param, fibers, a, b, max_support)
+        for fibers, sweep in zip(plan, sweeps)
+        for (a, b) in _chunk_ranges(sweep, workers)
     ]
     seen: set[tuple[int, ...]] = set()
     found: list[RingElement] = []
-    tested = 0
-    for hits, count in _run_tasks(tasks, workers):
-        tested += count
+    for task, (hits, _) in zip(tasks, _run_tasks(tasks, workers)):
         for vec in hits:
             if vec in seen:
                 continue
@@ -147,6 +234,12 @@ def _enumerate_table(
                 raise InternalCheckError(
                     f"kernel hit has augmentation not 0 or 1: {vec}", vector=list(vec)
                 )
+            for keys, target in task[4]:
+                if spec.ring.coerce(sum(vec[k] for k in keys)) != spec.ring.coerce(target):
+                    raise InternalCheckError(
+                        f"kernel hit misses its fiber-sum target {target} on {list(keys)}: {vec}",
+                        vector=list(vec),
+                    )
             found.append(u)
     flags = []
     exhaustive = True
@@ -173,7 +266,7 @@ def _enumerate_table(
         idempotents=sorted(found, key=lambda u: u.sort_key()),
         exhaustive=exhaustive,
         flags=flags,
-        candidates_tested=tested,
+        candidates_tested=_declared_count(n, mode, param, spec.augmentation),
         elapsed_ms=elapsed,
     )
 

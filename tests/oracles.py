@@ -106,6 +106,42 @@ def report_vectors(report, n):
 
 
 # ---------------------------------------------------------------------------
+# congruences over a raw table
+
+
+def set_partitions(items):
+    """Every partition of the list items into blocks, blocks kept in the
+    items' order."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield ((first,),) + part
+        for i, block in enumerate(part):
+            yield part[:i] + ((first,) + block,) + part[i + 1:]
+
+
+def naive_congruences(table):
+    """Every congruence of the table, by testing all set partitions (Bell(n)
+    of them, so n <= 8): x ~ y must give x*z ~ y*z and z*x ~ z*y for all z.
+    Each partition is a sorted tuple of sorted blocks."""
+    n = len(table)
+    out = []
+    for part in set_partitions(list(range(n))):
+        label = {x: i for i, block in enumerate(part) for x in block}
+        if all(
+            label[table[x][z]] == label[table[y][z]] and label[table[z][x]] == label[table[z][y]]
+            for block in part
+            for x in block
+            for y in block
+            for z in range(n)
+        ):
+            out.append(tuple(sorted(part)))
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
 # covering search over raw tables
 
 

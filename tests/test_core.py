@@ -3,12 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     CocycleData,
     Covering,
     CoveringConditionError,
     FiniteQuandle,
+    InternalCheckError,
     InvalidParamsError,
     MagmaTable,
     NotIdempotentError,
@@ -35,7 +37,9 @@ from quandlekit import (
     validate_table,
 )
 
-from oracles import brute_force_coverings
+from quandlekit.core import congruences, principal_congruence, quotient_table
+
+from oracles import brute_force_coverings, naive_congruences
 
 
 # ---------------------------------------------------------------------------
@@ -531,3 +535,53 @@ def test_order_12_fixture_block_action(b12):
                 assert b12.op(x, y) == x
     for j in range(12):
         assert perm_order(b12.right_mult(j)) == 4
+
+
+# ---------------------------------------------------------------------------
+# congruences
+
+
+def _refines(fine, coarse):
+    return all(any(set(f) <= set(c) for c in coarse) for f in fine)
+
+
+def _check_principal_congruences(q):
+    """Each principal congruence is the finest oracle congruence holding
+    its pair, and congruences() lists exactly the distinct ones."""
+    every = naive_congruences(q.table)
+    principal = set()
+    for a, b in itertools.combinations(range(q.order), 2):
+        holding = [c for c in every if any(a in block and b in block for block in c)]
+        finest = max(holding, key=len)
+        assert all(_refines(finest, c) for c in holding)
+        assert principal_congruence(q, a, b) == finest
+        principal.add(finest)
+    assert congruences(q) == sorted(principal)
+
+
+def test_principal_congruences_match_the_oracle(r6, t3, p6, magma8):
+    for q in (r6, t3, p6, magma8):
+        _check_principal_congruences(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_principal_congruences_of_random_magmas_match_the_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    table = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n,
+    ))
+    _check_principal_congruences(MagmaTable(table))
+
+
+def test_dihedral_10_folds_onto_dihedral_5(r10, r5):
+    halves = tuple((i, i + 5) for i in range(5))
+    assert halves in congruences(r10)
+    assert quotient_table(r10, halves) == r5.table
+    # R_5 is simple: every pair generates the one-block congruence
+    assert congruences(r5) == [(tuple(range(5)),)]
+
+
+def test_quotient_table_rejects_a_partition_that_is_no_congruence(r6):
+    with pytest.raises(InternalCheckError):
+        quotient_table(r6, ((0, 1), (2, 3), (4, 5)))

@@ -14,6 +14,7 @@ from quandlekit import (
     CompositeModulusError,
     InternalCheckError,
     InvalidParamsError,
+    MagmaTable,
     SearchSpec,
     ZZ,
     augmentation,
@@ -23,6 +24,8 @@ from quandlekit import (
     is_idempotent,
     make,
     trivial_quandle,
+    twisted_union_quandle,
+    union_quandle,
 )
 from quandlekit import _search_kernel, idempotents
 
@@ -215,12 +218,14 @@ def test_search_spec_json_spellings():
 # determinism
 
 
-def test_single_and_multi_worker_reports_are_byte_identical(r3, r6, monkeypatch):
+def test_single_and_multi_worker_reports_are_byte_identical(r3, r6, r10, monkeypatch):
     monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
     cases = [
         (r3, lambda jobs: enumerate_boxed_Z(r3, 3, jobs=jobs)),
         (r6, lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs)),
         (r6, lambda jobs: enumerate_mod_p(r6, 5, jobs=jobs)),
+        # twelve targets through r10 -> R_5, each split across the workers
+        (r10, lambda jobs: enumerate_mod_p(r10, 3, jobs=jobs)),
     ]
     for _, run in cases:
         one = json.dumps(run(1).to_json(), sort_keys=True)
@@ -246,6 +251,11 @@ def test_order_one_large_scopes_take_the_object_path():
     for report in (enumerate_mod_p(q, p), enumerate_boxed_Z(q, 2**40)):
         assert [u.coeffs for u in report.idempotents] == [((0, 1),)]
         assert report.candidates_tested == 2
+
+
+def _one_block(n, stratum):
+    """The fibers argument of an augmentation stratum, or of no stratum."""
+    return () if stratum is None else ((tuple(range(n)), stratum),)
 
 
 def _decode(index, n, p, stratum):
@@ -274,7 +284,7 @@ def test_object_path_slices_agree_with_oracle(p):
     found = set()
     for start, stratum in slices:
         hits, tested = _search_kernel.evaluate_chunk(
-            (q.table, 3, "zp", p, stratum, start, start + 40, 3)
+            (q.table, 3, "zp", p, _one_block(3, stratum), start, start + 40, 3)
         )
         assert tested == 40
         vecs = [_decode(i, 3, p, stratum) for i in range(start, start + 40)]
@@ -328,52 +338,71 @@ def kernel_cases(draw):
     mode, param = draw(st.sampled_from([("zp", 2), ("zp", 3), ("zp", 5), ("zbox", 1), ("zbox", 2)]))
     stratum = draw(st.sampled_from([None, 0, 1]))
     max_support = draw(st.integers(1, n))
-    return table, n, mode, param, stratum, max_support
+    return table, n, mode, param, _one_block(n, stratum), max_support
 
 
-def _oracle_chunk(table, n, mode, param, stratum, max_support):
+@st.composite
+def fiber_cases(draw):
+    """Kernel cases over a random partial partition of the keys, each
+    block with a random (possibly unreachable) fiber-sum target."""
+    table, n, mode, param, _, max_support = draw(kernel_cases())
+    keys = draw(st.permutations(range(n)))
+    fibers = []
+    rest = list(keys)
+    while rest and draw(st.booleans()):
+        size = draw(st.integers(1, len(rest)))
+        block, rest = tuple(rest[:size]), rest[size:]
+        span = param - 1 if mode == "zp" else len(block) * param + 1
+        target = draw(st.integers(-span if mode == "zbox" else 0, span))
+        fibers.append((block, target))
+    return table, n, mode, param, tuple(fibers), max_support
+
+
+def _oracle_chunk(table, n, mode, param, fibers, max_support):
     """(hits in index order, tested) of a whole-space chunk, from the oracles."""
+    def on_target(vec):
+        sums = [(sum(vec[k] for k in keys), target) for keys, target in fibers]
+        if mode == "zp":
+            return all((s - t) % param == 0 for s, t in sums)
+        return all(s == t for s, t in sums)
+
     if mode == "zp":
         found = naive_idempotents_mod_p(table, param)
-        if stratum is not None:
-            found = {v for v in found if (sum(v) - stratum) % param == 0}
-        tested = param ** (n if stratum is None else n - 1)
+        grid = range(param)
     else:
         found = naive_idempotents_boxed(table, param)
-        if stratum is not None:
-            found = {v for v in found if sum(v) == stratum}
-        box = range(-param, param + 1)
-        tested = sum(
-            1 for vec in itertools.product(box, repeat=n)
-            if stratum is None or sum(vec) == stratum
-        )
-    found = {v for v in found if sum(1 for c in v if c) <= max_support}
-    # digits grow with the coefficients, so index order is lexicographic
-    return sorted(found), tested
+        grid = range(-param, param + 1)
+    found = {v for v in found if on_target(v) and sum(1 for c in v if c) <= max_support}
+    tested = sum(1 for vec in itertools.product(grid, repeat=n) if on_target(vec))
+    # indices run over the undetermined keys in ascending order, and
+    # their digits grow with the coefficients
+    determined = {keys[-1] for keys, _ in fibers}
+    digits = [k for k in range(n) if k not in determined]
+    return sorted(found, key=lambda v: [v[k] for k in digits]), tested
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=kernel_cases())
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(kernel_cases(), fiber_cases()))
 def test_evaluate_chunk_matches_the_naive_oracles(case):
-    table, n, mode, param, stratum, max_support = case
-    space = _search_kernel.space_size(n, mode, param, stratum is not None)
-    got = _search_kernel.evaluate_chunk((table, n, mode, param, stratum, 0, space, max_support))
+    table, n, mode, param, fibers, max_support = case
+    space = _search_kernel.space_size(n, mode, param, len(fibers))
+    got = _search_kernel.evaluate_chunk((table, n, mode, param, fibers, 0, space, max_support))
     assert got == _oracle_chunk(*case)
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=kernel_cases(), data=st.data())
+@given(case=st.one_of(kernel_cases(), fiber_cases()), data=st.data())
 def test_chunks_split_anywhere_concatenate_to_the_whole(case, data):
-    table, n, mode, param, stratum, max_support = case
-    space = _search_kernel.space_size(n, mode, param, stratum is not None)
+    table, n, mode, param, fibers, max_support = case
+    space = _search_kernel.space_size(n, mode, param, len(fibers))
     cuts = sorted(data.draw(st.lists(st.integers(0, space), max_size=6)))
     bounds = [0, *cuts, space]
     hits, tested = [], 0
     for a, b in zip(bounds, bounds[1:]):
-        h, t = _search_kernel.evaluate_chunk((table, n, mode, param, stratum, a, b, max_support))
+        h, t = _search_kernel.evaluate_chunk((table, n, mode, param, fibers, a, b, max_support))
         hits += h
         tested += t
-    whole = _search_kernel.evaluate_chunk((table, n, mode, param, stratum, 0, space, max_support))
+    whole = _search_kernel.evaluate_chunk((table, n, mode, param, fibers, 0, space, max_support))
     assert (hits, tested) == whole
 
 
@@ -382,9 +411,10 @@ def test_chunks_split_anywhere_concatenate_to_the_whole(case, data):
     ("zp", 5, 625, 3_906_250),
 ])
 def test_r10_kernel_counts_are_pinned(r10, mode, param, hits, tested):
-    space = _search_kernel.space_size(10, mode, param, True)
+    space = _search_kernel.space_size(10, mode, param, 1)
     results = [
-        _search_kernel.evaluate_chunk((r10.table, 10, mode, param, s, 0, space, 10)) for s in (0, 1)
+        _search_kernel.evaluate_chunk((r10.table, 10, mode, param, _one_block(10, s), 0, space, 10))
+        for s in (0, 1)
     ]
     assert sum(len(h) for h, _ in results) == hits
     assert sum(t for _, t in results) == tested
@@ -393,25 +423,176 @@ def test_r10_kernel_counts_are_pinned(r10, mode, param, hits, tested):
 
 
 # ---------------------------------------------------------------------------
+# quotient-stratified search against the naive oracles
+
+
+def _outer_plans(monkeypatch):
+    """Block counts of every sweep plan made, the outermost search last."""
+    blocks = []
+    real = idempotents._sweep_plan
+
+    def spy(*args):
+        plan = real(*args)
+        blocks.append(len(plan[0]) if plan else None)
+        return plan
+
+    monkeypatch.setattr(idempotents, "_sweep_plan", spy)
+    return blocks
+
+
+def _search(q, mode, param, strata, max_support):
+    if mode == "zp":
+        return enumerate_mod_p(q, param, max_support, strata, force=param == 4)
+    return enumerate_boxed_Z(q, param, max_support, strata)
+
+
+def _expected(table, mode, param, strata, max_support):
+    """(idempotent vectors, in-box candidates) of a declared scope, from the oracles."""
+    n = len(table)
+    chunks = [
+        _oracle_chunk(table, n, mode, param, _one_block(n, s), max_support or n)
+        for s in (strata or [None])
+    ]
+    return {v for hits, _ in chunks for v in hits}, sum(tested for _, tested in chunks)
+
+
+SCOPES = [("zbox", 1), ("zbox", 2), ("zp", 2), ("zp", 3), ("zp", 4), ("zp", 5)]
+
+
+def test_quotient_search_matches_the_naive_oracles(r6, t2, t3, monkeypatch):
+    tables = [
+        r6,
+        union_quandle([t2, t3]),
+        twisted_union_quandle(t2, t3, (1, 0), (1, 2, 0)),
+    ]
+    blocks = _outer_plans(monkeypatch)
+    for q in tables:
+        outer = []
+        for mode, param in SCOPES:
+            for strata in ((0, 1), None):
+                found, tested = _expected(q.table, mode, param, strata, None)
+                for max_support in (None, 2):
+                    cap = max_support or q.order
+                    capped = {v for v in found if sum(1 for c in v if c) <= cap}
+                    # a zero call cost takes every quotient whose own search fits
+                    for cost in (0, idempotents.SWEEP_COST):
+                        monkeypatch.setattr(idempotents, "SWEEP_COST", cost)
+                        report = _search(q, mode, param, strata, max_support)
+                        got = report_vectors(report, q.order)
+                        assert (got, report.candidates_tested) == (capped, tested)
+                        outer.append(blocks[-1])
+        assert max(outer) > 1, "no scope swept through a proper quotient"
+
+
+@pytest.mark.parametrize("mode,param,max_support,count,tested", [
+    ("zbox", 2, None, 500, 1_694_045),
+    ("zbox", 2, 3, 20, 1_694_045),
+    ("zp", 5, None, 625, 3_906_250),
+    ("zp", 3, None, 183, 39_366),
+])
+def test_r10_quotient_search_keeps_the_pinned_counts(
+    r10, monkeypatch, mode, param, max_support, count, tested
+):
+    # the pins count the whole box with the naive oracles; every reported
+    # idempotent is rechecked exactly, so equal counts mean equal sets
+    blocks = _outer_plans(monkeypatch)
+    report = _search(r10, mode, param, (0, 1), max_support)
+    assert blocks[-1] == 5, "r10 swept through r10 -> R_5"
+    assert len(report.idempotents) == count
+    assert report.candidates_tested == tested
+
+
+@st.composite
+def inflated_tables(draw):
+    """A random magma Y with each point blown up into a block, in random
+    positions.  A product lands anywhere in the block of the product in
+    Y, so the blocks form a congruence."""
+    m = draw(st.integers(1, 3))
+    base = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=m, max_size=m), min_size=m, max_size=m,
+    ))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m).filter(lambda s: sum(s) <= 5))
+    keys = draw(st.permutations(range(sum(sizes))))
+    blocks = [keys[sum(sizes[:y]):sum(sizes[:y + 1])] for y in range(m)]
+    owner = {x: y for y, block in enumerate(blocks) for x in block}
+    return [
+        [draw(st.sampled_from(blocks[base[owner[x]][owner[z]]])) for z in range(len(keys))]
+        for x in range(len(keys))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=inflated_tables(),
+    scope=st.sampled_from(SCOPES),
+    strata=st.sampled_from([(0, 1), None]),
+    data=st.data(),
+)
+def test_quotient_search_on_inflated_magmas_matches_the_naive_oracles(table, scope, strata, data):
+    mode, param = scope
+    max_support = data.draw(st.sampled_from([None, *range(1, len(table) + 1)]))
+    cost = data.draw(st.sampled_from([0, idempotents.SWEEP_COST]))
+    q = MagmaTable(table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idempotents, "SWEEP_COST", cost)
+        report = _search(q, mode, param, strata, max_support)
+    got = report_vectors(report, q.order)
+    assert (got, report.candidates_tested) == _expected(table, mode, param, strata, max_support)
+
+
+def test_kernel_hit_off_its_fiber_target_is_an_internal_error(r6, monkeypatch):
+    # e_0 is an idempotent, so only the fiber-sum check can catch it
+    # among the lifts of 0
+    real = _search_kernel.evaluate_chunk
+    hit = (1, 0, 0, 0, 0, 0)
+
+    def lying_kernel(args):
+        hits, tested = real(args)
+        if args[1] == 6 and all(target == 0 for _, target in args[4]):
+            hits = hits + [hit]
+        return hits, tested
+
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", lying_kernel)
+    with pytest.raises(InternalCheckError, match="fiber-sum target") as info:
+        enumerate_boxed_Z(r6, 2)
+    assert info.value.payload()["vector"] == list(hit)
+
+
+# ---------------------------------------------------------------------------
 # process pool dispatch
 
 
 def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
-    # r6 mod 5: two strata of 5^5 candidates
+    cases = [
+        # r6 mod 5: the quotient r6 -> R_3 costs more than the direct
+        # sweep, two strata of 5^5 indices
+        (lambda jobs: enumerate_mod_p(r6, 5, jobs=jobs), 2 * 5**5, 2),
+        # r6 in the box 2: the lifts of 0 and of the three basis
+        # idempotents of R_3, 5^3 indices each
+        (lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs), 4 * 5**3, 4),
+    ]
     runs = []
     real = idempotents._run_tasks
 
     def spy(tasks, jobs):
-        runs.append((len(tasks), jobs))
+        runs.append((sum(t[6] - t[5] for t in tasks), len(tasks), jobs))
         return real(tasks, jobs)
 
     monkeypatch.setattr(idempotents, "_run_tasks", spy)
-    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 2 * 5**5 + 1)
-    serial = enumerate_mod_p(r6, 5, jobs=2)
-    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 2 * 5**5)
-    pooled = enumerate_mod_p(r6, 5, jobs=2)
-    assert runs == [(2, 1), (4, 2)]
-    assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(pooled.to_json(), sort_keys=True)
+    for search, evaluated, sweeps in cases:
+        monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", evaluated + 1)
+        runs.clear()
+        serial = search(2)
+        assert runs[-1] == (evaluated, sweeps, 1)
+        monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", evaluated)
+        runs.clear()
+        pooled = search(2)
+        assert runs[-1] == (evaluated, 2 * sweeps, 2)
+        # the base search on R_3 is smaller and stays serial
+        assert all(jobs == 1 for _, _, jobs in runs[:-1])
+        assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
+            pooled.to_json(), sort_keys=True
+        )
 
 
 def test_kernel_hit_failing_the_exact_recheck_is_an_internal_error(r3, monkeypatch):
