@@ -110,7 +110,8 @@ def _chunk_ranges(space: int, pieces: int) -> list[tuple[int, int]]:
 
 def _run_tasks(tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
-        return [_search_kernel.evaluate_chunk(t) for t in tasks]
+        # lazily, so a search that is abandoned runs no further chunks
+        return map(_search_kernel.evaluate_chunk, tasks)
     from concurrent.futures import ProcessPoolExecutor
 
     # forked workers inherit numpy instead of each importing it again
@@ -149,7 +150,29 @@ def _box_sum_count(n: int, bound: int, s: int) -> int:
     return total
 
 
-def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, jobs: int) -> list:
+def _known_idempotents(table, mode: str, param: int, max_support: int | None) -> int:
+    """A lower bound, found without a search, on the nonzero idempotents of
+    augmentation 1 in scope.
+
+    On a trivial sub-magma S (s*t = s for all s, t in S) every vector of
+    augmentation 1 is idempotent: u*u = sum_s u_s (sum_t u_t) e_s = u.
+    S is grown greedily; the vectors on its first max_support keys count,
+    and so does e_y for every other y with y*y = y.
+    """
+    n = len(table)
+    block: list[int] = []
+    for y in range(n):
+        if table[y][y] == y and all(table[s][y] == s and table[y][s] == y for s in block):
+            block.append(y)
+    m = min(n if max_support is None else max_support, len(block))
+    if m < 1:
+        return 0
+    on_block = param ** (m - 1) if mode == "zp" else _box_sum_count(m, param, 1)
+    return on_block + sum(1 for y in range(n) if table[y][y] == y) - m
+
+
+def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, jobs: int,
+                direct: list, space: int) -> list:
     """The fiber-sum constraints to sweep: one tuple of (keys, target) pairs
     per sweep, in a fixed order.
 
@@ -161,33 +184,43 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
     strata admit it) fixes the coefficient sum of u over every fiber.
     The quotient taken has the fewest free digits per target, ties broken
     by the sorted partition, among those whose own search is no larger
-    than the direct sweep.  Without one, or when its targets would cost
-    more than the direct sweep (SWEEP_COST per kernel call), the quotient
-    is the one point: one block of all keys per augmentation stratum.
+    than the direct sweep of `space` indices per entry of `direct`.  Its
+    targets may cost no more than that sweep (SWEEP_COST per kernel
+    call): the quotient is dropped, with no search, when the idempotents
+    known without one are already too many, and its search is abandoned
+    as soon as its kernel finds too many.  Then the direct sweep is kept.
     """
     n = carrier.order
-    strata = None if spec.augmentation is None else sorted(spec.augmentation)
-    direct = [()] if strata is None else [((tuple(range(n)), s),) for s in strata]
-    direct_blocks = len(direct[0])
-    space = _search_kernel.space_size(n, mode, param, direct_blocks)
+    ring = spec.ring
+
+    def admits(c) -> bool:
+        return spec.augmentation is None or any(ring.coerce(s) == c for s in spec.augmentation)
+
+    cost = len(direct) * (space + SWEEP_COST)
     proper = [c for c in congruences(carrier) if len(c) > 1]
     for partition in sorted(proper, key=lambda c: (-len(c), c)):
         k = len(partition)
         base_param = param if mode == "zp" else param * max(map(len, partition))
-        if _search_kernel.space_size(k, mode, base_param, direct_blocks) > space:
+        if _search_kernel.space_size(k, mode, base_param, len(direct[0])) > space:
             continue
-        base_spec = SearchSpec(
-            spec.ring, None if mode == "zp" else base_param, spec.max_support, spec.augmentation
-        )
-        base = _enumerate_table(
-            MagmaTable(quotient_table(carrier, partition)), base_spec, mode, base_param, budget, jobs
-        )
-        targets = [tuple(u.coeff(y) for y in range(k)) for u in base.idempotents]
-        if strata is None or any(spec.ring.coerce(s) == spec.ring.zero for s in strata):
-            targets.insert(0, (0,) * k)
+        quotient = MagmaTable(quotient_table(carrier, partition))
+        # the most nonzero targets whose sweeps still cost less than the direct one
         sweep = _search_kernel.space_size(n, mode, param, k)
-        if len(targets) * (sweep + SWEEP_COST) > len(direct) * (space + SWEEP_COST):
+        limit = cost // (sweep + SWEEP_COST) - admits(ring.zero)
+        known = 0
+        if admits(ring.one):
+            known = _known_idempotents(quotient.table, mode, base_param, spec.max_support)
+        if known > limit:
             break
+        base_spec = SearchSpec(
+            ring, None if mode == "zp" else base_param, spec.max_support, spec.augmentation
+        )
+        base = _enumerate_table(quotient, base_spec, mode, base_param, budget, jobs, max_hits=limit)
+        if base is None:
+            break
+        targets = [tuple(u.coeff(y) for y in range(k)) for u in base.idempotents]
+        if admits(ring.zero):
+            targets.insert(0, (0,) * k)
         return [tuple(zip(partition, v)) for v in targets]
     return direct
 
@@ -199,19 +232,23 @@ def _enumerate_table(
     param: int,
     budget: int,
     jobs: int,
-) -> IdempotentReport:
+    max_hits: int | None = None,
+) -> IdempotentReport | None:
+    """The report of one search; None, before any recheck, once the kernel
+    has found more than max_hits idempotents."""
     start = time.monotonic()
     n = carrier.order
-    stratified = spec.augmentation is not None
-    space = _search_kernel.space_size(n, mode, param, int(stratified))
-    total = space * (len(spec.augmentation) if stratified else 1)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    strata = None if spec.augmentation is None else sorted(spec.augmentation)
+    # the direct sweep: one block of all keys per augmentation stratum
+    direct = [()] if strata is None else [((tuple(range(n)), s),) for s in strata]
+    space = _search_kernel.space_size(n, mode, param, len(direct[0]))
+    if space * len(direct) > budget:
+        raise BudgetExceededError(space * len(direct), budget)
     if space >= _search_kernel.INDEX_LIMIT:
         # kernel indices are int64; refuse before any chunk is built
         raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
-    plan = _sweep_plan(carrier, spec, mode, param, budget, jobs)
+    plan = _sweep_plan(carrier, spec, mode, param, budget, jobs, direct, space)
     sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers in plan]
     workers = jobs if sum(sweeps) >= POOL_MIN_SPACE else 1
     tasks = [
@@ -219,28 +256,31 @@ def _enumerate_table(
         for fibers, sweep in zip(plan, sweeps)
         for (a, b) in _chunk_ranges(sweep, workers)
     ]
-    seen: set[tuple[int, ...]] = set()
+    # each distinct hit, with the fibers it was swept under, in kernel order
+    hits: dict[tuple[int, ...], tuple] = {}
+    for task, (vecs, _) in zip(tasks, _run_tasks(tasks, workers)):
+        for vec in vecs:
+            hits.setdefault(vec, task[4])
+        if max_hits is not None and len(hits) > max_hits:
+            return None
     found: list[RingElement] = []
-    for task, (hits, _) in zip(tasks, _run_tasks(tasks, workers)):
-        for vec in hits:
-            if vec in seen:
-                continue
-            seen.add(vec)
-            u = RingElement(spec.ring, list(enumerate(vec)))
-            # exact re-verification of every kernel hit
-            if not is_idempotent(u, carrier):
-                raise InternalCheckError(f"kernel hit fails exact recheck: {vec}", vector=list(vec))
-            if spec.ring.is_domain and augmentation(u) not in (spec.ring.zero, spec.ring.one):
+    for vec, fibers in hits.items():
+        u = RingElement(spec.ring, list(enumerate(vec)))
+        # exact re-verification of every kernel hit
+        if not is_idempotent(u, carrier):
+            raise InternalCheckError(f"kernel hit fails exact recheck: {vec}", vector=list(vec))
+        if spec.ring.is_domain and augmentation(u) not in (spec.ring.zero, spec.ring.one):
+            raise InternalCheckError(
+                f"kernel hit has augmentation not 0 or 1: {vec}", vector=list(vec)
+            )
+        for keys, target in fibers:
+            miss = sum(vec[k] for k in keys) - target
+            if miss % param if mode == "zp" else miss:
                 raise InternalCheckError(
-                    f"kernel hit has augmentation not 0 or 1: {vec}", vector=list(vec)
+                    f"kernel hit misses its fiber-sum target {target} on {list(keys)}: {vec}",
+                    vector=list(vec),
                 )
-            for keys, target in task[4]:
-                if spec.ring.coerce(sum(vec[k] for k in keys)) != spec.ring.coerce(target):
-                    raise InternalCheckError(
-                        f"kernel hit misses its fiber-sum target {target} on {list(keys)}: {vec}",
-                        vector=list(vec),
-                    )
-            found.append(u)
+        found.append(u)
     flags = []
     exhaustive = True
     if not carrier.is_quandle:
@@ -253,7 +293,7 @@ def _enumerate_table(
         flags.append("two-element coefficient ring")
     if not spec.ring.is_domain:
         flags.append("non-domain coefficients")
-        if stratified:
+        if strata is not None:
             flags.append("augmentation strata assume a domain; rerun with augmentation=any for completeness")
             exhaustive = False
     if max_support < n:

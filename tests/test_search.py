@@ -558,6 +558,67 @@ def test_kernel_hit_off_its_fiber_target_is_an_internal_error(r6, monkeypatch):
     assert info.value.payload()["vector"] == list(hit)
 
 
+def _kernel_orders(monkeypatch):
+    """The table order of every kernel call, in call order."""
+    orders = []
+    real = _search_kernel.evaluate_chunk
+
+    def spy(args):
+        orders.append(args[1])
+        return real(args)
+
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", spy)
+    return orders
+
+
+@pytest.mark.parametrize("mode,param", [("zp", 2), ("zp", 3), ("zbox", 1)])
+def test_trivial_tables_sweep_no_quotient(monkeypatch, mode, param):
+    # every vector of augmentation 1 on T_n is idempotent, so each quotient
+    # has more targets than the direct sweep has room for: it is dropped
+    # before its search, and every kernel call is on T_n itself
+    orders = _kernel_orders(monkeypatch)
+    for n in range(2, 9):
+        orders.clear()
+        report = _search(trivial_quandle(n), mode, param, (0, 1), None)
+        assert set(orders) == {n}
+        ones = param ** (n - 1) if mode == "zp" else idempotents._box_sum_count(n, param, 1)
+        assert len(report.idempotents) == ones
+
+
+def test_quotient_search_is_abandoned_before_any_recheck(r6, monkeypatch):
+    # mod 5 the quotient r6 -> R_3 has too many targets; the kernel finds
+    # them on R_3, and the search stops there with no R_3 hit rechecked
+    orders = _kernel_orders(monkeypatch)
+    rechecked = []
+    real = idempotents.is_idempotent
+
+    def spy(u, carrier):
+        rechecked.append(carrier.order)
+        return real(u, carrier)
+
+    monkeypatch.setattr(idempotents, "is_idempotent", spy)
+    report = enumerate_mod_p(r6, 5)
+    assert 3 in orders
+    assert rechecked == [6] * len(report.idempotents)
+
+
+def test_max_hits_abandons_a_search_only_past_it(r6):
+    spec = SearchSpec(ZZ, 2, None, (0, 1))
+    count = len(enumerate_boxed_Z(r6, 2).idempotents)
+    assert idempotents._enumerate_table(r6, spec, "zbox", 2, 10**8, 1, max_hits=count - 1) is None
+    report = idempotents._enumerate_table(r6, spec, "zbox", 2, 10**8, 1, max_hits=count)
+    assert len(report.idempotents) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=inflated_tables(), scope=st.sampled_from(SCOPES), data=st.data())
+def test_known_idempotents_are_a_lower_bound(table, scope, data):
+    mode, param = scope
+    max_support = data.draw(st.sampled_from([None, *range(1, len(table) + 1)]))
+    found, _ = _expected(table, mode, param, (1,), max_support)
+    assert idempotents._known_idempotents(table, mode, param, max_support) <= len(found)
+
+
 # ---------------------------------------------------------------------------
 # process pool dispatch
 
