@@ -319,8 +319,9 @@ def fq_idempotent_search(
 
     This is the support enumerator (idempotents._support_search), not
     the table kernel in _search_kernel.  candidates_tested counts every
-    (support, coefficient tuple) pair, including those the
-    coefficient-sum filter skips.
+    (support, coefficient tuple) pair, including the tuples on supports
+    that the non-cancellation rule rules out without evaluating them and
+    those the coefficient-sum filter skips.
     """
     if max_support < 1 or bound < 1:
         raise InvalidParamsError("max_support and bound must be >= 1")

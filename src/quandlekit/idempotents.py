@@ -22,6 +22,7 @@ multiplication before it is returned.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import time
@@ -1129,29 +1130,46 @@ def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[R
     """Every integer idempotent supported on at most max_support of keys.
 
     Walks each support S (combinations of keys in order) and each tuple of
-    nonzero coefficients in [-bound, bound] on S.  Products op(a, b) are
-    computed once per support and may land outside keys.  Returns
-    (tested, idempotents): tested counts every (support, coefficient
-    tuple) pair, including those skipped because their coefficient sum is
-    not 0 or 1 (an integer idempotent's augmentation squares to itself).
+    nonzero coefficients in [-bound, bound] on S.  op(a, b) is computed
+    once per pair of keys and interned as an int: keys get 0..n-1 in
+    order, products outside keys get fresh ids.  Keys must be distinct.
+
+    A support is ruled out without evaluating any tuple on it when some id
+    outside S is reached by exactly one ordered pair (a, b) of S, a == b
+    included (the non-cancellation step of the free-quandle argument):
+    u^2 then carries c_a * c_b at that id and u carries 0.  That product
+    is nonzero only because Z is an integral domain and the coefficients
+    are nonzero; over a composite Z/m (2 * 3 = 0 mod 6) the rule is
+    unsound, so this search runs over Z only.  On the other supports a
+    tuple whose coefficient sum is not 0 or 1 is skipped (an integer
+    idempotent's augmentation squares to itself) and the rest are squared.
+
+    Returns (tested, idempotents), idempotents in the order found.  tested
+    counts every (support, coefficient tuple) pair, including the tuples on
+    ruled-out supports and those the coefficient-sum filter skips.
     """
     keys = list(keys)
+    ids = {key: i for i, key in enumerate(keys)}
+    table = [[ids.setdefault(op(a, b), len(ids)) for b in keys] for a in keys]
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
     found: list[RingElement] = []
     tested = 0
     for k in range(1, min(max_support, len(keys)) + 1):
-        for support in itertools.combinations(keys, k):
-            prods = [[op(a, b) for b in support] for a in support]
+        for support in itertools.combinations(range(len(keys)), k):
+            tested += len(nonzero) ** k
+            prods = [[table[a][b] for b in support] for a in support]
+            reached = collections.Counter(itertools.chain.from_iterable(prods))
+            if any(count == 1 and t not in support for t, count in reached.items()):
+                continue
             for coeffs in itertools.product(nonzero, repeat=k):
-                tested += 1
                 if sum(coeffs) not in (0, 1):
                     continue
                 square: dict = {}
                 for ca, row in zip(coeffs, prods):
-                    for cb, key in zip(coeffs, row):
-                        square[key] = square.get(key, 0) + ca * cb
-                if {key: c for key, c in square.items() if c} == dict(zip(support, coeffs)):
-                    found.append(RingElement(ZZ, list(zip(support, coeffs))))
+                    for cb, t in zip(coeffs, row):
+                        square[t] = square.get(t, 0) + ca * cb
+                if {t: c for t, c in square.items() if c} == dict(zip(support, coeffs)):
+                    found.append(RingElement(ZZ, [(keys[i], c) for i, c in zip(support, coeffs)]))
     return tested, found
 
 
@@ -1163,8 +1181,11 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
 
     This is the support enumerator (_support_search), not the table
     kernel in _search_kernel.  candidates_tested counts every (support,
-    coefficient tuple) pair, including those the coefficient-sum filter
-    skips."""
+    coefficient tuple) pair, including the tuples on supports that the
+    non-cancellation rule rules out without evaluating them and those the
+    coefficient-sum filter skips."""
+    if bound < 1:
+        raise InvalidParamsError("bound must be >= 1")
     factors = [int(a) for a in factors]
     order = math.prod(factors)
     if math.gcd(order, 6) != 1:

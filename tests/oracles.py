@@ -94,6 +94,30 @@ def naive_idempotents_boxed(table, bound, max_support=None):
     return out
 
 
+def naive_support_search(keys, op, bound, max_support):
+    """Every integer v with v^2 = v supported on at most max_support of
+    keys, nonzero entries in [-bound, bound]: each support (combinations
+    of keys in order) and each coefficient tuple on it, squared in full.
+    Products op(a, b) may land outside keys.  Returns (tuples tried,
+    idempotents as ((key, c), ...) in the order found)."""
+    keys = list(keys)
+    nonzero = [c for c in range(-bound, bound + 1) if c]
+    tested = 0
+    found = []
+    for k in range(1, min(max_support, len(keys)) + 1):
+        for support in itertools.combinations(keys, k):
+            prods = {(a, b): op(a, b) for a in support for b in support}
+            for coeffs in itertools.product(nonzero, repeat=k):
+                tested += 1
+                vec = dict(zip(support, coeffs))
+                square = {}
+                for (a, b), key in prods.items():
+                    square[key] = square.get(key, 0) + vec[a] * vec[b]
+                if {key: c for key, c in square.items() if c} == vec:
+                    found.append(tuple(zip(support, coeffs)))
+    return tested, found
+
+
 def element_to_vector(u, n):
     vec = [0] * n
     for k, c in u.coeffs:

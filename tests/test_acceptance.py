@@ -50,7 +50,7 @@ from quandlekit import idempotents
 
 LIMITS_S = {
     1: 1, 2: 5, 3: 5, 4: 1, 5: 1, 6: 1, 7: 5,
-    8: 5, 9: 1, 10: 600, 11: 30, 12: 60, 13: 60, 14: None,
+    8: 5, 9: 1, 10: 5, 11: 30, 12: 5, 13: 60, 14: None,
 }
 
 

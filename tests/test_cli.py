@@ -199,6 +199,14 @@ def test_bound_is_rejected_for_modular_ring(capsys):
     assert json.loads(out)["error"] == "InvalidParams"
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_core3_bound_below_one_is_invalid_params(bound, capsys):
+    code, out, err = run_cli(["idem", "core3", "--factors", "5", "--bound", bound], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "InvalidParams", "message": "bound must be >= 1"}
+    assert err == ""
+
+
 def test_composite_modulus_needs_force_flag(capsys):
     code, out, _ = run_cli(["idem", "enumerate", fx("r3.json"), "--ring", "zp:4"], capsys)
     assert code == 1

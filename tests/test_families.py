@@ -416,6 +416,15 @@ def test_support_search_finds_non_basis_idempotents(r6):
     assert tested == 6 * 4 + 15 * 16 + 20 * 64
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_core_small_support_rejects_bound_below_one(bound):
+    with pytest.raises(InvalidParamsError, match="bound must be >= 1"):
+        core_three_support_check([5], bound)
+    # refused before the order check too
+    with pytest.raises(InvalidParamsError):
+        core_three_support_check([6], bound)
+
+
 def test_core_small_support_hypothesis(t2):
     with pytest.raises(HypothesisFailedError):
         core_three_support_check([6], 2)

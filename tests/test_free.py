@@ -332,6 +332,15 @@ def test_fq_search_support_one_is_trivial():
     assert {u.coeffs[0][0] for u in report.idempotents} == set(enumerate_elements(2, 3))
 
 
+def test_fq_search_length_four_window_holds_only_the_basis():
+    # evidence beyond the length-3 window, scoped: length <= 4, support <= 3, |c| <= 3
+    report = fq_idempotent_search(2, 4, 3, 3)
+    window = enumerate_elements(2, 4)
+    assert len(window) == 54
+    assert [u.coeffs for u in report.idempotents] == [((w, 1),) for w in window]
+    assert report.candidates_tested == 54 * 6 + 1431 * 6**2 + 24804 * 6**3 == 5_409_504
+
+
 def test_fq_search_budget():
     with pytest.raises(BudgetExceededError):
         fq_idempotent_search(2, 3, 3, 2, budget=100)

@@ -12,14 +12,17 @@ from hypothesis import given, settings, strategies as st
 from quandlekit import (
     BudgetExceededError,
     CompositeModulusError,
+    FreeQuandle,
     InternalCheckError,
     InvalidParamsError,
     MagmaTable,
     SearchSpec,
     ZZ,
     augmentation,
+    core_quandle,
     dihedral_quandle,
     enumerate_boxed_Z,
+    enumerate_elements,
     enumerate_mod_p,
     is_idempotent,
     make,
@@ -32,6 +35,9 @@ from quandlekit import _search_kernel, idempotents
 from oracles import (
     naive_idempotents_boxed,
     naive_idempotents_mod_p,
+    naive_support_search,
+    oracle_full_word,
+    oracle_op,
     report_vectors,
     square_vector,
 )
@@ -617,6 +623,47 @@ def test_known_idempotents_are_a_lower_bound(table, scope, data):
     max_support = data.draw(st.sampled_from([None, *range(1, len(table) + 1)]))
     found, _ = _expected(table, mode, param, (1,), max_support)
     assert idempotents._known_idempotents(table, mode, param, max_support) <= len(found)
+
+
+# ---------------------------------------------------------------------------
+# the support enumerator (core3, free-quandle search) against the naive oracle
+
+
+@st.composite
+def support_windows(draw, source):
+    """(keys, op, oracle keys, oracle op) of one window of basis keys.
+
+    magma: a random table and a random subset of its keys as the window,
+    so products land outside the window and squares x*x outside a support.
+    core: the whole of core(5), core(6) or core(7); core(6) has non-basis
+    idempotents on three keys.  free: a window of rank 1-2, length <= 3,
+    where the oracle multiplies flat letter words.
+    """
+    if source == "magma":
+        n = draw(st.integers(1, 5))
+        table = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n,
+        ))
+        keys = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        op = lambda a, b: table[a][b]
+        return keys, op, keys, op
+    if source == "core":
+        m = draw(st.sampled_from([5, 6, 7]))
+        return range(m), core_quandle([m]).op, range(m), lambda a, b: (2 * b - a) % m
+    rank, max_len = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    keys = enumerate_elements(rank, max_len)
+    return keys, FreeQuandle(rank).op, [oracle_full_word(e) for e in keys], oracle_op
+
+
+@pytest.mark.parametrize("source", ["magma", "core", "free"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), bound=st.integers(1, 2), max_support=st.integers(1, 3))
+def test_support_search_matches_the_naive_oracle(source, data, bound, max_support):
+    keys, op, naive_keys, naive_op = data.draw(support_windows(source))
+    word = dict(zip(keys, naive_keys))
+    tested, found = idempotents._support_search(keys, op, bound, max_support)
+    got = [tuple((word[k], c) for k, c in u.coeffs) for u in found]
+    assert (tested, got) == naive_support_search(naive_keys, naive_op, bound, max_support)
 
 
 # ---------------------------------------------------------------------------
