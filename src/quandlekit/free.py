@@ -13,7 +13,6 @@ operation conjugates the other way.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import reduce as _fold
@@ -25,7 +24,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .reports import IdempotentReport
-from .idempotents import _support_search
+from .idempotents import _support_search, _support_tuples
 
 Word = tuple[tuple[int, int], ...]
 
@@ -301,6 +300,16 @@ def enumerate_elements(rank: int, max_len: int) -> list[FreeQuandleElement]:
     return out
 
 
+def _window_size(rank: int, max_len: int) -> int:
+    """len(enumerate_elements(rank, max_len)) without enumerating.
+
+    Each of the rank bases takes the empty conjugator and, for 1 <= m <
+    max_len, the (2 rank - 2) (2 rank - 1)^(m - 1) reduced words of m
+    letters that do not end in a power of the base; the sum telescopes.
+    """
+    return rank * (2 * rank - 1) ** (max_len - 1)
+
+
 def fq_idempotent_search(
     rank: int,
     max_len: int,
@@ -321,18 +330,20 @@ def fq_idempotent_search(
     the table kernel in _search_kernel.  candidates_tested counts every
     (support, coefficient tuple) pair, including the tuples on supports
     that the non-cancellation rule rules out without evaluating them and
-    those the coefficient-sum filter skips.
+    those the coefficient-sum filter skips.  The budget is checked on that
+    count, from the window size in closed form, before any element of the
+    window is built.
     """
     if max_support < 1 or bound < 1:
         raise InvalidParamsError("max_support and bound must be >= 1")
+    if rank < 1 or max_len < 1:
+        raise InvalidParamsError("rank and max_len must be >= 1")
     start = time.monotonic()
-    universe = enumerate_elements(rank, max_len)
-    u_count = len(universe)
-    total = 0
-    for k in range(1, min(max_support, u_count) + 1):
-        total += math.comb(u_count, k) * (2 * bound) ** k
+    u_count = _window_size(rank, max_len)
+    total = _support_tuples(u_count, bound, max_support)
     if total > budget:
         raise BudgetExceededError(total, budget)
+    universe = enumerate_elements(rank, max_len)
     tested, found = _support_search(universe, FreeQuandle(rank).op, bound, max_support)
     elapsed = int((time.monotonic() - start) * 1000)
     spec = {

@@ -22,7 +22,6 @@ multiplication before it is returned.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import time
@@ -1126,6 +1125,12 @@ def right_zero_divisor_from_fiber(covering: Covering, y: int, alphas, ring: Coef
     return {"element": v, "verified": matrix.is_zero()}
 
 
+def _support_tuples(n: int, bound: int, max_support: int) -> int:
+    """(support, coefficient tuple) pairs with at most max_support of n
+    keys and nonzero entries in [-bound, bound]: sum of C(n, k) (2 bound)^k."""
+    return sum(math.comb(n, k) * (2 * bound) ** k for k in range(1, min(max_support, n) + 1))
+
+
 def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[RingElement]]:
     """Every integer idempotent supported on at most max_support of keys.
 
@@ -1144,33 +1149,112 @@ def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[R
     tuple whose coefficient sum is not 0 or 1 is skipped (an integer
     idempotent's augmentation squares to itself) and the rest are squared.
 
-    Returns (tested, idempotents), idempotents in the order found.  tested
-    counts every (support, coefficient tuple) pair, including the tuples on
-    ruled-out supports and those the coefficient-sum filter skips.
+    Supports grow one key at a time, depth first.  Adding x changes only
+    the counts of the ids that (x, s), (s, x) and (x, x) reach, so the set
+    of ids outside S reached exactly once is carried along.  A support of
+    max_support - 1 keys with such an id t is extended only by keys that
+    cover t: t itself, or x with (x, s), (s, x) or (x, x) reaching t.  Any
+    other x leaves t reached once, outside the support.  A square is
+    checked target by target, the ids outside S (sum 0) first, and stops
+    at the first that fails.
+
+    Returns (tested, idempotents), idempotents in the order the naive
+    loop finds them: by support size, then support, then tuple.  tested
+    counts every (support, coefficient tuple) pair, including the tuples
+    on ruled-out supports and those the coefficient-sum filter skips.
     """
     keys = list(keys)
+    n = len(keys)
     ids = {key: i for i, key in enumerate(keys)}
     table = [[ids.setdefault(op(a, b), len(ids)) for b in keys] for a in keys]
+    covers: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for a, row in enumerate(table):
+        for b, t in enumerate(row):
+            covers[t].append((a, b))
+    width = [len(pairs) for pairs in covers]
+    top = min(max_support, n)
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
-    found: list[RingElement] = []
-    tested = 0
-    for k in range(1, min(max_support, len(keys)) + 1):
-        for support in itertools.combinations(range(len(keys)), k):
-            tested += len(nonzero) ** k
-            prods = [[table[a][b] for b in support] for a in support]
-            reached = collections.Counter(itertools.chain.from_iterable(prods))
-            if any(count == 1 and t not in support for t, count in reached.items()):
-                continue
-            for coeffs in itertools.product(nonzero, repeat=k):
-                if sum(coeffs) not in (0, 1):
-                    continue
-                square: dict = {}
-                for ca, row in zip(coeffs, prods):
-                    for cb, t in zip(coeffs, row):
-                        square[t] = square.get(t, 0) + ca * cb
-                if {t: c for t, c in square.items() if c} == dict(zip(support, coeffs)):
-                    found.append(RingElement(ZZ, [(keys[i], c) for i, c in zip(support, coeffs)]))
-    return tested, found
+    tuples = [[c for c in itertools.product(nonzero, repeat=k) if sum(c) in (0, 1)]
+              for k in range(top + 1)]
+    found: list[list[RingElement]] = [[] for _ in tuples]
+    count = [0] * len(ids)
+    inside = [False] * len(ids)
+    once: set[int] = set()  # ids outside the support reached exactly once
+    support: list[int] = []
+
+    def reached(x):
+        row = table[x]
+        return [row[s] for s in support] + [table[s][x] for s in support] + [row[x]]
+
+    def push(x):
+        inside[x] = True
+        once.discard(x)
+        for t in reached(x):
+            count[t] += 1
+            if count[t] == 1:
+                if not inside[t]:
+                    once.add(t)
+            elif count[t] == 2:
+                once.discard(t)
+        support.append(x)
+
+    def pop():
+        x = support.pop()
+        for t in reached(x):
+            count[t] -= 1
+            if count[t] == 1:
+                if not inside[t]:
+                    once.add(t)
+            elif count[t] == 0:
+                once.discard(t)
+        inside[x] = False
+        if count[x] == 1:
+            once.add(x)
+
+    def evaluate():
+        k = len(support)
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, a in enumerate(support):
+            row = table[a]
+            for j, b in enumerate(support):
+                groups.setdefault(row[b], []).append((i, j))
+        within = [(i, groups.pop(x, [])) for i, x in enumerate(support)]
+        # outside targets first; their sums must be 0, the entry at position k
+        checks = [(k, pairs) for pairs in groups.values()] + within
+        for coeffs in tuples[k]:
+            want = coeffs + (0,)
+            for target, pairs in checks:
+                total = 0
+                for i, j in pairs:
+                    total += coeffs[i] * coeffs[j]
+                if total != want[target]:
+                    break
+            else:
+                found[k].append(RingElement(ZZ, [(keys[x], c) for x, c in zip(support, coeffs)]))
+
+    def grow(start):
+        if once and len(support) == top - 1:
+            t = min(once, key=width.__getitem__)
+            cover = {t} if t < n else set()
+            for a, b in covers[t]:
+                if a == b or inside[b]:
+                    cover.add(a)
+                elif inside[a]:
+                    cover.add(b)
+            candidates = sorted(x for x in cover if x >= start)
+        else:
+            candidates = range(start, n)
+        for x in candidates:
+            push(x)
+            if not once:
+                evaluate()
+            if len(support) < top:
+                grow(x + 1)
+            pop()
+
+    if top > 0:
+        grow(0)
+    return _support_tuples(n, bound, max_support), [u for level in found for u in level]
 
 
 def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
@@ -1192,7 +1276,7 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
         raise HypothesisFailedError("group order must be coprime to 2 and 3")
     q = core_quandle(factors)
     n = q.order
-    total = sum(math.comb(n, k) * (2 * bound) ** k for k in (1, 2, 3))
+    total = _support_tuples(n, bound, 3)
     if total > budget:
         raise BudgetExceededError(total, budget)
     tested, found = _support_search(range(n), q.op, bound, 3)

@@ -1,6 +1,7 @@
 """Free quandle normal forms, expressions, enumeration, bounded search."""
 
 import itertools
+import math
 
 import pytest
 
@@ -31,6 +32,7 @@ from quandlekit import (
     word_inv,
     word_mul,
 )
+from quandlekit import free
 
 from oracles import (
     eval_tree,
@@ -341,9 +343,38 @@ def test_fq_search_length_four_window_holds_only_the_basis():
     assert report.candidates_tested == 54 * 6 + 1431 * 6**2 + 24804 * 6**3 == 5_409_504
 
 
+@pytest.mark.parametrize("max_len,max_support,size,tested", [
+    (5, 3, 162, 44_722_584),
+    (4, 4, 54, 82_570_824),
+])
+def test_fq_search_wider_windows_hold_only_the_basis(max_len, max_support, size, tested):
+    # rank 2, |c| <= 2: length <= 5 with support <= 3, length <= 4 with support <= 4
+    report = fq_idempotent_search(2, max_len, max_support, 2)
+    window = enumerate_elements(2, max_len)
+    assert len(window) == size
+    assert [u.coeffs for u in report.idempotents] == [((w, 1),) for w in window]
+    declared = sum(math.comb(size, k) * 4**k for k in range(1, max_support + 1))
+    assert report.candidates_tested == declared == tested
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
+def test_window_size_counts_the_enumerated_elements(rank, max_len):
+    assert free._window_size(rank, max_len) == len(enumerate_elements(rank, max_len))
+
+
 def test_fq_search_budget():
     with pytest.raises(BudgetExceededError):
         fq_idempotent_search(2, 3, 3, 2, budget=100)
+
+
+def test_fq_search_refuses_before_enumerating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(free, "enumerate_elements", lambda *args: calls.append(args))
+    with pytest.raises(BudgetExceededError) as info:
+        fq_idempotent_search(3, 12, 1, 1, budget=10)
+    assert info.value.needed == 2 * 3 * 5**11
+    assert calls == []
 
 
 def test_fq_search_rejects_bad_params():

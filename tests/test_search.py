@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quandlekit import (
     BudgetExceededError,
@@ -629,41 +629,114 @@ def test_known_idempotents_are_a_lower_bound(table, scope, data):
 # the support enumerator (core3, free-quandle search) against the naive oracle
 
 
+def _plant_idempotent(draw, table, support):
+    """Rewrite table on support x support so that u = sum c_s e_s, for
+    drawn c of sum 1, is idempotent and its square cancels.
+
+    Left projections a*b = a square u to aug(u) u = u.  Two moves keep u^2:
+    sending two pairs that share a target and cancel to any other id, and
+    then, at times, swapping the target of one of them with a pair of
+    equal product.  They leave ids reached by several pairs, outside the
+    support or by squares x*x, which the pruning rule and the covering
+    step must see through.
+    """
+    head = draw(st.lists(st.sampled_from([-2, -1, 1, 2]),
+                         min_size=len(support) - 1, max_size=len(support) - 1))
+    assume(0 < abs(1 - sum(head)) <= 2)
+    c = dict(zip(support, head + [1 - sum(head)]))
+    pairs = [(a, b) for a in support for b in support]
+    for a, b in pairs:
+        table[a][b] = a
+    product = lambda p: c[p[0]] * c[p[1]]
+    for _ in range(draw(st.integers(1, 4))):
+        merges = [(p, q) for p, q in itertools.combinations(pairs, 2)
+                  if table[p[0]][p[1]] == table[q[0]][q[1]] and product(p) == -product(q)]
+        if not merges:
+            break
+        p, q = draw(st.sampled_from(merges))
+        if draw(st.booleans()):
+            p, q = q, p
+        t = table[p[0]][p[1]] = table[q[0]][q[1]] = draw(st.integers(0, len(table) + 1))
+        swaps = [r for r in pairs if product(r) == product(q) and table[r[0]][r[1]] != t]
+        if swaps and draw(st.booleans()):
+            r = draw(st.sampled_from(swaps))
+            table[q[0]][q[1]], table[r[0]][r[1]] = table[r[0]][r[1]], t
+
+
 @st.composite
 def support_windows(draw, source):
-    """(keys, op, oracle keys, oracle op) of one window of basis keys.
+    """(keys, op, oracle keys, oracle op, planted) of one window of basis
+    keys; planted is the size of the planted support, or None.
 
-    magma: a random table and a random subset of its keys as the window,
-    so products land outside the window and squares x*x outside a support.
-    core: the whole of core(5), core(6) or core(7); core(6) has non-basis
-    idempotents on three keys.  free: a window of rank 1-2, length <= 3,
-    where the oracle multiplies flat letter words.
+    magma: a random table whose entries may lie outside its keys, and a
+    random subset of its keys in random order as the window, so products
+    land outside the window and squares x*x outside a support.  About half
+    the entries are a*b = a, as in a trivial quandle, where every vector of
+    coefficient sum 1 is idempotent, and one idempotent is planted on two
+    to four keys of the window.  core: the whole of core(5), core(6) or
+    core(7); core(6) has non-basis idempotents on two keys.  free: a
+    window of rank 1-2, length <= 3, where the oracle multiplies flat
+    letter words.
     """
     if source == "magma":
-        n = draw(st.integers(1, 5))
-        table = draw(st.lists(
-            st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n,
-        ))
-        keys = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        n = draw(st.integers(1, 6))
+        cells = draw(st.lists(st.none() | st.integers(0, n + 1), min_size=n * n, max_size=n * n))
+        table = [[a if c is None else c for c in cells[a * n:(a + 1) * n]] for a in range(n)]
+        keys = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        planted = None
+        if len(keys) > 1:
+            support = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=4, unique=True))
+            _plant_idempotent(draw, table, support)
+            planted = len(support)
         op = lambda a, b: table[a][b]
-        return keys, op, keys, op
+        return keys, op, keys, op, planted
     if source == "core":
         m = draw(st.sampled_from([5, 6, 7]))
-        return range(m), core_quandle([m]).op, range(m), lambda a, b: (2 * b - a) % m
+        return range(m), core_quandle([m]).op, range(m), lambda a, b: (2 * b - a) % m, None
     rank, max_len = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     keys = enumerate_elements(rank, max_len)
-    return keys, FreeQuandle(rank).op, [oracle_full_word(e) for e in keys], oracle_op
+    return keys, FreeQuandle(rank).op, [oracle_full_word(e) for e in keys], oracle_op, None
+
+
+ORACLE_TUPLES = 60_000  # the naive loop squares each tuple in full
 
 
 @pytest.mark.parametrize("source", ["magma", "core", "free"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), bound=st.integers(1, 2), max_support=st.integers(1, 3))
-def test_support_search_matches_the_naive_oracle(source, data, bound, max_support):
-    keys, op, naive_keys, naive_op = data.draw(support_windows(source))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), bound=st.integers(1, 2))
+def test_support_search_matches_the_naive_oracle(source, data, bound):
+    keys, op, naive_keys, naive_op, planted = data.draw(support_windows(source))
+    n = len(naive_keys)
+    # supports of up to four keys, as far as the oracle's loop stays small
+    top = max(k for k in range(1, 5)
+              if sum(math.comb(n, j) * (2 * bound) ** j for j in range(1, k + 1)) <= ORACLE_TUPLES)
+    sizes = st.integers(1, top)
+    if planted:
+        # the covering step extends the planted support by its last key
+        sizes |= st.just(planted)
+    max_support = data.draw(sizes)
     word = dict(zip(keys, naive_keys))
     tested, found = idempotents._support_search(keys, op, bound, max_support)
-    got = [tuple((word[k], c) for k, c in u.coeffs) for u in found]
-    assert (tested, got) == naive_support_search(naive_keys, naive_op, bound, max_support)
+    naive_tested, naive_found = naive_support_search(naive_keys, naive_op, bound, max_support)
+    assert tested == naive_tested
+    assert [{word[k]: c for k, c in u.coeffs} for u in found] == [dict(u) for u in naive_found]
+
+
+@pytest.mark.parametrize("keys", list(itertools.permutations(range(3))))
+def test_support_search_covers_by_squares_and_ids_outside_the_support(keys):
+    # a*b = a except 0*1 = 2*2 = 3 and 2*1 = 0: u = e0 - e1 + e2 is
+    # idempotent, 3 cancels between 0*1 and the square 2*2.  In the order
+    # (0, 1, 2) only the square of 2 covers 3.  In (2, 0, 1) the support
+    # {2, 0} reaches 3 once, outside it, and 2 once, inside it; 2 has
+    # fewer pairs in the table, but only 3 says which keys may follow.
+    table = [[0, 3, 0], [1, 1, 1], [2, 0, 3]]
+    op = lambda a, b: table[a][b]
+    for max_support in (3, 4):
+        tested, found = idempotents._support_search(keys, op, 1, max_support)
+        naive_tested, naive_found = naive_support_search(keys, op, 1, max_support)
+        assert tested == naive_tested
+        assert [dict(u.coeffs) for u in found] == [dict(u) for u in naive_found]
+        assert {0: 1, 1: -1, 2: 1} in [dict(u.coeffs) for u in found]
 
 
 # ---------------------------------------------------------------------------
