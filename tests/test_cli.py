@@ -249,20 +249,6 @@ def test_index_space_beyond_int64_is_exit_two(capsys):
     assert doc["budget"] == 2**63 - 1
 
 
-def test_fq_search_is_refused_before_its_window_is_built(capsys):
-    started = time.monotonic()
-    code, out, _ = run_cli(
-        ["idem", "fq-search", "--rank", "3", "--max-len", "12", "--max-support", "1",
-         "--bound", "1", "--budget", "10"],
-        capsys,
-    )
-    assert time.monotonic() - started < 5
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["error"] == "BudgetExceeded"
-    assert doc["needed"] == 2 * 3 * 5**11
-
-
 # ------------------------------------------------------------- plumbing
 
 
