@@ -83,6 +83,8 @@ class MagmaTable:
         self.order: int = len(self.table)
         self.labels: tuple[str, ...] | None = None
         if labels is not None:
+            if not isinstance(labels, (list, tuple)):
+                raise InvalidParamsError("labels must be a list of strings")
             labels = tuple(str(s) for s in labels)
             if len(labels) != self.order:
                 raise InvalidParamsError("labels length differs from order")
@@ -264,15 +266,9 @@ def union_quandle(parts) -> FiniteQuandle:
     parts = list(parts)
     if len(parts) < 2:
         raise InvalidParamsError("union needs at least two parts")
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.order
-    table = [[0] * total for _ in range(total)]
-    for i in range(total):
-        for j in range(total):
-            table[i][j] = i
+    offsets = union_offsets(parts)
+    total = offsets[-1] + parts[-1].order
+    table = [[i] * total for i in range(total)]
     for p, off in zip(parts, offsets):
         for a in range(p.order):
             for b in range(p.order):
@@ -283,6 +279,11 @@ def union_quandle(parts) -> FiniteQuandle:
     q = FiniteQuandle(table, labels=labels)
     q.name = "union(" + ",".join(p.name or str(p.order) for p in parts) + ")"
     return q
+
+
+def union_offsets(parts) -> list[int]:
+    """The index of each part's first element in their disjoint union."""
+    return list(itertools.accumulate((p.order for p in parts[:-1]), initial=0))
 
 
 def _check_perm(perm, n: int, what: str) -> tuple[int, ...]:
@@ -440,21 +441,26 @@ def make(kind: str, *args) -> FiniteQuandle:
 # permutation helpers
 
 
-def perm_order(perm) -> int:
-    n = len(perm)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
+def perm_cycles(perm) -> list[tuple[int, ...]]:
+    """The cycles of a permutation of range(n), each listed from its least
+    point, ordered by least point."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
         if seen[start]:
             continue
-        length = 0
+        cycle = []
         i = start
         while not seen[i]:
             seen[i] = True
+            cycle.append(i)
             i = perm[i]
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def perm_order(perm) -> int:
+    return math.lcm(*map(len, perm_cycles(perm)))
 
 
 def perm_inverse(perm) -> tuple[int, ...]:
@@ -472,7 +478,6 @@ def perm_inverse(perm) -> tuple[int, ...]:
 class QuandleProperties:
     connected: bool
     latin: bool
-    semi_latin: bool
     medial: bool
     faithful: bool
     involutory: bool
@@ -482,7 +487,6 @@ class QuandleProperties:
         return {
             "connected": self.connected,
             "latin": self.latin,
-            "semi_latin": self.semi_latin,
             "medial": self.medial,
             "faithful": self.faithful,
             "involutory": self.involutory,
@@ -521,7 +525,6 @@ def inner_orbits(q: FiniteQuandle) -> list[tuple[int, ...]]:
 def properties(q: FiniteQuandle) -> QuandleProperties:
     n = q.order
     t = q.table
-    rows_injective = all(len(set(t[x])) == n for x in range(n))
     medial = True
     for x in range(n):
         for y in range(n):
@@ -539,8 +542,7 @@ def properties(q: FiniteQuandle) -> QuandleProperties:
     orders = tuple(perm_order(p) for p in q.right_mults)
     return QuandleProperties(
         connected=len(inner_orbits(q)) == 1,
-        latin=rows_injective,
-        semi_latin=rows_injective,
+        latin=all(len(set(t[x])) == n for x in range(n)),
         medial=medial,
         faithful=len(set(q.right_mults)) == n,
         involutory=all(o <= 2 for o in orders),

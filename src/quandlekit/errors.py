@@ -7,6 +7,8 @@ messages without parsing strings.
 
 from __future__ import annotations
 
+import math
+
 
 class QuandleKitError(Exception):
     """Base class for all package errors."""
@@ -119,13 +121,28 @@ class InternalCheckError(QuandleKitError):
         return {**super().payload(), **self.details}
 
 
+def _shown(count: int) -> int | str:
+    """count itself, or "~10^k" when it has more digits than Python will
+    convert to a string."""
+    try:
+        str(count)
+    except ValueError:
+        return f"~10^{math.floor(math.log10(count))}"
+    return count
+
+
 class BudgetExceededError(QuandleKitError):
+    """A request that would pass its budget, refused before the work.
+
+    A count with more digits than Python converts to a string is shown
+    as "~10^k" in the message and the payload."""
+
     exit_code = 2
 
     def __init__(self, needed: int, budget: int, what: str = "candidates"):
-        self.needed = needed
-        self.budget = budget
-        super().__init__(f"search needs {needed} {what}, budget is {budget}")
+        self.needed = _shown(needed)
+        self.budget = _shown(budget)
+        super().__init__(f"search needs {self.needed} {what}, budget is {self.budget}")
 
     def payload(self) -> dict:
         return {**super().payload(), "needed": self.needed, "budget": self.budget}

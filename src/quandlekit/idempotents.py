@@ -35,11 +35,13 @@ from .core import (
     congruences,
     core_quandle,
     dihedral_quandle,
+    perm_cycles,
     perm_order,
     properties,
     quotient_table,
     union_quandle,
     twisted_union_quandle,
+    union_offsets,
 )
 from .errors import (
     BudgetExceededError,
@@ -79,6 +81,10 @@ class SearchSpec:
     box_bound: int | None = None
     max_support: int | None = None  # None = unrestricted
     augmentation: tuple[int, ...] | None = (0, 1)  # None = all strata
+
+    def __post_init__(self):
+        if self.max_support is not None and self.max_support < 1:
+            raise InvalidParamsError("max_support must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -584,22 +590,9 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
         )
     sigma = domain.right_mults[x0]
     n_sigma = perm_order(sigma)
-    # sigma-orbits of the domain, keyed by least element
-    seen = [False] * domain.order
-    orbits = []
-    for s in range(domain.order):
-        if seen[s]:
-            continue
-        orbit = []
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            orbit.append(t)
-            t = sigma[t]
-        orbits.append(orbit)
     coeff = dict(v.coeffs)
     collected = []  # (orbit, multiplier)
-    for orbit in orbits:
+    for orbit in perm_cycles(sigma):
         values = {coeff.get(t, ring.zero) for t in orbit}
         if len(values) > 1:
             return ClassifyResult(
@@ -608,8 +601,7 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
         c = values.pop()
         if c == ring.zero:
             continue
-        q = n_sigma // len(orbit)
-        m = _solve_scale(ring, q, c)
+        m = ring.div(c, n_sigma // len(orbit))
         if m is None:
             return ClassifyResult(
                 False,
@@ -617,20 +609,9 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
                 flags=flags,
             )
         collected.append((orbit, m))
-    # induced permutation on the codomain and its orbits
-    sigma_bar = {y: images[sigma[covering.fibers[y][0]]] for y in covering.fibers}
-    fiber_class: dict[int, int] = {}
-    for y in covering.fibers:
-        if y in fiber_class:
-            continue
-        cycle = [y]
-        t = sigma_bar[y]
-        while t != y:
-            cycle.append(t)
-            t = sigma_bar[t]
-        least = min(cycle)
-        for z in cycle:
-            fiber_class[z] = least
+    # sigma induces a permutation of the codomain; a point's class is its cycle's least point
+    sigma_bar = [images[sigma[covering.fibers[y][0]]] for y in range(len(covering.fibers))]
+    fiber_class = {z: cycle[0] for cycle in perm_cycles(sigma_bar) for z in cycle}
     groups: dict[int, dict[int, object]] = {}
     for orbit, m in collected:
         y_star = fiber_class[images[orbit[0]]]
@@ -648,18 +629,6 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     if _assemble_family_element(covering, params) != u:
         raise InternalCheckError("classification failed to round-trip", element=element_to_json(u))
     return ClassifyResult(True, params=params, flags=flags)
-
-
-def _solve_scale(ring: CoeffRing, q: int, c):
-    """Solve m * q = c in the ring, or None."""
-    if ring.kind == "Z":
-        return c // q if c % q == 0 else None
-    if ring.kind == "Q":
-        return c / q
-    qm = q % ring.modulus
-    if qm == 0:
-        return None
-    return (c * pow(qm, -1, ring.modulus)) % ring.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -702,15 +671,6 @@ def dihedral_even_family(n: int, j: int, beta, alphas, ring: CoeffRing = ZZ) -> 
 # unions
 
 
-def _block_offsets(parts) -> list[int]:
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.order
-    return offsets
-
-
 def _lift(u: RingElement, offset: int) -> RingElement:
     return RingElement(u.ring, [(k + offset, c) for k, c in u.coeffs])
 
@@ -735,7 +695,7 @@ def union_idempotents(
     """
     parts = list(parts)
     union_q = union_quandle(parts)
-    offsets = _block_offsets(parts)
+    offsets = union_offsets(parts)
     if kind == "weighted_idempotents":
         if elements is None or weights is None or len(elements) != len(parts) or len(weights) != len(parts):
             raise InvalidParamsError("need one element and one weight per part")
@@ -798,19 +758,10 @@ def _union_membership(u: RingElement, parts, offsets) -> str | None:
             if v.is_zero():
                 continue
             a = augmentation(v)
-            if a == ring.zero:
+            quotients = [(k, ring.div(c, a)) for k, c in v.coeffs]
+            if any(c is None for _, c in quotients):
                 return False
-            if ring.kind == "Z":
-                if any(c % a for _, c in v.coeffs):
-                    return False
-                cand = RingElement(ring, [(k, c // a) for k, c in v.coeffs])
-            elif ring.kind == "Q":
-                cand = v.scale(1 / a)
-            else:
-                if not ring.invertible(a):
-                    return False
-                cand = v.scale(pow(a, -1, ring.modulus))
-            if not is_idempotent(cand, part):
+            if not is_idempotent(RingElement(ring, quotients), part):
                 return False
         return True
 
@@ -861,7 +812,7 @@ def union_cross_check(
     """
     parts = list(parts)
     union_q = union_quandle(parts)
-    offsets = _block_offsets(parts)
+    offsets = union_offsets(parts)
     if modulus is not None:
         report = enumerate_mod_p(union_q, modulus, max_support, budget=budget, jobs=jobs)
     elif bound is not None:
@@ -890,20 +841,6 @@ def union_cross_check(
 # twisted unions
 
 
-def _cycle_count(perm) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        cycles += 1
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-    return cycles
-
-
 def twisted_union_classify(
     x: FiniteQuandle,
     y: FiniteQuandle,
@@ -923,9 +860,9 @@ def twisted_union_classify(
     """
     q = twisted_union_quandle(x, y, f, g)  # validates triviality and the permutations
     nx, ny = x.order, y.order
-    if _cycle_count(tuple(int(v) for v in f)) != 1:
+    if len(perm_cycles([int(v) for v in f])) != 1:
         raise HypothesisFailedError("f must be a single cycle on the first block")
-    if _cycle_count(tuple(int(v) for v in g)) != 1:
+    if len(perm_cycles([int(v) for v in g])) != 1:
         raise HypothesisFailedError("g must be a single cycle on the second block")
     if modulus is not None:
         ring = IntegersMod(modulus)
@@ -1127,8 +1064,15 @@ def right_zero_divisor_from_fiber(covering: Covering, y: int, alphas, ring: Coef
 
 def _support_tuples(n: int, bound: int, max_support: int) -> int:
     """(support, coefficient tuple) pairs with at most max_support of n
-    keys and nonzero entries in [-bound, bound]: sum of C(n, k) (2 bound)^k."""
-    return sum(math.comb(n, k) * (2 * bound) ** k for k in range(1, min(max_support, n) + 1))
+    keys and nonzero entries in [-bound, bound]: sum of C(n, k) (2 bound)^k.
+
+    Term by term, C(n, k) (2 bound)^k = C(n, k - 1) (2 bound)^(k - 1) *
+    (n - k + 1) 2 bound / k exactly, so no binomial is computed afresh."""
+    total, term = 0, 1
+    for k in range(1, min(max_support, n) + 1):
+        term = term * (n - k + 1) * 2 * bound // k
+        total += term
+    return total
 
 
 def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[RingElement]]:
@@ -1302,10 +1246,10 @@ def conjecture_scan(
     """Scan a catalog for counterexamples to only-trivial-idempotent behavior.
 
     Items are (name, table) pairs.  Tables failing validation are
-    reported as such; quandles that are not semi-latin are skipped (the
-    claim under test is about semi-latin tables); for the rest, boxed
-    and mod-p enumerations run and any non-basis idempotent is reported
-    as a counterexample.  Absence of counterexamples is always scoped to
+    reported as such; quandles that are not latin are skipped (the claim
+    under test is about semi-latin tables, which for a finite table are
+    exactly the latin ones); for the rest, boxed and mod-p enumerations
+    run and any non-basis idempotent is reported as a counterexample.  Absence of counterexamples is always scoped to
     the search window: nothing here is a proof.
     """
     results = []
@@ -1320,10 +1264,9 @@ def conjecture_scan(
             results.append(entry)
             continue
         props = properties(q)
-        entry["semi_latin"] = props.semi_latin
         entry["latin"] = props.latin
-        if not props.semi_latin:
-            entry["status"] = "skipped_not_semi_latin"
+        if not props.latin:
+            entry["status"] = "skipped_not_latin"
             results.append(entry)
             continue
         counterexamples = []
@@ -1351,7 +1294,11 @@ def conjecture_scan(
         results.append(entry)
     return {
         "items": results,
-        "flags": ["results are limited to the searched scope; absence is not a proof"],
+        "flags": [
+            "results are limited to the searched scope; absence is not a proof",
+            "semi-latin (injective left multiplication) equals latin for a finite table; "
+            "the semi_latin field is dropped",
+        ],
     }
 
 

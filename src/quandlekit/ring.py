@@ -6,6 +6,11 @@ There is no floating point anywhere in this module.  Multiplication is
 bilinear over a carrier object exposing op(x, y); the carrier need not
 satisfy the quandle axioms, which lets the same arithmetic run over raw
 magma tables.
+
+Each scalar job has one routine: CoeffRing owns exact division, and
+kernel vectors come from one Gauss-Jordan elimination over a field
+(residues for Z/p, Fractions for Z and Q, the latter scaled back to a
+primitive integer vector).
 """
 
 from __future__ import annotations
@@ -97,6 +102,14 @@ class CoeffRing:
 
     def neg(self, a):
         return (-a) % self.modulus if self.kind == "Zmod" else -a
+
+    def div(self, a, b):
+        """The unique c with c * b = a, or None when there is none or several."""
+        if self.kind == "Z":
+            return a // b if b and a % b == 0 else None
+        if not self.invertible(b):
+            return None
+        return self.mul(a, pow(b, -1, self.modulus)) if self.kind == "Zmod" else Fraction(a) / b
 
     def invertible(self, n) -> bool:
         """Whether the image of the integer n is a unit."""
@@ -356,112 +369,50 @@ def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     return True
 
 
-def _row_to_integers(row) -> list[int]:
-    denom = 1
-    for v in row:
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return [int(v * denom) if isinstance(v, Fraction) else v * denom for v in row]
-
-
-def _kernel_mod_p(entries, p: int):
-    """One nonzero kernel vector of the matrix over Z_p, or None."""
-    n = len(entries)
-    a = [[v % p for v in row] for row in entries]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, n) if a[i][col] % p != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][col], p - 2, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][col] % p:
-                f = a[i][col]
-                a[i] = [(a[i][j] - f * a[r][j]) % p for j in range(n)]
-        pivots.append((r, col))
-        r += 1
-        if r == n:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(n) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    vec = [0] * n
-    vec[free] = 1
-    for row, col in pivots:
-        vec[col] = (-a[row][free]) % p
-    return tuple(vec)
-
-
-def _kernel_exact(entries):
-    """One kernel vector over Z or Q via fraction-free elimination.
-
-    Rows are scaled to integers (kernel unchanged), reduced Bareiss-style
-    so intermediate values stay integral, and a kernel vector is back
-    substituted then scaled primitive.
-    """
-    n = len(entries)
-    a = [_row_to_integers(row) for row in entries]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    prev = 1
-    for col in range(n):
-        pr = next((i for i in range(r, n) if a[i][col] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        for i in range(r + 1, n):
-            for j in range(n):
-                if j == col:
-                    continue
-                a[i][j] = (a[r][col] * a[i][j] - a[i][col] * a[r][j]) // prev
-            a[i][col] = 0
-        prev = a[r][col]
-        pivots.append((r, col))
-        r += 1
-        if r == n:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(n) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for row, col in reversed(pivots):
-        total = Fraction(0)
-        for j in range(n):
-            if j != col and a[row][j] != 0:
-                total += a[row][j] * x[j]
-        x[col] = -total / a[row][col]
-    denom = 1
-    for v in x:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in x]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
-
-
 def kernel_vector(m: SquareMatrix):
-    """A nonzero vector in the kernel, exact, or None if the kernel is 0."""
-    if m.ring.kind == "Zmod":
-        if not m.ring.is_domain:
-            raise InvalidParamsError("kernel over a non-domain modulus is not supported")
-        return _kernel_mod_p(m.entries, m.ring.modulus)
-    vec = _kernel_exact(m.entries)
-    if vec is None:
+    """A nonzero vector in the kernel, exact, or None if the kernel is 0.
+
+    Gauss-Jordan elimination over a field: Z/p on residues, Z and Q on
+    Fractions.  The vector has 1 at the first free column and 0 at the
+    other free columns; over Z and Q it is then scaled to a primitive
+    integer vector whose first nonzero entry is positive.
+    """
+    ring = m.ring
+    if not ring.is_domain:
+        raise InvalidParamsError("kernel over a non-domain modulus is not supported")
+    field = ring if ring.kind == "Zmod" else QQ
+    rows = [[field.coerce(v) for v in row] for row in m.entries]
+    n = m.size
+    pivots: list[int] = []  # pivot column of each reduced row, in row order
+    for col in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        pivot = rows[pr][col]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [field.div(v, pivot) for v in rows[r]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != r and f != 0:
+                rows[i] = [field.add(v, field.neg(field.mul(f, w)))
+                           for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
         return None
-    if m.ring.kind == "Q":
-        return tuple(Fraction(v) for v in vec)
-    return vec
+    vec = [field.zero] * n
+    vec[free] = field.one
+    for row, col in enumerate(pivots):
+        vec[col] = field.neg(rows[row][free])
+    if ring.kind == "Zmod":
+        return tuple(vec)
+    scale = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * scale) for v in vec]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(ring.coerce(v // g) for v in ints)
 
 
 def has_nontrivial_right_annihilator(v: RingElement, q: FiniteQuandle | MagmaTable):

@@ -22,6 +22,15 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_child(argv, env):
+    """Run the CLI in a fresh interpreter; (exit code, payload, stderr, seconds)."""
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlekit.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, json.loads(proc.stdout), proc.stderr, time.monotonic() - started
+
+
 # ---------------------------------------------------------------- goldens
 
 
@@ -113,21 +122,17 @@ def test_malformed_values_are_structured_errors(argv, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"table": "abc"}, {"table": 5}, {"order": 3, "table": 5}, {"order": "x", "table": [[0]]}],
-    ids=["string-table", "int-table", "int-table-with-order", "word-order"],
+    [{"table": "abc"}, {"table": 5}, {"order": 3, "table": 5}, {"order": "x", "table": [[0]]},
+     {"table": [[0]], "labels": 5}],
+    ids=["string-table", "int-table", "int-table-with-order", "word-order", "int-labels"],
 )
 def test_hostile_table_documents_are_structured_errors(doc, tmp_path, checkout_env):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quandlekit.cli", "quandle", "check", str(path)],
-        env=checkout_env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "InvalidParams"
-    assert proc.stderr == ""
+    code, payload, err, _ = run_child(["quandle", "check", str(path)], checkout_env)
+    assert code == 1
+    assert payload["error"] == "InvalidParams"
+    assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -247,6 +252,37 @@ def test_index_space_beyond_int64_is_exit_two(capsys):
     assert doc["error"] == "BudgetExceeded"
     assert doc["needed"] == 201**9
     assert doc["budget"] == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "argv,needed",
+    [
+        (["idem", "fq-search", "--rank", "2", "--max-len", "9", "--max-support", "20000",
+          "--bound", "1", "--budget", "10"], "~10^6260"),
+        (["idem", "enumerate", fx("r3.json"), "--ring", "z", "--bound", str(10**2200)],
+         "~10^4400"),
+    ],
+    ids=["fq-search-window", "enumerate-bound"],
+)
+def test_counts_too_long_to_print_are_refused_quickly(argv, needed, checkout_env):
+    # both counts have more digits than Python converts to a string
+    code, payload, err, seconds = run_child(argv, checkout_env)
+    assert code == 2
+    assert payload["error"] == "BudgetExceeded"
+    assert payload["needed"] == needed
+    assert needed in payload["message"]
+    assert isinstance(payload["budget"], int)
+    assert err == ""
+    assert seconds < 2
+
+
+def test_support_cap_below_one_is_invalid_params(checkout_env):
+    code, payload, err, _ = run_child(
+        ["idem", "enumerate", fx("r3.json"), "--ring", "zp:5", "--max-support", "-1"], checkout_env
+    )
+    assert code == 1
+    assert payload == {"error": "InvalidParams", "message": "max_support must be >= 1"}
+    assert err == ""
 
 
 # ------------------------------------------------------------- plumbing

@@ -1,6 +1,7 @@
 """Tables, constructions, structural invariants, homs and coverings."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from quandlekit import (
     from_right_mults,
     inner_orbits,
     make,
+    perm_cycles,
     perm_inverse,
     perm_order,
     product_quandle,
@@ -237,6 +239,29 @@ def test_perm_order():
     assert perm_order((1, 2, 3, 0, 5, 4)) == 4
 
 
+def test_perm_cycles():
+    assert perm_cycles(()) == []
+    assert perm_cycles((2, 0, 1, 3)) == [(0, 2, 1), (3,)]
+    assert perm_cycles((1, 0, 4, 3, 2)) == [(0, 1), (2, 4), (3,)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm=st.integers(0, 9).flatmap(lambda n: st.permutations(range(n))))
+def test_perm_cycles_partition_and_order(perm):
+    cycles = perm_cycles(perm)
+    assert sorted(p for c in cycles for p in c) == list(range(len(perm)))
+    for cycle in cycles:
+        assert cycle[0] == min(cycle)
+        assert [perm[p] for p in cycle] == list(cycle[1:] + cycle[:1])
+    assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+    assert perm_order(perm) == math.lcm(*(len(c) for c in cycles))
+    # and it is the least power of perm that is the identity
+    power, k = tuple(perm), 1
+    while power != tuple(range(len(perm))):
+        power, k = tuple(perm[p] for p in power), k + 1
+    assert perm_order(perm) == k
+
+
 def test_perm_inverse():
     assert perm_inverse((2, 0, 1)) == (1, 2, 0)
     p = (3, 1, 4, 0, 2)
@@ -265,7 +290,6 @@ def test_properties_dihedral_3(r3):
     assert properties(r3).to_json() == {
         "connected": True,
         "latin": True,
-        "semi_latin": True,
         "medial": True,
         "faithful": True,
         "involutory": True,
@@ -277,7 +301,6 @@ def test_properties_example_order_6(p6):
     assert properties(p6).to_json() == {
         "connected": True,
         "latin": False,
-        "semi_latin": False,
         "medial": False,
         "faithful": True,
         "involutory": True,

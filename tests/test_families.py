@@ -459,10 +459,15 @@ def test_conjecture_scan_statuses(r3, r5, t3, magma8):
     assert by_name["r5"]["status"] == "no_counterexample_in_scope"
     assert by_name["r3"]["status"] == "counterexample_found"
     assert len(by_name["r3"]["searches"]) == 2
-    assert by_name["t3"]["status"] == "skipped_not_semi_latin"
+    assert by_name["t3"]["status"] == "skipped_not_latin"
+    assert "semi_latin" not in by_name["r5"]
     assert by_name["quasigroup8"]["status"] == "not_a_quandle"
     assert "error" in by_name["quasigroup8"]
-    assert out["flags"] == ["results are limited to the searched scope; absence is not a proof"]
+    assert out["flags"] == [
+        "results are limited to the searched scope; absence is not a proof",
+        "semi-latin (injective left multiplication) equals latin for a finite table; "
+        "the semi_latin field is dropped",
+    ]
 
 
 def test_conjecture_scan_reports_counterexamples(r5):

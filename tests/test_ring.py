@@ -1,9 +1,11 @@
 """Coefficient rings, ring elements, products, matrices, annihilators."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     QQ,
@@ -306,6 +308,86 @@ def test_kernel_over_non_domain_rejected():
     m = SquareMatrix(IntegersMod(6, force=True), [[2, 0], [0, 3]])
     with pytest.raises(InvalidParamsError):
         kernel_vector(m)
+
+
+# (matrix, kernel vector) pairs recorded from the Bareiss and mod-p
+# eliminations that the single Gauss-Jordan routine replaced
+PINNED_KERNELS = [
+    ("z-dim1", ZZ, [[2, 4, -6], [1, 3, 5], [3, 7, -1]], (19, -8, 1)),
+    ("z-dim2", ZZ, [[2, 3, 1, 5], [4, 6, 3, 7], [6, 9, 4, 12], [2, 3, 2, 2]], (3, -2, 0, 0)),
+    ("q-fractions", QQ, [["1/2", "1/3", "-5/6"], ["3/4", "1/2", "-5/4"], ["1", "2/3", "-5/3"]],
+     (Fraction(2), Fraction(-3), Fraction(0))),
+    ("z2", IntegersMod(2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]], (1, 1, 1)),
+    ("z3", IntegersMod(3), [[1, 2, 0], [2, 1, 0], [0, 0, 1]], (1, 1, 0)),
+    ("z5", IntegersMod(5), [[1, 2, 3], [2, 4, 1], [3, 1, 4]], (3, 1, 0)),
+    ("z7", IntegersMod(7), [[3, 1, 4, 1], [5, 2, 6, 5], [1, 0, 6, 4], [6, 5, 2, 4]], (3, 4, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("ring,entries,expected", [c[1:] for c in PINNED_KERNELS],
+                         ids=[c[0] for c in PINNED_KERNELS])
+def test_kernel_vector_pinned(ring, entries, expected):
+    k = kernel_vector(SquareMatrix(ring, entries))
+    assert k == expected
+    assert [type(v) for v in k] == [type(v) for v in expected]
+
+
+def test_kernel_vector_pinned_r6_annihilator(r6):
+    m = right_mult_matrix(elem(ZZ, [(0, 1), (1, 1), (2, 1)]), r6)
+    assert kernel_vector(m) == (1, 0, -1, 0, 0, 0)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """A square matrix of rank below its size: each row is a small integer
+    combination of fewer than n random rows."""
+    ring = draw(st.sampled_from([ZZ, QQ] + [IntegersMod(p) for p in (2, 3, 5, 7, 11)]))
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, n - 1))
+    if ring == QQ:
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    else:
+        scalar = st.integers(-4, 4)
+    gens = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=rank, max_size=rank))
+    rows = []
+    for _ in range(n):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+        rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)), 0) for j in range(n)])
+    return SquareMatrix(ring, rows)
+
+
+def _column_rank(m: SquareMatrix, cols: int) -> int:
+    """Rank of the first `cols` columns, by sympy's own elimination."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    domain = sympy.GF(m.ring.modulus) if m.ring.kind == "Zmod" else sympy.QQ
+    return DomainMatrix.from_list([row[:cols] for row in m.entries], domain).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=rank_deficient_matrices())
+def test_kernel_vector_property(m):
+    k = kernel_vector(m)
+    assert k is not None and any(k)
+    assert all(v == 0 for v in m.apply(k))
+    # the last nonzero entry sits at the first free column: the columns
+    # before it are independent
+    free = max(j for j, v in enumerate(k) if v)
+    assert free == 0 or _column_rank(m, free) == free
+    if m.ring.kind == "Zmod":
+        assert k[free] == 1
+    else:
+        assert all(Fraction(v).denominator == 1 for v in k)
+        assert math.gcd(*(int(v) for v in k)) == 1
+        assert next(v for v in k if v) > 0
+
+
+def test_coeff_ring_div():
+    assert ZZ.div(6, 3) == 2 and ZZ.div(-6, 4) is None and ZZ.div(0, 0) is None
+    assert QQ.div(Fraction(1, 2), 3) == Fraction(1, 6) and QQ.div(Fraction(1), 0) is None
+    assert IntegersMod(7).div(1, 3) == 5 and IntegersMod(7).div(3, 7) is None
+    assert IntegersMod(6, force=True).div(2, 2) is None
 
 
 def test_right_annihilator_witness(r6):

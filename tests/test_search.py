@@ -183,6 +183,29 @@ def test_bad_bound_rejected(r3):
         enumerate_boxed_Z(r3, 0)
 
 
+@pytest.mark.parametrize("max_support", [0, -1])
+def test_support_cap_below_one_rejected(r3, max_support):
+    with pytest.raises(InvalidParamsError, match="max_support must be >= 1"):
+        enumerate_mod_p(r3, 5, max_support=max_support)
+    with pytest.raises(InvalidParamsError, match="max_support must be >= 1"):
+        enumerate_boxed_Z(r3, 1, max_support=max_support)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 40), bound=st.integers(1, 5), max_support=st.integers(0, 45))
+def test_support_tuples_matches_the_binomial_sum(n, bound, max_support):
+    expected = sum(math.comb(n, k) * (2 * bound) ** k for k in range(1, min(max_support, n) + 1))
+    assert idempotents._support_tuples(n, bound, max_support) == expected
+
+
+def test_budget_error_keeps_printable_counts_exact():
+    err = BudgetExceededError(10**4000, 7)
+    assert err.payload()["needed"] == 10**4000 and err.budget == 7
+    huge = BudgetExceededError(3**13122, 10)
+    assert huge.payload()["needed"] == "~10^6260"
+    assert str(huge) == "search needs ~10^6260 candidates, budget is 10"
+
+
 def test_budget_precheck(r6):
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_boxed_Z(r6, 3, budget=100)
