@@ -395,7 +395,7 @@ def build_parser() -> _Parser:
     p = sub(csub, "family-verify", _cmd_covering_family_verify,
             help="certify the derived idempotent family on a coefficient grid")
     cov_flags(p)
-    p.add_argument("--ring", default="z", help="z or q")
+    p.add_argument("--ring", default="z", help="z, q or zp:P")
     p.add_argument("--max-j", type=int, default=2, help="largest orbit-part index set")
     p.add_argument("--budget", type=int, default=10**6)
     p = sub(csub, "classify", _cmd_covering_classify,
@@ -407,7 +407,7 @@ def build_parser() -> _Parser:
     cov_flags(p)
     p.add_argument("--fiber", type=int, required=True)
     p.add_argument("--alphas", required=True, help="coefficients, comma separated, sum 0")
-    p.add_argument("--ring", default="z", help="z or q")
+    p.add_argument("--ring", default="z", help="z, q or zp:P")
 
     idem = top.add_parser("idem", help="idempotent searches and families")
     isub = idem.add_subparsers(dest="cmd", required=True)

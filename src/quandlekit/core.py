@@ -4,7 +4,8 @@ A table T encodes the binary operation x*y = T[x][y] on {0, ..., n-1}.
 Validation pins down the three axioms in order: every column is a
 permutation, the diagonal is fixed, and the operation is right
 distributive.  Right multiplication by y (the column map S_y) is cached
-on construction since almost everything downstream consumes it.
+on construction since almost everything downstream consumes it; the
+order of each S_y is computed once, on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -127,6 +129,11 @@ class FiniteQuandle(MagmaTable):
         self.right_mults: tuple[tuple[int, ...], ...] = tuple(
             self.right_mult(j) for j in range(self.order)
         )
+
+    @cached_property
+    def right_mult_orders(self) -> tuple[int, ...]:
+        """The order of each right multiplication S_y."""
+        return tuple(perm_order(p) for p in self.right_mults)
 
 
 def quandle_from_json(doc: dict, as_magma: bool = False) -> FiniteQuandle | MagmaTable:
@@ -539,7 +546,7 @@ def properties(q: FiniteQuandle) -> QuandleProperties:
                 break
         if not medial:
             break
-    orders = tuple(perm_order(p) for p in q.right_mults)
+    orders = q.right_mult_orders
     return QuandleProperties(
         connected=len(inner_orbits(q)) == 1,
         latin=all(len(set(t[x])) == n for x in range(n)),

@@ -36,7 +36,6 @@ from .core import (
     core_quandle,
     dihedral_quandle,
     perm_cycles,
-    perm_order,
     properties,
     quotient_table,
     union_quandle,
@@ -63,6 +62,7 @@ from .ring import (
     ZZ,
     augmentation,
     basis,
+    dense_product,
     element_to_json,
     is_idempotent,
     mul,
@@ -435,14 +435,28 @@ def family_params_from_json(covering: Covering, doc: dict) -> CoveringFamilyPara
     )
 
 
-def _assemble_family_element(covering: Covering, params: CoveringFamilyParams) -> RingElement:
+def _family_vector(covering: Covering, params: CoveringFamilyParams, orbits: dict) -> list:
+    """Coefficient list of the family element: the unit part plus the
+    scaled orbit sums.  orbits caches each (point, base point) orbit sum
+    as its (key, multiplicity) pairs; a sweep passes one dict to all cases."""
     domain = covering.hom.domain
     ring = params.ring
-    u = RingElement(ring, list(params.unit_coeffs))
+    vec = [ring.zero] * domain.order
+    for x, c in params.unit_coeffs:
+        vec[x] += c
     for _, pairs in params.zero_sum_coeffs:
         for x, a in pairs:
-            u = u + orbit_sum(x, params.base_point, domain, ring).scale(a)
-    return u
+            key = (x, params.base_point)
+            if key not in orbits:
+                orbits[key] = orbit_sum(x, params.base_point, domain, ring).coeffs
+            for k, mult in orbits[key]:
+                vec[k] += a * mult
+    m = ring.characteristic
+    return [c % m for c in vec] if m else vec
+
+
+def _assemble_family_element(covering: Covering, params: CoveringFamilyParams) -> RingElement:
+    return RingElement(params.ring, list(enumerate(_family_vector(covering, params, {}))))
 
 
 def covering_idempotent(covering: Covering, params: CoveringFamilyParams) -> RingElement:
@@ -486,11 +500,16 @@ def covering_family_verify(
     every unit fiber, every base point, full fibers throughout.  Free
     coefficients run over the grid; the last coefficient of each group is
     determined by its sum constraint.  The idempotency defect has degree
-    at most 2 in each free coefficient, so vanishing on three points per
-    coefficient certifies every scalar value from an infinite domain.
+    at most 2 in each free coefficient, so over a domain vanishing on three
+    points per coefficient certifies every scalar value; the note says
+    whether the grid used does that.  Each case is assembled and squared
+    on coefficient lists (ring.dense_product).
     """
     if not isinstance(covering, Covering):
         raise TypeError("covering_family_verify needs a Covering, not a bare hom")
+    if max_j < 0:
+        raise InvalidParamsError("max_j must be >= 0")
+    note = _grid_note(ring, grid)
     fibers = covering.fibers
     codomain = sorted(fibers)
     # count the sweep before running it
@@ -506,6 +525,8 @@ def covering_family_verify(
     if cases > budget:
         raise BudgetExceededError(cases, budget)
     report = FamilyVerifyReport(True, structures, 0)
+    table = covering.hom.domain.table
+    orbits: dict = {}
     for size in range(0, max_j + 1):
         for j_set in itertools.combinations(codomain, size):
             for y0 in codomain:
@@ -524,16 +545,31 @@ def covering_family_verify(
                         unit = dict(zip(unit_slots, point[len(free_slots):]))
                         unit[fiber0[-1]] = 1 - sum(unit.values())
                         params = covering_family_params(covering, ring, y0, unit, x0, zs)
-                        u = _assemble_family_element(covering, params)
+                        u = _family_vector(covering, params, orbits)
                         report.cases += 1
-                        if not u.is_zero() and mul(u, u, covering.hom.domain) != u:
+                        # the unit part gives u augmentation 1, so u is never 0
+                        if dense_product(u, u, table, ring) != u:
                             report.verified = False
                             report.failures.append(params.to_json())
-    report.notes.append(
-        "grid {-1,0,1} per free coefficient certifies all coefficient values: "
-        "the idempotency defect is polynomial of degree <= 2 in each free coefficient"
-    )
+    report.notes.append(note)
     return report
+
+
+def _grid_note(ring: CoeffRing, grid) -> str:
+    """What vanishing on the grid shows.  The defect u^2 - u has degree
+    <= 2 in each free coefficient, so over a domain it vanishes for every
+    value once it vanishes on 3 distinct values per coefficient; a grid
+    that takes every value of the ring shows the same directly."""
+    shown = "grid {" + ",".join(str(g) for g in grid) + "} per free coefficient"
+    values = {ring.coerce(g) for g in grid}
+    if ring.is_domain and len(values) >= 3:
+        return (f"{shown} certifies all coefficient values: "
+                "the idempotency defect is polynomial of degree <= 2 in each free coefficient")
+    if len(values) == ring.characteristic:
+        return f"{shown} certifies all coefficient values: it takes every value of {ring.tag}"
+    return (f"{shown} checks only the grid points: certifying all coefficient values "
+            "needs 3 distinct values over a domain or every value of the ring, "
+            "since the defect has degree <= 2 in each free coefficient")
 
 
 @dataclass
@@ -589,7 +625,7 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
             False, reason="orbit part is not stabilized by the unit part", flags=flags
         )
     sigma = domain.right_mults[x0]
-    n_sigma = perm_order(sigma)
+    n_sigma = domain.right_mult_orders[x0]
     coeff = dict(v.coeffs)
     collected = []  # (orbit, multiplier)
     for orbit in perm_cycles(sigma):

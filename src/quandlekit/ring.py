@@ -11,6 +11,15 @@ Each scalar job has one routine: CoeffRing owns exact division, and
 kernel vectors come from one Gauss-Jordan elimination over a field
 (residues for Z/p, Fractions for Z and Q, the latter scaled back to a
 primitive integer vector).
+
+Products have two routines.  `mul` is the sparse product on
+RingElements over any carrier, free quandles included.  Table carriers
+also have `dense_product`, the same product on coefficient lists indexed
+by the keys 0..n-1: it loops over the nonzero entries of each factor
+only, in the ring's own exact scalars (ints, Fractions, or ints reduced
+mod m once at the end), and builds no RingElement.  `is_idempotent` and
+`is_ring_endomorphism` use it on tables, and so does the covering-family
+sweep in idempotents.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .errors import (
     InvalidParamsError,
     RingMismatchError,
 )
-from .core import FiniteQuandle, MagmaTable, perm_order
+from .core import FiniteQuandle, MagmaTable
 
 
 def _is_prime(m: int) -> bool:
@@ -74,14 +83,15 @@ class CoeffRing:
     def coerce(self, value):
         if self.kind == "Q":
             return Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise InvalidParamsError(f"{value} is not integral")
-            value = value.numerator
-        if isinstance(value, str):
-            value = int(value)
-        if not isinstance(value, int):
-            raise InvalidParamsError(f"cannot coerce {value!r} into {self.tag}")
+        if type(value) is not int:
+            if isinstance(value, Fraction):
+                if value.denominator != 1:
+                    raise InvalidParamsError(f"{value} is not integral")
+                value = value.numerator
+            if isinstance(value, str):
+                value = int(value)
+            if not isinstance(value, int):
+                raise InvalidParamsError(f"cannot coerce {value!r} into {self.tag}")
         return value % self.modulus if self.kind == "Zmod" else value
 
     @property
@@ -258,6 +268,30 @@ def mul(u: RingElement, v: RingElement, carrier) -> RingElement:
     return RingElement(ring, acc)
 
 
+def dense_vector(u: RingElement, n: int) -> list:
+    """Coefficient list of u over the keys 0..n-1."""
+    vec = [u.ring.zero] * n
+    for k, c in u.coeffs:
+        if not (isinstance(k, int) and 0 <= k < n):
+            raise CarrierMismatchError(f"basis key {k!r} is not in the carrier")
+        vec[k] = c
+    return vec
+
+
+def dense_product(u: list, v: list, table, ring: CoeffRing) -> list:
+    """Coefficient list of u*v under e_x e_y = e_{x*y}, for coefficient
+    lists u and v over the keys of the n x n table."""
+    out = [ring.zero] * len(table)
+    right = [(y, b) for y, b in enumerate(v) if b]
+    for x, a in enumerate(u):
+        if a:
+            row = table[x]
+            for y, b in right:
+                out[row[y]] += a * b
+    m = ring.characteristic
+    return [c % m for c in out] if m else out
+
+
 def augmentation(u: RingElement):
     """Coefficient sum; a ring map onto the coefficients for any carrier."""
     total = u.ring.zero
@@ -267,7 +301,12 @@ def augmentation(u: RingElement):
 
 
 def is_idempotent(u: RingElement, carrier) -> bool:
-    return not u.is_zero() and mul(u, u, carrier) == u
+    if u.is_zero():
+        return False
+    if not isinstance(carrier, MagmaTable):
+        return mul(u, u, carrier) == u
+    vec = dense_vector(u, carrier.order)
+    return dense_product(vec, vec, carrier.table, u.ring) == vec
 
 
 def orbit_sum(x: int, y: int, q: FiniteQuandle, ring: CoeffRing = ZZ) -> RingElement:
@@ -279,7 +318,7 @@ def orbit_sum(x: int, y: int, q: FiniteQuandle, ring: CoeffRing = ZZ) -> RingEle
     if not (0 <= x < q.order and 0 <= y < q.order):
         raise InvalidParamsError("orbit_sum indices out of range")
     s_y = q.right_mults[y]
-    n_y = perm_order(s_y)
+    n_y = q.right_mult_orders[y]
     acc: dict[int, object] = {}
     point = x
     for _ in range(n_y):
@@ -341,30 +380,30 @@ class SquareMatrix:
         }
 
 
-def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMatrix:
-    """Matrix of w -> w*u on the basis: column k holds e_k * u."""
+def _basis_images(u: RingElement, q: FiniteQuandle | MagmaTable) -> list:
+    """e_k * u for every key k, as coefficient lists."""
     n = q.order
     ring = u.ring
-    cols = []
+    vec = dense_vector(u, n)
+    images = []
     for k in range(n):
-        col = [ring.zero] * n
-        for y, c in u.coeffs:
-            if not isinstance(y, int) or not 0 <= y < n:
-                raise CarrierMismatchError(f"basis key {y!r} is not in the carrier")
-            z = q.table[k][y]
-            col[z] = ring.add(col[z], c)
-        cols.append(col)
-    return SquareMatrix(ring, [[cols[k][z] for k in range(n)] for z in range(n)])
+        e_k = [ring.zero] * n
+        e_k[k] = ring.one
+        images.append(dense_product(e_k, vec, q.table, ring))
+    return images
+
+
+def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMatrix:
+    """Matrix of w -> w*u on the basis: column k holds e_k * u."""
+    return SquareMatrix(u.ring, zip(*_basis_images(u, q)))
 
 
 def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     """Whether w -> w*u preserves products, checked on all basis pairs."""
-    n = q.order
-    ring = u.ring
-    image = [mul(basis(ring, k), u, q) for k in range(n)]
-    for k in range(n):
-        for l in range(n):
-            if image[q.table[k][l]] != mul(image[k], image[l], q):
+    image = _basis_images(u, q)
+    for k in range(q.order):
+        for l in range(q.order):
+            if image[q.table[k][l]] != dense_product(image[k], image[l], q.table, u.ring):
                 return False
     return True
 

@@ -39,6 +39,18 @@ def square_vector(table, vec, reduce=None):
     return product_vector(table, vec, vec, reduce)
 
 
+def naive_is_ring_endomorphism(table, vec, reduce=None):
+    """Whether w -> w*v preserves the product of every pair of basis
+    elements: (e_k v)(e_l v) = e_{k*l} v for all k, l."""
+    n = len(table)
+    images = [product_vector(table, [int(i == k) for i in range(n)], vec, reduce) for k in range(n)]
+    return all(
+        product_vector(table, images[k], images[l], reduce) == images[table[k][l]]
+        for k in range(n)
+        for l in range(n)
+    )
+
+
 def naive_idempotent_set_failures(table, vecs, reduce=None):
     """Closure and self-distributivity failures of a set of idempotent
     coefficient vectors, in the order idempotent_quandle_check lists them:
@@ -127,6 +139,85 @@ def element_to_vector(u, n):
 
 def report_vectors(report, n):
     return {element_to_vector(u, n) for u in report.idempotents}
+
+
+# ---------------------------------------------------------------------------
+# covering families over a raw table
+
+
+def _perm_order_by_powers(perm):
+    """Least k >= 1 with perm^k the identity, by composing perm with itself."""
+    identity = list(range(len(perm)))
+    power, k = list(perm), 1
+    while power != identity:
+        power = [perm[p] for p in power]
+        k += 1
+    return k
+
+
+def naive_family_verify(table, images, tag, grid=(-1, 0, 1), max_j=2, modulus=None):
+    """(structures, cases, failures) of the covering-family grid sweep,
+    recomputed from the domain table and the image of each point.
+
+    For every codomain subset J with |J| <= max_j (in combination order),
+    unit fiber y0 and base point x0 in it, and every grid point, the
+    element is the unit part on the fiber over y0 plus, for each y in J
+    and x over y, c_x times the sum of the first ord(S_x0) points of the
+    orbit of x under t -> t*x0.  The last coefficient of each group is
+    fixed by its sum (1 on the unit fiber, 0 on a fiber in J).  The
+    element is squared with product_vector; a failure is its parameter
+    document, coefficients reduced mod modulus when one is given."""
+    n = len(table)
+    fibers = {}
+    for x, y in enumerate(images):
+        fibers.setdefault(y, []).append(x)
+    codomain = sorted(fibers)
+
+    def red(c):
+        return c % modulus if modulus else c
+
+    structures = cases = 0
+    failures = []
+    for size in range(max_j + 1):
+        for j_set in itertools.combinations(codomain, size):
+            for y0 in codomain:
+                fiber0 = fibers[y0]
+                for x0 in fiber0:
+                    structures += 1
+                    column = [table[t][x0] for t in range(n)]
+                    steps = _perm_order_by_powers(column)
+                    free = [(y, x) for y in j_set for x in fibers[y][:-1]]
+                    for point in itertools.product(grid, repeat=len(free) + len(fiber0) - 1):
+                        cases += 1
+                        groups = {y: {} for y in j_set}
+                        for (y, x), c in zip(free, point):
+                            groups[y][x] = c
+                        for y in j_set:
+                            groups[y][fibers[y][-1]] = -sum(groups[y].values())
+                        unit = dict(zip(fiber0[:-1], point[len(free):]))
+                        unit[fiber0[-1]] = 1 - sum(unit.values())
+                        vec = [0] * n
+                        for x, c in unit.items():
+                            vec[x] += c
+                        for group in groups.values():
+                            for x, c in group.items():
+                                t = x
+                                for _ in range(steps):
+                                    vec[t] += c
+                                    t = column[t]
+                        vec = [red(c) for c in vec]
+                        if any(vec) and square_vector(table, vec, modulus) != vec:
+                            failures.append({
+                                "ring": tag,
+                                "unit_fiber": y0,
+                                "base_point": x0,
+                                "unit_coeffs": [[x, str(red(c))] for x, c in sorted(unit.items())],
+                                "zero_sum_coeffs": [
+                                    [y, [[x, str(red(c))] for x, c in sorted(groups[y].items())]]
+                                    for y in j_set
+                                ],
+                            })
+    return structures, cases, failures
 
 
 # ---------------------------------------------------------------------------

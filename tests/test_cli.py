@@ -171,6 +171,12 @@ def test_commands_without_a_kernel_search_do_not_import_numpy(checkout_env):
     # one child process runs every golden case that searches no table
     cases = [argv for _, argv in CASES if tuple(argv[:2]) not in KERNEL_COMMANDS]
     assert ["quandle", "check", fx("r3.json")] in cases
+    # the dense family sweep over Q and Z/7 (no goldens) must not import it either
+    cases += [
+        ["covering", "family-verify", "--total", fx("r6.json"), "--base", fx("r3.json"),
+         "--map", "0,1,2,0,1,2", "--ring", ring]
+        for ring in ("Q", "zp:7")
+    ]
     code = (
         "import contextlib, io, json, sys\n"
         "import quandlekit\n"
@@ -282,6 +288,16 @@ def test_support_cap_below_one_is_invalid_params(checkout_env):
     )
     assert code == 1
     assert payload == {"error": "InvalidParams", "message": "max_support must be >= 1"}
+    assert err == ""
+
+
+def test_family_verify_negative_max_j_is_invalid_params(checkout_env):
+    code, payload, err, _ = run_child(
+        ["covering", "family-verify", "--total", fx("r6.json"), "--base", fx("r3.json"),
+         "--map", "0,1,2,0,1,2", "--max-j", "-1"], checkout_env
+    )
+    assert code == 1
+    assert payload == {"error": "InvalidParams", "message": "max_j must be >= 0"}
     assert err == ""
 
 

@@ -12,7 +12,10 @@ from quandlekit import (
     BudgetExceededError,
     CarrierMismatchError,
     ConstraintViolatedError,
+    Covering,
+    CoveringConditionError,
     HypothesisFailedError,
+    IntegersMod,
     InvalidParamsError,
     NotIdempotentInputError,
     NotNilpotentError,
@@ -38,6 +41,7 @@ from quandlekit import (
     mul,
     product_quandle,
     right_zero_divisor_from_fiber,
+    trivial_quandle,
     twisted_union_classify,
     union_cross_check,
     union_idempotents,
@@ -47,10 +51,11 @@ from quandlekit import (
 from quandlekit._search_kernel import table_product
 from quandlekit.idempotents import _dense_sample, _support_search
 
-from conftest import family_grid, read_json
+from conftest import family_grid, load_fixture, read_json
 from oracles import (
     element_to_vector,
     naive_idempotent_set_failures,
+    naive_family_verify,
     naive_idempotents_boxed,
     poly_eval,
     poly_from_grid,
@@ -140,6 +145,98 @@ def test_family_verify_rejects_bare_hom(r6, r3):
 def test_family_verify_budget(cov63):
     with pytest.raises(BudgetExceededError):
         covering_family_verify(cov63, budget=10)
+
+
+def test_family_verify_refuses_negative_max_j(cov63):
+    # a sweep over no index sets would certify nothing; refused before the budget
+    with pytest.raises(InvalidParamsError, match="max_j must be >= 0"):
+        covering_family_verify(cov63, max_j=-1, budget=0)
+
+
+def _family_coverings():
+    r3, r5, r6, r10, t2 = (load_fixture(f"{name}.json") for name in ("r3", "r5", "r6", "r10", "t2"))
+    return {
+        "r6_r3": check_covering(QuandleHom(r6, r3, [i % 3 for i in range(6)])),
+        "r10_r5": check_covering(QuandleHom(r10, r5, [i % 5 for i in range(10)])),
+        "r3xt2_r3": check_covering(
+            QuandleHom(product_quandle(r3, t2), r3, [i // 2 for i in range(6)])
+        ),
+    }
+
+
+FAMILY_COVERINGS = _family_coverings()
+FAMILY_RINGS = {"Z": (ZZ, None), "Q": (QQ, None), "Z7": (IntegersMod(7), 7), "Z2": (IntegersMod(2), 2)}
+
+
+def _oracle_family(cov, ring, modulus, **kw):
+    return naive_family_verify(cov.hom.domain.table, cov.hom.images, ring.tag, modulus=modulus, **kw)
+
+
+@pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
+@pytest.mark.parametrize("cov_name", sorted(FAMILY_COVERINGS))
+def test_family_verify_matches_the_naive_oracle(cov_name, ring_name):
+    cov = FAMILY_COVERINGS[cov_name]
+    ring, modulus = FAMILY_RINGS[ring_name]
+    report = covering_family_verify(cov, ring=ring)
+    structures, cases, failures = _oracle_family(cov, ring, modulus)
+    assert (report.structures, report.cases, report.failures) == (structures, cases, failures)
+    assert report.verified and failures == []
+
+
+def _forged_covering(domain, codomain, images):
+    """A Covering record on a hom whose fibers do not act alike."""
+    hom = QuandleHom(domain, codomain, images)
+    with pytest.raises(CoveringConditionError):
+        check_covering(hom)
+    fibers = {}
+    for x, y in enumerate(images):
+        fibers.setdefault(y, []).append(x)
+    return Covering(hom, {y: tuple(f) for y, f in fibers.items()}, False)
+
+
+@pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
+def test_family_verify_failures_match_the_oracle_off_a_covering(r3, r6, t2, ring_name):
+    ring, modulus = FAMILY_RINGS[ring_name]
+    forged = [
+        _forged_covering(r6, t2, [i % 2 for i in range(6)]),
+        _forged_covering(r3, trivial_quandle(1), [0, 0, 0]),
+    ]
+    for cov in forged:
+        for grid, max_j in [((-1, 0, 1), 2), ((0, 1, 2), 1)]:
+            report = covering_family_verify(cov, ring=ring, grid=grid, max_j=max_j)
+            structures, cases, failures = _oracle_family(cov, ring, modulus, grid=grid, max_j=max_j)
+            assert (report.structures, report.cases) == (structures, cases)
+            assert report.failures == failures
+            assert report.verified is (failures == [])
+    # R_3 has only trivial idempotents over Z, so splitting its one fiber fails
+    assert not covering_family_verify(forged[1]).verified
+
+
+DEGREE_NOTE = (
+    "grid {-1,0,1} per free coefficient certifies all coefficient values: "
+    "the idempotency defect is polynomial of degree <= 2 in each free coefficient"
+)
+
+
+@pytest.mark.parametrize(
+    "ring,grid,note",
+    [
+        (ZZ, (-1, 0, 1), DEGREE_NOTE),
+        (IntegersMod(7), (-1, 0, 1), DEGREE_NOTE),
+        (QQ, (0, 1, 2), DEGREE_NOTE.replace("{-1,0,1}", "{0,1,2}")),
+        (IntegersMod(2), (-1, 0, 1),
+         "grid {-1,0,1} per free coefficient certifies all coefficient values: "
+         "it takes every value of Zmod:2"),
+        (ZZ, (0, 1), "grid {0,1} per free coefficient checks only the grid points"),
+        (IntegersMod(3), (0, 3, 6), "grid {0,3,6} per free coefficient checks only the grid points"),
+        # three values, but Z/6 is no domain: 3t(t+1) vanishes on it and 3t does too
+        (IntegersMod(6, force=True), (0, 2, 4),
+         "grid {0,2,4} per free coefficient checks only the grid points"),
+    ],
+)
+def test_family_verify_note_states_what_its_grid_shows(cov63, ring, grid, note):
+    (got,) = covering_family_verify(cov63, ring=ring, grid=grid, max_j=1).notes
+    assert got.startswith(note)
 
 
 def test_three_point_grid_certifies_quadratics(rng):

@@ -19,6 +19,8 @@ from quandlekit import (
     SquareMatrix,
     augmentation,
     basis,
+    dense_product,
+    dihedral_even_family,
     element_from_json,
     element_to_json,
     has_nontrivial_right_annihilator,
@@ -32,6 +34,10 @@ from quandlekit import (
     scalar_mul,
     zero,
 )
+
+
+from conftest import load_fixture
+from oracles import naive_is_ring_endomorphism, product_vector, square_vector
 
 
 def elem(ring, pairs):
@@ -443,3 +449,103 @@ def test_element_json_round_trip_mod_p():
 def test_element_json_rejects_string_keys_without_parser():
     with pytest.raises(InvalidParamsError):
         element_from_json({"ring": "Z", "coeffs": [["x0", "1"]]})
+
+
+# ---------------------------------------------------------------------------
+# dense products on table carriers against the list oracle
+
+DENSE_TABLES = {name: load_fixture(f"{name}.json") for name in ("r6", "pairs6", "r10")}
+DENSE_RINGS = [ZZ, QQ, IntegersMod(2), IntegersMod(5), IntegersMod(7)]
+
+
+def _planted(draw, name, q, ring):
+    """An element known to be idempotent: a basis element, a dihedral
+    family member on R_6 and R_10, a weighted pair on pairs6."""
+    if draw(st.booleans()):
+        return basis(ring, draw(st.integers(0, q.order - 1)))
+    small = st.integers(-2, 2)
+    if name == "pairs6":
+        a_idx = 2 * draw(st.integers(0, 2))
+        a = draw(small)
+        return elem(ring, [(a_idx, a), (a_idx + 1, 1 - a)])
+    half = q.order // 2
+    width = (half - 1) // 2 + 1
+    alphas = draw(st.lists(small, min_size=width, max_size=width))
+    return dihedral_even_family(half, draw(st.integers(0, half - 1)), draw(small), alphas, ring=ring)
+
+
+@st.composite
+def table_elements(draw):
+    """(table name, element): random small supports, planted idempotents,
+    planted ones with one coefficient moved, and keys outside the table."""
+    name = draw(st.sampled_from(sorted(DENSE_TABLES)))
+    q = DENSE_TABLES[name]
+    ring = draw(st.sampled_from(DENSE_RINGS))
+    if ring == QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        scalar = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["random", "planted", "moved", "foreign"]))
+    if kind in ("planted", "moved"):
+        u = _planted(draw, name, q, ring)
+        if kind == "moved":
+            u = u + elem(ring, [(draw(st.integers(0, q.order - 1)), draw(scalar))])
+        return name, u
+    keys = st.integers(0, q.order - 1)
+    pairs = draw(st.lists(st.tuples(keys, scalar), min_size=0, max_size=4))
+    if kind == "foreign":
+        pairs.append((draw(st.sampled_from([-1, q.order, q.order + 3])), 1))
+    return name, elem(ring, pairs)
+
+
+def _vector(u, n):
+    vec = [0] * n
+    for k, c in u.coeffs:
+        vec[k] = c
+    return vec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=table_elements())
+def test_dense_checks_agree_with_the_list_oracle(case):
+    name, u = case
+    q = DENSE_TABLES[name]
+    n = q.order
+    if any(not 0 <= k < n for k in u.support):
+        with pytest.raises(CarrierMismatchError):
+            is_ring_endomorphism(u, q)
+        with pytest.raises(CarrierMismatchError):
+            is_idempotent(u, q)
+        return
+    reduce = u.ring.modulus or None
+    vec = _vector(u, n)
+    assert is_idempotent(u, q) == (any(vec) and square_vector(q.table, vec, reduce) == vec)
+    assert is_ring_endomorphism(u, q) == naive_is_ring_endomorphism(q.table, vec, reduce)
+    assert dense_product(vec, vec, q.table, u.ring) == product_vector(q.table, vec, vec, reduce)
+
+
+def test_dense_checks_see_both_answers(r6, r10):
+    # the property above is not vacuous: each check says yes and no
+    member = dihedral_even_family(5, 1, 2, [1, -1, 0])
+    assert is_idempotent(member, r10) and is_ring_endomorphism(member, r10)
+    assert not is_ring_endomorphism(elem(ZZ, [(0, 1), (1, 1)]), r10)
+    assert is_idempotent(elem(ZZ, [(0, 2), (3, -1)]), r6)
+    assert not is_idempotent(elem(IntegersMod(5), [(0, 2)]), r6)
+    half = elem(QQ, [(0, "1/2"), (3, "1/2")])
+    assert is_idempotent(half, r6) and is_ring_endomorphism(half, r6)
+
+
+def test_right_mult_orders_are_cached_permutation_orders(r6, r10, p6):
+    for q in (r6, r10, p6):
+        assert q.right_mult_orders == tuple(
+            min(k for k in range(1, q.order + 1) if _power(p, k) == tuple(range(q.order)))
+            for p in q.right_mults
+        )
+        assert q.right_mult_orders is q.right_mult_orders
+
+
+def _power(perm, k):
+    out = tuple(range(len(perm)))
+    for _ in range(k):
+        out = tuple(perm[i] for i in out)
+    return out

@@ -587,6 +587,23 @@ def test_kernel_hit_off_its_fiber_target_is_an_internal_error(r6, monkeypatch):
     assert info.value.payload()["vector"] == list(hit)
 
 
+@pytest.mark.parametrize("search", [lambda q: enumerate_boxed_Z(q, 2), lambda q: enumerate_mod_p(q, 3)],
+                         ids=["zbox", "zp3"])
+def test_kernel_hit_that_is_not_idempotent_fails_the_exact_recheck(r6, monkeypatch, search):
+    # 2 e_0 squares to 4 e_0, which is not 2 e_0 over Z nor mod 3
+    real = _search_kernel.evaluate_chunk
+    hit = (2, 0, 0, 0, 0, 0)
+
+    def lying_kernel(args):
+        hits, tested = real(args)
+        return (hits + [hit] if args[1] == 6 else hits), tested
+
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", lying_kernel)
+    with pytest.raises(InternalCheckError, match="fails exact recheck") as info:
+        search(r6)
+    assert info.value.payload()["vector"] == list(hit)
+
+
 def _kernel_orders(monkeypatch):
     """The table order of every kernel call, in call order."""
     orders = []
