@@ -565,7 +565,7 @@ def _grid_note(ring: CoeffRing, grid) -> str:
     if ring.is_domain and len(values) >= 3:
         return (f"{shown} certifies all coefficient values: "
                 "the idempotency defect is polynomial of degree <= 2 in each free coefficient")
-    if len(values) == ring.characteristic:
+    if ring.kind == "Zmod" and len(values) == ring.modulus:
         return f"{shown} certifies all coefficient values: it takes every value of {ring.tag}"
     return (f"{shown} checks only the grid points: certifying all coefficient values "
             "needs 3 distinct values over a domain or every value of the ring, "

@@ -228,6 +228,7 @@ DEGREE_NOTE = (
          "grid {-1,0,1} per free coefficient certifies all coefficient values: "
          "it takes every value of Zmod:2"),
         (ZZ, (0, 1), "grid {0,1} per free coefficient checks only the grid points"),
+        (ZZ, (), "grid {} per free coefficient checks only the grid points"),
         (IntegersMod(3), (0, 3, 6), "grid {0,3,6} per free coefficient checks only the grid points"),
         # three values, but Z/6 is no domain: 3t(t+1) vanishes on it and 3t does too
         (IntegersMod(6, force=True), (0, 2, 4),
