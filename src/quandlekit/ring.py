@@ -268,7 +268,7 @@ def mul(u: RingElement, v: RingElement, carrier) -> RingElement:
     return RingElement(ring, acc)
 
 
-def dense_vector(u: RingElement, n: int) -> list:
+def _dense_vector(u: RingElement, n: int) -> list:
     """Coefficient list of u over the keys 0..n-1."""
     vec = [u.ring.zero] * n
     for k, c in u.coeffs:
@@ -305,7 +305,7 @@ def is_idempotent(u: RingElement, carrier) -> bool:
         return False
     if not isinstance(carrier, MagmaTable):
         return mul(u, u, carrier) == u
-    vec = dense_vector(u, carrier.order)
+    vec = _dense_vector(u, carrier.order)
     return dense_product(vec, vec, carrier.table, u.ring) == vec
 
 
@@ -384,7 +384,7 @@ def _basis_images(u: RingElement, q: FiniteQuandle | MagmaTable) -> list:
     """e_k * u for every key k, as coefficient lists."""
     n = q.order
     ring = u.ring
-    vec = dense_vector(u, n)
+    vec = _dense_vector(u, n)
     images = []
     for k in range(n):
         e_k = [ring.zero] * n

@@ -537,15 +537,9 @@ def test_dense_checks_see_both_answers(r6, r10):
 
 def test_right_mult_orders_are_cached_permutation_orders(r6, r10, p6):
     for q in (r6, r10, p6):
-        assert q.right_mult_orders == tuple(
-            min(k for k in range(1, q.order + 1) if _power(p, k) == tuple(range(q.order)))
-            for p in q.right_mults
-        )
+        for perm, order in zip(q.right_mults, q.right_mult_orders):
+            power, k = perm, 1
+            while power != tuple(range(q.order)):
+                power, k = tuple(perm[i] for i in power), k + 1
+            assert order == k
         assert q.right_mult_orders is q.right_mult_orders
-
-
-def _power(perm, k):
-    out = tuple(range(len(perm)))
-    for _ in range(k):
-        out = tuple(perm[i] for i in out)
-    return out
