@@ -10,24 +10,39 @@ one-block partition ((all keys, s),); the whole space is no blocks, ().
 Chunks are contiguous index ranges, so multi-worker runs partition the
 space deterministically and merge by construction.
 
-There is one evaluator.  Indices and digits are always int64 (callers
-refuse spaces of 2^63 or more); a magnitude guard then picks the
-coefficient dtype: int64 when no square entry can overflow it, numpy
-object arrays of Python ints otherwise, so large moduli and boxes run
-the same code path in exact arithmetic.  The driver re-verifies every
-hit with exact arbitrary-precision arithmetic.
+There are two evaluators behind one entry point, `evaluate_chunk`,
+with the same contract: the same hits in the same index order, and the
+same count of tested candidates.  The caller picks one per plan and
+carries its name in the task, so every chunk passes through
+`evaluate_chunk` whichever runs:
 
-A batch is held coefficient-major, one row per basis key, and squared
-one key at a time: the coefficient of e_k in u^2 is the sum of c_i c_j
-over the pairs with i*j = k, and only the candidates whose coefficient
-matches c_k go on to the next key.  Nearly every candidate fails on the
-first key, so it costs about n products instead of n^2.
+- "python" walks the indices one at a time in plain Python ints.  It
+  costs a few microseconds per index and nothing to start.
+- "numpy" evaluates batches of BATCH indices as arrays.  It costs a
+  fraction of a microsecond per index, but importing numpy takes about
+  0.1 s.  Indices and digits are always int64 (callers refuse spaces of
+  2^63 or more); a magnitude guard then picks the coefficient dtype:
+  int64 when no square entry can overflow it, numpy object arrays of
+  Python ints otherwise, so large moduli and boxes run the same code
+  path in exact arithmetic.
+
+The caller's rule (`idempotents.NUMPY_MIN_INDICES`) takes numpy once it
+is imported, or once plain Python would have evaluated more indices in
+this process than the import costs.  The driver re-verifies every hit
+with exact arbitrary-precision arithmetic.
+
+Both square a candidate one key at a time: the coefficient of e_k in
+u^2 is the sum of c_i c_j over the pairs with i*j = k, and only the
+candidates whose coefficient matches c_k go on to the next key.  Nearly
+every candidate fails on the first key, so it costs about n products
+instead of n^2.  The numpy evaluator holds a batch coefficient-major,
+one row per basis key.
 
 `table_product` multiplies whole stacks of coefficient vectors under
 e_x e_y = e_{x*y}; the batched checks on idempotent sets use it.
 
-numpy is imported inside the functions, so commands that never search
-do not pay for importing it.
+numpy is imported inside the functions, so commands that never search,
+and searches that stay in plain Python, do not pay for importing it.
 """
 
 from __future__ import annotations
@@ -67,25 +82,89 @@ def table_product(u, v, table):
     return out
 
 
-def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
-    """Evaluate candidate indices [start, stop); return (hits, tested).
-
-    args = (table, n, mode, param, fibers, start, stop, max_support)
-    with mode "zp" (coefficients 0..p-1 mod p) or "zbox" (coefficients
-    -B..B over the integers) and fibers a tuple of (keys, target) pairs:
-    the coefficients on keys sum to target (mod p in "zp").  tested
-    counts the candidates whose determined coefficients fall in the box.
-    """
-    import numpy as np
-
-    table, n, mode, param, fibers, start, stop, max_support = args
-    dtype = np.int64 if _int64_safe(n, param) else object
-    # the pairs (i, j) with i*j = k, for each key k: n of them in a
-    # quandle, anywhere from 0 to n^2 in a magma table
+def _pairs(table, n: int) -> list[list[tuple[int, int]]]:
+    """The pairs (i, j) with i*j = k, for each key k: n of them in a
+    quandle, anywhere from 0 to n^2 in a magma table."""
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, row in enumerate(table):
         for j, k in enumerate(row):
             pairs[k].append((i, j))
+    return pairs
+
+
+def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
+    """Evaluate candidate indices [start, stop); return (hits, tested).
+
+    args = (table, n, mode, param, fibers, start, stop, max_support,
+    evaluator) with mode "zp" (coefficients 0..p-1 mod p) or "zbox"
+    (coefficients -B..B over the integers), fibers a tuple of (keys,
+    target) pairs: the coefficients on keys sum to target (mod p in
+    "zp"), and evaluator "python" or "numpy".  tested counts the
+    candidates whose determined coefficients fall in the box.
+    """
+    evaluate = _evaluate_numpy if args[8] == "numpy" else _evaluate_python
+    return evaluate(*args[:8])
+
+
+def _evaluate_python(table, n, mode, param, fibers, start, stop, max_support):
+    pairs = _pairs(table, n)
+    zp = mode == "zp"
+    base = param if zp else 2 * param + 1
+    low = 0 if zp else -param
+    high = low + base - 1
+    determined = {keys[-1] for keys, _ in fibers}
+    digits = [k for k in range(n) if k not in determined]
+    blocks = [(keys[:-1], keys[-1], target) for keys, target in fibers]
+    # the free coefficients of index `start`; the lowest key is the most
+    # significant digit, so the odometer below turns the highest key first
+    coeffs = [0] * n
+    rest = start
+    for key in reversed(digits):
+        rest, d = divmod(rest, base)
+        coeffs[key] = low + d
+    odometer = digits[::-1]
+    hits: list[tuple[int, ...]] = []
+    tested = 0
+    for _ in range(stop - start):
+        vec = coeffs[:]
+        for key in odometer:
+            if coeffs[key] < high:
+                coeffs[key] += 1
+                break
+            coeffs[key] = low
+        in_box = True
+        for keys, last, target in blocks:
+            c = target - sum([vec[k] for k in keys])
+            if zp:
+                c %= param
+            elif not -param <= c <= param:
+                in_box = False
+                break
+            vec[last] = c
+        if not in_box:
+            continue
+        tested += 1
+        if not 1 <= n - vec.count(0) <= max_support:
+            continue
+        # square key by key, stopping at the first coefficient that differs
+        for k, key_pairs in enumerate(pairs):
+            s = 0
+            for i, j in key_pairs:
+                s += vec[i] * vec[j]
+            if zp:
+                s %= param
+            if s != vec[k]:
+                break
+        else:
+            hits.append(tuple(vec))
+    return hits, tested
+
+
+def _evaluate_numpy(table, n, mode, param, fibers, start, stop, max_support):
+    import numpy as np
+
+    dtype = np.int64 if _int64_safe(n, param) else object
+    pairs = _pairs(table, n)
     base = param if mode == "zp" else 2 * param + 1
     offset = param if mode == "zbox" else 0
     determined = {keys[-1] for keys, _ in fibers}

@@ -59,9 +59,17 @@ def _csv_ints(text: str) -> list[int]:
         raise InvalidParamsError(f"expected comma separated integers, got {text!r}") from None
 
 
-def _load_raw(path: str) -> dict:
+def _load_raw(path: str):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _load_doc(path: str, key: str) -> dict:
+    """The JSON object in path, which must have the field `key`."""
+    doc = _load_raw(path)
+    if not isinstance(doc, dict) or key not in doc:
+        raise InvalidParamsError(f"{path}: expected a JSON object with a {key!r} field")
+    return doc
 
 
 def _stem(path: str) -> str:
@@ -125,7 +133,7 @@ def _cmd_quandle_make(args) -> dict:
     elif kind == "core":
         q = core.make(kind, [_int(v, "factor") for v in params])
     elif kind == "conj":
-        q = core.make(kind, _load_raw(params[0])["table"])
+        q = core.make(kind, _load_doc(params[0], "table")["table"])
     elif kind == "product":
         q = core.make(kind, load_quandle(params[0]), load_quandle(params[1]))
     elif kind == "union":
@@ -228,7 +236,7 @@ def _cmd_covering_family_verify(args) -> dict:
 
 def _cmd_covering_classify(args) -> dict:
     total, base, cov = _covering_from_args(args)
-    u = element_from_json(_load_raw(args.element))
+    u = element_from_json(_load_doc(args.element, "coeffs"))
     result = idempotents.covering_classify(u, cov)
     return {
         "total": total.name,
@@ -273,8 +281,8 @@ def _cmd_idem_enumerate(args) -> dict:
 
 
 def _cmd_idem_family(args) -> dict:
-    cov = _covering_from_doc(_load_raw(args.covering))
-    params = idempotents.family_params_from_json(cov, _load_raw(args.params))
+    cov = _covering_from_doc(_load_doc(args.covering, "total"))
+    params = idempotents.family_params_from_json(cov, _load_doc(args.params, "unit_coeffs"))
     u = idempotents.covering_idempotent(cov, params)
     return {
         "element": element_to_json(u),
@@ -316,8 +324,7 @@ def _cmd_idem_twisted_union(args) -> dict:
 def _cmd_idem_scan(args) -> dict:
     items = []
     for path in args.files:
-        doc = _load_raw(path)
-        items.append((_stem(path), doc["table"]))
+        items.append((_stem(path), _load_doc(path, "table")["table"]))
     moduli = _csv_ints(args.moduli) if args.moduli else []
     if args.bound is None and not moduli:
         raise InvalidParamsError("scan needs --bound and/or --moduli")

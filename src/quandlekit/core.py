@@ -137,7 +137,7 @@ class FiniteQuandle(MagmaTable):
 
 
 def quandle_from_json(doc: dict, as_magma: bool = False) -> FiniteQuandle | MagmaTable:
-    if "table" not in doc:
+    if not isinstance(doc, dict) or "table" not in doc:
         raise InvalidParamsError("quandle JSON needs a 'table' field")
     table = doc["table"]
     if "order" in doc:
@@ -175,9 +175,21 @@ def from_right_mults(perms) -> FiniteQuandle:
     return FiniteQuandle(tuple(tuple(perms[j][i] for j in range(n)) for i in range(n)))
 
 
-def trivial_quandle(n: int) -> FiniteQuandle:
+# Building a table of order n and checking its axioms costs n^3 steps
+# (about 0.1 us each, so 10 s at the budget); a larger construction is
+# refused before its table is allocated.
+CONSTRUCTION_BUDGET = 10**8
+
+
+def _check_order(n: int) -> None:
     if n < 1:
         raise InvalidParamsError("order must be >= 1")
+    if n**3 > CONSTRUCTION_BUDGET:
+        raise BudgetExceededError(n**3, CONSTRUCTION_BUDGET, what="axiom checks")
+
+
+def trivial_quandle(n: int) -> FiniteQuandle:
+    _check_order(n)
     q = FiniteQuandle(tuple(tuple(i for _ in range(n)) for i in range(n)))
     q.name = f"trivial({n})"
     return q
@@ -185,8 +197,7 @@ def trivial_quandle(n: int) -> FiniteQuandle:
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
     """i*j = 2j - i mod n."""
-    if n < 1:
-        raise InvalidParamsError("order must be >= 1")
+    _check_order(n)
     q = FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
     q.name = f"dihedral({n})"
     return q
@@ -197,6 +208,7 @@ def core_quandle(factors) -> FiniteQuandle:
     factors = [int(a) for a in factors]
     if not factors or any(a < 1 for a in factors):
         raise InvalidParamsError("factors must be positive integers")
+    _check_order(math.prod(factors))
     elems = list(itertools.product(*[range(a) for a in factors]))
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
@@ -349,7 +361,10 @@ class CocycleData:
         a = int(group_order)
         if a < 1:
             raise InvalidParamsError("group order must be >= 1")
-        rows = tuple(tuple(int(v) % a for v in row) for row in alpha)
+        try:
+            rows = tuple(tuple(int(v) % a for v in row) for row in alpha)
+        except (TypeError, ValueError):
+            raise InvalidParamsError("alpha must be an order x order array of integers") from None
         n = base.order
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InvalidParamsError("alpha must be an order x order array")

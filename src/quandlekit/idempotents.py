@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -100,6 +101,18 @@ class SearchSpec:
 # second worker saves (break-even measured on a 2-core host).
 POOL_MIN_SPACE = 1 << 21
 
+# A process evaluates at most this many kernel indices in plain Python,
+# all plans together; a plan that would take it past them, and every plan
+# once numpy is imported, runs the numpy evaluator.  This is the
+# ski-rental rule (Karlin, Manasse, Rudolph and Sleator, "Competitive
+# snoopy caching", 1988): pay per index until the total would cover the
+# one-off import.  On a 2-core host, importing numpy took 88-126 ms; plain
+# Python took 1.3-4 us per index on R_10-sized tables (numpy about 0.2 us),
+# so the two break even near 3 * 10^4 indices at order 10 and near 10^4 at
+# order 41, where plain Python took about 10 us.
+NUMPY_MIN_INDICES = 1 << 13
+_python_indices = 0  # per process, like the import it stands in for
+
 # A kernel call costs about as much as this many indices on top of them
 # (numpy's per-operation overhead on tiny batches, measured on the same
 # host), so a quotient is not worth many small sweeps.
@@ -125,6 +138,16 @@ def _run_tasks(tasks, jobs: int):
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_search_kernel.evaluate_chunk, tasks))
+
+
+def _kernel_evaluator(indices: int) -> str:
+    """The evaluator of a plan of `indices` kernel indices, by the rule at
+    NUMPY_MIN_INDICES; a plan given to plain Python counts towards it."""
+    global _python_indices
+    if "numpy" in sys.modules or _python_indices + indices > NUMPY_MIN_INDICES:
+        return "numpy"
+    _python_indices += indices
+    return "python"
 
 
 def _declared_count(n: int, mode: str, param: int, strata) -> int:
@@ -257,8 +280,9 @@ def _enumerate_table(
     plan = _sweep_plan(carrier, spec, mode, param, budget, jobs, direct, space)
     sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers in plan]
     workers = jobs if sum(sweeps) >= POOL_MIN_SPACE else 1
+    evaluator = _kernel_evaluator(sum(sweeps))
     tasks = [
-        (carrier.table, n, mode, param, fibers, a, b, max_support)
+        (carrier.table, n, mode, param, fibers, a, b, max_support, evaluator)
         for fibers, sweep in zip(plan, sweeps)
         for (a, b) in _chunk_ranges(sweep, workers)
     ]
@@ -425,14 +449,18 @@ def covering_family_params(
 
 def family_params_from_json(covering: Covering, doc: dict) -> CoveringFamilyParams:
     ring = ring_from_tag(doc["ring"])
-    unit = {int(x): ring.scalar_parse(str(c)) for x, c in doc["unit_coeffs"]}
-    zs = {
-        int(y): {int(x): ring.scalar_parse(str(c)) for x, c in pairs}
-        for y, pairs in doc.get("zero_sum_coeffs", [])
-    }
-    return covering_family_params(
-        covering, ring, int(doc["unit_fiber"]), unit, int(doc["base_point"]), zs
-    )
+    try:
+        unit = {int(x): ring.scalar_parse(str(c)) for x, c in doc["unit_coeffs"]}
+        zs = {
+            int(y): {int(x): ring.scalar_parse(str(c)) for x, c in pairs}
+            for y, pairs in doc.get("zero_sum_coeffs", [])
+        }
+        unit_fiber, base_point = int(doc["unit_fiber"]), int(doc["base_point"])
+    except (TypeError, ValueError):
+        raise InvalidParamsError(
+            "family parameters need integer points and fibers, and [point, coefficient] pairs"
+        ) from None
+    return covering_family_params(covering, ring, unit_fiber, unit, base_point, zs)
 
 
 def _family_vector(covering: Covering, params: CoveringFamilyParams, orbits: dict) -> list:

@@ -133,9 +133,11 @@ class CoeffRing:
         return str(a)
 
     def scalar_parse(self, s: str):
-        if self.kind == "Q":
-            return Fraction(s)
-        return self.coerce(int(s))
+        """The scalar written s: an integer, or over Q a fraction."""
+        try:
+            return Fraction(s) if self.kind == "Q" else self.coerce(int(s))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidParamsError(f"coefficient {s!r} is not in {self.tag}") from None
 
 
 ZZ = CoeffRing("Z")
@@ -517,8 +519,5 @@ def element_from_json(doc: dict, key_parser=None, force: bool = False) -> RingEl
             key = key_parser(key)
         elif not isinstance(key, int) or isinstance(key, bool):
             raise InvalidParamsError(f"expected integer basis key, got {key!r}")
-        try:
-            pairs.append((key, ring.scalar_parse(str(coeff))))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidParamsError(f"coefficient {coeff!r} is not in {ring.tag}") from None
+        pairs.append((key, ring.scalar_parse(str(coeff))))
     return RingElement(ring, pairs)

@@ -1,15 +1,18 @@
 """Command line coverage: golden transcripts plus error and plumbing paths."""
 
 import json
+import resource
 import subprocess
 import sys
 import time
 from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 
 from cli_cases import CASES, GOLDEN, fx
 from conftest import ROOT
+from quandlekit import core
 from quandlekit.cli import main
 
 BUDGET_ARGV = ["idem", "enumerate", fx("r6.json"), "--ring", "z", "--bound", "3",
@@ -196,6 +199,40 @@ def test_commands_without_a_kernel_search_do_not_import_numpy(checkout_env):
     assert proc.stdout == "[]\n"
 
 
+def test_golden_cases_run_without_numpy(checkout_env):
+    # every golden search is below idempotents.NUMPY_MIN_INDICES, so a
+    # CLI call of any golden case imports no numpy and still prints its
+    # golden; each case runs in a process forked after `import
+    # quandlekit.cli`, as fresh as a new CLI call
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "from quandlekit import cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name, argv in json.loads(sys.argv[1]):\n"
+        "    pid = os.fork()\n"
+        "    if pid == 0:\n"
+        "        out = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out):\n"
+        "            code = cli.main(argv)\n"
+        "        print(json.dumps([name, code, out.getvalue(), 'numpy' in sys.modules]))\n"
+        "        sys.stdout.flush()\n"
+        "        os._exit(0)\n"
+        "    os.waitpid(pid, 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(CASES)],
+        env=checkout_env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [name for name, _, _, _ in runs] == [name for name, _ in CASES]
+    for name, code, out, imported in runs:
+        assert (code, imported) == (0, False), name
+        assert out == (GOLDEN / name).read_text(), name
+
+
 def test_integer_ring_requires_bound(capsys):
     code, out, _ = run_cli(["idem", "enumerate", fx("r3.json"), "--ring", "z"], capsys)
     assert code == 1
@@ -299,6 +336,115 @@ def test_family_verify_negative_max_j_is_invalid_params(checkout_env):
     assert code == 1
     assert payload == {"error": "InvalidParams", "message": "max_j must be >= 0"}
     assert err == ""
+
+
+ZERO_DIVISOR = ["covering", "zero-divisor", "--total", fx("r6.json"), "--base", fx("r3.json"),
+                "--map", "0,1,2,0,1,2", "--fiber", "0"]
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--alphas", "1,x"], "coefficient 'x' is not in Z"),
+        (["--ring", "q", "--alphas", "1/0,0"], "coefficient '1/0' is not in Q"),
+        (["--ring", "zp:5", "--alphas", "1/2,0"], "coefficient '1/2' is not in Zmod:5"),
+    ],
+    ids=["word-over-z", "zero-denominator", "fraction-mod-5"],
+)
+def test_unparsable_scalars_are_invalid_params(flags, message, capsys):
+    code, out, err = run_cli(ZERO_DIVISOR + flags, capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "InvalidParams", "message": message}
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"unit_coeffs": [[1, "x"]]}, "coefficient 'x' is not in Z"),
+        ({"ring": "Q", "zero_sum_coeffs": [[0, [[0, "1/0"], [3, "-1"]]]]},
+         "coefficient '1/0' is not in Q"),
+        ({"unit_coeffs": 5}, None),
+        ({"unit_fiber": "one"}, None),
+    ],
+    ids=["word-coefficient", "zero-denominator", "int-coefficients", "word-fiber"],
+)
+def test_malformed_family_parameters_are_invalid_params(change, message, tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({**json.loads(Path(fx("family_r6.json")).read_text()), **change}))
+    code, out, err = run_cli(
+        ["idem", "family", "--covering", fx("cov_r6_r3.json"), "--params", str(path)], capsys
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "InvalidParams"
+    assert message is None or payload["message"] == message
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["idem", "scan", "{doc}", "--bound", "2"], "table"),
+        (["idem", "family", "--covering", "{doc}", "--params", fx("family_r6.json")], "total"),
+        (["idem", "family", "--covering", fx("cov_r6_r3.json"), "--params", "{doc}"],
+         "unit_coeffs"),
+        (["quandle", "make", "conj", "{doc}"], "table"),
+        (["covering", "classify", "--total", fx("r6.json"), "--base", fx("r3.json"),
+          "--map", "0,1,2,0,1,2", "--element", "{doc}"], "coeffs"),
+    ],
+    ids=["scan", "family-covering", "family-params", "conj", "classify-element"],
+)
+@pytest.mark.parametrize("doc", [[1, 2], "table", {}], ids=["list", "string", "no-field"])
+def test_documents_without_their_field_are_invalid_params(argv, key, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([str(path) if a == "{doc}" else a for a in argv], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "InvalidParams",
+        "message": f"{path}: expected a JSON object with a {key!r} field",
+    }
+    assert err == ""
+
+
+@pytest.mark.parametrize("alpha", [5, [[0, 0, 0], [0, 0, "x"], [0, 0, 0]], {"alpha": 5}],
+                         ids=["number", "word-entry", "number-field"])
+def test_malformed_cocycle_matrices_are_invalid_params(alpha, tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(alpha))
+    code, out, err = run_cli(
+        ["quandle", "make", "cocycle", fx("r3.json"), "2", "--alpha", str(path)], capsys
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "InvalidParams", "message": "alpha must be an order x order array of integers",
+    }
+    assert err == ""
+
+
+def _address_space_limit():
+    # a construction that allocates its table dies within this limit at once
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [["trivial", "100000000000"], ["dihedral", "100000000000"], ["core", "100000", "100000"],
+     ["dihedral", "465"]],
+    ids=["trivial", "dihedral", "core", "dihedral-past-budget"],
+)
+def test_oversized_constructions_are_refused_before_allocating(params, checkout_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlekit.cli", "quandle", "make", *params],
+        env=checkout_env, capture_output=True, text=True, preexec_fn=_address_space_limit,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "BudgetExceeded"
+    assert payload["budget"] == core.CONSTRUCTION_BUDGET
+    assert proc.stderr == ""
 
 
 # ------------------------------------------------------------- plumbing

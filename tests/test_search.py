@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -32,6 +34,7 @@ from quandlekit import (
 )
 from quandlekit import _search_kernel, idempotents
 
+from conftest import ROOT
 from oracles import (
     naive_idempotents_boxed,
     naive_idempotents_mod_p,
@@ -299,6 +302,10 @@ def _decode(index, n, p, stratum):
     return tuple(digits)
 
 
+# both kernel evaluators run every direct kernel test below
+EVALUATORS = ("python", "numpy")
+
+
 @pytest.mark.parametrize("p", [800000011, 3000000019])
 def test_object_path_slices_agree_with_oracle(p):
     # 9 p^2 > 2^62 routes both primes to object arrays; at the larger one
@@ -311,9 +318,9 @@ def test_object_path_slices_agree_with_oracle(p):
     slices += [(s, 1) for s in (0, centroid_index - 20, p * p - 40)]
     slices += [(s, None) for s in (0, p * p // 2)]
     found = set()
-    for start, stratum in slices:
+    for (start, stratum), evaluator in itertools.product(slices, EVALUATORS):
         hits, tested = _search_kernel.evaluate_chunk(
-            (q.table, 3, "zp", p, _one_block(3, stratum), start, start + 40, 3)
+            (q.table, 3, "zp", p, _one_block(3, stratum), start, start + 40, 3, evaluator)
         )
         assert tested == 40
         vecs = [_decode(i, 3, p, stratum) for i in range(start, start + 40)]
@@ -323,6 +330,34 @@ def test_object_path_slices_agree_with_oracle(p):
         assert hits == expected
         found.update(hits)
     assert (third, third, third) in found
+
+
+@pytest.mark.parametrize("bound", [800_000_000, 1_500_000_000])
+def test_object_path_box_slices_agree_with_oracle(bound):
+    # 9 B^2 > 2^62 routes both boxes to object arrays, while a stratum's
+    # (2B + 1)^2 indices still fit in int64; the slice from the corner
+    # (B, -B, 0) squares coefficients of size B
+    q = dihedral_quandle(3)
+    assert not _search_kernel._int64_safe(3, bound)
+    base = 2 * bound + 1
+    e1 = bound * base + bound + 1  # stratum 1: free coefficients (0, 1)
+    slices = [(0, 1), (e1 - 20, 1), (base * base // 2, 0), (base * base - 40, 1), (0, 0),
+              (2 * bound * base, 0)]
+    found = set()
+    for (start, stratum), evaluator in itertools.product(slices, EVALUATORS):
+        hits, tested = _search_kernel.evaluate_chunk(
+            (q.table, 3, "zbox", bound, _one_block(3, stratum), start, start + 40, 3, evaluator)
+        )
+        vecs = []
+        for i in range(start, start + 40):
+            vec = [i // base - bound, i % base - bound]
+            vec.append(stratum - sum(vec))
+            if abs(vec[-1]) <= bound:
+                vecs.append(tuple(vec))
+        assert tested == len(vecs)
+        assert hits == [v for v in vecs if any(v) and list(v) == square_vector(q.table, v)]
+        found.update(hits)
+    assert {(0, 1, 0), (0, 0, 1)} <= found
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +450,10 @@ def _oracle_chunk(table, n, mode, param, fibers, max_support):
 def test_evaluate_chunk_matches_the_naive_oracles(case):
     table, n, mode, param, fibers, max_support = case
     space = _search_kernel.space_size(n, mode, param, len(fibers))
-    got = _search_kernel.evaluate_chunk((table, n, mode, param, fibers, 0, space, max_support))
-    assert got == _oracle_chunk(*case)
+    expected = _oracle_chunk(*case)
+    for evaluator in EVALUATORS:
+        task = (table, n, mode, param, fibers, 0, space, max_support, evaluator)
+        assert _search_kernel.evaluate_chunk(task) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -426,29 +463,40 @@ def test_chunks_split_anywhere_concatenate_to_the_whole(case, data):
     space = _search_kernel.space_size(n, mode, param, len(fibers))
     cuts = sorted(data.draw(st.lists(st.integers(0, space), max_size=6)))
     bounds = [0, *cuts, space]
-    hits, tested = [], 0
-    for a, b in zip(bounds, bounds[1:]):
-        h, t = _search_kernel.evaluate_chunk((table, n, mode, param, fibers, a, b, max_support))
-        hits += h
-        tested += t
-    whole = _search_kernel.evaluate_chunk((table, n, mode, param, fibers, 0, space, max_support))
-    assert (hits, tested) == whole
+    for evaluator in EVALUATORS:
+        hits, tested = [], 0
+        for a, b in zip(bounds, bounds[1:]):
+            h, t = _search_kernel.evaluate_chunk(
+                (table, n, mode, param, fibers, a, b, max_support, evaluator)
+            )
+            hits += h
+            tested += t
+        whole = _search_kernel.evaluate_chunk(
+            (table, n, mode, param, fibers, 0, space, max_support, evaluator)
+        )
+        assert (hits, tested) == whole
 
 
-@pytest.mark.parametrize("mode,param,hits,tested", [
-    ("zbox", 2, 500, 1_694_045),
-    ("zp", 5, 625, 3_906_250),
+# plain Python would take about 20 s on the two large strata; no plan
+# that large reaches it (idempotents.NUMPY_MIN_INDICES)
+@pytest.mark.parametrize("mode,param,hits,tested,evaluators", [
+    pytest.param("zbox", 2, 500, 1_694_045, ("numpy",), id="zbox-2-500-1694045"),
+    pytest.param("zp", 5, 625, 3_906_250, ("numpy",), id="zp-5-625-3906250"),
+    pytest.param("zp", 3, 183, 39_366, EVALUATORS, id="zp-3-183-39366"),
 ])
-def test_r10_kernel_counts_are_pinned(r10, mode, param, hits, tested):
+def test_r10_kernel_counts_are_pinned(r10, mode, param, hits, tested, evaluators):
     space = _search_kernel.space_size(10, mode, param, 1)
-    results = [
-        _search_kernel.evaluate_chunk((r10.table, 10, mode, param, _one_block(10, s), 0, space, 10))
-        for s in (0, 1)
-    ]
-    assert sum(len(h) for h, _ in results) == hits
-    assert sum(t for _, t in results) == tested
-    assert all(square_vector(r10.table, v, reduce=param if mode == "zp" else None) == list(v)
-               for h, _ in results for v in h)
+    for evaluator in evaluators:
+        results = [
+            _search_kernel.evaluate_chunk(
+                (r10.table, 10, mode, param, _one_block(10, s), 0, space, 10, evaluator)
+            )
+            for s in (0, 1)
+        ]
+        assert sum(len(h) for h, _ in results) == hits
+        assert sum(t for _, t in results) == tested
+        assert all(square_vector(r10.table, v, reduce=param if mode == "zp" else None) == list(v)
+                   for h, _ in results for v in h)
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +862,47 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
         assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
             pooled.to_json(), sort_keys=True
         )
+
+
+# ---------------------------------------------------------------------------
+# the choice of kernel evaluator
+
+
+def test_searches_import_numpy_only_past_the_break_even(checkout_env):
+    # a fresh process: r3 mod 5 stays in plain Python; the third r10 mod 3
+    # search (3,078 indices each) would take plain Python past
+    # NUMPY_MIN_INDICES, so numpy takes over, and keeps every later plan
+    code = (
+        "import json, sys\n"
+        "from quandlekit import _search_kernel, enumerate_mod_p, idempotents, load_quandle\n"
+        "r3, r10 = (load_quandle(path) for path in sys.argv[1:])\n"
+        "calls = []\n"
+        "real = _search_kernel.evaluate_chunk\n"
+        "def spy(args):\n"
+        "    calls.append((args[8], args[6] - args[5]))\n"
+        "    return real(args)\n"
+        "_search_kernel.evaluate_chunk = spy\n"
+        "steps = []\n"
+        "for q in (r3, r10, r10, r10, r3):\n"
+        "    calls.clear()\n"
+        "    report = json.dumps(enumerate_mod_p(q, 5 if q is r3 else 3).to_json())\n"
+        "    steps.append([list(calls), 'numpy' in sys.modules, report])\n"
+        "print(json.dumps([idempotents.NUMPY_MIN_INDICES, steps]))\n"
+    )
+    paths = [str(ROOT / "fixtures" / f"{name}.json") for name in ("r3", "r10")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *paths], env=checkout_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    limit, steps = json.loads(proc.stdout)
+    evaluators = [[e for e, _ in calls] for calls, _, _ in steps]
+    assert [imported for _, imported, _ in steps] == [False, False, False, True, True]
+    assert set(evaluators[0] + evaluators[1] + evaluators[2]) == {"python"}
+    assert "numpy" in evaluators[3] and set(evaluators[4]) == {"numpy"}
+    # plain Python stops before the indices it ran would pass the limit
+    python = sum(size for calls, _, _ in steps for e, size in calls if e == "python")
+    assert python <= limit < python + sum(size for _, size in steps[1][0])
+    assert steps[0][2] == steps[4][2] and steps[1][2] == steps[2][2] == steps[3][2]
 
 
 def test_kernel_hit_failing_the_exact_recheck_is_an_internal_error(r3, monkeypatch):
