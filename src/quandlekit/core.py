@@ -185,7 +185,9 @@ def _check_order(n: int) -> None:
     if n < 1:
         raise InvalidParamsError("order must be >= 1")
     if n**3 > CONSTRUCTION_BUDGET:
-        raise BudgetExceededError(n**3, CONSTRUCTION_BUDGET, what="axiom checks")
+        raise BudgetExceededError(
+            n**3, CONSTRUCTION_BUDGET, what="axiom checks", work=f"a table of order {n}"
+        )
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:

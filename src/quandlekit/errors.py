@@ -135,14 +135,15 @@ class BudgetExceededError(QuandleKitError):
     """A request that would pass its budget, refused before the work.
 
     A count with more digits than Python converts to a string is shown
-    as "~10^k" in the message and the payload."""
+    as "~10^k" in the message and the payload; `work` names what was
+    refused, a search unless the caller says otherwise."""
 
     exit_code = 2
 
-    def __init__(self, needed: int, budget: int, what: str = "candidates"):
+    def __init__(self, needed: int, budget: int, what: str = "candidates", work: str = "search"):
         self.needed = _shown(needed)
         self.budget = _shown(budget)
-        super().__init__(f"search needs {self.needed} {what}, budget is {self.budget}")
+        super().__init__(f"{work} needs {self.needed} {what}, budget is {self.budget}")
 
     def payload(self) -> dict:
         return {**super().payload(), "needed": self.needed, "budget": self.budget}

@@ -106,11 +106,13 @@ POOL_MIN_SPACE = 1 << 21
 # once numpy is imported, runs the numpy evaluator.  This is the
 # ski-rental rule (Karlin, Manasse, Rudolph and Sleator, "Competitive
 # snoopy caching", 1988): pay per index until the total would cover the
-# one-off import.  On a 2-core host, importing numpy took 88-126 ms; plain
-# Python took 1.3-4 us per index on R_10-sized tables (numpy about 0.2 us),
-# so the two break even near 3 * 10^4 indices at order 10 and near 10^4 at
-# order 41, where plain Python took about 10 us.
-NUMPY_MIN_INDICES = 1 << 13
+# one-off import, the import cost divided by the saving per index.  On a
+# 2-core host, importing numpy took 78-124 ms.  On direct sweeps of R_7 to
+# R_13 (32,768-index chunks) plain Python took 0.8-1.2 us per index and
+# numpy 0.1-0.4 us, a saving of 0.6-0.9 us, so the two break even between
+# 0.9 and 2.1 * 10^5 indices.  It stays below POOL_MIN_SPACE, so a pool
+# always runs numpy.
+NUMPY_MIN_INDICES = 1 << 17
 _python_indices = 0  # per process, like the import it stands in for
 
 # A kernel call costs about as much as this many indices on top of them

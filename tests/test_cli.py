@@ -233,6 +233,52 @@ def test_golden_cases_run_without_numpy(checkout_env):
         assert out == (GOLDEN / name).read_text(), name
 
 
+R10_SWEEPS = [
+    ["--ring", "z", "--bound", "2", "--jobs", "1"],
+    ["--ring", "z", "--bound", "2", "--jobs", "2"],
+    ["--ring", "zp:5", "--jobs", "2"],
+    ["--ring", "zp:3", "--jobs", "1"],
+    ["--ring", "zp:3", "--jobs", "2"],
+]
+
+
+def test_r10_quotient_sweeps_run_without_numpy(checkout_env):
+    # each r10 search through the quotient R_5 stays below
+    # idempotents.NUMPY_MIN_INDICES, so a CLI call imports no numpy, and
+    # prints what a process that imported numpy first prints
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "from quandlekit import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    for numpy_first in (False, True):\n"
+        "        pid = os.fork()\n"
+        "        if pid == 0:\n"
+        "            if numpy_first:\n"
+        "                import numpy\n"
+        "            out = io.StringIO()\n"
+        "            with contextlib.redirect_stdout(out):\n"
+        "                code = cli.main(argv)\n"
+        "            print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+        "            sys.stdout.flush()\n"
+        "            os._exit(0)\n"
+        "        os.waitpid(pid, 0)\n"
+    )
+    calls = [["idem", "enumerate", fx("r10.json"), *extra] for extra in R10_SWEEPS]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        env=checkout_env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(runs) == 2 * len(calls)
+    for argv, plain, numpy_first in zip(calls, runs[::2], runs[1::2]):
+        assert (plain[0], plain[2]) == (0, False), argv
+        assert (numpy_first[0], numpy_first[2]) == (0, True), argv
+        assert plain[1] == numpy_first[1], argv
+
+
 def test_integer_ring_requires_bound(capsys):
     code, out, _ = run_cli(["idem", "enumerate", fx("r3.json"), "--ring", "z"], capsys)
     assert code == 1
@@ -445,6 +491,19 @@ def test_oversized_constructions_are_refused_before_allocating(params, checkout_
     assert payload["error"] == "BudgetExceeded"
     assert payload["budget"] == core.CONSTRUCTION_BUDGET
     assert proc.stderr == ""
+
+
+def test_construction_refusal_names_the_table_not_a_search(checkout_env):
+    # no search runs, so the message must not say one does
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlekit.cli", "quandle", "make", "trivial", "100000000000"],
+        env=checkout_env, capture_output=True, text=True, preexec_fn=_address_space_limit,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["message"] == (
+        f"a table of order 100000000000 needs {10**33} axiom checks, budget is 100000000"
+    )
 
 
 # ------------------------------------------------------------- plumbing

@@ -305,6 +305,20 @@ def test_classify_negative_without_unit_mass(p6, t2):
     assert result.params is None
 
 
+@pytest.mark.parametrize("order,bound,count", [(6, 2, 60), (10, 2, 500), (10, 3, 1470)])
+def test_every_boxed_idempotent_of_a_covering_is_in_its_family(order, bound, count):
+    # a finite shadow of the paper's complete description: over the
+    # covering R_order -> R_(order/2) by i mod order/2, every idempotent
+    # in the box is a family element
+    k = order // 2
+    domain = load_fixture(f"r{order}.json")
+    base = load_fixture(f"r{k}.json")
+    cov = check_covering(QuandleHom(domain, base, [i % k for i in range(order)]))
+    found = enumerate_boxed_Z(domain, bound).idempotents
+    assert len(found) == count
+    assert all(covering_classify(u, cov).in_family for u in found)
+
+
 def test_classify_json_shape(cov63):
     doc = covering_classify(basis(ZZ, 0), cov63).to_json()
     assert set(doc) == {"in_family", "params", "reason", "flags"}

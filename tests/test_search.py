@@ -477,8 +477,104 @@ def test_chunks_split_anywhere_concatenate_to_the_whole(case, data):
         assert (hits, tested) == whole
 
 
-# plain Python would take about 20 s on the two large strata; no plan
-# that large reaches it (idempotents.NUMPY_MIN_INDICES)
+# The plain-Python evaluator solves the equation of key 0 along the
+# innermost free digit x, which moves the determined key of its block
+# with it.  Each plan below puts x, that key or key 0 somewhere the
+# solver treats apart.
+SOLVER_PLANS = [
+    "random", "no-blocks", "no-free-digit", "innermost-in-no-block", "key0-determined",
+    "key0-innermost", "key0-no-pairs", "key0-all-pairs",
+]
+
+
+def _target(draw, size, mode, param):
+    """A fiber-sum target for a block of `size` keys, possibly unreachable."""
+    span = param - 1 if mode == "zp" else size * param + 1
+    return draw(st.integers(-span if mode == "zbox" else 0, span))
+
+
+def _blocks(draw, keys, mode, param):
+    """A random partition of the keys, in order, into blocks with targets."""
+    fibers = []
+    rest = list(keys)
+    while rest:
+        size = draw(st.integers(1, len(rest)))
+        block, rest = tuple(rest[:size]), rest[size:]
+        fibers.append((block, _target(draw, size, mode, param)))
+    return fibers
+
+
+@st.composite
+def solver_cases(draw, plan):
+    if plan == "key0-all-pairs":
+        n = draw(st.integers(1, 4))
+        table = [[0] * n for _ in range(n)]
+    elif plan == "key0-no-pairs":
+        n = draw(st.integers(2, 4))
+        table = draw(st.lists(
+            st.lists(st.integers(1, n - 1), min_size=n, max_size=n), min_size=n, max_size=n,
+        ))
+    elif draw(st.booleans()):
+        table = _alexander_table(*draw(st.sampled_from([(m, t) for m, t in ALEXANDER if m < 5])))
+        n = len(table)
+    else:
+        n = draw(st.integers(1, 4))
+        table = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n,
+        ))
+    mode, param = draw(st.sampled_from(
+        [("zp", p) for p in range(2, 8)] + [("zbox", b) for b in (1, 2, 3)]
+    ))
+    keys = list(draw(st.permutations(range(n))))
+    if plan == "no-blocks":
+        fibers = []
+    elif plan == "no-free-digit":
+        fibers = [((k,), _target(draw, 1, mode, param)) for k in keys]
+    elif plan == "innermost-in-no-block":
+        # n - 1, free and in no block, is the innermost digit
+        fibers = _blocks(draw, [k for k in keys if k != n - 1][:draw(st.integers(0, n - 1))],
+                         mode, param)
+    elif plan == "key0-determined":
+        fibers = _blocks(draw, [k for k in keys if k] + [0], mode, param)
+    elif plan == "key0-innermost":
+        # every other key is determined; key 0 may share a block with one
+        partner = draw(st.sampled_from([None, *range(1, n)]))
+        fibers = [((k,), _target(draw, 1, mode, param)) for k in range(1, n) if k != partner]
+        if partner is not None:
+            fibers.append(((0, partner), _target(draw, 2, mode, param)))
+    else:
+        fibers = _blocks(draw, keys[:draw(st.integers(0, n))], mode, param)
+    fibers = draw(st.permutations(fibers))
+    return table, n, mode, param, tuple(fibers), draw(st.integers(1, n))
+
+
+@pytest.mark.parametrize("plan", SOLVER_PLANS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_python_evaluator_matches_the_oracles_and_numpy(plan, data):
+    case = data.draw(solver_cases(plan))
+    table, n, mode, param, fibers, max_support = case
+    space = _search_kernel.space_size(n, mode, param, len(fibers))
+    free = n - len(fibers)
+    # cuts anywhere, and one inside a run of the innermost digit
+    cuts = data.draw(st.lists(st.integers(0, space), max_size=4))
+    width = param if mode == "zp" else 2 * param + 1
+    if free and width > 1:
+        cuts.append(data.draw(st.integers(0, space // width - 1)) * width
+                    + data.draw(st.integers(1, width - 1)))
+    bounds = [0, *sorted(cuts), space]
+    hits, tested = [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        task = (table, n, mode, param, fibers, a, b, max_support)
+        got = _search_kernel.evaluate_chunk((*task, "python"))
+        assert got == _search_kernel.evaluate_chunk((*task, "numpy"))
+        hits += got[0]
+        tested += got[1]
+    assert (hits, tested) == _oracle_chunk(*case)
+
+
+# plain Python takes about 6 s on the two large strata, all four sweeps
+# together; no plan that large reaches it (idempotents.NUMPY_MIN_INDICES)
 @pytest.mark.parametrize("mode,param,hits,tested,evaluators", [
     pytest.param("zbox", 2, 500, 1_694_045, ("numpy",), id="zbox-2-500-1694045"),
     pytest.param("zp", 5, 625, 3_906_250, ("numpy",), id="zp-5-625-3906250"),
@@ -869,12 +965,13 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
 
 
 def test_searches_import_numpy_only_past_the_break_even(checkout_env):
-    # a fresh process: r3 mod 5 stays in plain Python; the third r10 mod 3
-    # search (3,078 indices each) would take plain Python past
-    # NUMPY_MIN_INDICES, so numpy takes over, and keeps every later plan
+    # a fresh process: r3 mod 5 stays in plain Python, then r10 in the box
+    # 2 runs until plain Python's indices would pass NUMPY_MIN_INDICES;
+    # numpy takes over there and keeps every later plan
     code = (
         "import json, sys\n"
-        "from quandlekit import _search_kernel, enumerate_mod_p, idempotents, load_quandle\n"
+        "from quandlekit import _search_kernel, enumerate_boxed_Z, enumerate_mod_p\n"
+        "from quandlekit import idempotents, load_quandle\n"
         "r3, r10 = (load_quandle(path) for path in sys.argv[1:])\n"
         "calls = []\n"
         "real = _search_kernel.evaluate_chunk\n"
@@ -883,10 +980,15 @@ def test_searches_import_numpy_only_past_the_break_even(checkout_env):
         "    return real(args)\n"
         "_search_kernel.evaluate_chunk = spy\n"
         "steps = []\n"
-        "for q in (r3, r10, r10, r10, r3):\n"
+        "def run(search):\n"
         "    calls.clear()\n"
-        "    report = json.dumps(enumerate_mod_p(q, 5 if q is r3 else 3).to_json())\n"
+        "    report = json.dumps(search().to_json())\n"
         "    steps.append([list(calls), 'numpy' in sys.modules, report])\n"
+        "run(lambda: enumerate_mod_p(r3, 5))\n"
+        "while 'numpy' not in sys.modules and len(steps) < 64:\n"
+        "    run(lambda: enumerate_boxed_Z(r10, 2))\n"
+        "run(lambda: enumerate_boxed_Z(r10, 2))\n"
+        "run(lambda: enumerate_mod_p(r3, 5))\n"
         "print(json.dumps([idempotents.NUMPY_MIN_INDICES, steps]))\n"
     )
     paths = [str(ROOT / "fixtures" / f"{name}.json") for name in ("r3", "r10")]
@@ -895,14 +997,24 @@ def test_searches_import_numpy_only_past_the_break_even(checkout_env):
     )
     assert proc.returncode == 0, proc.stderr
     limit, steps = json.loads(proc.stdout)
-    evaluators = [[e for e, _ in calls] for calls, _, _ in steps]
-    assert [imported for _, imported, _ in steps] == [False, False, False, True, True]
-    assert set(evaluators[0] + evaluators[1] + evaluators[2]) == {"python"}
-    assert "numpy" in evaluators[3] and set(evaluators[4]) == {"numpy"}
+    sizes = [sum(size for _, size in calls) for calls, _, _ in steps]
+    evaluators = [{e for e, _ in calls} for calls, _, _ in steps]
+    # the r10 searches that fit below the limit after r3's, all in plain Python
+    before = (limit - sizes[0]) // sizes[1]
+    assert len(steps) == before + 4
+    assert [imported for _, imported, _ in steps] == [False] * (before + 1) + [True] * 3
+    assert evaluators[:before + 1] == [{"python"}] * (before + 1)
+    assert "numpy" in evaluators[before + 1] and evaluators[-2:] == [{"numpy"}] * 2
     # plain Python stops before the indices it ran would pass the limit
     python = sum(size for calls, _, _ in steps for e, size in calls if e == "python")
-    assert python <= limit < python + sum(size for _, size in steps[1][0])
-    assert steps[0][2] == steps[4][2] and steps[1][2] == steps[2][2] == steps[3][2]
+    assert python <= limit < python + sizes[1]
+    assert steps[0][2] == steps[-1][2]
+    assert len({report for _, _, report in steps[1:-1]}) == 1
+
+
+def test_numpy_break_even_sits_below_the_pool_threshold():
+    # a plan big enough for the pool runs numpy, which the workers inherit
+    assert idempotents.NUMPY_MIN_INDICES < idempotents.POOL_MIN_SPACE
 
 
 def test_kernel_hit_failing_the_exact_recheck_is_an_internal_error(r3, monkeypatch):
