@@ -25,8 +25,8 @@ carries its name in the task, so every chunk passes through
   each quadratic are found once and remembered.  Only the roots go on to
   the support cap and the other keys.  On a 2-core host it cost 0.8-1.2
   us per index on direct sweeps of R_7 to R_13, and 0.7-2.7 us on the
-  r10 sweeps through R_5 (the most mod 3, where a third of the roots
-  pass key 0); it costs nothing to start.
+  r10 sweeps through R_5 (the most mod 3, where about a third of the
+  indices solve key 0 and go on); it costs nothing to start.
 - "numpy" evaluates batches of BATCH indices as arrays.  It costs a
   fraction of a microsecond per index, but importing numpy takes about
   0.1 s.  Indices and digits are always int64 (callers refuse spaces of

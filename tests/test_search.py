@@ -405,20 +405,30 @@ def kernel_cases(draw):
     return table, n, mode, param, _one_block(n, stratum), max_support
 
 
+def _target(draw, size, mode, param):
+    """A fiber-sum target for a block of `size` keys, possibly unreachable."""
+    span = param - 1 if mode == "zp" else size * param + 1
+    return draw(st.integers(-span if mode == "zbox" else 0, span))
+
+
+def _blocks(draw, keys, mode, param):
+    """A random partition of the keys, in order, into blocks with targets."""
+    fibers = []
+    rest = list(keys)
+    while rest:
+        size = draw(st.integers(1, len(rest)))
+        block, rest = tuple(rest[:size]), rest[size:]
+        fibers.append((block, _target(draw, size, mode, param)))
+    return fibers
+
+
 @st.composite
 def fiber_cases(draw):
     """Kernel cases over a random partial partition of the keys, each
     block with a random (possibly unreachable) fiber-sum target."""
     table, n, mode, param, _, max_support = draw(kernel_cases())
     keys = draw(st.permutations(range(n)))
-    fibers = []
-    rest = list(keys)
-    while rest and draw(st.booleans()):
-        size = draw(st.integers(1, len(rest)))
-        block, rest = tuple(rest[:size]), rest[size:]
-        span = param - 1 if mode == "zp" else len(block) * param + 1
-        target = draw(st.integers(-span if mode == "zbox" else 0, span))
-        fibers.append((block, target))
+    fibers = _blocks(draw, keys[:draw(st.integers(0, n))], mode, param)
     return table, n, mode, param, tuple(fibers), max_support
 
 
@@ -485,23 +495,6 @@ SOLVER_PLANS = [
     "random", "no-blocks", "no-free-digit", "innermost-in-no-block", "key0-determined",
     "key0-innermost", "key0-no-pairs", "key0-all-pairs",
 ]
-
-
-def _target(draw, size, mode, param):
-    """A fiber-sum target for a block of `size` keys, possibly unreachable."""
-    span = param - 1 if mode == "zp" else size * param + 1
-    return draw(st.integers(-span if mode == "zbox" else 0, span))
-
-
-def _blocks(draw, keys, mode, param):
-    """A random partition of the keys, in order, into blocks with targets."""
-    fibers = []
-    rest = list(keys)
-    while rest:
-        size = draw(st.integers(1, len(rest)))
-        block, rest = tuple(rest[:size]), rest[size:]
-        fibers.append((block, _target(draw, size, mode, param)))
-    return fibers
 
 
 @st.composite
