@@ -81,17 +81,20 @@ def table_product(u, v, table):
     other; table is the n x n operation table.  The result has the
     broadcast shape and the common dtype of u and v: int64 arithmetic
     wraps, so callers pick object dtype when a guard says it must.
+    The loop runs on key-major contiguous copies, so each slice it adds is
+    one block of memory; the result is a key-last view of a key-major
+    array, which a further product takes without copying.
     """
     import numpy as np
 
-    tbl = np.asarray(table, dtype=np.int64)
-    out = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
-    for i in range(tbl.shape[0]):
-        ci = u[..., i]
-        row = tbl[i]
-        for j in range(tbl.shape[0]):
-            out[..., row[j]] += ci * v[..., j]
-    return out
+    uk = np.ascontiguousarray(np.moveaxis(u, -1, 0))
+    vk = np.ascontiguousarray(np.moveaxis(v, -1, 0))
+    out = np.zeros((len(table),) + np.broadcast_shapes(u.shape[:-1], v.shape[:-1]),
+                   dtype=np.result_type(u, v))
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            out[k] += uk[i] * vk[j]
+    return np.moveaxis(out, 0, -1)
 
 
 def _pairs(table, n: int) -> list[list[tuple[int, int]]]:

@@ -64,9 +64,9 @@ from .ring import (
     augmentation,
     basis,
     dense_product,
+    dense_vector,
     element_to_json,
     is_idempotent,
-    mul,
     orbit_sum,
     right_mult_matrix,
     ring_from_tag,
@@ -465,33 +465,27 @@ def family_params_from_json(covering: Covering, doc: dict) -> CoveringFamilyPara
     return covering_family_params(covering, ring, unit_fiber, unit, base_point, zs)
 
 
-def _family_vector(covering: Covering, params: CoveringFamilyParams, orbits: dict) -> list:
+def _family_vector(covering: Covering, params: CoveringFamilyParams) -> list:
     """Coefficient list of the family element: the unit part plus the
-    scaled orbit sums.  orbits caches each (point, base point) orbit sum
-    as its (key, multiplicity) pairs; a sweep passes one dict to all cases."""
+    scaled orbit sums."""
     domain = covering.hom.domain
     ring = params.ring
     vec = [ring.zero] * domain.order
     for x, c in params.unit_coeffs:
         vec[x] += c
+    sigma = domain.right_mults[params.base_point]
     for _, pairs in params.zero_sum_coeffs:
         for x, a in pairs:
-            key = (x, params.base_point)
-            if key not in orbits:
-                orbits[key] = orbit_sum(x, params.base_point, domain, ring).coeffs
-            for k, mult in orbits[key]:
-                vec[k] += a * mult
+            for _ in range(domain.right_mult_orders[params.base_point]):
+                vec[x] += a
+                x = sigma[x]
     m = ring.characteristic
     return [c % m for c in vec] if m else vec
 
 
-def _assemble_family_element(covering: Covering, params: CoveringFamilyParams) -> RingElement:
-    return RingElement(params.ring, list(enumerate(_family_vector(covering, params, {}))))
-
-
 def covering_idempotent(covering: Covering, params: CoveringFamilyParams) -> RingElement:
     """Assemble the family element; the result is checked idempotent."""
-    u = _assemble_family_element(covering, params)
+    u = RingElement(params.ring, list(enumerate(_family_vector(covering, params))))
     if not is_idempotent(u, covering.hom.domain):
         raise InternalCheckError(
             "family element failed the idempotency check", element=element_to_json(u)
@@ -532,8 +526,12 @@ def covering_family_verify(
     determined by its sum constraint.  The idempotency defect has degree
     at most 2 in each free coefficient, so over a domain vanishing on three
     points per coefficient certifies every scalar value; the note says
-    whether the grid used does that.  Each case is assembled and squared
-    on coefficient lists (ring.dense_product).
+    whether the grid used does that.  A case is e_last (the unit fiber's
+    last point) plus c_t dir_t over its free coefficients: dir_t is the
+    orbit sum of t minus that of its fiber's last point, or e_t - e_last
+    on the unit fiber.  It is squared on coefficient lists
+    (ring.dense_product), integral grid values staying ints over Q; only
+    a failure is turned into parameters (covering_family_params).
     """
     if not isinstance(covering, Covering):
         raise TypeError("covering_family_verify needs a Covering, not a bare hom")
@@ -555,8 +553,11 @@ def covering_family_verify(
     if cases > budget:
         raise BudgetExceededError(cases, budget)
     report = FamilyVerifyReport(True, structures, 0)
-    table = covering.hom.domain.table
-    orbits: dict = {}
+    domain = covering.hom.domain
+    # over Q an integral case squares the same in ints
+    m = ring.characteristic
+    arith = ring if m else ZZ
+    orbit_dirs: dict = {}
     for size in range(0, max_j + 1):
         for j_set in itertools.combinations(codomain, size):
             for y0 in codomain:
@@ -564,8 +565,24 @@ def covering_family_verify(
                 for x0 in fiber0:
                     free_slots = [(y, x) for y in j_set for x in fibers[y][:-1]]
                     unit_slots = list(fiber0[:-1])
-                    width = len(free_slots) + len(unit_slots)
-                    for point in itertools.product(grid, repeat=width):
+                    for y, x in free_slots:
+                        if (x, x0) not in orbit_dirs:
+                            orbit_dirs[x, x0] = (orbit_sum(x, x0, domain)
+                                                 - orbit_sum(fibers[y][-1], x0, domain)).coeffs
+                    dirs = [orbit_dirs[x, x0] for _, x in free_slots]
+                    dirs += [((x, 1), (fiber0[-1], -1)) for x in unit_slots]
+                    for point in itertools.product(grid, repeat=len(dirs)):
+                        u = [0] * domain.order
+                        u[fiber0[-1]] = 1
+                        for c, d in zip(point, dirs):
+                            for k, a in d:
+                                u[k] += c * a
+                        if m:
+                            u = [c % m for c in u]
+                        report.cases += 1
+                        # the unit part gives u augmentation 1, so u is never 0
+                        if dense_product(u, u, domain.table, arith) == u:
+                            continue
                         zs: dict[int, dict[int, object]] = {}
                         for (y, x), c in zip(free_slots, point):
                             zs.setdefault(y, {})[x] = c
@@ -575,12 +592,8 @@ def covering_family_verify(
                         unit = dict(zip(unit_slots, point[len(free_slots):]))
                         unit[fiber0[-1]] = 1 - sum(unit.values())
                         params = covering_family_params(covering, ring, y0, unit, x0, zs)
-                        u = _family_vector(covering, params, orbits)
-                        report.cases += 1
-                        # the unit part gives u augmentation 1, so u is never 0
-                        if dense_product(u, u, table, ring) != u:
-                            report.verified = False
-                            report.failures.append(params.to_json())
+                        report.verified = False
+                        report.failures.append(params.to_json())
     report.notes.append(note)
     return report
 
@@ -625,7 +638,8 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     codomain index, then reconstructs v as a combination of orbit sums of
     the base point's right multiplication.  Works extensionally: only the
     element's own fiber sums and orbit structure matter, not a particular
-    choice of representatives.
+    choice of representatives.  Every step runs on coefficient lists
+    (ring.dense_product for the stabilizer test v*w = v).
     """
     domain = covering.hom.domain
     ring = u.ring
@@ -633,33 +647,31 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     if not is_idempotent(u, domain):
         raise NotIdempotentInputError("element is not idempotent (its square differs)")
     images = covering.hom.images
+    vec = dense_vector(u, domain.order)
     fiber_sum: dict[int, object] = {y: ring.zero for y in covering.fibers}
-    for x, c in u.coeffs:
+    for x, c in enumerate(vec):
         fiber_sum[images[x]] = ring.add(fiber_sum[images[x]], c)
     units = [y for y, s in fiber_sum.items() if s == ring.one]
     rest = [y for y, s in fiber_sum.items() if s not in (ring.zero, ring.one)]
     if len(units) != 1 or rest:
         return ClassifyResult(False, reason="fiber sums are not a single unit mass", flags=flags)
     y0 = units[0]
-    fiber0 = set(covering.fibers[y0])
-    w = RingElement(ring, [(x, c) for x, c in u.coeffs if x in fiber0])
-    v = u - w
-    x0 = min(w.support)
-    if v.is_zero():
-        params = covering_family_params(
-            covering, ring, y0, dict(w.coeffs), x0, {}
-        )
+    w = [c if images[x] == y0 else ring.zero for x, c in enumerate(vec)]
+    v = [ring.zero if images[x] == y0 else c for x, c in enumerate(vec)]
+    unit = {x: c for x, c in enumerate(w) if c}
+    x0 = min(unit)
+    if not any(v):
+        params = covering_family_params(covering, ring, y0, unit, x0, {})
         return ClassifyResult(True, params=params, flags=flags)
-    if mul(v, w, domain) != v:
+    if dense_product(v, w, domain.table, ring) != v:
         return ClassifyResult(
             False, reason="orbit part is not stabilized by the unit part", flags=flags
         )
     sigma = domain.right_mults[x0]
     n_sigma = domain.right_mult_orders[x0]
-    coeff = dict(v.coeffs)
     collected = []  # (orbit, multiplier)
     for orbit in perm_cycles(sigma):
-        values = {coeff.get(t, ring.zero) for t in orbit}
+        values = {v[t] for t in orbit}
         if len(values) > 1:
             return ClassifyResult(
                 False, reason="coefficients are not constant on a right-multiplication orbit", flags=flags
@@ -691,8 +703,8 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
             return ClassifyResult(
                 False, reason="orbit multipliers do not cancel over a fiber class", flags=flags
             )
-    params = covering_family_params(covering, ring, y0, dict(w.coeffs), x0, groups)
-    if _assemble_family_element(covering, params) != u:
+    params = covering_family_params(covering, ring, y0, unit, x0, groups)
+    if _family_vector(covering, params) != vec:
         raise InternalCheckError("classification failed to round-trip", element=element_to_json(u))
     return ClassifyResult(True, params=params, flags=flags)
 
@@ -787,7 +799,7 @@ def union_idempotents(
                     raise NotIdempotentInputError("unit part element is not idempotent")
                 if augmentation(u) != ring.one:
                     raise ConstraintViolatedError("unit part must have coefficient sum 1")
-            elif not u.is_zero() and not mul(u, u, part).is_zero():
+            elif any(_square(u, part)):
                 raise NotNilpotentError(f"part element over block at {off} does not square to zero")
             out = out + _lift(u, off)
     elif kind == "component_mass":
@@ -808,6 +820,11 @@ def union_idempotents(
             "union element failed the idempotency check", element=element_to_json(out)
         )
     return out
+
+
+def _square(u: RingElement, part: FiniteQuandle) -> list:
+    vec = dense_vector(u, part.order)
+    return dense_product(vec, vec, part.table, u.ring)
 
 
 def _union_membership(u: RingElement, parts, offsets) -> str | None:
@@ -840,7 +857,7 @@ def _union_membership(u: RingElement, parts, offsets) -> str | None:
                 if unit is None:
                     unit = i
                     continue
-            if not mul(v, v, part).is_zero():
+            if any(_square(v, part)):
                 return False
         return unit is not None
 

@@ -12,14 +12,14 @@ kernel vectors come from one Gauss-Jordan elimination over a field
 (residues for Z/p, Fractions for Z and Q, the latter scaled back to a
 primitive integer vector).
 
-Products have two routines.  `mul` is the sparse product on
-RingElements over any carrier, free quandles included.  Table carriers
-also have `dense_product`, the same product on coefficient lists indexed
-by the keys 0..n-1: it loops over the nonzero entries of each factor
-only, in the ring's own exact scalars (ints, Fractions, or ints reduced
-mod m once at the end), and builds no RingElement.  `is_idempotent` and
-`is_ring_endomorphism` use it on tables, and so does the covering-family
-sweep in idempotents.
+Products have two routines.  Table carriers use `dense_product`, the
+product on coefficient lists indexed by the keys 0..n-1: it loops over
+the nonzero entries of each factor only, in the ring's own exact scalars
+(ints, Fractions, or ints reduced mod m once at the end), and builds no
+RingElement.  Every check on a table goes through it: idempotency,
+nilpotency, endomorphisms, annihilator witnesses, and the covering-family
+sweep and classification in idempotents.  `mul`, the sparse product on
+RingElements, serves the carriers that have no table: free quandles.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def mul(u: RingElement, v: RingElement, carrier) -> RingElement:
     return RingElement(ring, acc)
 
 
-def _dense_vector(u: RingElement, n: int) -> list:
+def dense_vector(u: RingElement, n: int) -> list:
     """Coefficient list of u over the keys 0..n-1."""
     vec = [u.ring.zero] * n
     for k, c in u.coeffs:
@@ -283,13 +283,21 @@ def _dense_vector(u: RingElement, n: int) -> list:
 def dense_product(u: list, v: list, table, ring: CoeffRing) -> list:
     """Coefficient list of u*v under e_x e_y = e_{x*y}, for coefficient
     lists u and v over the keys of the n x n table."""
+    left = _nonzero(u)
+    return _pair_product(left, left if v is u else _nonzero(v), table, ring)
+
+
+def _nonzero(vec: list) -> list:
+    return [(k, c) for k, c in enumerate(vec) if c]
+
+
+def _pair_product(left: list, right: list, table, ring: CoeffRing) -> list:
+    """dense_product of two factors given as their nonzero (key, coefficient) pairs."""
     out = [ring.zero] * len(table)
-    right = [(y, b) for y, b in enumerate(v) if b]
-    for x, a in enumerate(u):
-        if a:
-            row = table[x]
-            for y, b in right:
-                out[row[y]] += a * b
+    for x, a in left:
+        row = table[x]
+        for y, b in right:
+            out[row[y]] += a * b
     m = ring.characteristic
     return [c % m for c in out] if m else out
 
@@ -307,7 +315,7 @@ def is_idempotent(u: RingElement, carrier) -> bool:
         return False
     if not isinstance(carrier, MagmaTable):
         return mul(u, u, carrier) == u
-    vec = _dense_vector(u, carrier.order)
+    vec = dense_vector(u, carrier.order)
     return dense_product(vec, vec, carrier.table, u.ring) == vec
 
 
@@ -384,15 +392,8 @@ class SquareMatrix:
 
 def _basis_images(u: RingElement, q: FiniteQuandle | MagmaTable) -> list:
     """e_k * u for every key k, as coefficient lists."""
-    n = q.order
-    ring = u.ring
-    vec = _dense_vector(u, n)
-    images = []
-    for k in range(n):
-        e_k = [ring.zero] * n
-        e_k[k] = ring.one
-        images.append(dense_product(e_k, vec, q.table, ring))
-    return images
+    right = _nonzero(dense_vector(u, q.order))
+    return [_pair_product([(k, u.ring.one)], right, q.table, u.ring) for k in range(q.order)]
 
 
 def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMatrix:
@@ -401,11 +402,14 @@ def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMa
 
 
 def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
-    """Whether w -> w*u preserves products, checked on all basis pairs."""
+    """Whether w -> w*u preserves products, checked on all basis pairs:
+    (e_k u)(e_l u) = e_{k*l} u.  The images e_k u are built once, with
+    their nonzero pairs, and the n^2 pairs are then multiplied in one loop."""
     image = _basis_images(u, q)
-    for k in range(q.order):
-        for l in range(q.order):
-            if image[q.table[k][l]] != dense_product(image[k], image[l], q.table, u.ring):
+    nonzero = [_nonzero(vec) for vec in image]
+    for k, row in enumerate(q.table):
+        for l, kl in enumerate(row):
+            if _pair_product(nonzero[k], nonzero[l], q.table, u.ring) != image[kl]:
                 return False
     return True
 
@@ -466,8 +470,8 @@ def has_nontrivial_right_annihilator(v: RingElement, q: FiniteQuandle | MagmaTab
     vec = kernel_vector(m)
     if vec is None:
         return False, None
-    witness = RingElement(v.ring, [(k, c) for k, c in enumerate(vec) if c != 0])
-    if not mul(witness, v, q).is_zero():
+    witness = RingElement(v.ring, _nonzero(vec))
+    if any(dense_product(vec, dense_vector(v, q.order), q.table, v.ring)):
         raise InternalCheckError(
             "annihilator witness does not annihilate", element=element_to_json(witness)
         )

@@ -155,19 +155,57 @@ def _perm_order_by_powers(perm):
     return k
 
 
+def naive_family_vector(table, images, params_doc):
+    """Coefficient vector of the covering-family element a parameter
+    document describes (the shape of CoveringFamilyParams.to_json()).
+
+    The document is checked against the fibers of images first: unit
+    coefficients lie over unit_fiber and sum to 1 with the base point
+    among them, and each zero-sum group lies over its index and sums to
+    0.  The element is the unit part plus, for each zero-sum coefficient
+    c_x, c_x times the sum of the first ord(S_x0) points of the orbit of
+    x under t -> t*x0, x0 the base point.  Coefficients are parsed from
+    their strings: Fractions over Q, residues over Zmod:m."""
+    tag = params_doc["ring"]
+    modulus = int(tag.split(":")[1]) if tag.startswith("Zmod:") else None
+    parse = Fraction if tag == "Q" else int
+
+    def red(c):
+        return c % modulus if modulus else c
+
+    n = len(table)
+    y0, x0 = params_doc["unit_fiber"], params_doc["base_point"]
+    unit = {x: parse(c) for x, c in params_doc["unit_coeffs"]}
+    assert x0 in unit and red(sum(unit.values())) == 1
+    assert all(images[x] == y0 for x in unit)
+    column = [table[t][x0] for t in range(n)]
+    steps = _perm_order_by_powers(column)
+    vec = [0] * n
+    for x, c in unit.items():
+        vec[x] += c
+    for y, pairs in params_doc["zero_sum_coeffs"]:
+        group = {x: parse(c) for x, c in pairs}
+        assert red(sum(group.values())) == 0 and all(images[x] == y for x in group)
+        for x, c in group.items():
+            t = x
+            for _ in range(steps):
+                vec[t] += c
+                t = column[t]
+    return [red(c) for c in vec]
+
+
 def naive_family_verify(table, images, tag, grid=(-1, 0, 1), max_j=2, modulus=None):
     """(structures, cases, failures) of the covering-family grid sweep,
     recomputed from the domain table and the image of each point.
 
     For every codomain subset J with |J| <= max_j (in combination order),
     unit fiber y0 and base point x0 in it, and every grid point, the
-    element is the unit part on the fiber over y0 plus, for each y in J
-    and x over y, c_x times the sum of the first ord(S_x0) points of the
-    orbit of x under t -> t*x0.  The last coefficient of each group is
-    fixed by its sum (1 on the unit fiber, 0 on a fiber in J).  The
-    element is squared with product_vector; a failure is its parameter
-    document, coefficients reduced mod modulus when one is given."""
-    n = len(table)
+    case is the parameter document with the unit part on the fiber over
+    y0 and, for each y in J, one coefficient per point over y.  The last
+    coefficient of each group is fixed by its sum (1 on the unit fiber, 0
+    on a fiber in J), coefficients are reduced mod modulus when one is
+    given, and the element is built by naive_family_vector and squared
+    with product_vector; a failure is its parameter document."""
     fibers = {}
     for x, y in enumerate(images):
         fibers.setdefault(y, []).append(x)
@@ -184,8 +222,6 @@ def naive_family_verify(table, images, tag, grid=(-1, 0, 1), max_j=2, modulus=No
                 fiber0 = fibers[y0]
                 for x0 in fiber0:
                     structures += 1
-                    column = [table[t][x0] for t in range(n)]
-                    steps = _perm_order_by_powers(column)
                     free = [(y, x) for y in j_set for x in fibers[y][:-1]]
                     for point in itertools.product(grid, repeat=len(free) + len(fiber0) - 1):
                         cases += 1
@@ -196,27 +232,19 @@ def naive_family_verify(table, images, tag, grid=(-1, 0, 1), max_j=2, modulus=No
                             groups[y][fibers[y][-1]] = -sum(groups[y].values())
                         unit = dict(zip(fiber0[:-1], point[len(free):]))
                         unit[fiber0[-1]] = 1 - sum(unit.values())
-                        vec = [0] * n
-                        for x, c in unit.items():
-                            vec[x] += c
-                        for group in groups.values():
-                            for x, c in group.items():
-                                t = x
-                                for _ in range(steps):
-                                    vec[t] += c
-                                    t = column[t]
-                        vec = [red(c) for c in vec]
+                        doc = {
+                            "ring": tag,
+                            "unit_fiber": y0,
+                            "base_point": x0,
+                            "unit_coeffs": [[x, str(red(c))] for x, c in sorted(unit.items())],
+                            "zero_sum_coeffs": [
+                                [y, [[x, str(red(c))] for x, c in sorted(groups[y].items())]]
+                                for y in j_set
+                            ],
+                        }
+                        vec = naive_family_vector(table, images, doc)
                         if any(vec) and square_vector(table, vec, modulus) != vec:
-                            failures.append({
-                                "ring": tag,
-                                "unit_fiber": y0,
-                                "base_point": x0,
-                                "unit_coeffs": [[x, str(red(c))] for x, c in sorted(unit.items())],
-                                "zero_sum_coeffs": [
-                                    [y, [[x, str(red(c))] for x, c in sorted(groups[y].items())]]
-                                    for y in j_set
-                                ],
-                            })
+                            failures.append(doc)
     return structures, cases, failures
 
 

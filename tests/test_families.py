@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from quandlekit import (
     covering_family_verify,
     covering_idempotent,
     dihedral_even_family,
+    dihedral_quandle,
     enumerate_boxed_Z,
     enumerate_mod_p,
     family_params_from_json,
@@ -48,13 +51,16 @@ from quandlekit import (
     union_quandle,
 )
 
+from quandlekit import idempotents
 from quandlekit._search_kernel import table_product
-from quandlekit.idempotents import _dense_sample, _support_search
+from quandlekit.core import union_offsets
+from quandlekit.idempotents import _dense_sample, _support_search, _union_membership
 
-from conftest import family_grid, load_fixture, read_json
+from conftest import family_grid, fixture_path, load_fixture, read_json
 from oracles import (
     element_to_vector,
     naive_idempotent_set_failures,
+    naive_family_vector,
     naive_family_verify,
     naive_idempotents_boxed,
     poly_eval,
@@ -212,6 +218,57 @@ def test_family_verify_failures_match_the_oracle_off_a_covering(r3, r6, t2, ring
     assert not covering_family_verify(forged[1]).verified
 
 
+@pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
+def test_family_verify_builds_parameters_only_for_failures(monkeypatch, r3, r6, t2, ring_name):
+    # the sweep squares each case from its directions; covering_family_params
+    # runs once per reported failure, to build its payload
+    calls = []
+    real = idempotents.covering_family_params
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(idempotents, "covering_family_params", spy)
+    ring, _ = FAMILY_RINGS[ring_name]
+    for name in ("r6_r3", "r10_r5"):
+        assert covering_family_verify(FAMILY_COVERINGS[name], ring=ring).verified
+    assert calls == []
+    forged = [
+        _forged_covering(r6, t2, [i % 2 for i in range(6)]),
+        _forged_covering(r3, trivial_quandle(1), [0, 0, 0]),
+    ]
+    failures = 0
+    for cov in forged:
+        for grid, max_j in [((-1, 0, 1), 2), ((0, 1, 2), 1)]:
+            failures += len(covering_family_verify(cov, ring=ring, grid=grid, max_j=max_j).failures)
+    assert failures > 0 and len(calls) == failures
+
+
+def test_family_library_checks_import_no_numpy(checkout_env):
+    # family-verify, classify and the endomorphism check stay in plain
+    # Python on r10 -> R_5, so library callers never pay numpy's import
+    code = (
+        "import sys\n"
+        "from quandlekit import *\n"
+        "r10, r5 = load_quandle(sys.argv[1]), load_quandle(sys.argv[2])\n"
+        "cov = check_covering(QuandleHom(r10, r5, [i % 5 for i in range(10)]))\n"
+        "members = [dihedral_even_family(5, j, 2, [1, -1, 0]) for j in range(5)]\n"
+        "assert all(is_ring_endomorphism(u, r10) for u in members)\n"
+        "assert all(covering_classify(u, cov).in_family for u in members)\n"
+        "assert all(covering_family_verify(cov, ring=r).verified for r in (ZZ, QQ, IntegersMod(7)))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, fixture_path("r10.json"), fixture_path("r5.json")],
+        env=checkout_env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 DEGREE_NOTE = (
     "grid {-1,0,1} per free coefficient certifies all coefficient values: "
     "the idempotency defect is polynomial of degree <= 2 in each free coefficient"
@@ -316,7 +373,42 @@ def test_every_boxed_idempotent_of_a_covering_is_in_its_family(order, bound, cou
     cov = check_covering(QuandleHom(domain, base, [i % k for i in range(order)]))
     found = enumerate_boxed_Z(domain, bound).idempotents
     assert len(found) == count
-    assert all(covering_classify(u, cov).in_family for u in found)
+    for u in found:
+        result = covering_classify(u, cov)
+        assert result.in_family
+        # the reported parameters, assembled by the oracle, give u back
+        vec = naive_family_vector(domain.table, cov.hom.images, result.params.to_json())
+        assert tuple(vec) == element_to_vector(u, order)
+
+
+@pytest.mark.parametrize(
+    "genuine,domain,images,ring,coeffs,reason",
+    [
+        (False, dihedral_quandle(6), [i % 2 for i in range(6)], ZZ,
+         [(0, -1), (1, -1), (2, -1), (3, 1), (4, 2), (5, 1)],
+         "orbit part is not stabilized by the unit part"),
+        (False, union_quandle([dihedral_quandle(4), trivial_quandle(1)]), [0, 1, 0, 1, 0], ZZ,
+         [(0, -2), (1, -2), (2, 2), (3, 2), (4, 1)],
+         "coefficients are not constant on a right-multiplication orbit"),
+        (False, union_quandle([dihedral_quandle(3), trivial_quandle(2)]), [0, 0, 0, 1, 1], ZZ,
+         [(0, 1), (3, -1), (4, 1)],
+         "orbit multiplicity does not divide the orbit coefficient"),
+        # a genuine covering; over Z/2 the orbit multipliers of a fiber
+        # class need not cancel, since the orbit order 2 is zero there
+        (True, dihedral_quandle(4), [0, 1, 0, 1], IntegersMod(2),
+         [(0, 1), (1, 1), (2, 1)],
+         "orbit multipliers do not cancel over a fiber class"),
+    ],
+)
+def test_classify_names_each_rejection(t2, genuine, domain, images, ring, coeffs, reason):
+    if genuine:
+        cov = check_covering(QuandleHom(domain, t2, images))
+    else:
+        cov = _forged_covering(domain, t2, images)
+    u = elem(ring, coeffs)
+    assert is_idempotent(u, domain)
+    result = covering_classify(u, cov)
+    assert (result.in_family, result.reason, result.params) == (False, reason, None)
 
 
 def test_classify_json_shape(cov63):
@@ -437,6 +529,14 @@ def test_union_cross_check_mod_p(t2, t3):
     out = union_cross_check([t2, t3], modulus=5)
     assert out["total"] == sum(out["explained"].values()) + len(out["observed_gaps"])
     assert out["observed_gaps"] == []
+
+
+def test_union_membership_needs_nilpotent_non_unit_blocks(r3):
+    # e_0 is a unit block, but e_0 - e_1 over R_3 squares to e_0 + e_1 - 2 e_2,
+    # so no union clause explains their sum
+    parts = [trivial_quandle(1), r3]
+    u = elem(ZZ, [(0, 1), (1, 1), (2, -1)])
+    assert _union_membership(u, parts, union_offsets(parts)) is None
 
 
 def test_union_cross_check_needs_scope(t2, r3):
