@@ -27,18 +27,15 @@ carries its name in the task, so every chunk passes through
   us per index on direct sweeps of R_7 to R_13, and 0.7-2.7 us on the
   r10 sweeps through R_5 (the most mod 3, where about a third of the
   indices solve key 0 and go on); it costs nothing to start.
-- "numpy" evaluates batches of BATCH indices as arrays.  It costs a
-  fraction of a microsecond per index, but importing numpy takes about
-  0.1 s.  Indices and digits are always int64 (callers refuse spaces of
-  2^63 or more); a magnitude guard then picks the coefficient dtype:
-  int64 when no square entry can overflow it, numpy object arrays of
-  Python ints otherwise, so large moduli and boxes run the same code
-  path in exact arithmetic.
+- "numpy" evaluates batches of BATCH indices as int64 arrays, and
+  refuses a plan that `_int64_safe` does not pass.  It costs a fraction
+  of a microsecond per index, but importing numpy takes about 0.1 s.
 
 The caller's rule (`idempotents.NUMPY_MIN_INDICES`) takes numpy once it
 is imported, or once plain Python would have evaluated more indices in
-this process than the import costs.  The driver re-verifies every hit
-with exact arbitrary-precision arithmetic.
+this process than the import costs; a plan past int64 (a huge modulus or
+box) always runs in plain Python.  Callers refuse index spaces of 2^63
+or more.  The driver re-verifies every hit with exact arithmetic.
 
 Both square a candidate one key at a time: the coefficient of e_k in
 u^2 is the sum of c_i c_j over the pairs with i*j = k, and only the
@@ -58,6 +55,8 @@ and searches that stay in plain Python, do not pay for importing it.
 from __future__ import annotations
 
 from math import isqrt
+
+from .errors import InternalCheckError
 
 BATCH = 1 << 15
 INDEX_LIMIT = 2**63  # indices are int64
@@ -270,9 +269,10 @@ def _evaluate_python(table, n, mode, param, fibers, start, stop, max_support):
 
 
 def _evaluate_numpy(table, n, mode, param, fibers, start, stop, max_support):
+    if not _int64_safe(n, param):
+        raise InternalCheckError(f"int64 evaluator given an unsafe plan: order {n}, {mode} {param}")
     import numpy as np
 
-    dtype = np.int64 if _int64_safe(n, param) else object
     pairs = _pairs(table, n)
     base = param if mode == "zp" else 2 * param + 1
     offset = param if mode == "zbox" else 0
@@ -289,7 +289,6 @@ def _evaluate_numpy(table, n, mode, param, fibers, start, stop, max_support):
         full = np.empty((n, m), dtype=np.int64)
         for key, w in zip(digits, weights):
             full[key] = (idx // w) % base - offset
-        full = full.astype(dtype, copy=False)
         in_box = np.ones(m, dtype=bool)
         for keys, target in fibers:
             last = target - full[list(keys[:-1])].sum(axis=0)
@@ -307,7 +306,7 @@ def _evaluate_numpy(table, n, mode, param, fibers, start, stop, max_support):
         for k, key_pairs in enumerate(pairs):
             if not full.shape[1]:
                 break
-            coeff = np.zeros(full.shape[1], dtype=dtype)
+            coeff = np.zeros(full.shape[1], dtype=np.int64)
             for i, j in key_pairs:
                 coeff += full[i] * full[j]
             if mode == "zp":

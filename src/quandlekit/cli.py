@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import core, free, idempotents
-from .core import QuandleHom, check_covering, load_quandle, quandle_from_json
+from .core import QuandleHom, check_covering, load_quandle, quandle_from_json, read_json
 from .errors import InvalidParamsError, QuandleKitError
 from .ring import (
     augmentation,
@@ -59,14 +59,9 @@ def _csv_ints(text: str) -> list[int]:
         raise InvalidParamsError(f"expected comma separated integers, got {text!r}") from None
 
 
-def _load_raw(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_doc(path: str, key: str) -> dict:
     """The JSON object in path, which must have the field `key`."""
-    doc = _load_raw(path)
+    doc = read_json(path)
     if not isinstance(doc, dict) or key not in doc:
         raise InvalidParamsError(f"{path}: expected a JSON object with a {key!r} field")
     return doc
@@ -76,17 +71,17 @@ def _stem(path: str) -> str:
     return os.path.basename(path).removesuffix(".json")
 
 
-def _ring_args(tag: str, bound):
-    """Split a --ring value into (mode, param); bound rides along for z."""
+def _scope(tag: str, bound) -> dict:
+    """The search scope of --ring and --bound: {"bound": B} or {"modulus": P}."""
     tag = tag.lower()
     if tag == "z":
         if bound is None:
             raise InvalidParamsError("--ring z needs --bound")
-        return "zbox", _int(bound, "--bound")
+        return {"bound": _int(bound, "--bound")}
     if tag.startswith("zp:"):
         if bound is not None:
             raise InvalidParamsError("--bound only applies to --ring z")
-        return "zp", _int(tag.split(":", 1)[1], "modulus")
+        return {"modulus": _int(tag.split(":", 1)[1], "modulus")}
     raise InvalidParamsError(f"unsupported ring {tag!r}; use z or zp:P")
 
 
@@ -153,7 +148,7 @@ def _cmd_quandle_make(args) -> dict:
     elif kind == "cocycle":
         if args.alpha is None:
             raise InvalidParamsError("cocycle needs --alpha")
-        alpha_doc = _load_raw(args.alpha)
+        alpha_doc = read_json(args.alpha)
         alpha = alpha_doc["alpha"] if isinstance(alpha_doc, dict) else alpha_doc
         data = core.CocycleData.from_parts(load_quandle(params[0]), _int(params[1], "group order"), alpha)
         q = core.make(kind, data)
@@ -266,17 +261,12 @@ def _cmd_covering_zero_divisor(args) -> dict:
 
 def _cmd_idem_enumerate(args) -> dict:
     q = load_quandle(args.file, as_magma=args.as_magma)
-    mode, param = _ring_args(args.ring, args.bound)
-    strata = None if args.augmentation == "any" else (0, 1)
-    if mode == "zbox":
-        report = idempotents.enumerate_boxed_Z(
-            q, param, args.max_support, strata, budget=args.budget, jobs=args.jobs
-        )
+    scope = _scope(args.ring, args.bound)
+    search = dict(max_support=args.max_support, budget=args.budget, jobs=args.jobs)
+    if "bound" in scope:
+        report = idempotents.enumerate_boxed_Z(q, scope["bound"], **search)
     else:
-        report = idempotents.enumerate_mod_p(
-            q, param, args.max_support, strata,
-            budget=args.budget, jobs=args.jobs, force=args.force_composite,
-        )
+        report = idempotents.enumerate_mod_p(q, scope["modulus"], force=args.force_composite, **search)
     return report.to_json(include_timing=args.timing)
 
 
@@ -294,14 +284,8 @@ def _cmd_idem_family(args) -> dict:
 
 def _cmd_idem_union(args) -> dict:
     parts = [load_quandle(p) for p in args.files]
-    mode, param = _ring_args(args.ring, args.bound)
-    if mode == "zbox":
-        return idempotents.union_cross_check(
-            parts, bound=param, max_support=args.max_support,
-            budget=args.budget, jobs=args.jobs,
-        )
     return idempotents.union_cross_check(
-        parts, modulus=param, max_support=args.max_support,
+        parts, **_scope(args.ring, args.bound), max_support=args.max_support,
         budget=args.budget, jobs=args.jobs,
     )
 
@@ -311,13 +295,8 @@ def _cmd_idem_twisted_union(args) -> dict:
     y = load_quandle(args.files[1])
     f = _csv_ints(args.f)
     g = _csv_ints(args.g)
-    mode, param = _ring_args(args.ring, args.bound)
-    if mode == "zbox":
-        return idempotents.twisted_union_classify(
-            x, y, f, g, bound=param, budget=args.budget, jobs=args.jobs
-        )
     return idempotents.twisted_union_classify(
-        x, y, f, g, modulus=param, budget=args.budget, jobs=args.jobs
+        x, y, f, g, **_scope(args.ring, args.bound), budget=args.budget, jobs=args.jobs
     )
 
 
@@ -423,19 +402,17 @@ def build_parser() -> _Parser:
         p.add_argument("--budget", type=int, default=10**8)
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="worker count; reports do not depend on it")
-        p.add_argument("--max-support", type=int, default=None)
 
     p = sub(isub, "enumerate", _cmd_idem_enumerate, help="exhaustive search in a declared scope")
     p.add_argument("file")
     p.add_argument("--ring", required=True, help="z (with --bound) or zp:P")
     p.add_argument("--bound", type=int, default=None, help="coefficient box for --ring z")
-    p.add_argument("--augmentation", choices=["01", "any"], default="01",
-                   help="strata to sweep; 'any' drops the domain assumption")
     p.add_argument("--force-composite", action="store_true",
-                   help="allow a composite modulus (weaker claims)")
+                   help="allow a composite modulus (sweeps every augmentation stratum)")
     p.add_argument("--as-magma", action="store_true", help="tolerate non-quandle tables")
     p.add_argument("--timing", action="store_true", help="report real elapsed time")
     search_flags(p)
+    p.add_argument("--max-support", type=int, default=None)
     p = sub(isub, "family", _cmd_idem_family, help="build one covering-family idempotent")
     p.add_argument("--covering", required=True, help="covering JSON file")
     p.add_argument("--params", required=True, help="family parameter JSON file")
@@ -444,6 +421,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ring", required=True, help="z (with --bound) or zp:P")
     p.add_argument("--bound", type=int, default=None)
     search_flags(p)
+    p.add_argument("--max-support", type=int, default=None)
     p = sub(isub, "twisted-union", _cmd_idem_twisted_union,
             help="classify twisted-union idempotents and cross-check")
     p.add_argument("files", nargs=2, help="the two trivial part files")
@@ -457,6 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--moduli", default=None, help="primes, comma separated")
     search_flags(p)
+    p.add_argument("--max-support", type=int, default=None)
     p = sub(isub, "fq-search", _cmd_idem_fq_search, help="bounded search in a free basis")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,10 +32,19 @@ from .errors import (
 Table = tuple[tuple[int, ...], ...]
 
 
+def doc_int(value, what: str) -> int:
+    """value as an int: a Python or numpy integer, never a bool, float or string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParamsError(f"{what} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def _normalize_table(table) -> Table:
     try:
-        rows = tuple(tuple(int(v) for v in row) for row in table)
-    except (TypeError, ValueError):
+        rows = tuple(tuple(doc_int(v, "a table entry") for v in row) for row in table)
+    except TypeError:
         raise InvalidParamsError("table must be a list of rows of integers") from None
     n = len(rows)
     if n == 0:
@@ -139,23 +149,27 @@ class FiniteQuandle(MagmaTable):
 def quandle_from_json(doc: dict, as_magma: bool = False) -> FiniteQuandle | MagmaTable:
     if not isinstance(doc, dict) or "table" not in doc:
         raise InvalidParamsError("quandle JSON needs a 'table' field")
-    table = doc["table"]
-    if "order" in doc:
-        try:
-            mismatch = int(doc["order"]) != len(table)
-        except (TypeError, ValueError):
-            msg = "'order' must be an integer and 'table' a list of rows"
-            raise InvalidParamsError(msg) from None
-        if mismatch:
-            raise InvalidParamsError("'order' disagrees with table size")
     cls = MagmaTable if as_magma else FiniteQuandle
-    return cls(table, labels=doc.get("labels"))
+    q = cls(doc["table"], labels=doc.get("labels"))
+    if "order" in doc and doc_int(doc["order"], "'order'") != q.order:
+        raise InvalidParamsError("'order' disagrees with table size")
+    return q
+
+
+def read_json(path):
+    """The JSON document in path.  An integer literal past Python's limit
+    on int-str conversion (4300 digits) is malformed input, not a crash."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as err:
+            raise InvalidParamsError(f"{path}: {err}") from None
 
 
 def load_quandle(path, as_magma: bool = False) -> FiniteQuandle | MagmaTable:
-    with open(path) as fh:
-        doc = json.load(fh)
-    q = quandle_from_json(doc, as_magma=as_magma)
+    q = quandle_from_json(read_json(path), as_magma=as_magma)
     stem = str(path).rsplit("/", 1)[-1]
     q.name = stem.removesuffix(".json")
     return q
@@ -364,8 +378,8 @@ class CocycleData:
         if a < 1:
             raise InvalidParamsError("group order must be >= 1")
         try:
-            rows = tuple(tuple(int(v) % a for v in row) for row in alpha)
-        except (TypeError, ValueError):
+            rows = tuple(tuple(doc_int(v, "alpha") % a for v in row) for row in alpha)
+        except (TypeError, InvalidParamsError):
             raise InvalidParamsError("alpha must be an order x order array of integers") from None
         n = base.order
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -684,7 +698,9 @@ class QuandleHom:
     """A map of quandles given by the image of every domain index."""
 
     def __init__(self, domain: FiniteQuandle, codomain: FiniteQuandle, images):
-        images = tuple(int(v) for v in images)
+        if not isinstance(images, (list, tuple)):
+            raise InvalidParamsError("images must be a list of integers")
+        images = tuple(doc_int(v, "an image") for v in images)
         if len(images) != domain.order:
             raise InvalidParamsError("images length differs from domain order")
         if any(not 0 <= v < codomain.order for v in images):

@@ -1,10 +1,10 @@
 """Idempotent searches, covering-derived families, and cross-checks.
 
-Enumerations are exhaustive for a declared scope: a prime modulus, or an
-integer coefficient box.  Over an integral domain the coefficient sum of
-an idempotent is 0 or 1, so the scope is declared in augmentation strata;
-a non-domain modulus (forced) widens to all strata on request and the
-report says the claim is weaker.
+Enumerations are exhaustive for a scope derived from the ring and the
+bound: a modulus, or an integer coefficient box.  The augmentation
+k[X] -> k is a ring map, so an idempotent's coefficient sum is an
+idempotent of k: 0 or 1 over a domain, the only strata swept there; a
+forced composite modulus sweeps every stratum.
 
 The sweep goes through a quotient.  A congruence of the table gives a
 surjective hom X -> Y whose linear extension k[X] -> k[Y] is a ring map
@@ -22,6 +22,7 @@ multiplication before it is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -36,6 +37,7 @@ from .core import (
     congruences,
     core_quandle,
     dihedral_quandle,
+    doc_int,
     perm_cycles,
     properties,
     quotient_table,
@@ -96,6 +98,12 @@ class SearchSpec:
         }
 
 
+def _spec(ring: CoeffRing, box_bound: int | None, max_support: int | None) -> SearchSpec:
+    """The declared scope of a table search: the strata 0 and 1 over a
+    domain, every stratum otherwise."""
+    return SearchSpec(ring, box_bound, max_support, (0, 1) if ring.is_domain else None)
+
+
 # Fewer candidates than this, all strata together, run serially whatever
 # the job count: below it starting a process pool costs more than the
 # second worker saves (break-even measured on a 2-core host).
@@ -142,11 +150,12 @@ def _run_tasks(tasks, jobs: int):
         return list(pool.map(_search_kernel.evaluate_chunk, tasks))
 
 
-def _kernel_evaluator(indices: int) -> str:
+def _kernel_evaluator(indices: int, int64_safe: bool) -> str:
     """The evaluator of a plan of `indices` kernel indices, by the rule at
-    NUMPY_MIN_INDICES; a plan given to plain Python counts towards it."""
+    NUMPY_MIN_INDICES; a plan given to plain Python counts towards it.  A
+    plan whose squares could overflow int64 always runs in plain Python."""
     global _python_indices
-    if "numpy" in sys.modules or _python_indices + indices > NUMPY_MIN_INDICES:
+    if int64_safe and ("numpy" in sys.modules or _python_indices + indices > NUMPY_MIN_INDICES):
         return "numpy"
     _python_indices += indices
     return "python"
@@ -211,8 +220,9 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
     extension k[X] -> k[Y] is a ring map that keeps the augmentation.  So
     every idempotent u in scope maps to 0 or to an idempotent of k[Y] in
     the same strata, inside the box max|fiber| * B over Z; the same search
-    on the quotient table finds those, and each one (0 first, when the
-    strata admit it) fixes the coefficient sum of u over every fiber.
+    on the quotient table finds those, and each one (0 first; every scope
+    holds the strata 0 and 1) fixes the coefficient sum of u over every
+    fiber.
     The quotient taken has the fewest free digits per target, ties broken
     by the sorted partition, among those whose own search is no larger
     than the direct sweep of `space` indices per entry of `direct`.  Its
@@ -222,11 +232,6 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
     as soon as its kernel finds too many.  Then the direct sweep is kept.
     """
     n = carrier.order
-    ring = spec.ring
-
-    def admits(c) -> bool:
-        return spec.augmentation is None or any(ring.coerce(s) == c for s in spec.augmentation)
-
     cost = len(direct) * (space + SWEEP_COST)
     proper = [c for c in congruences(carrier) if len(c) > 1]
     for partition in sorted(proper, key=lambda c: (-len(c), c)):
@@ -237,21 +242,14 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
         quotient = MagmaTable(quotient_table(carrier, partition))
         # the most nonzero targets whose sweeps still cost less than the direct one
         sweep = _search_kernel.space_size(n, mode, param, k)
-        limit = cost // (sweep + SWEEP_COST) - admits(ring.zero)
-        known = 0
-        if admits(ring.one):
-            known = _known_idempotents(quotient.table, mode, base_param, spec.max_support)
-        if known > limit:
+        limit = cost // (sweep + SWEEP_COST) - 1
+        if _known_idempotents(quotient.table, mode, base_param, spec.max_support) > limit:
             break
-        base_spec = SearchSpec(
-            ring, None if mode == "zp" else base_param, spec.max_support, spec.augmentation
-        )
+        base_spec = _spec(spec.ring, None if mode == "zp" else base_param, spec.max_support)
         base = _enumerate_table(quotient, base_spec, mode, base_param, budget, jobs, max_hits=limit)
         if base is None:
             break
-        targets = [tuple(u.coeff(y) for y in range(k)) for u in base.idempotents]
-        if admits(ring.zero):
-            targets.insert(0, (0,) * k)
+        targets = [(0,) * k] + [tuple(u.coeff(y) for y in range(k)) for u in base.idempotents]
         return [tuple(zip(partition, v)) for v in targets]
     return direct
 
@@ -269,8 +267,8 @@ def _enumerate_table(
     has found more than max_hits idempotents."""
     start = time.monotonic()
     n = carrier.order
-    strata = None if spec.augmentation is None else sorted(spec.augmentation)
     # the direct sweep: one block of all keys per augmentation stratum
+    strata = spec.augmentation
     direct = [()] if strata is None else [((tuple(range(n)), s),) for s in strata]
     space = _search_kernel.space_size(n, mode, param, len(direct[0]))
     if space * len(direct) > budget:
@@ -282,7 +280,7 @@ def _enumerate_table(
     plan = _sweep_plan(carrier, spec, mode, param, budget, jobs, direct, space)
     sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers in plan]
     workers = jobs if sum(sweeps) >= POOL_MIN_SPACE else 1
-    evaluator = _kernel_evaluator(sum(sweeps))
+    evaluator = _kernel_evaluator(sum(sweeps), _search_kernel._int64_safe(n, param))
     tasks = [
         (carrier.table, n, mode, param, fibers, a, b, max_support, evaluator)
         for fibers, sweep in zip(plan, sweeps)
@@ -301,7 +299,7 @@ def _enumerate_table(
         # exact re-verification of every kernel hit
         if not is_idempotent(u, carrier):
             raise InternalCheckError(f"kernel hit fails exact recheck: {vec}", vector=list(vec))
-        if spec.ring.is_domain and augmentation(u) not in (spec.ring.zero, spec.ring.one):
+        if spec.augmentation is not None and augmentation(u) not in (spec.ring.zero, spec.ring.one):
             raise InternalCheckError(
                 f"kernel hit has augmentation not 0 or 1: {vec}", vector=list(vec)
             )
@@ -314,7 +312,6 @@ def _enumerate_table(
                 )
         found.append(u)
     flags = []
-    exhaustive = True
     if not carrier.is_quandle:
         flags.append("not a quandle")
     if mode == "zbox":
@@ -325,9 +322,6 @@ def _enumerate_table(
         flags.append("two-element coefficient ring")
     if not spec.ring.is_domain:
         flags.append("non-domain coefficients")
-        if strata is not None:
-            flags.append("augmentation strata assume a domain; rerun with augmentation=any for completeness")
-            exhaustive = False
     if max_support < n:
         flags.append(f"support limited to <= {max_support} basis elements")
     elapsed = int((time.monotonic() - start) * 1000)
@@ -336,7 +330,7 @@ def _enumerate_table(
         order=n,
         spec=spec.to_json(),
         idempotents=sorted(found, key=lambda u: u.sort_key()),
-        exhaustive=exhaustive,
+        exhaustive=True,
         flags=flags,
         candidates_tested=_declared_count(n, mode, param, spec.augmentation),
         elapsed_ms=elapsed,
@@ -347,30 +341,37 @@ def enumerate_mod_p(
     carrier: FiniteQuandle | MagmaTable,
     p: int,
     max_support: int | None = None,
-    augmentation_filter: tuple[int, ...] | None = (0, 1),
+    *,
     budget: int = 10**8,
     jobs: int = 1,
     force: bool = False,
 ) -> IdempotentReport:
-    """Every idempotent of the mod-p quandle ring, stratified by coefficient sum."""
+    """Every idempotent of the mod-p quandle ring; a composite p needs force."""
     ring = IntegersMod(p, force=force)
-    spec = SearchSpec(ring, None, max_support, augmentation_filter)
-    return _enumerate_table(carrier, spec, "zp", p, budget, jobs)
+    return _enumerate_table(carrier, _spec(ring, None, max_support), "zp", p, budget, jobs)
 
 
 def enumerate_boxed_Z(
     carrier: FiniteQuandle | MagmaTable,
     bound: int,
     max_support: int | None = None,
-    augmentation_filter: tuple[int, ...] | None = (0, 1),
+    *,
     budget: int = 10**8,
     jobs: int = 1,
 ) -> IdempotentReport:
     """Every integer idempotent with all coefficients in [-bound, bound]."""
     if bound < 1:
         raise InvalidParamsError("bound must be >= 1")
-    spec = SearchSpec(ZZ, bound, max_support, augmentation_filter)
-    return _enumerate_table(carrier, spec, "zbox", bound, budget, jobs)
+    return _enumerate_table(carrier, _spec(ZZ, bound, max_support), "zbox", bound, budget, jobs)
+
+
+def _enumerate(carrier, modulus, bound, max_support, budget: int, jobs: int) -> IdempotentReport:
+    """The search modulo `modulus` if it is given, else in the box `bound`."""
+    if modulus is not None:
+        return enumerate_mod_p(carrier, modulus, max_support, budget=budget, jobs=jobs)
+    if bound is None:
+        raise InvalidParamsError("need a modulus or a box bound")
+    return enumerate_boxed_Z(carrier, bound, max_support, budget=budget, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +452,14 @@ def covering_family_params(
 
 def family_params_from_json(covering: Covering, doc: dict) -> CoveringFamilyParams:
     ring = ring_from_tag(doc["ring"])
+
+    def coeffs(pairs) -> dict:
+        return {doc_int(x, "a point"): ring.scalar_parse(str(c)) for x, c in pairs}
+
     try:
-        unit = {int(x): ring.scalar_parse(str(c)) for x, c in doc["unit_coeffs"]}
-        zs = {
-            int(y): {int(x): ring.scalar_parse(str(c)) for x, c in pairs}
-            for y, pairs in doc.get("zero_sum_coeffs", [])
-        }
-        unit_fiber, base_point = int(doc["unit_fiber"]), int(doc["base_point"])
+        unit = coeffs(doc["unit_coeffs"])
+        zs = {doc_int(y, "a fiber"): coeffs(pairs) for y, pairs in doc.get("zero_sum_coeffs", [])}
+        unit_fiber, base_point = (doc_int(doc[k], k) for k in ("unit_fiber", "base_point"))
     except (TypeError, ValueError):
         raise InvalidParamsError(
             "family parameters need integer points and fibers, and [point, coefficient] pairs"
@@ -713,6 +715,12 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
 # even dihedral family
 
 
+@functools.cache
+def _dihedral(order: int) -> FiniteQuandle:
+    """The dihedral table of each order, built and validated once."""
+    return dihedral_quandle(order)
+
+
 def dihedral_even_family(n: int, j: int, beta, alphas, ring: CoeffRing = ZZ) -> RingElement:
     """Idempotent of the order-2n dihedral table built from its mod-n covering.
 
@@ -738,7 +746,7 @@ def dihedral_even_family(n: int, j: int, beta, alphas, ring: CoeffRing = ZZ) -> 
         pairs.append(((2 * j - i) % order, a))
         pairs.append(((n + 2 * j - i) % order, ring.neg(a)))
     u = RingElement(ring, pairs)
-    if not is_idempotent(u, dihedral_quandle(order)):
+    if not is_idempotent(u, _dihedral(order)):
         raise InternalCheckError(
             "family element failed the idempotency check", element=element_to_json(u)
         )
@@ -896,12 +904,7 @@ def union_cross_check(
     parts = list(parts)
     union_q = union_quandle(parts)
     offsets = union_offsets(parts)
-    if modulus is not None:
-        report = enumerate_mod_p(union_q, modulus, max_support, budget=budget, jobs=jobs)
-    elif bound is not None:
-        report = enumerate_boxed_Z(union_q, bound, max_support, budget=budget, jobs=jobs)
-    else:
-        raise InvalidParamsError("need a modulus or a box bound")
+    report = _enumerate(union_q, modulus, bound, max_support, budget, jobs)
     counts = {"weighted_idempotents": 0, "nilpotent_perturbation": 0, "component_mass": 0}
     gaps = []
     for u in report.sorted_idempotents():
@@ -947,54 +950,25 @@ def twisted_union_classify(
         raise HypothesisFailedError("f must be a single cycle on the first block")
     if len(perm_cycles([int(v) for v in g])) != 1:
         raise HypothesisFailedError("g must be a single cycle on the second block")
-    if modulus is not None:
-        ring = IntegersMod(modulus)
-        if math.gcd(modulus, nx) != 1 or math.gcd(modulus, ny) != 1:
-            raise HypothesisFailedError(
-                "characteristic must be coprime to both block sizes"
-            )
-        if modulus ** max(nx, ny) > budget:
-            raise BudgetExceededError(modulus ** max(nx, ny), budget)
-        report = enumerate_mod_p(q, modulus, budget=budget, jobs=jobs)
-        scope_x = [
-            vec
-            for vec in itertools.product(range(modulus), repeat=nx)
-            if sum(vec) % modulus == 1
-        ]
-        scope_y = [
-            vec
-            for vec in itertools.product(range(modulus), repeat=ny)
-            if sum(vec) % modulus == 1
-        ]
-        mixed = []
-        inv_ny = pow(ny, -1, modulus)
-        for a in range(modulus):
-            b = ((1 - a * nx) * inv_ny) % modulus
-            mixed.append((a, b))
-    elif bound is not None:
-        ring = ZZ
-        if (2 * bound + 1) ** max(nx, ny) > budget:
-            raise BudgetExceededError((2 * bound + 1) ** max(nx, ny), budget)
-        report = enumerate_boxed_Z(q, bound, budget=budget, jobs=jobs)
-        rng = range(-bound, bound + 1)
-        scope_x = [vec for vec in itertools.product(rng, repeat=nx) if sum(vec) == 1]
-        scope_y = [vec for vec in itertools.product(rng, repeat=ny) if sum(vec) == 1]
-        mixed = []
-        for a in rng:
-            num = 1 - a * nx
-            if num % ny == 0 and abs(num // ny) <= bound:
-                mixed.append((a, num // ny))
-    else:
-        raise InvalidParamsError("need a modulus or a box bound")
+    ring = ZZ if modulus is None else IntegersMod(modulus)
+    if modulus is not None and math.gcd(modulus, nx * ny) != 1:
+        raise HypothesisFailedError("characteristic must be coprime to both block sizes")
+    # the search's budget bounds the expected set too: it declares at least
+    # |alphabet|^(nx + ny - 1) vectors, the expected set |alphabet|^max(nx, ny)
+    report = _enumerate(q, modulus, bound, None, budget, jobs)
+    alphabet = range(-bound, bound + 1) if modulus is None else range(modulus)
     expected: set[RingElement] = set()
-    for vec in scope_x:
-        expected.add(RingElement(ring, list(enumerate(vec))))
-    for vec in scope_y:
-        expected.add(RingElement(ring, [(nx + i, c) for i, c in enumerate(vec)]))
-    for a, b in mixed:
-        expected.add(
-            RingElement(ring, [(i, a) for i in range(nx)] + [(nx + i, b) for i in range(ny)])
-        )
+    for offset, size in ((0, nx), (nx, ny)):
+        for vec in itertools.product(alphabet, repeat=size):
+            if ring.coerce(sum(vec)) == ring.one:
+                expected.add(RingElement(ring, [(offset + i, c) for i, c in enumerate(vec)]))
+    for a in alphabet:
+        # the one b, if any, with a*nx + b*ny = 1
+        b = ring.div(ring.coerce(1 - a * nx), ny)
+        if b is not None and b in alphabet:
+            expected.add(
+                RingElement(ring, [(i, a) for i in range(nx)] + [(nx + i, b) for i in range(ny)])
+            )
     got = set(report.idempotents)
     missing = sorted(expected - got, key=lambda u: u.sort_key())
     extra = sorted(got - expected, key=lambda u: u.sort_key())
@@ -1355,12 +1329,9 @@ def conjecture_scan(
         counterexamples = []
         searches = []
         try:
-            if bound is not None:
-                report = enumerate_boxed_Z(q, bound, max_support, budget=budget, jobs=jobs)
-                searches.append(report.spec)
-                counterexamples.extend(_non_basis(report))
-            for p in moduli:
-                report = enumerate_mod_p(q, p, max_support, budget=budget, jobs=jobs)
+            boxes = [] if bound is None else [(None, bound)]
+            for modulus, box in boxes + [(p, None) for p in moduli]:
+                report = _enumerate(q, modulus, box, max_support, budget, jobs)
                 searches.append(report.spec)
                 counterexamples.extend(_non_basis(report))
         except BudgetExceededError as err:

@@ -38,16 +38,26 @@ from .errors import (
 from .core import FiniteQuandle, MagmaTable
 
 
+# Miller-Rabin on the primes up to 41 is exact below _MR_LIMIT (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    """Whether m is prime.  A modulus from _MR_LIMIT up that no base shows
+    composite is refused, since its primality is not decided."""
+    if m < 2 or any(m % b == 0 for b in _MR_BASES):
+        return m in _MR_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d 2^s with d odd
+    for b in _MR_BASES:
+        # b^d, b^(2d), ..., b^(2^(s-1) d) mod m
+        powers = [pow(b, (m - 1) >> (s - i), m) for i in range(s)]
+        if powers[0] != 1 and m - 1 not in powers:
             return False
-        f += 2
+    if m >= _MR_LIMIT:
+        raise InvalidParamsError(f"cannot decide whether the modulus {m} is prime: "
+                                 f"moduli below {_MR_LIMIT} are decided exactly")
     return True
 
 

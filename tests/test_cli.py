@@ -12,6 +12,7 @@ import pytest
 
 from cli_cases import CASES, GOLDEN, fx
 from conftest import ROOT
+from oracles import naive_idempotents_mod_p
 from quandlekit import core
 from quandlekit.cli import main
 
@@ -308,15 +309,21 @@ def test_composite_modulus_needs_force_flag(capsys):
     assert doc["error"] == "CompositeModulus"
     assert doc["modulus"] == 4
 
-    # forcing runs the search but honesty about the strata shortcut survives
+    # forcing runs an exhaustive search over every augmentation stratum
     code, out, _ = run_cli(
         ["idem", "enumerate", fx("r3.json"), "--ring", "zp:4", "--force-composite"],
         capsys,
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["exhaustive"] is False
+    assert doc["exhaustive"] is True
+    assert doc["spec"]["augmentation"] == "any"
     assert "non-domain coefficients" in doc["flags"]
+    found = set()
+    for u in doc["idempotents"]:
+        coeffs = {k: int(c) for k, c in u["coeffs"]}
+        found.add(tuple(coeffs.get(k, 0) for k in range(3)))
+    assert found == naive_idempotents_mod_p(core.load_quandle(fx("r3.json")).table, 4)
 
 
 def test_budget_refusal_is_exit_two(capsys):
@@ -428,6 +435,44 @@ def test_malformed_family_parameters_are_invalid_params(change, message, tmp_pat
     assert err == ""
 
 
+# (document, command with {doc} for its path, path to the field, value):
+# each value was read with int(), which truncated floats and bools and
+# raised TypeError or ValueError on words, lists and nulls
+FAMILY_COVERING = ["idem", "family", "--covering", "{doc}", "--params", fx("family_r6.json")]
+FAMILY_PARAMS = ["idem", "family", "--covering", fx("cov_r6_r3.json"), "--params", "{doc}"]
+NON_INTEGER_FIELDS = {
+    "map-string": ("cov_r6_r3.json", FAMILY_COVERING, ["map"], "0,1,2,0,1,2"),
+    "map-number": ("cov_r6_r3.json", FAMILY_COVERING, ["map"], 5),
+    "map-words": ("cov_r6_r3.json", FAMILY_COVERING, ["map"], ["a", "b", "c", "a", "b", "c"]),
+    "map-null-entry": ("cov_r6_r3.json", FAMILY_COVERING, ["map", 3], None),
+    "map-float-entry": ("cov_r6_r3.json", FAMILY_COVERING, ["map", 2], 2.5),
+    "map-bool-entry": ("cov_r6_r3.json", FAMILY_COVERING, ["map", 1], True),
+    "covering-table-float": ("cov_r6_r3.json", FAMILY_COVERING, ["total", "table", 0, 0], 0.5),
+    "table-float": ("t2.json", ["quandle", "check", "{doc}"], ["table", 0, 0], 0.5),
+    "order-float": ("t2.json", ["quandle", "check", "{doc}"], ["order"], 2.5),
+    "params-point-float": ("family_r6.json", FAMILY_PARAMS,
+                           ["zero_sum_coeffs", 0, 1, 0, 0], 0.5),
+    "params-unit-fiber-float": ("family_r6.json", FAMILY_PARAMS, ["unit_fiber"], 1.5),
+    "params-base-point-float": ("family_r6.json", FAMILY_PARAMS, ["base_point"], 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_FIELDS))
+def test_non_integer_document_fields_are_invalid_params(case, tmp_path, capsys):
+    name, argv, field, value = NON_INTEGER_FIELDS[case]
+    doc = json.loads(Path(fx(name)).read_text())
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([str(path) if a == "{doc}" else a for a in argv], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidParams"
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "argv,key",
     [
@@ -454,8 +499,11 @@ def test_documents_without_their_field_are_invalid_params(argv, key, doc, tmp_pa
     assert err == ""
 
 
-@pytest.mark.parametrize("alpha", [5, [[0, 0, 0], [0, 0, "x"], [0, 0, 0]], {"alpha": 5}],
-                         ids=["number", "word-entry", "number-field"])
+@pytest.mark.parametrize(
+    "alpha",
+    [5, [[0, 0, 0], [0, 0, "x"], [0, 0, 0]], {"alpha": 5}, [[0, 0, 0], [0, 0.5, 0], [0, 0, 0]]],
+    ids=["number", "word-entry", "number-field", "float-entry"],
+)
 def test_malformed_cocycle_matrices_are_invalid_params(alpha, tmp_path, capsys):
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps(alpha))

@@ -168,15 +168,19 @@ def test_composite_modulus_needs_force(t2):
         enumerate_mod_p(t2, 4)
 
 
-def test_forced_composite_with_strata_is_not_exhaustive(t2):
-    report = enumerate_mod_p(t2, 4, force=True)
+def test_forced_composite_search_is_exhaustive(r6):
+    # mod 6 the augmentation takes the idempotents 0, 1, 3 and 4 of Z/6,
+    # so a sweep of the strata 0 and 1 alone would find 384 of the 587
+    report = enumerate_mod_p(r6, 6, force=True)
     assert "non-domain coefficients" in report.flags
-    assert any("rerun with augmentation=any" in f for f in report.flags)
-    assert not report.exhaustive
+    assert report.exhaustive
+    assert report.spec["augmentation"] == "any"
+    assert len(report.idempotents) == 587
+    assert report_vectors(report, 6) == naive_idempotents_mod_p(r6.table, 6)
 
 
 def test_forced_composite_full_sweep_matches_oracle(t2):
-    report = enumerate_mod_p(t2, 4, force=True, augmentation_filter=None)
+    report = enumerate_mod_p(t2, 4, force=True)
     assert report.exhaustive
     assert report_vectors(report, 2) == naive_idempotents_mod_p(t2.table, 4)
 
@@ -272,10 +276,21 @@ def test_timing_zeroed_unless_requested(r3):
 
 
 # ---------------------------------------------------------------------------
-# coefficients too large for int64: the kernel switches to object arrays
+# coefficients too large for int64: only plain Python evaluates them (the
+# "object path" tests name the scopes that numpy once ran on object arrays)
 
 
-def test_order_one_large_scopes_take_the_object_path():
+def test_order_one_large_scopes_run_in_plain_python(monkeypatch):
+    # numpy is imported here, so every int64-safe plan would go to it
+    assert "numpy" in sys.modules
+    evaluators = []
+    real = _search_kernel.evaluate_chunk
+
+    def spy(args):
+        evaluators.append(args[8])
+        return real(args)
+
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", spy)
     q = trivial_quandle(1)
     p = 2147483659
     assert not _search_kernel._int64_safe(1, p)
@@ -283,6 +298,17 @@ def test_order_one_large_scopes_take_the_object_path():
     for report in (enumerate_mod_p(q, p), enumerate_boxed_Z(q, 2**40)):
         assert [u.coeffs for u in report.idempotents] == [((0, 1),)]
         assert report.candidates_tested == 2
+    assert evaluators and set(evaluators) == {"python"}
+    evaluators.clear()
+    enumerate_mod_p(q, 5)
+    assert set(evaluators) == {"numpy"}
+
+
+def test_numpy_evaluator_refuses_a_plan_past_int64():
+    table = dihedral_quandle(3).table
+    for mode, param in (("zp", 3000000019), ("zbox", 1_500_000_000)):
+        with pytest.raises(InternalCheckError, match="unsafe plan"):
+            _search_kernel.evaluate_chunk((table, 3, mode, param, (), 0, 40, 3, "numpy"))
 
 
 def _one_block(n, stratum):
@@ -302,13 +328,14 @@ def _decode(index, n, p, stratum):
     return tuple(digits)
 
 
-# both kernel evaluators run every direct kernel test below
+# both kernel evaluators run every direct kernel test below, except on
+# plans past int64, which only plain Python takes
 EVALUATORS = ("python", "numpy")
 
 
 @pytest.mark.parametrize("p", [800000011, 3000000019])
 def test_object_path_slices_agree_with_oracle(p):
-    # 9 p^2 > 2^62 routes both primes to object arrays; at the larger one
+    # 9 p^2 > 2^62 keeps both primes in plain Python; at the larger one
     # the centroid idempotent (e0 + e1 + e2) / 3 has squares past 2^63
     q = dihedral_quandle(3)
     assert not _search_kernel._int64_safe(3, p)
@@ -318,9 +345,9 @@ def test_object_path_slices_agree_with_oracle(p):
     slices += [(s, 1) for s in (0, centroid_index - 20, p * p - 40)]
     slices += [(s, None) for s in (0, p * p // 2)]
     found = set()
-    for (start, stratum), evaluator in itertools.product(slices, EVALUATORS):
+    for start, stratum in slices:
         hits, tested = _search_kernel.evaluate_chunk(
-            (q.table, 3, "zp", p, _one_block(3, stratum), start, start + 40, 3, evaluator)
+            (q.table, 3, "zp", p, _one_block(3, stratum), start, start + 40, 3, "python")
         )
         assert tested == 40
         vecs = [_decode(i, 3, p, stratum) for i in range(start, start + 40)]
@@ -334,7 +361,7 @@ def test_object_path_slices_agree_with_oracle(p):
 
 @pytest.mark.parametrize("bound", [800_000_000, 1_500_000_000])
 def test_object_path_box_slices_agree_with_oracle(bound):
-    # 9 B^2 > 2^62 routes both boxes to object arrays, while a stratum's
+    # 9 B^2 > 2^62 keeps both boxes in plain Python, while a stratum's
     # (2B + 1)^2 indices still fit in int64; the slice from the corner
     # (B, -B, 0) squares coefficients of size B
     q = dihedral_quandle(3)
@@ -344,9 +371,9 @@ def test_object_path_box_slices_agree_with_oracle(bound):
     slices = [(0, 1), (e1 - 20, 1), (base * base // 2, 0), (base * base - 40, 1), (0, 0),
               (2 * bound * base, 0)]
     found = set()
-    for (start, stratum), evaluator in itertools.product(slices, EVALUATORS):
+    for start, stratum in slices:
         hits, tested = _search_kernel.evaluate_chunk(
-            (q.table, 3, "zbox", bound, _one_block(3, stratum), start, start + 40, 3, evaluator)
+            (q.table, 3, "zbox", bound, _one_block(3, stratum), start, start + 40, 3, "python")
         )
         vecs = []
         for i in range(start, start + 40):
@@ -606,10 +633,16 @@ def _outer_plans(monkeypatch):
     return blocks
 
 
-def _search(q, mode, param, strata, max_support):
+def _search(q, mode, param, max_support):
     if mode == "zp":
-        return enumerate_mod_p(q, param, max_support, strata, force=param == 4)
-    return enumerate_boxed_Z(q, param, max_support, strata)
+        return enumerate_mod_p(q, param, max_support, force=param == 4)
+    return enumerate_boxed_Z(q, param, max_support)
+
+
+def _strata(mode, param):
+    """The strata a search declares: every one over the composite Z/4,
+    which keeps the all-strata plan covered, and 0 and 1 elsewhere."""
+    return None if (mode, param) == ("zp", 4) else (0, 1)
 
 
 def _expected(table, mode, param, strata, max_support):
@@ -635,18 +668,17 @@ def test_quotient_search_matches_the_naive_oracles(r6, t2, t3, monkeypatch):
     for q in tables:
         outer = []
         for mode, param in SCOPES:
-            for strata in ((0, 1), None):
-                found, tested = _expected(q.table, mode, param, strata, None)
-                for max_support in (None, 2):
-                    cap = max_support or q.order
-                    capped = {v for v in found if sum(1 for c in v if c) <= cap}
-                    # a zero call cost takes every quotient whose own search fits
-                    for cost in (0, idempotents.SWEEP_COST):
-                        monkeypatch.setattr(idempotents, "SWEEP_COST", cost)
-                        report = _search(q, mode, param, strata, max_support)
-                        got = report_vectors(report, q.order)
-                        assert (got, report.candidates_tested) == (capped, tested)
-                        outer.append(blocks[-1])
+            found, tested = _expected(q.table, mode, param, _strata(mode, param), None)
+            for max_support in (None, 2):
+                cap = max_support or q.order
+                capped = {v for v in found if sum(1 for c in v if c) <= cap}
+                # a zero call cost takes every quotient whose own search fits
+                for cost in (0, idempotents.SWEEP_COST):
+                    monkeypatch.setattr(idempotents, "SWEEP_COST", cost)
+                    report = _search(q, mode, param, max_support)
+                    got = report_vectors(report, q.order)
+                    assert (got, report.candidates_tested) == (capped, tested)
+                    outer.append(blocks[-1])
         assert max(outer) > 1, "no scope swept through a proper quotient"
 
 
@@ -662,7 +694,7 @@ def test_r10_quotient_search_keeps_the_pinned_counts(
     # the pins count the whole box with the naive oracles; every reported
     # idempotent is rechecked exactly, so equal counts mean equal sets
     blocks = _outer_plans(monkeypatch)
-    report = _search(r10, mode, param, (0, 1), max_support)
+    report = _search(r10, mode, param, max_support)
     assert blocks[-1] == 5, "r10 swept through r10 -> R_5"
     assert len(report.idempotents) == count
     assert report.candidates_tested == tested
@@ -688,22 +720,18 @@ def inflated_tables(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    table=inflated_tables(),
-    scope=st.sampled_from(SCOPES),
-    strata=st.sampled_from([(0, 1), None]),
-    data=st.data(),
-)
-def test_quotient_search_on_inflated_magmas_matches_the_naive_oracles(table, scope, strata, data):
+@given(table=inflated_tables(), scope=st.sampled_from(SCOPES), data=st.data())
+def test_quotient_search_on_inflated_magmas_matches_the_naive_oracles(table, scope, data):
     mode, param = scope
     max_support = data.draw(st.sampled_from([None, *range(1, len(table) + 1)]))
     cost = data.draw(st.sampled_from([0, idempotents.SWEEP_COST]))
     q = MagmaTable(table)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(idempotents, "SWEEP_COST", cost)
-        report = _search(q, mode, param, strata, max_support)
+        report = _search(q, mode, param, max_support)
     got = report_vectors(report, q.order)
-    assert (got, report.candidates_tested) == _expected(table, mode, param, strata, max_support)
+    expected = _expected(table, mode, param, _strata(mode, param), max_support)
+    assert (got, report.candidates_tested) == expected
 
 
 def test_kernel_hit_off_its_fiber_target_is_an_internal_error(r6, monkeypatch):
@@ -762,7 +790,7 @@ def test_trivial_tables_sweep_no_quotient(monkeypatch, mode, param):
     orders = _kernel_orders(monkeypatch)
     for n in range(2, 9):
         orders.clear()
-        report = _search(trivial_quandle(n), mode, param, (0, 1), None)
+        report = _search(trivial_quandle(n), mode, param, None)
         assert set(orders) == {n}
         ones = param ** (n - 1) if mode == "zp" else idempotents._box_sum_count(n, param, 1)
         assert len(report.idempotents) == ones
