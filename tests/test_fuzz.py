@@ -1,10 +1,11 @@
 """Hostile input to the command line, in process.
 
 Every call gets generated documents (tables, elements, family parameters,
-coverings), --map strings or ring tags, and must exit 0, 1 or 2 with one
-JSON document on stdout and nothing on stderr: a structured payload,
-never a traceback.  Documents are mutated from valid fixtures, so the
-hostile value reaches past the first type check, or drawn whole.
+coverings, cocycle matrices, scan catalogs), --map strings, ring tags or
+construction parameters, and must exit 0, 1 or 2 with one JSON document
+on stdout and nothing on stderr: a structured payload, never a
+traceback.  Documents are mutated from valid fixtures, so the hostile
+value reaches past the first type check, or drawn whole.
 """
 
 import contextlib
@@ -169,3 +170,29 @@ def test_ring_tags_of_scalar_commands(tag, alphas):
     cov = ["--total", fx("r6.json"), "--base", fx("r3.json"), "--map", "0,1,2,0,1,2"]
     _run(["covering", "zero-divisor", *cov, "--fiber", "0", "--alphas", alphas, "--ring", tag])
     _run(["covering", "family-verify", *cov, "--ring", tag, "--max-j", "0", "--budget", "1000"])
+
+
+@SETTINGS
+@given(doc=mutated({"alpha": [[0, 0, 0], [0, 0, 1], [0, 1, 0]]}))
+def test_cocycle_matrices(scratch, doc):
+    path = _write(scratch / "alpha.json", doc)
+    _run(["quandle", "make", "cocycle", fx("r3.json"), "2", "--alpha", path])
+
+
+@SETTINGS
+@given(doc=mutated(read_json("r3.json")))
+def test_scan_catalogs(scratch, doc):
+    path = _write(scratch / "entry.json", doc)
+    _run(["idem", "scan", path, fx("r3.json"), "--bound", "1", "--moduli", "3", "--budget", "10000"])
+
+
+PARAMS = st.one_of(
+    st.integers(-3, 40).map(str), st.text(alphabet="0123456789-.,e x", max_size=6),
+    st.integers(2**60, 2**100).map(str),
+)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["trivial", "dihedral", "core"]), params=st.lists(PARAMS, max_size=3))
+def test_construction_parameters(kind, params):
+    _run(["quandle", "make", kind, *params])
