@@ -456,15 +456,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        doc = args.func(args)
+        _emit(args.func(args), args.output)
     except QuandleKitError as err:
         _emit(err.payload(), None)
         return err.exit_code
     except (OSError, json.JSONDecodeError, KeyError) as err:
-        # bad paths and malformed input files are domain errors, not crashes
+        # bad paths, unwritable -o paths and malformed input files are
+        # domain errors, not crashes
         _emit({"error": type(err).__name__, "message": str(err)}, None)
         return 1
-    _emit(doc, args.output)
     return 0
 
 

@@ -91,7 +91,7 @@ class MagmaTable:
     is_quandle = False
 
     def __init__(self, table, labels=None, name: str | None = None):
-        self.table: Table = _normalize_table(table)
+        self.table: Table = self._rows(table)
         self.order: int = len(self.table)
         self.labels: tuple[str, ...] | None = None
         if labels is not None:
@@ -102,6 +102,11 @@ class MagmaTable:
                 raise InvalidParamsError("labels length differs from order")
             self.labels = labels
         self.name = name
+
+    @staticmethod
+    def _rows(table) -> Table:
+        """The table as rows of ints, normalized once per construction."""
+        return _normalize_table(table)
 
     def op(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -135,10 +140,14 @@ class FiniteQuandle(MagmaTable):
     is_quandle = True
 
     def __init__(self, table, labels=None, name: str | None = None):
-        super().__init__(validate_table(table), labels=labels, name=name)
+        super().__init__(table, labels=labels, name=name)
         self.right_mults: tuple[tuple[int, ...], ...] = tuple(
             self.right_mult(j) for j in range(self.order)
         )
+
+    @staticmethod
+    def _rows(table) -> Table:
+        return validate_table(table)
 
     @cached_property
     def right_mult_orders(self) -> tuple[int, ...]:

@@ -121,9 +121,9 @@ class InternalCheckError(QuandleKitError):
         return {**super().payload(), **self.details}
 
 
-def _shown(count: int) -> int | str:
-    """count itself, or "~10^k" when it has more digits than Python will
-    convert to a string."""
+def _shown(count: int | str) -> int | str:
+    """count itself (an int, or a bound such as "more than 2^k"), or
+    "~10^k" when it has more digits than Python will convert to a string."""
     try:
         str(count)
     except ValueError:
@@ -140,7 +140,7 @@ class BudgetExceededError(QuandleKitError):
 
     exit_code = 2
 
-    def __init__(self, needed: int, budget: int, what: str = "candidates", work: str = "search"):
+    def __init__(self, needed: int | str, budget: int, what: str = "candidates", work: str = "search"):
         self.needed = _shown(needed)
         self.budget = _shown(budget)
         super().__init__(f"{work} needs {self.needed} {what}, budget is {self.budget}")

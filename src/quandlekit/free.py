@@ -300,6 +300,12 @@ def enumerate_elements(rank: int, max_len: int) -> list[FreeQuandleElement]:
     return out
 
 
+# Candidate counts of fq-search are computed up to 2^COUNT_BITS.  Any
+# window past that is refused whatever the budget: no window that large
+# could be enumerated, and the CLI reads budgets of at most 4300 digits.
+COUNT_BITS = 1 << 16
+
+
 def _window_size(rank: int, max_len: int) -> int:
     """len(enumerate_elements(rank, max_len)) without enumerating.
 
@@ -339,8 +345,15 @@ def fq_idempotent_search(
     if rank < 1 or max_len < 1:
         raise InvalidParamsError("rank and max_len must be >= 1")
     start = time.monotonic()
-    u_count = _window_size(rank, max_len)
-    total = _support_tuples(u_count, bound, max_support)
+    # the window has at least 2^((max_len - 1) (bits of 2 rank - 1, less
+    # one)) elements; past COUNT_BITS it is refused uncounted, since
+    # counting it takes time and memory linear in max_len
+    total = None
+    if (max_len - 1) * ((2 * rank - 1).bit_length() - 1) <= COUNT_BITS:
+        u_count = _window_size(rank, max_len)
+        total = _support_tuples(u_count, bound, max_support, limit=1 << COUNT_BITS)
+    if total is None or total > 1 << COUNT_BITS:
+        raise BudgetExceededError(f"more than 2^{COUNT_BITS}", budget)
     if total > budget:
         raise BudgetExceededError(total, budget)
     universe = enumerate_elements(rank, max_len)

@@ -64,7 +64,6 @@ from .ring import (
     RingElement,
     ZZ,
     augmentation,
-    basis,
     dense_product,
     dense_vector,
     element_to_json,
@@ -122,6 +121,12 @@ POOL_MIN_SPACE = 1 << 21
 # always runs numpy.
 NUMPY_MIN_INDICES = 1 << 17
 _python_indices = 0  # per process, like the import it stands in for
+
+# Entries per array in the blocks of idempotent_quandle_check: 2^14 int64
+# is 128 KB, glibc's initial mmap threshold, so a block's temporaries come
+# from the heap whatever the process did before.  Its table of pair
+# products may take 8 times as many.
+_BLOCK = 1 << 14
 
 # A kernel call costs about as much as this many indices on top of them
 # (numpy's per-operation overhead on tiny batches, measured on the same
@@ -1053,11 +1058,24 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     basis element.  All failures are reported, not just the first, in
     index order.
 
-    The products run on dense integer arrays: P = S.S once, closure on
-    all of P at once, then self-distributivity one first index at a
-    time, so no step holds more than k^2 n entries.  With S scaled by D,
-    P carries D^2, so closure compares PP with D^2 P and
-    self-distributivity compares D (P S) with P P.
+    The products run on dense integer arrays, S scaled by D; every row
+    below has l1 norm at most L^2, so each product keeps the L^4 bound of
+    _dense_sample.  P = S.S is computed once, and the rows of D.S and of
+    P are interned into one id space: all carry D^2, so equal ids are
+    equal vectors over Z, Q and Z/m, and every id is a row of P, since
+    P[i,i] = D S[i].  Closure squares each of the u ids once: its row
+    must be nonzero, with square D^2 times itself.  Self-distributivity
+    compares P[i,j] S[l] with P[i,l] P[j,l], both at D^4, through the id
+    pairs (m[i,j], sid[l]) and (m[i,l], m[j,l]).  When u^2 <= k^3 and the
+    u^2 products fit in 8 _BLOCK entries, every pair of ids is multiplied
+    once, in blocks, and interned, and the k^3 triples compare product
+    ids by gathers; otherwise both sides are multiplied out, 2k^3 rows.
+    Either way S.S, closure and self-distributivity multiply at most
+    k^2 + u + max(u^2, 2k^3) <= 2k^3 + 2k^2 rows, never allocate u^2
+    entries past k^3, and blocks of first indices keep each array near
+    _BLOCK entries.  Member i acts as basis element t when
+    e_x (D S[i]) = D e_{x*t} for every x: one product of the n basis rows
+    with S, n k rows, settles every member.
     """
     import numpy as np
 
@@ -1070,28 +1088,43 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
             raise RingMismatchError(f"sample element {i} uses {u.ring.tag}, expected {ring.tag}")
         if not is_idempotent(u, q):
             raise NotIdempotentInputError(f"sample element {i} is not idempotent")
-    k = len(sample)
+    k, n = len(sample), q.order
     s, d = _dense_sample(sample, q, ring)
 
     def product(a, b):
         out = _search_kernel.table_product(a, b, q.table)
         return out % ring.modulus if ring.kind == "Zmod" else out
 
-    p = product(s[:, None], s[None, :])
+    ids, rows = _search_kernel.intern_rows([d * s, product(s[:, None], s[None, :]).reshape(k * k, n)])
+    sid, m = ids[:k], ids[k:].reshape(k, k)
     failures = []
-    not_idempotent = (p == 0).all(axis=-1) | (product(p, p) != d * d * p).any(axis=-1)
-    for i, j in np.argwhere(not_idempotent):
-        failures.append({"check": "closure", "indices": [int(i), int(j)]})
-    for i in range(k):
-        # (P[i,j] S[l])[x] != (P[i,l] P[j,l])[x] over all j, l
-        broken = (d * product(p[i][:, None], s[None, :]) != product(p[i][None, :], p)).any(axis=-1)
-        for j, l in np.argwhere(broken):
-            failures.append({"check": "self_distributivity", "indices": [i, int(j), int(l)]})
-    basis_matrices = [right_mult_matrix(basis(ring, t), q) for t in range(q.order)]
-    for i, u in enumerate(sample):
-        m = right_mult_matrix(u, q)
-        if m not in basis_matrices:
-            failures.append({"check": "right_mult_is_basis_action", "indices": [i]})
+    not_idempotent = (rows == 0).all(axis=-1) | (product(rows, rows) != d * d * rows).any(axis=-1)
+    for i, j in np.argwhere(not_idempotent[m]).tolist():
+        failures.append({"check": "closure", "indices": [i, j]})
+    u, pair_ids = len(rows), None
+    if u * u <= min(k**3, 8 * _BLOCK // n):
+        stride = max(1, _BLOCK // (u * n))
+        blocks = (product(rows[a:a + stride, None], rows[None, :]).reshape(-1, n)
+                  for a in range(0, u, stride))
+        pair_ids = _search_kernel.intern_rows(blocks)[0].reshape(u, u, 1)
+
+    def pair(a, b):
+        # the product of rows a and b, or its id as a vector of length 1
+        return product(rows[a], rows[b]) if pair_ids is None else pair_ids[a, b]
+
+    step = max(1, _BLOCK // (k * k * (n if pair_ids is None else 1)))
+    for i0 in range(0, k, step):
+        mi = m[i0:i0 + step]
+        broken = (pair(mi[:, :, None], sid) != pair(mi[:, None, :], m)).any(axis=-1)
+        for i, j, l in np.argwhere(broken).tolist():
+            failures.append({"check": "self_distributivity", "indices": [i0 + i, j, l]})
+    eye = np.eye(n, dtype=s.dtype)
+    image = product(eye[:, None], s[None, :])  # image[x, i] = e_x (D S[i])
+    acts = np.zeros(k, dtype=bool)
+    for column in zip(*q.table):  # x -> x*t
+        acts |= (image == d * eye[list(column)][:, None]).all(axis=(0, 2))
+    for i in np.flatnonzero(~acts).tolist():
+        failures.append({"check": "right_mult_is_basis_action", "indices": [i]})
     return IdempotentSetReport(not failures, k, failures)
 
 
@@ -1119,16 +1152,20 @@ def right_zero_divisor_from_fiber(covering: Covering, y: int, alphas, ring: Coef
     return {"element": v, "verified": matrix.is_zero()}
 
 
-def _support_tuples(n: int, bound: int, max_support: int) -> int:
+def _support_tuples(n: int, bound: int, max_support: int, limit: int | None = None) -> int:
     """(support, coefficient tuple) pairs with at most max_support of n
     keys and nonzero entries in [-bound, bound]: sum of C(n, k) (2 bound)^k.
 
     Term by term, C(n, k) (2 bound)^k = C(n, k - 1) (2 bound)^(k - 1) *
-    (n - k + 1) 2 bound / k exactly, so no binomial is computed afresh."""
+    (n - k + 1) 2 bound / k exactly, so no binomial is computed afresh.
+    With a limit the sum stops once it passes it, and is then only a
+    lower bound."""
     total, term = 0, 1
     for k in range(1, min(max_support, n) + 1):
         term = term * (n - k + 1) * 2 * bound // k
         total += term
+        if limit is not None and total > limit:
+            break
     return total
 
 
@@ -1275,12 +1312,11 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     order = math.prod(factors)
     if math.gcd(order, 6) != 1:
         raise HypothesisFailedError("group order must be coprime to 2 and 3")
-    q = core_quandle(factors)
-    n = q.order
-    total = _support_tuples(n, bound, 3)
+    total = _support_tuples(order, bound, 3)  # counted before the table is built
     if total > budget:
         raise BudgetExceededError(total, budget)
-    tested, found = _support_search(range(n), q.op, bound, 3)
+    q = core_quandle(factors)
+    tested, found = _support_search(range(q.order), q.op, bound, 3)
     nontrivial = [u for u in found if not (len(u.coeffs) == 1 and u.coeffs[0][1] == 1)]
     return {
         "quandle": q.name,

@@ -25,7 +25,7 @@ RingElements, serves the carriers that have no table: free quandles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -68,23 +68,21 @@ class CoeffRing:
     kind: str  # "Z" | "Zmod" | "Q"
     modulus: int = 0
     forced: bool = False
+    # decided once per ring, outside the fields __eq__ and __hash__ read
+    is_domain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("Z", "Zmod", "Q"):
             raise InvalidParamsError(f"unknown coefficient ring kind {self.kind!r}")
-        if self.kind == "Zmod":
-            if self.modulus < 2:
-                raise InvalidParamsError("modulus must be >= 2")
-            if not _is_prime(self.modulus) and not self.forced:
-                raise CompositeModulusError(self.modulus)
+        if self.kind == "Zmod" and self.modulus < 2:
+            raise InvalidParamsError("modulus must be >= 2")
+        object.__setattr__(self, "is_domain", self.kind != "Zmod" or _is_prime(self.modulus))
+        if not self.is_domain and not self.forced:
+            raise CompositeModulusError(self.modulus)
 
     @property
     def tag(self) -> str:
         return f"Zmod:{self.modulus}" if self.kind == "Zmod" else self.kind
-
-    @property
-    def is_domain(self) -> bool:
-        return self.kind != "Zmod" or _is_prime(self.modulus)
 
     @property
     def characteristic(self) -> int:

@@ -78,6 +78,20 @@ def naive_idempotent_set_failures(table, vecs, reduce=None):
     return failures
 
 
+def naive_basis_action_failures(table, vecs, reduce=None):
+    """The right_mult_is_basis_action failures of a set of coefficient
+    vectors: i such that no basis element t has e_x v_i = e_{x*t} for
+    every x."""
+    n = len(table)
+    unit = [[int(x == y) for y in range(n)] for x in range(n)]
+    failures = []
+    for i, vec in enumerate(vecs):
+        images = [product_vector(table, unit[x], vec, reduce) for x in range(n)]
+        if not any(images == [unit[table[x][t]] for x in range(n)] for t in range(n)):
+            failures.append({"check": "right_mult_is_basis_action", "indices": [i]})
+    return failures
+
+
 def naive_idempotents_mod_p(table, p):
     """All nonzero vectors over Z/p with v^2 = v, as coefficient tuples."""
     n = len(table)

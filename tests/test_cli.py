@@ -357,11 +357,16 @@ def test_index_space_beyond_int64_is_exit_two(capsys):
           "--bound", "1", "--budget", "10"], "~10^6260"),
         (["idem", "enumerate", fx("r3.json"), "--ring", "z", "--bound", str(10**2200)],
          "~10^4400"),
+        # a window of 3 * 5^(10^14 - 1) elements, and 10^12 support sizes to sum
+        (["idem", "fq-search", "--rank", "3", "--max-len", str(10**14), "--max-support", "2",
+          "--bound", "1", "--budget", "1000"], "more than 2^65536"),
+        (["idem", "fq-search", "--rank", "2", "--max-len", "30", "--max-support", str(10**12),
+          "--bound", "1", "--budget", "1000"], "more than 2^65536"),
     ],
-    ids=["fq-search-window", "enumerate-bound"],
+    ids=["fq-search-window", "enumerate-bound", "fq-search-length", "fq-search-support"],
 )
 def test_counts_too_long_to_print_are_refused_quickly(argv, needed, checkout_env):
-    # both counts have more digits than Python converts to a string
+    # every count has more digits than Python converts to a string
     code, payload, err, seconds = run_child(argv, checkout_env)
     assert code == 2
     assert payload["error"] == "BudgetExceeded"
@@ -576,6 +581,18 @@ def test_error_payload_ignores_output_flag(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["error"] == "NotRightDistributive"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/parent/report.json"])
+def test_unwritable_output_path_is_a_structured_error(target, tmp_path, checkout_env):
+    # the write happens after the command ran, and still ends in a payload
+    path = tmp_path if target == "directory" else tmp_path / target
+    code, payload, err, _ = run_child(["quandle", "check", fx("r3.json"), "-o", str(path)],
+                                      checkout_env)
+    assert code == 1
+    assert err == ""
+    assert payload["error"] == ("IsADirectoryError" if target == "directory" else "FileNotFoundError")
+    assert str(path) in payload["message"]
 
 
 def test_timing_flag_keeps_report_identical_otherwise(capsys):

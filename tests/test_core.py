@@ -39,6 +39,7 @@ from quandlekit import (
     validate_table,
 )
 
+from quandlekit import core
 from quandlekit.core import congruences, principal_congruence, quotient_table
 
 from oracles import brute_force_coverings, naive_congruences
@@ -85,6 +86,17 @@ def test_right_distributivity_holds_on_validated(r6, p6, b12):
         n = q.order
         for x, y, z in itertools.product(range(n), repeat=3):
             assert t[t[x][y]][z] == t[t[x][z]][t[y][z]]
+
+
+def test_tables_are_normalized_once_per_construction(monkeypatch, r6):
+    calls = []
+    real = core._normalize_table
+    monkeypatch.setattr(core, "_normalize_table", lambda t: calls.append(t) or real(t))
+    table = [list(row) for row in r6.table]
+    assert FiniteQuandle(table).table == r6.table
+    assert len(calls) == 1
+    assert MagmaTable(table).table == r6.table
+    assert len(calls) == 2
 
 
 def test_magma_table_skips_validation(magma8):

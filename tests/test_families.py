@@ -1,5 +1,6 @@
 """Structured idempotent families: coverings, unions, twisted unions, scans."""
 
+import functools
 import itertools
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     QQ,
@@ -51,7 +53,7 @@ from quandlekit import (
     union_quandle,
 )
 
-from quandlekit import idempotents
+from quandlekit import _search_kernel, idempotents
 from quandlekit._search_kernel import table_product
 from quandlekit.core import union_offsets
 from quandlekit.idempotents import _dense_sample, _support_search, _union_membership
@@ -59,6 +61,7 @@ from quandlekit.idempotents import _dense_sample, _support_search, _union_member
 from conftest import family_grid, fixture_path, load_fixture, read_json
 from oracles import (
     element_to_vector,
+    naive_basis_action_failures,
     naive_idempotent_set_failures,
     naive_family_vector,
     naive_family_verify,
@@ -644,9 +647,14 @@ def test_core_small_support_hypothesis(t2):
         core_three_support_check([3], 2)
 
 
-def test_core_small_support_budget():
+def test_core_small_support_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         core_three_support_check([5], 3, budget=100)
+    # refused from the group order, before the 335-element table is built
+    monkeypatch.setattr(idempotents, "core_quandle", None)
+    with pytest.raises(BudgetExceededError) as err:
+        core_three_support_check([5, 67], 1, budget=1000)
+    assert err.value.needed == 49903610
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +780,8 @@ IDEMPOTENT_SETS = {
     # every idempotent of Z/7[pairs6]: closure and self-distributivity both fail
     "zmod7-all": ("p6", 7, lambda q: enumerate_mod_p(q, 7).idempotents),
     "z-past-int64": ("p6", None, lambda q: big_pair_sample()),
+    # repeated, so its 6 distinct rows make a pair table of Python ints
+    "z-past-int64-repeated": ("p6", None, lambda q: big_pair_sample() * 2),
 }
 
 
@@ -782,8 +792,8 @@ def test_idempotent_set_check_matches_naive_oracle(name, request):
     sample = build(q)
     vecs = [[u.coeff(x) for x in range(q.order)] for u in sample]
     report = idempotent_quandle_check(sample, q)
-    dense = [f for f in report.failures if f["check"] != "right_mult_is_basis_action"]
-    assert dense == naive_idempotent_set_failures(q.table, vecs, reduce=modulus)
+    assert report.failures == (naive_idempotent_set_failures(q.table, vecs, reduce=modulus)
+                               + naive_basis_action_failures(q.table, vecs, reduce=modulus))
     assert report.size == len(sample)
 
 
@@ -804,3 +814,88 @@ def test_idempotent_set_products_stay_exact_past_int64(p6):
             assert products[j][l] == expected
             biggest = max(biggest, *map(abs, expected))
     assert biggest > 2**63
+
+
+@functools.cache
+def idempotent_pool(name):
+    """(quandle, modulus, idempotents) to draw idempotent-set samples from."""
+    q = load_fixture({"r6": "r6.json", "r10": "r10.json", "p6": "pairs6.json"}[name[:name.index("-")]])
+    if name.endswith("-mod5"):
+        return q, 5, enumerate_mod_p(q, 5).idempotents
+    if name.endswith("-q"):
+        return q, None, family_grid((Fraction(1, 2), -3, Fraction(2, 3)), ring=QQ)
+    return q, None, enumerate_boxed_Z(q, 2).idempotents
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["r6-box2", "r10-box2", "r6-mod5", "p6-mod5", "r6-q"]),
+       picks=st.lists(st.integers(0, 10**4), min_size=1, max_size=9), repeat=st.integers(0, 8))
+def test_idempotent_set_check_matches_naive_oracle_on_random_samples(name, picks, repeat):
+    # random members of a pool, so products leave the sample; repeat > 0 adds a duplicate
+    q, modulus, pool = idempotent_pool(name)
+    sample = [pool[i % len(pool)] for i in picks]
+    if repeat:
+        sample.insert(repeat % len(sample), sample[repeat % len(picks)])
+    vecs = [[u.coeff(x) for x in range(q.order)] for u in sample]
+    report = idempotent_quandle_check(sample, q)
+    expected = (naive_idempotent_set_failures(q.table, vecs, reduce=modulus)
+                + naive_basis_action_failures(q.table, vecs, reduce=modulus))
+    assert report.failures == expected
+    assert report.passed == (not expected)
+
+
+def product_rows(monkeypatch):
+    """Spy on table_product: the rows of each call's result, in call order."""
+    rows = []
+
+    def spy(u, v, table):
+        out = table_product(u, v, table)
+        rows.append(out.size // out.shape[-1])
+        return out
+
+    monkeypatch.setattr(_search_kernel, "table_product", spy)
+    return rows
+
+
+@pytest.mark.parametrize("q_name,k", [("r6", 2), ("r6", 10), ("r6", 57), ("r10", 10), ("r10", 60)])
+def test_idempotent_set_check_makes_a_few_products_whatever_k(q_name, k, monkeypatch, request):
+    # S.S, the squares of its distinct rows, the pairs of distinct rows in
+    # blocks of 2^14 entries, and the basis rows times S: 116 calls on the
+    # 57-element sample before
+    q = request.getfixturevalue(q_name)
+    sample = (family_grid((-1, 0, 1)) if q_name == "r6" else dihedral_members(5))[:k]
+    rows = product_rows(monkeypatch)
+    assert idempotent_quandle_check(sample, q).passed
+    assert len(rows) <= 12
+    assert rows[0] == k * k and rows[-1] == q.order * k
+    if k == 57:
+        assert rows == [3249, 90, 2700, 2700, 2700, 342]  # 90 distinct products
+
+
+def dihedral_members(n):
+    out, seen = [], set()
+    for j in range(n):
+        for beta, *alphas in itertools.product((-1, 0, 1), repeat=n - 1):
+            u = dihedral_even_family(n, j, beta, alphas)
+            if u not in seen:
+                seen.add(u)
+                out.append(u)
+    return out
+
+
+def test_idempotent_set_check_worst_case_stays_within_the_old_row_count(r10, monkeypatch):
+    # every product of two distinct members is new: no pair repeats, so the
+    # pair table would outgrow k^3 and the triples are multiplied out
+    pool = enumerate_boxed_Z(r10, 2).idempotents
+    sample = [pool[i] for i in (78, 158, 231, 337, 403)]
+    k = len(sample)
+    vecs = [[u.coeff(x) for x in range(10)] for u in sample]
+    products = {tuple(product_vector(r10.table, a, b)) for a, b in itertools.permutations(vecs, 2)}
+    assert len(products) == k * k - k and not products & {tuple(v) for v in vecs}
+    rows = product_rows(monkeypatch)
+    report = idempotent_quandle_check(sample, r10)
+    assert report.failures == (naive_idempotent_set_failures(r10.table, vecs)
+                               + naive_basis_action_failures(r10.table, vecs))
+    # S.S, closure and self-distributivity, then one basis-action product
+    assert sum(rows[:-1]) <= 2 * k**3 + 2 * k**2
+    assert rows[-1] == 10 * k

@@ -1,8 +1,9 @@
 """Hostile input to the command line, in process.
 
 Every call gets generated documents (tables, elements, family parameters,
-coverings, cocycle matrices, scan catalogs), --map strings, ring tags or
-construction parameters, and must exit 0, 1 or 2 with one JSON document
+coverings, cocycle matrices, scan catalogs), --map strings, ring tags,
+construction parameters, free-quandle and core3 search flags or -o paths
+that cannot be written, and must exit 0, 1 or 2 with one JSON document
 on stdout and nothing on stderr: a structured payload, never a
 traceback.  Documents are mutated from valid fixtures, so the hostile
 value reaches past the first type check, or drawn whole.
@@ -196,3 +197,53 @@ PARAMS = st.one_of(
 @given(kind=st.sampled_from(["trivial", "dihedral", "core"]), params=st.lists(PARAMS, max_size=3))
 def test_construction_parameters(kind, params):
     _run(["quandle", "make", kind, *params])
+
+
+# small budgets, so a window the flags accept still finishes at once
+BUDGETS = st.integers(-3, 5000).map(str) | st.sampled_from(["", "x", "1e3", "-0"])
+FLAGS = st.one_of(
+    st.integers(-2, 6).map(str), st.integers(2**60, 2**100).map(str),
+    st.sampled_from([str(10**12), str(10**14), "", "1.5", "x", "0x3"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank=FLAGS, max_len=FLAGS, max_support=FLAGS, bound=FLAGS, budget=BUDGETS)
+def test_free_search_flags(rank, max_len, max_support, bound, budget):
+    _run(["idem", "fq-search", "--rank", rank, "--max-len", max_len, "--max-support", max_support,
+          "--bound", bound, "--budget", budget])
+
+
+FACTOR_LISTS = st.one_of(
+    st.lists(st.integers(-3, 40) | st.integers(2**60, 2**100), max_size=4).map(
+        lambda v: ",".join(map(str, v))),
+    st.text(alphabet="0123456789,-+. x", max_size=10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=FACTOR_LISTS, bound=FLAGS, budget=BUDGETS)
+def test_core3_flags(factors, bound, budget):
+    _run(["idem", "core3", "--factors", factors, "--bound", bound, "--budget", budget])
+
+
+OUTPUT_COMMANDS = [
+    ["quandle", "check", fx("r3.json")],
+    ["quandle", "check", fx("quasigroup8.json")],
+    ["idem", "core3", "--factors", "5", "--bound", "1"],
+    ["idem", "fq-search", "--rank", "1", "--max-len", "2", "--max-support", "1", "--bound", "1"],
+]
+
+
+@SETTINGS
+@given(command=st.sampled_from(OUTPUT_COMMANDS),
+       target=st.sampled_from(["directory", "missing parent", "empty"]))
+def test_output_paths(scratch, command, target):
+    # an empty path writes to stdout; the other two cannot be opened
+    path = {"directory": str(scratch), "missing parent": str(scratch / "missing" / "report.json"),
+            "empty": ""}[target]
+    code, doc = _run([*command, "-o", path])
+    if command[2] != fx("quasigroup8.json"):  # the one report that is an error
+        assert (code, doc.get("error")) == {"directory": (1, "IsADirectoryError"),
+                                            "missing parent": (1, "FileNotFoundError"),
+                                            "empty": (0, None)}[target]

@@ -34,6 +34,7 @@ from quandlekit import (
     scalar_mul,
     zero,
 )
+from quandlekit import ring as ring_module
 
 
 from conftest import load_fixture
@@ -60,6 +61,18 @@ def test_composite_modulus_forced_is_not_a_domain():
     assert r.characteristic == 4
     assert IntegersMod(5).is_domain
     assert ZZ.is_domain and QQ.is_domain
+
+
+def test_primality_is_decided_once_per_ring(monkeypatch):
+    calls = []
+    real = ring_module._is_prime
+    monkeypatch.setattr(ring_module, "_is_prime", lambda m: calls.append(m) or real(m))
+    prime, forced = IntegersMod(2147483659), IntegersMod(4, force=True)
+    for _ in range(3):
+        assert prime.is_domain and not forced.is_domain
+    assert calls == [2147483659, 4]
+    assert prime == IntegersMod(2147483659) and hash(prime) == hash(IntegersMod(2147483659))
+    assert calls == [2147483659, 4, 2147483659, 2147483659]
 
 
 def test_ring_tags_round_trip():
