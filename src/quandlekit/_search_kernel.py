@@ -46,8 +46,7 @@ of the innermost digit instead.  The numpy evaluator holds a batch
 coefficient-major, one row per basis key.
 
 `table_product` multiplies whole stacks of coefficient vectors under
-e_x e_y = e_{x*y}, and `intern_rows` numbers the distinct rows of a
-stack; the batched checks on idempotent sets use both.
+e_x e_y = e_{x*y}; the batched check on idempotent sets uses it.
 
 numpy is imported inside the functions, so commands that never search,
 and searches that stay in plain Python, do not pay for importing it.
@@ -95,47 +94,6 @@ def table_product(u, v, table):
         for j, k in enumerate(row):
             out[k] += uk[i] * vk[j]
     return np.moveaxis(out, 0, -1)
-
-
-def intern_rows(blocks):
-    """Number the rows of a sequence of 2-D arrays, across all of them:
-    (ids, distinct) with equal rows sharing an id in 0..u-1 and
-    distinct[ids] equal to the rows taken in order.  Each block is
-    interned on its own, then the distinct rows of all blocks together,
-    so a generator of blocks is never held whole."""
-    import numpy as np
-
-    local, parts = [], []
-    for rows in blocks:
-        ids, first = _intern(rows)
-        local.append(ids)
-        parts.append(rows[first])
-    distinct = np.concatenate(parts)
-    ids, first = _intern(distinct)
-    offsets = np.cumsum([0] + [len(part) for part in parts])
-    return np.concatenate([ids[o + part] for o, part in zip(offsets, local)]), distinct[first]
-
-
-def _intern(rows):
-    """(ids, first) for the rows of one 2-D array: ids in 0..u-1, and one
-    row index per id.  int64 rows are sorted by np.lexsort and split where
-    a row differs from the one before it; Python-int rows are keyed by
-    their tuple.  Both compare every entry, so ids are exact."""
-    import numpy as np
-
-    if rows.dtype == object:
-        seen: dict = {}
-        ids = np.array([seen.setdefault(tuple(r), len(seen)) for r in rows], dtype=np.int64)
-        return ids, np.unique(ids, return_index=True)[1]
-    order = np.lexsort(rows.T)
-    new = np.zeros(len(rows), dtype=bool)
-    new[0] = True
-    for column in rows.T:  # one column at a time, so rows are not copied whole
-        ordered = column[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
 
 
 def _pairs(table, n: int) -> list[list[tuple[int, int]]]:

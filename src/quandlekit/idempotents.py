@@ -124,8 +124,7 @@ _python_indices = 0  # per process, like the import it stands in for
 
 # Entries per array in the blocks of idempotent_quandle_check: 2^14 int64
 # is 128 KB, glibc's initial mmap threshold, so a block's temporaries come
-# from the heap whatever the process did before.  Its table of pair
-# products may take 8 times as many.
+# from the heap whatever the process did before.
 _BLOCK = 1 << 14
 
 # A kernel call costs about as much as this many indices on top of them
@@ -1056,29 +1055,30 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     idempotents, self-distributivity on all triples, and that right
     multiplication by each member equals right multiplication by some
     basis element.  All failures are reported, not just the first, in
-    index order.
+    index order.  The carrier must be a quandle.
 
-    The products run on dense integer arrays, S scaled by D; every row
-    below has l1 norm at most L^2, so each product keeps the L^4 bound of
-    _dense_sample.  P = S.S is computed once, and the rows of D.S and of
-    P are interned into one id space: all carry D^2, so equal ids are
-    equal vectors over Z, Q and Z/m, and every id is a row of P, since
-    P[i,i] = D S[i].  Closure squares each of the u ids once: its row
-    must be nonzero, with square D^2 times itself.  Self-distributivity
-    compares P[i,j] S[l] with P[i,l] P[j,l], both at D^4, through the id
-    pairs (m[i,j], sid[l]) and (m[i,l], m[j,l]).  When u^2 <= k^3 and the
-    u^2 products fit in 8 _BLOCK entries, every pair of ids is multiplied
-    once, in blocks, and interned, and the k^3 triples compare product
-    ids by gathers; otherwise both sides are multiplied out, 2k^3 rows.
-    Either way S.S, closure and self-distributivity multiply at most
-    k^2 + u + max(u^2, 2k^3) <= 2k^3 + 2k^2 rows, never allocate u^2
-    entries past k^3, and blocks of first indices keep each array near
-    _BLOCK entries.  Member i acts as basis element t when
-    e_x (D S[i]) = D e_{x*t} for every x: one product of the n basis rows
-    with S, n k rows, settles every member.
+    The products run on dense integer arrays: S[i] = D u_i, from
+    _dense_sample.  Every row below has l1 norm at most L^2, so each
+    product keeps the L^4 bound of _dense_sample.  Member i acts as basis
+    element t when e_x S[i] = D e_{x*t} for every x: one product of the n
+    basis rows with S, n k rows, settles every member.  Let F be the
+    members that act as no basis element.  In a quandle
+    (x*y)*t = (x*t)*(y*t) and x -> x*t is a bijection, so right
+    multiplication R_t by e_t is a ring automorphism.  If u_j acts as t,
+    then u_i u_j = R_t(u_i) is a nonzero idempotent; if u_l acts as t,
+    then (u_i u_j) u_l = R_t(u_i) R_t(u_j) = (u_i u_l)(u_j u_l).  So closure
+    can fail only at (i, j) with j in F, and self-distributivity only at
+    (i, j, l) with l in F; a set with F empty costs the one product.
+    Otherwise P = S.S (at D^2) is computed once and closure squares its
+    k |F| rows at columns in F: each must be nonzero, with square D^2
+    times itself.  Self-distributivity compares P[i,j] (D S[l]) with
+    P[i,l] P[j,l], both at D^4, in blocks of first indices of about
+    _BLOCK entries: 2 k^2 |F| rows.
     """
     import numpy as np
 
+    if not q.is_quandle:
+        raise InvalidParamsError("the carrier is not a quandle")
     sample = list(sample)
     if not sample:
         raise InvalidParamsError("sample is empty")
@@ -1095,35 +1095,26 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
         out = _search_kernel.table_product(a, b, q.table)
         return out % ring.modulus if ring.kind == "Zmod" else out
 
-    ids, rows = _search_kernel.intern_rows([d * s, product(s[:, None], s[None, :]).reshape(k * k, n)])
-    sid, m = ids[:k], ids[k:].reshape(k, k)
-    failures = []
-    not_idempotent = (rows == 0).all(axis=-1) | (product(rows, rows) != d * d * rows).any(axis=-1)
-    for i, j in np.argwhere(not_idempotent[m]).tolist():
-        failures.append({"check": "closure", "indices": [i, j]})
-    u, pair_ids = len(rows), None
-    if u * u <= min(k**3, 8 * _BLOCK // n):
-        stride = max(1, _BLOCK // (u * n))
-        blocks = (product(rows[a:a + stride, None], rows[None, :]).reshape(-1, n)
-                  for a in range(0, u, stride))
-        pair_ids = _search_kernel.intern_rows(blocks)[0].reshape(u, u, 1)
-
-    def pair(a, b):
-        # the product of rows a and b, or its id as a vector of length 1
-        return product(rows[a], rows[b]) if pair_ids is None else pair_ids[a, b]
-
-    step = max(1, _BLOCK // (k * k * (n if pair_ids is None else 1)))
-    for i0 in range(0, k, step):
-        mi = m[i0:i0 + step]
-        broken = (pair(mi[:, :, None], sid) != pair(mi[:, None, :], m)).any(axis=-1)
-        for i, j, l in np.argwhere(broken).tolist():
-            failures.append({"check": "self_distributivity", "indices": [i0 + i, j, l]})
     eye = np.eye(n, dtype=s.dtype)
-    image = product(eye[:, None], s[None, :])  # image[x, i] = e_x (D S[i])
+    image = product(eye[:, None], s[None, :])  # image[x, i] = e_x S[i]
     acts = np.zeros(k, dtype=bool)
     for column in zip(*q.table):  # x -> x*t
         acts |= (image == d * eye[list(column)][:, None]).all(axis=(0, 2))
-    for i in np.flatnonzero(~acts).tolist():
+    f = np.flatnonzero(~acts).tolist()
+    failures = []
+    if f:
+        p = product(s[:, None], s[None, :])
+        pf, sf = p[:, f], d * s[f]
+        not_idempotent = (pf == 0).all(axis=-1) | (product(pf, pf) != d * d * pf).any(axis=-1)
+        for i, j in np.argwhere(not_idempotent).tolist():
+            failures.append({"check": "closure", "indices": [i, f[j]]})
+        step = max(1, _BLOCK // (k * len(f) * n))
+        for i0 in range(0, k, step):
+            left = product(p[i0:i0 + step, :, None], sf)  # P[i,j] (D S[l])
+            right = product(pf[i0:i0 + step, None], pf)  # P[i,l] P[j,l]
+            for i, j, l in np.argwhere((left != right).any(axis=-1)).tolist():
+                failures.append({"check": "self_distributivity", "indices": [i0 + i, j, f[l]]})
+    for i in f:
         failures.append({"check": "right_mult_is_basis_action", "indices": [i]})
     return IdempotentSetReport(not failures, k, failures)
 

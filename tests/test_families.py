@@ -738,13 +738,19 @@ def test_idempotent_set_failure_is_localized(p6):
     assert {"check": "right_mult_is_basis_action", "indices": [2]} in report.failures
 
 
-def test_idempotent_set_input_validation(r6, p6):
+def test_idempotent_set_input_validation(r6, p6, magma8, monkeypatch):
+    rows = product_rows(monkeypatch)
     with pytest.raises(InvalidParamsError):
         idempotent_quandle_check([], p6)
     with pytest.raises(NotIdempotentInputError):
         idempotent_quandle_check([elem(ZZ, [(0, 1), (3, -1)])], r6)
     with pytest.raises(RingMismatchError):
         idempotent_quandle_check([basis(ZZ, 0), basis(QQ, 1)], p6)
+    # the check leans on right distributivity and bijective columns, which
+    # a magma table need not have, though each e_x of this one is idempotent
+    with pytest.raises(InvalidParamsError, match="not a quandle"):
+        idempotent_quandle_check([basis(ZZ, x) for x in range(8)], magma8)
+    assert rows == []  # every refusal comes before any product
 
 
 @pytest.mark.parametrize("key", [6, -1])
@@ -780,9 +786,21 @@ IDEMPOTENT_SETS = {
     # every idempotent of Z/7[pairs6]: closure and self-distributivity both fail
     "zmod7-all": ("p6", 7, lambda q: enumerate_mod_p(q, 7).idempotents),
     "z-past-int64": ("p6", None, lambda q: big_pair_sample()),
-    # repeated, so its 6 distinct rows make a pair table of Python ints
+    # repeated, so duplicate rows of Python ints meet in every product
     "z-past-int64-repeated": ("p6", None, lambda q: big_pair_sample() * 2),
 }
+
+
+def oracle_failures_reduce_to_basis_action(table, vecs, reduce=None):
+    """The naive failures of a set, after asserting from the oracles alone
+    that closure fails only at (i, j) and self-distributivity only at
+    (i, j, l) whose j, resp. l, acts as no basis element."""
+    failures = naive_idempotent_set_failures(table, vecs, reduce=reduce)
+    basis_action = naive_basis_action_failures(table, vecs, reduce=reduce)
+    outside = {f["indices"][0] for f in basis_action}
+    for f in failures:
+        assert f["indices"][-1] in outside, f
+    return failures + basis_action
 
 
 @pytest.mark.parametrize("name", IDEMPOTENT_SETS)
@@ -792,8 +810,7 @@ def test_idempotent_set_check_matches_naive_oracle(name, request):
     sample = build(q)
     vecs = [[u.coeff(x) for x in range(q.order)] for u in sample]
     report = idempotent_quandle_check(sample, q)
-    assert report.failures == (naive_idempotent_set_failures(q.table, vecs, reduce=modulus)
-                               + naive_basis_action_failures(q.table, vecs, reduce=modulus))
+    assert report.failures == oracle_failures_reduce_to_basis_action(q.table, vecs, reduce=modulus)
     assert report.size == len(sample)
 
 
@@ -838,8 +855,7 @@ def test_idempotent_set_check_matches_naive_oracle_on_random_samples(name, picks
         sample.insert(repeat % len(sample), sample[repeat % len(picks)])
     vecs = [[u.coeff(x) for x in range(q.order)] for u in sample]
     report = idempotent_quandle_check(sample, q)
-    expected = (naive_idempotent_set_failures(q.table, vecs, reduce=modulus)
-                + naive_basis_action_failures(q.table, vecs, reduce=modulus))
+    expected = oracle_failures_reduce_to_basis_action(q.table, vecs, reduce=modulus)
     assert report.failures == expected
     assert report.passed == (not expected)
 
@@ -857,19 +873,24 @@ def product_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("q_name,k", [("r6", 2), ("r6", 10), ("r6", 57), ("r10", 10), ("r10", 60)])
-def test_idempotent_set_check_makes_a_few_products_whatever_k(q_name, k, monkeypatch, request):
-    # S.S, the squares of its distinct rows, the pairs of distinct rows in
-    # blocks of 2^14 entries, and the basis rows times S: 116 calls on the
-    # 57-element sample before
-    q = request.getfixturevalue(q_name)
-    sample = (family_grid((-1, 0, 1)) if q_name == "r6" else dihedral_members(5))[:k]
+PASSING_SAMPLES = {
+    "r6": lambda: family_grid((-1, 0, 1)),
+    "r10": lambda: dihedral_members(5),
+    "r10-box2": lambda: idempotent_pool("r10-box2")[2],
+}
+
+
+@pytest.mark.parametrize("name,k", [("r6", 2), ("r6", 10), ("r6", 57), ("r10", 10), ("r10", 60),
+                                    ("r10-box2", 500)])
+def test_idempotent_set_check_makes_a_few_products_whatever_k(name, k, monkeypatch, request):
+    # every member acts as a basis element, so the basis rows times S
+    # settle the set in one call of n k rows
+    q = request.getfixturevalue(name.split("-")[0])
+    sample = PASSING_SAMPLES[name]()[:k]
+    assert len(sample) == k
     rows = product_rows(monkeypatch)
     assert idempotent_quandle_check(sample, q).passed
-    assert len(rows) <= 12
-    assert rows[0] == k * k and rows[-1] == q.order * k
-    if k == 57:
-        assert rows == [3249, 90, 2700, 2700, 2700, 342]  # 90 distinct products
+    assert rows == [q.order * k]
 
 
 def dihedral_members(n):
@@ -883,19 +904,16 @@ def dihedral_members(n):
     return out
 
 
-def test_idempotent_set_check_worst_case_stays_within_the_old_row_count(r10, monkeypatch):
-    # every product of two distinct members is new: no pair repeats, so the
-    # pair table would outgrow k^3 and the triples are multiplied out
-    pool = enumerate_boxed_Z(r10, 2).idempotents
-    sample = [pool[i] for i in (78, 158, 231, 337, 403)]
-    k = len(sample)
-    vecs = [[u.coeff(x) for x in range(10)] for u in sample]
-    products = {tuple(product_vector(r10.table, a, b)) for a, b in itertools.permutations(vecs, 2)}
-    assert len(products) == k * k - k and not products & {tuple(v) for v in vecs}
+def test_idempotent_set_check_worst_case_stays_within_the_old_row_count(p6, monkeypatch):
+    # every idempotent of Z/7[pairs6], most acting as no basis element (F):
+    # the basis action, S.S, closure at the columns in F, then
+    # self-distributivity at l in F, two products per block of first indices
+    sample = enumerate_mod_p(p6, 7).idempotents
+    k, n = len(sample), p6.order
     rows = product_rows(monkeypatch)
-    report = idempotent_quandle_check(sample, r10)
-    assert report.failures == (naive_idempotent_set_failures(r10.table, vecs)
-                               + naive_basis_action_failures(r10.table, vecs))
-    # S.S, closure and self-distributivity, then one basis-action product
-    assert sum(rows[:-1]) <= 2 * k**3 + 2 * k**2
-    assert rows[-1] == 10 * k
+    report = idempotent_quandle_check(sample, p6)  # its failures: the oracle test above
+    f = sum(e["check"] == "right_mult_is_basis_action" for e in report.failures)
+    assert 0 < f < k
+    assert rows[:3] == [n * k, k * k, k * f]
+    assert rows[3::2] == rows[4::2] and sum(rows[3:]) == 2 * k * k * f
+    assert sum(rows) <= 2 * k**3 + 2 * k**2 + n * k
