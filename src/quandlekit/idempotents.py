@@ -532,12 +532,21 @@ def covering_family_verify(
     determined by its sum constraint.  The idempotency defect has degree
     at most 2 in each free coefficient, so over a domain vanishing on three
     points per coefficient certifies every scalar value; the note says
-    whether the grid used does that.  A case is e_last (the unit fiber's
-    last point) plus c_t dir_t over its free coefficients: dir_t is the
-    orbit sum of t minus that of its fiber's last point, or e_t - e_last
-    on the unit fiber.  It is squared on coefficient lists
-    (ring.dense_product), integral grid values staying ints over Q; only
-    a failure is turned into parameters (covering_family_params).
+    whether the grid used does that.  A case is u(a) = e + sum_t a_t d_t,
+    e the unit fiber's last point and a_t its free coefficients: d_t is
+    the orbit sum of t minus that of its fiber's last point, or
+    e_t - e_last on the unit fiber.
+
+    The product is bilinear, so u(a)^2 - u(a) is a quadratic polynomial
+    in a (_defect_vanishes).  A structure whose coefficient vectors are
+    all 0 in the ring passes at every grid point, and its
+    len(grid)^N cases are counted without evaluating one; on a covering
+    every structure does, since fibers share their right multiplications.
+    Any other structure squares each case on coefficient lists
+    (ring.dense_product), integral grid values staying ints over Q: a
+    nonzero polynomial can still vanish at every point (over Z/2,
+    a^2 - a does).  Only a failure is turned into parameters
+    (covering_family_params).
     """
     if not isinstance(covering, Covering):
         raise TypeError("covering_family_verify needs a Covering, not a bare hom")
@@ -563,23 +572,42 @@ def covering_family_verify(
     # over Q an integral case squares the same in ints
     m = ring.characteristic
     arith = ring if m else ZZ
-    orbit_dirs: dict = {}
+    # coefficient lists keyed by direction, ("orbit", x, x0) or
+    # ("unit", x, last), and e by ("e", last); the defect's verdicts
+    vectors: dict = {}
+    verdicts: dict = {}
+
+    def add(key, pairs) -> None:
+        vectors[key] = vec = [0] * domain.order
+        for k, a in pairs:
+            vec[k] += a
+
     for size in range(0, max_j + 1):
         for j_set in itertools.combinations(codomain, size):
             for y0 in codomain:
                 fiber0 = fibers[y0]
+                last = fiber0[-1]
                 for x0 in fiber0:
                     free_slots = [(y, x) for y in j_set for x in fibers[y][:-1]]
                     unit_slots = list(fiber0[:-1])
-                    for y, x in free_slots:
-                        if (x, x0) not in orbit_dirs:
-                            orbit_dirs[x, x0] = (orbit_sum(x, x0, domain)
-                                                 - orbit_sum(fibers[y][-1], x0, domain)).coeffs
-                    dirs = [orbit_dirs[x, x0] for _, x in free_slots]
-                    dirs += [((x, 1), (fiber0[-1], -1)) for x in unit_slots]
+                    keys = [("orbit", x, x0) for _, x in free_slots]
+                    keys += [("unit", x, last) for x in unit_slots]
+                    for key, (y, x) in zip(keys, free_slots):
+                        if key not in vectors:
+                            add(key, (orbit_sum(x, x0, domain)
+                                      - orbit_sum(fibers[y][-1], x0, domain)).coeffs)
+                    for key, x in zip(keys[len(free_slots):], unit_slots):
+                        if key not in vectors:
+                            add(key, ((x, 1), (last, -1)))
+                    if ("e", last) not in vectors:
+                        add(("e", last), ((last, 1),))
+                    if _defect_vanishes(("e", last), keys, vectors, domain.table, ring, verdicts):
+                        report.cases += len(grid) ** len(keys)
+                        continue
+                    dirs = [[(k, a) for k, a in enumerate(vectors[key]) if a] for key in keys]
                     for point in itertools.product(grid, repeat=len(dirs)):
                         u = [0] * domain.order
-                        u[fiber0[-1]] = 1
+                        u[last] = 1
                         for c, d in zip(point, dirs):
                             for k, a in d:
                                 u[k] += c * a
@@ -596,12 +624,46 @@ def covering_family_verify(
                             rest = -sum(zs.get(y, {}).values())
                             zs.setdefault(y, {})[fibers[y][-1]] = rest
                         unit = dict(zip(unit_slots, point[len(free_slots):]))
-                        unit[fiber0[-1]] = 1 - sum(unit.values())
+                        unit[last] = 1 - sum(unit.values())
                         params = covering_family_params(covering, ring, y0, unit, x0, zs)
                         report.verified = False
                         report.failures.append(params.to_json())
     report.notes.append(note)
     return report
+
+
+def _defect_vanishes(e, dirs, vectors: dict, table, ring: CoeffRing, verdicts: dict) -> bool:
+    """Whether u(a) = e + sum_t a_t d_t squares to itself for every a.
+
+    The product is bilinear, so u^2 - u is the quadratic polynomial
+        (e^2 - e) + sum_t a_t (e d_t + d_t e - d_t) + sum_t a_t^2 d_t^2
+        + sum_{s<t} a_s a_t (d_s d_t + d_t d_s),
+    and it vanishes for every a when each coefficient vector is 0 in the
+    ring.  e and dirs are keys of vectors, integer coefficient lists.
+    Each coefficient's verdict is kept in verdicts under the keys it
+    reads, so a term met by an earlier call costs a lookup.
+    """
+    m = ring.characteristic
+    arith = ring if m else ZZ
+
+    def vanishes(a, b, minus=None) -> bool:
+        """Whether a a - minus (a == b) or a b + b a - minus is 0 in the ring."""
+        key = (a, b, minus)
+        if key not in verdicts:
+            u, v = vectors[a], vectors[b]
+            if a == b:
+                out = dense_product(u, u, table, arith)
+            else:
+                out = [s + t for s, t in zip(dense_product(u, v, table, arith),
+                                             dense_product(v, u, table, arith))]
+            if minus is not None:
+                out = [s - t for s, t in zip(out, vectors[minus])]
+            verdicts[key] = not any(c % m for c in out) if m else not any(out)
+        return verdicts[key]
+
+    return (vanishes(e, e, e)
+            and all(vanishes(e, t, t) and vanishes(t, t) for t in dirs)
+            and all(vanishes(s, t) for s, t in itertools.combinations(dirs, 2)))
 
 
 def _grid_note(ring: CoeffRing, grid) -> str:
@@ -1050,6 +1112,18 @@ def _dense_sample(sample, q: FiniteQuandle, ring: CoeffRing):
     return dense, scale
 
 
+def _distinct_rows(a):
+    """The distinct vectors of an array of shape (..., n), as an m x n
+    array, and for each vector of a the index of its own among them."""
+    import numpy as np
+
+    ids: dict = {}
+    flat = a.reshape(-1, a.shape[-1])
+    which = [ids.setdefault(row, len(ids)) for row in map(tuple, flat.tolist())]
+    rows = np.array(list(ids), dtype=a.dtype).reshape(len(ids), a.shape[-1])
+    return rows, np.array(which).reshape(a.shape[:-1])
+
+
 def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     """Check a set of idempotents under the ring product: closure into
     idempotents, self-distributivity on all triples, and that right
@@ -1069,11 +1143,16 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     then (u_i u_j) u_l = R_t(u_i) R_t(u_j) = (u_i u_l)(u_j u_l).  So closure
     can fail only at (i, j) with j in F, and self-distributivity only at
     (i, j, l) with l in F; a set with F empty costs the one product.
-    Otherwise P = S.S (at D^2) is computed once and closure squares its
-    k |F| rows at columns in F: each must be nonzero, with square D^2
+    Otherwise P = S.S (at D^2) is computed once and reduced to its
+    distinct rows (_distinct_rows), which a failing set repeats: R_t
+    permutes the few idempotents it meets.  Closure squares each distinct
+    row met at a column in F once: it must be nonzero, with square D^2
     times itself.  Self-distributivity compares P[i,j] (D S[l]) with
-    P[i,l] P[j,l], both at D^4, in blocks of first indices of about
-    _BLOCK entries: 2 k^2 |F| rows.
+    P[i,l] P[j,l], both at D^4.  The left sides are one product per
+    distinct row of P and l in F, the right sides one per pair of
+    distinct rows met in one column of F; each is at most k^2 |F| rows.
+    Both are then gathered and compared in blocks of first indices of
+    about _BLOCK entries, with no further product.
     """
     import numpy as np
 
@@ -1103,16 +1182,26 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     f = np.flatnonzero(~acts).tolist()
     failures = []
     if f:
-        p = product(s[:, None], s[None, :])
-        pf, sf = p[:, f], d * s[f]
-        not_idempotent = (pf == 0).all(axis=-1) | (product(pf, pf) != d * d * pf).any(axis=-1)
-        for i, j in np.argwhere(not_idempotent).tolist():
+        nf = len(f)
+        rows, pid = _distinct_rows(product(s[:, None], s[None, :]))  # P = S.S
+        fid = pid[:, f]
+        # closure: square each distinct row of P at a column in F once
+        met, at = np.unique(fid, return_inverse=True)
+        pf = rows[met]
+        bad = (pf == 0).all(axis=-1) | (product(pf, pf) != d * d * pf).any(axis=-1)
+        for i, j in np.argwhere(bad[at.reshape(fid.shape)]).tolist():
             failures.append({"check": "closure", "indices": [i, f[j]]})
-        step = max(1, _BLOCK // (k * len(f) * n))
+        # self-distributivity: both sides are products of pairs of ids
+        r = len(rows)
+        left = product(rows[:, None], d * s[f])  # left[a, l] = P_a (D S[l])
+        met_by_column = map(np.unique, fid.T)
+        pairs = np.unique(np.concatenate([(c[:, None] * r + c).ravel() for c in met_by_column]))
+        right = product(rows[pairs // r], rows[pairs % r])  # P_a P_b, a and b met in one column
+        step = max(1, _BLOCK // (k * nf * n))
         for i0 in range(0, k, step):
-            left = product(p[i0:i0 + step, :, None], sf)  # P[i,j] (D S[l])
-            right = product(pf[i0:i0 + step, None], pf)  # P[i,l] P[j,l]
-            for i, j, l in np.argwhere((left != right).any(axis=-1)).tolist():
+            lhs = left[pid[i0:i0 + step, :, None], np.arange(nf)]
+            rhs = right[np.searchsorted(pairs, fid[i0:i0 + step, None, :] * r + fid[None, :, :])]
+            for i, j, l in np.argwhere((lhs != rhs).any(axis=-1)).tolist():
                 failures.append({"check": "self_distributivity", "indices": [i0 + i, j, f[l]]})
     for i in f:
         failures.append({"check": "right_mult_is_basis_action", "indices": [i]})

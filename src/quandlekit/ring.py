@@ -411,13 +411,25 @@ def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMa
 
 def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     """Whether w -> w*u preserves products, checked on all basis pairs:
-    (e_k u)(e_l u) = e_{k*l} u.  The images e_k u are built once, with
-    their nonzero pairs, and the n^2 pairs are then multiplied in one loop."""
+    (e_k u)(e_l u) = e_{k*l} u.  The images e_k u are built once.  Where
+    both e_k u = e_s and e_l u = e_t are basis elements, the left side is
+    e_{s*t}, so the pair holds exactly when e_{k*l} u is e_{s*t}: an
+    integer compare of sigma(k*l) with sigma(k)*sigma(l), sigma the map of
+    keys to basis images.  Only the pairs that touch another image are
+    multiplied out."""
+    table = q.table
     image = _basis_images(u, q)
     nonzero = [_nonzero(vec) for vec in image]
-    for k, row in enumerate(q.table):
+    one = u.ring.one
+    sigma = [pairs[0][0] if len(pairs) == 1 and pairs[0][1] == one else None for pairs in nonzero]
+    for k, row in enumerate(table):
+        s = sigma[k]
         for l, kl in enumerate(row):
-            if _pair_product(nonzero[k], nonzero[l], q.table, u.ring) != image[kl]:
+            t = sigma[l]
+            if s is not None and t is not None:
+                if sigma[kl] != table[s][t]:
+                    return False
+            elif _pair_product(nonzero[k], nonzero[l], table, u.ring) != image[kl]:
                 return False
     return True
 

@@ -248,6 +248,90 @@ def test_family_verify_builds_parameters_only_for_failures(monkeypatch, r3, r6, 
     assert failures > 0 and len(calls) == failures
 
 
+def dense_product_calls(monkeypatch):
+    """Spy on the family sweep's dense_product: the arguments of each call."""
+    calls = []
+    real = idempotents.dense_product
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(idempotents, "dense_product", spy)
+    return calls
+
+
+def test_family_verify_decides_a_covering_from_the_defect_terms(monkeypatch):
+    # every structure of r10 -> R_5 has a vanishing defect polynomial, so its
+    # cases are counted, not squared: the terms take 470 products per call,
+    # where squaring each case took one per case
+    calls = dense_product_calls(monkeypatch)
+    report = covering_family_verify(FAMILY_COVERINGS["r10_r5"])
+    assert (report.verified, report.structures, report.cases, report.failures) == (True, 160, 3180, [])
+    assert len(calls) <= 470
+
+
+def test_family_verify_squares_each_case_where_the_defect_is_nonzero(r3, monkeypatch):
+    # R_3 over one point: the unit directions e_x - e_2 leave nonzero linear
+    # and square terms, which cancel at every point over Z/2 (a^2 = a there),
+    # so every case is squared, none fails, and the sweep agrees with the oracle
+    cov = _forged_covering(r3, trivial_quandle(1), [0, 0, 0])
+    calls = dense_product_calls(monkeypatch)
+    report = covering_family_verify(cov, ring=IntegersMod(2), max_j=0)
+    expected = _oracle_family(cov, IntegersMod(2), 2, max_j=0)
+    assert (report.structures, report.cases, report.failures) == expected == (3, 27, [])
+    assert report.verified
+    assert len([args for args in calls if args[0] is args[1]]) >= 27
+    assert not covering_family_verify(cov, max_j=0).verified
+
+
+def _defect_terms(table, e, dirs, modulus):
+    """The coefficient vectors of u(a)^2 - u(a), u(a) = e + sum a_t d_t, by
+    kind, computed with product_vector: the kinds whose vectors are not 0."""
+    def red(vec):
+        return [c % modulus for c in vec] if modulus else vec
+
+    def prod(a, b):
+        return product_vector(table, a, b)
+
+    terms = {"unit": [red([x - y for x, y in zip(prod(e, e), e)])]}
+    terms["linear"] = [red([x + y - z for x, y, z in zip(prod(e, d), prod(d, e), d)]) for d in dirs]
+    terms["square"] = [red(prod(d, d)) for d in dirs]
+    terms["cross"] = [red([x + y for x, y in zip(prod(a, b), prod(b, a))])
+                      for a, b in itertools.combinations(dirs, 2)]
+    return {kind for kind, vecs in terms.items() if any(map(any, vecs))}
+
+
+POLARIZATION_CASES = {
+    # the unit point 5 of r10 -> R_5 with e_1 - e_6, its orbit sum left out
+    "linear": ("r10.json", ZZ, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0], [[0, 1, 0, 0, 0, 0, -1, 0, 0, 0]]),
+    # over Z/3 on R_3, e_0 (e_1 - e_2) + (e_1 - e_2) e_0 = 2 (e_2 - e_1) = e_1 - e_2
+    "square": ("r3.json", IntegersMod(3), [1, 0, 0], [[0, 1, 2]]),
+    # over Z/3 on R_4 each direction alone is fine; their sum squares to nonzero
+    "cross": (None, IntegersMod(3), [0, 2, 0, 2], [[0, 1, 0, 2], [1, 2, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POLARIZATION_CASES))
+def test_defect_polynomial_fails_on_each_kind_of_term_alone(kind):
+    fixture, ring, e, dirs = POLARIZATION_CASES[kind]
+    table = load_fixture(fixture).table if fixture else dihedral_quandle(4).table
+    modulus = ring.modulus or None
+    assert _defect_terms(table, e, dirs, modulus) == {kind}
+    vectors = {"e": e, **{t: d for t, d in enumerate(dirs)}}
+    assert not idempotents._defect_vanishes("e", list(range(len(dirs))), vectors, table, ring, {})
+    # and some member of the family is not idempotent
+    values = range(modulus) if modulus else (-1, 0, 1)
+    squares = []
+    for point in itertools.product(values, repeat=len(dirs)):
+        u = e[:]
+        for c, d in zip(point, dirs):
+            u = [x + c * y for x, y in zip(u, d)]
+        u = [c % modulus for c in u] if modulus else u
+        squares.append(product_vector(table, u, u, modulus) == u)
+    assert not all(squares)
+
+
 def test_family_library_checks_import_no_numpy(checkout_env):
     # family-verify, classify and the endomorphism check stay in plain
     # Python on r10 -> R_5, so library callers never pay numpy's import
@@ -906,14 +990,33 @@ def dihedral_members(n):
 
 def test_idempotent_set_check_worst_case_stays_within_the_old_row_count(p6, monkeypatch):
     # every idempotent of Z/7[pairs6], most acting as no basis element (F):
-    # the basis action, S.S, closure at the columns in F, then
-    # self-distributivity at l in F, two products per block of first indices
+    # the basis action, S.S, closure on the distinct rows of P at columns in
+    # F, then self-distributivity on the distinct (row of P, l in F) and on
+    # the distinct pairs of rows met in one column of F
     sample = enumerate_mod_p(p6, 7).idempotents
     k, n = len(sample), p6.order
+    vecs = [[u.coeff(x) for x in range(n)] for u in sample]
+    pairs = [[tuple(product_vector(p6.table, a, b, 7)) for b in vecs] for a in vecs]
     rows = product_rows(monkeypatch)
     report = idempotent_quandle_check(sample, p6)  # its failures: the oracle test above
-    f = sum(e["check"] == "right_mult_is_basis_action" for e in report.failures)
-    assert 0 < f < k
-    assert rows[:3] == [n * k, k * k, k * f]
-    assert rows[3::2] == rows[4::2] and sum(rows[3:]) == 2 * k * k * f
+    f = [e["indices"][0] for e in report.failures if e["check"] == "right_mult_is_basis_action"]
+    assert 0 < len(f) < k
+    distinct = {p for row in pairs for p in row}
+    met = {pairs[i][l] for i in range(k) for l in f}
+    met_pairs = {(pairs[i][l], pairs[j][l]) for l in f for i in range(k) for j in range(k)}
+    assert rows == [n * k, k * k, len(met), len(distinct) * len(f), len(met_pairs)]
+    assert len(met) <= k * len(f) and len(met_pairs) <= k * k * len(f)
     assert sum(rows) <= 2 * k**3 + 2 * k**2 + n * k
+
+
+def test_idempotent_set_check_multiplies_the_distinct_rows_of_a_failing_set(r6, monkeypatch):
+    # all 95 idempotents of Z/5[R_6], 20 of them acting as no basis element:
+    # P = S.S has 9,025 rows but 96 distinct ones, 21 of them at the columns
+    # in F; a product per block of first indices took 193 calls
+    sample = enumerate_mod_p(r6, 5).idempotents
+    vecs = [[u.coeff(x) for x in range(r6.order)] for u in sample]
+    rows = product_rows(monkeypatch)
+    report = idempotent_quandle_check(sample, r6)
+    assert report.failures == oracle_failures_reduce_to_basis_action(r6.table, vecs, reduce=5)
+    assert len(rows) <= 20
+    assert rows[:3] == [6 * 95, 95 * 95, 21]

@@ -548,6 +548,21 @@ def test_dense_checks_see_both_answers(r6, r10):
     assert is_idempotent(half, r6) and is_ring_endomorphism(half, r6)
 
 
+def test_endomorphism_check_decides_basis_images_on_a_magma(magma8):
+    # each e_x of quasigroup8 sends every basis element to a basis element,
+    # but the table is not right distributive: the integer compare of basis
+    # images must still say no
+    for ring in (ZZ, QQ, IntegersMod(2), IntegersMod(5)):
+        for x in range(magma8.order):
+            u = basis(ring, x)
+            vec = _vector(u, 8)
+            for k in range(8):
+                assert product_vector(magma8.table, _vector(basis(ZZ, k), 8), vec) == _vector(
+                    basis(ZZ, magma8.table[k][x]), 8)
+            expected = naive_is_ring_endomorphism(magma8.table, vec, ring.modulus or None)
+            assert is_ring_endomorphism(u, magma8) is expected is False
+
+
 def test_right_mult_orders_are_cached_permutation_orders(r6, r10, p6):
     for q in (r6, r10, p6):
         for perm, order in zip(q.right_mults, q.right_mult_orders):
