@@ -150,9 +150,14 @@ class FiniteQuandle(MagmaTable):
         return validate_table(table)
 
     @cached_property
+    def right_mult_cycles(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The cycles of each right multiplication S_y, as perm_cycles lists them."""
+        return tuple(tuple(perm_cycles(p)) for p in self.right_mults)
+
+    @cached_property
     def right_mult_orders(self) -> tuple[int, ...]:
         """The order of each right multiplication S_y."""
-        return tuple(perm_order(p) for p in self.right_mults)
+        return tuple(math.lcm(*map(len, cycles)) for cycles in self.right_mult_cycles)
 
 
 def quandle_from_json(doc: dict, as_magma: bool = False) -> FiniteQuandle | MagmaTable:
@@ -751,6 +756,29 @@ class Covering:
         if y not in self.fibers:
             raise InvalidParamsError(f"no fiber over {y}")
         return self.fibers[y]
+
+    @cached_property
+    def orbit_plans(self) -> tuple[tuple[tuple[tuple[int, ...], int, int, int], ...], ...]:
+        """Per base point x0, one entry per cycle of sigma = S_x0 on the
+        domain: (cycle, n_sigma // its length, fiber class, representative).
+
+        sigma induces S_{images[x0]} on the codomain, since the hom sends
+        t*x0 to images[t]*images[x0].  A cycle's fiber class is the least
+        point of the induced cycle through its image, and its
+        representative the least point of the cycle over that class."""
+        domain, codomain, images = self.hom.domain, self.hom.codomain, self.hom.images
+        plans = []
+        for x0, cycles in enumerate(domain.right_mult_cycles):
+            n_sigma = domain.right_mult_orders[x0]
+            fiber_class = {z: cycle[0] for cycle in codomain.right_mult_cycles[images[x0]]
+                           for z in cycle}
+            plan = []
+            for cycle in cycles:
+                y_star = fiber_class[images[cycle[0]]]
+                rep = min(t for t in cycle if images[t] == y_star)
+                plan.append((cycle, n_sigma // len(cycle), y_star, rep))
+            plans.append(tuple(plan))
+        return tuple(plans)
 
     def to_json(self) -> dict:
         return {

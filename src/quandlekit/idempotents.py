@@ -63,6 +63,7 @@ from .ring import (
     IntegersMod,
     RingElement,
     ZZ,
+    _pair_product,
     augmentation,
     dense_product,
     dense_vector,
@@ -706,68 +707,63 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     codomain index, then reconstructs v as a combination of orbit sums of
     the base point's right multiplication.  Works extensionally: only the
     element's own fiber sums and orbit structure matter, not a particular
-    choice of representatives.  Every step runs on coefficient lists
-    (ring.dense_product for the stabilizer test v*w = v).
+    choice of representatives.  u is squared once, on its nonzero pairs;
+    the stabilizer test v*w = v multiplies the pairs of v and w; the
+    orbits, multiplicities and fiber classes of each base point come from
+    covering.orbit_plans, built once per covering.
     """
     domain = covering.hom.domain
     ring = u.ring
+    zero, one = ring.zero, ring.one
     flags = ["codomain ring attested to have only trivial idempotents"]
-    if not is_idempotent(u, domain):
+    vec = dense_vector(u, domain.order)
+    if u.is_zero() or _pair_product(u.coeffs, u.coeffs, domain.table, ring) != vec:
         raise NotIdempotentInputError("element is not idempotent (its square differs)")
     images = covering.hom.images
-    vec = dense_vector(u, domain.order)
-    fiber_sum: dict[int, object] = {y: ring.zero for y in covering.fibers}
-    for x, c in enumerate(vec):
+    fiber_sum: dict[int, object] = {y: zero for y in covering.fibers}
+    for x, c in u.coeffs:
         fiber_sum[images[x]] = ring.add(fiber_sum[images[x]], c)
-    units = [y for y, s in fiber_sum.items() if s == ring.one]
-    rest = [y for y, s in fiber_sum.items() if s not in (ring.zero, ring.one)]
+    units = [y for y, s in fiber_sum.items() if s == one]
+    rest = [y for y, s in fiber_sum.items() if s not in (zero, one)]
     if len(units) != 1 or rest:
         return ClassifyResult(False, reason="fiber sums are not a single unit mass", flags=flags)
     y0 = units[0]
-    w = [c if images[x] == y0 else ring.zero for x, c in enumerate(vec)]
-    v = [ring.zero if images[x] == y0 else c for x, c in enumerate(vec)]
-    unit = {x: c for x, c in enumerate(w) if c}
-    x0 = min(unit)
-    if not any(v):
+    w = [(x, c) for x, c in u.coeffs if images[x] == y0]
+    v_pairs = [(x, c) for x, c in u.coeffs if images[x] != y0]
+    unit = dict(w)
+    x0 = w[0][0]
+    if not v_pairs:
         params = covering_family_params(covering, ring, y0, unit, x0, {})
         return ClassifyResult(True, params=params, flags=flags)
-    if dense_product(v, w, domain.table, ring) != v:
+    v = list(vec)
+    for x, _ in w:
+        v[x] = zero
+    if _pair_product(v_pairs, w, domain.table, ring) != v:
         return ClassifyResult(
             False, reason="orbit part is not stabilized by the unit part", flags=flags
         )
-    sigma = domain.right_mults[x0]
-    n_sigma = domain.right_mult_orders[x0]
-    collected = []  # (orbit, multiplier)
-    for orbit in perm_cycles(sigma):
-        values = {v[t] for t in orbit}
-        if len(values) > 1:
+    groups: dict[int, dict[int, object]] = {}
+    for orbit, multiplicity, y_star, rep in covering.orbit_plans[x0]:
+        c = v[orbit[0]]
+        if any(v[t] != c for t in orbit):
             return ClassifyResult(
                 False, reason="coefficients are not constant on a right-multiplication orbit", flags=flags
             )
-        c = values.pop()
-        if c == ring.zero:
+        if c == zero:
             continue
-        m = ring.div(c, n_sigma // len(orbit))
+        m = ring.div(c, multiplicity)
         if m is None:
             return ClassifyResult(
                 False,
                 reason="orbit multiplicity does not divide the orbit coefficient",
                 flags=flags,
             )
-        collected.append((orbit, m))
-    # sigma induces a permutation of the codomain; a point's class is its cycle's least point
-    sigma_bar = [images[sigma[covering.fibers[y][0]]] for y in range(len(covering.fibers))]
-    fiber_class = {z: cycle[0] for cycle in perm_cycles(sigma_bar) for z in cycle}
-    groups: dict[int, dict[int, object]] = {}
-    for orbit, m in collected:
-        y_star = fiber_class[images[orbit[0]]]
-        rep = min(t for t in orbit if images[t] == y_star)
         groups.setdefault(y_star, {})[rep] = m
     for y_star, reps in groups.items():
-        total = ring.zero
+        total = zero
         for m in reps.values():
             total = ring.add(total, m)
-        if total != ring.zero:
+        if total != zero:
             return ClassifyResult(
                 False, reason="orbit multipliers do not cancel over a fiber class", flags=flags
             )

@@ -16,9 +16,11 @@ Products have two routines.  Table carriers use `dense_product`, the
 product on coefficient lists indexed by the keys 0..n-1: it loops over
 the nonzero entries of each factor only, in the ring's own exact scalars
 (ints, Fractions, or ints reduced mod m once at the end), and builds no
-RingElement.  Every check on a table goes through it: idempotency,
-nilpotency, endomorphisms, annihilator witnesses, and the covering-family
-sweep and classification in idempotents.  `mul`, the sparse product on
+RingElement.  Every check on a table goes through it, or through its
+form `_pair_product` on factors given as nonzero (key, coefficient)
+pairs, such as an element's own coeffs: idempotency, nilpotency,
+endomorphisms, annihilator witnesses, and the covering-family sweep and
+classification in idempotents.  `mul`, the sparse product on
 RingElements, serves the carriers that have no table: free quandles.
 """
 
@@ -324,7 +326,7 @@ def is_idempotent(u: RingElement, carrier) -> bool:
     if not isinstance(carrier, MagmaTable):
         return mul(u, u, carrier) == u
     vec = dense_vector(u, carrier.order)
-    return dense_product(vec, vec, carrier.table, u.ring) == vec
+    return _pair_product(u.coeffs, u.coeffs, carrier.table, u.ring) == vec
 
 
 def orbit_sum(x: int, y: int, q: FiniteQuandle, ring: CoeffRing = ZZ) -> RingElement:
@@ -399,9 +401,17 @@ class SquareMatrix:
 
 
 def _basis_images(u: RingElement, q: FiniteQuandle | MagmaTable) -> list:
-    """e_k * u for every key k, as coefficient lists."""
-    right = _nonzero(dense_vector(u, q.order))
-    return [_pair_product([(k, u.ring.one)], right, q.table, u.ring) for k in range(q.order)]
+    """e_k * u for every key k, as coefficient lists: row k of the table
+    gathers the coefficients of u at the keys k*y."""
+    n, zero, m = q.order, u.ring.zero, u.ring.characteristic
+    dense_vector(u, n)  # refuses a key outside the carrier
+    images = []
+    for row in q.table:
+        vec = [zero] * n
+        for y, c in u.coeffs:
+            vec[row[y]] += c
+        images.append([c % m for c in vec] if m else vec)
+    return images
 
 
 def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMatrix:
@@ -411,16 +421,25 @@ def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMa
 
 def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     """Whether w -> w*u preserves products, checked on all basis pairs:
-    (e_k u)(e_l u) = e_{k*l} u.  The images e_k u are built once.  Where
-    both e_k u = e_s and e_l u = e_t are basis elements, the left side is
-    e_{s*t}, so the pair holds exactly when e_{k*l} u is e_{s*t}: an
-    integer compare of sigma(k*l) with sigma(k)*sigma(l), sigma the map of
-    keys to basis images.  Only the pairs that touch another image are
+    (e_k u)(e_l u) = e_{k*l} u.  The images e_k u are built once.  When
+    every image is a basis element e_sigma(k), the map preserves products
+    exactly when sigma(k*l) = sigma(k)*sigma(l) for all k, l, compared a
+    row of the table at a time.  Otherwise, where both e_k u = e_s and
+    e_l u = e_t are basis elements the pair is the integer compare of
+    sigma(k*l) with s*t, and only the pairs that touch another image are
     multiplied out."""
     table = q.table
     image = _basis_images(u, q)
+    zero, one = u.ring.zero, u.ring.one
+    sigma = []
+    for vec in image:
+        if vec.count(zero) != q.order - 1 or one not in vec:
+            break
+        sigma.append(vec.index(one))
+    else:
+        return all(list(map(sigma.__getitem__, row)) == list(map(table[s].__getitem__, sigma))
+                   for row, s in zip(table, sigma))
     nonzero = [_nonzero(vec) for vec in image]
-    one = u.ring.one
     sigma = [pairs[0][0] if len(pairs) == 1 and pairs[0][1] == one else None for pairs in nonzero]
     for k, row in enumerate(table):
         s = sigma[k]

@@ -53,7 +53,7 @@ from quandlekit import (
     union_quandle,
 )
 
-from quandlekit import _search_kernel, idempotents
+from quandlekit import _search_kernel, core, idempotents
 from quandlekit._search_kernel import table_product
 from quandlekit.core import union_offsets
 from quandlekit.idempotents import _dense_sample, _support_search, _union_membership
@@ -502,6 +502,70 @@ def test_classify_json_shape(cov63):
     doc = covering_classify(basis(ZZ, 0), cov63).to_json()
     assert set(doc) == {"in_family", "params", "reason", "flags"}
     assert doc["in_family"] and doc["reason"] is None
+
+
+@st.composite
+def _random_family_params(draw):
+    """Family parameters on r6 -> R_3 or r10 -> R_5 over Z, Q or Z/5: a
+    unit part over one fiber summing to 1, a base point in it, and up to
+    three zero-sum groups, each over one fiber."""
+    name = draw(st.sampled_from(["r6_r3", "r10_r5"]))
+    ring = draw(st.sampled_from([ZZ, QQ, IntegersMod(5)]))
+    cov = FAMILY_COVERINGS[name]
+    if ring is QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        scalar = st.integers(-3, 3)
+
+    def summing_to(total, points):
+        coeffs = {x: draw(scalar) for x in points[1:]}
+        coeffs[points[0]] = total - sum(coeffs.values())
+        return coeffs
+
+    fibers = sorted(cov.fibers)
+    y0 = draw(st.sampled_from(fibers))
+    support = draw(st.lists(st.sampled_from(cov.fibers[y0]), min_size=1, unique=True))
+    groups = {
+        y: summing_to(0, draw(st.lists(st.sampled_from(cov.fibers[y]), min_size=1, unique=True)))
+        for y in draw(st.lists(st.sampled_from(fibers), max_size=3, unique=True))
+    }
+    base = draw(st.sampled_from(support))
+    return name, covering_family_params(cov, ring, y0, summing_to(1, support), base, groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_family_params())
+def test_classify_recovers_every_random_family_element(case):
+    name, params = case
+    cov = FAMILY_COVERINGS[name]
+    table, images = cov.hom.domain.table, cov.hom.images
+    u = covering_idempotent(cov, params)
+    vec = [u.coeff(k) for k in range(cov.hom.domain.order)]
+    assert naive_family_vector(table, images, params.to_json()) == vec
+    result = covering_classify(u, cov)
+    assert result.in_family and result.reason is None
+    assert naive_family_vector(table, images, result.params.to_json()) == vec
+
+
+def test_classify_builds_orbit_data_once_per_quandle_and_base_point(monkeypatch):
+    # the 304 r10 family members of the benchmark, on fresh tables
+    r10, r5 = load_fixture("r10.json"), load_fixture("r5.json")
+    cov = check_covering(QuandleHom(r10, r5, [i % 5 for i in range(10)]))
+    members = list(dict.fromkeys(
+        dihedral_even_family(5, j, beta, list(alphas))
+        for j, beta in itertools.product(range(5), (-1, 0, 1, 2))
+        for alphas in itertools.product((-1, 0, 1), repeat=3)
+    ))
+    assert len(members) == 304
+    calls = []
+    real = core.perm_cycles
+    monkeypatch.setattr(core, "perm_cycles", lambda perm: calls.append(perm) or real(perm))
+    monkeypatch.setattr(idempotents, "perm_cycles", core.perm_cycles)
+    assert all(covering_classify(u, cov).in_family for u in members)
+    first = len(calls)
+    assert first <= r10.order + r5.order
+    assert all(covering_classify(u, cov).in_family for u in members)
+    assert len(calls) == first
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from quandlekit import (
     CompositeModulusError,
     IntegersMod,
     InvalidParamsError,
+    MagmaTable,
     RingElement,
     RingMismatchError,
     SquareMatrix,
@@ -29,6 +30,7 @@ from quandlekit import (
     kernel_vector,
     mul,
     orbit_sum,
+    perm_cycles,
     right_mult_matrix,
     ring_from_tag,
     scalar_mul,
@@ -563,6 +565,44 @@ def test_endomorphism_check_decides_basis_images_on_a_magma(magma8):
             assert is_ring_endomorphism(u, magma8) is expected is False
 
 
+def _basis_image_elements(r6, r10, ring):
+    """(table, element) pairs where the element is no basis element but
+    every e_k u is one: 2e_0 - e_3 on r6 (columns 0 and 3 of r6 agree),
+    the non-basis r10 family members, and 2e_0 - e_1 on a magma whose
+    equal columns 0 and 1 send k to k + 1 mod 3, a map that column 2
+    (constant 0) keeps from being a hom."""
+    magma = MagmaTable([[1, 1, 0], [2, 2, 0], [0, 0, 0]])
+    cases = [(r6, elem(ring, [(0, 2), (3, -1)])), (magma, elem(ring, [(0, 2), (1, -1)]))]
+    seen = set()
+    for j, beta in itertools.product(range(5), (-1, 0, 2)):
+        for alphas in itertools.product((-1, 0, 1), repeat=3):
+            u = dihedral_even_family(5, j, beta, list(alphas), ring=ring)
+            if len(u.coeffs) > 1 and u not in seen:
+                seen.add(u)
+                cases.append((r10, u))
+    return cases
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, IntegersMod(5)], ids=["Z", "Q", "Zmod5"])
+def test_endomorphism_check_compares_sigma_rows_for_non_basis_elements(r6, r10, ring, monkeypatch):
+    cases = _basis_image_elements(r6, r10, ring)
+    reduce = ring.modulus or None
+    expected = []
+    for q, u in cases:
+        vec = _vector(u, q.order)
+        images = [product_vector(q.table, _vector(basis(ZZ, k), q.order), vec, reduce)
+                  for k in range(q.order)]
+        assert all(sorted(img) == [0] * (q.order - 1) + [1] for img in images)
+        expected.append(naive_is_ring_endomorphism(q.table, vec, reduce))
+    assert expected[:2] == [True, False] and all(expected[2:]) and len(cases) > 100
+
+    def no_pair_products(*args):
+        raise AssertionError("every image is a basis element: no pair is multiplied out")
+
+    monkeypatch.setattr(ring_module, "_pair_product", no_pair_products)
+    assert [is_ring_endomorphism(u, q) for q, u in cases] == expected
+
+
 def test_right_mult_orders_are_cached_permutation_orders(r6, r10, p6):
     for q in (r6, r10, p6):
         for perm, order in zip(q.right_mults, q.right_mult_orders):
@@ -571,3 +611,5 @@ def test_right_mult_orders_are_cached_permutation_orders(r6, r10, p6):
                 power, k = tuple(perm[i] for i in power), k + 1
             assert order == k
         assert q.right_mult_orders is q.right_mult_orders
+        assert q.right_mult_cycles == tuple(tuple(perm_cycles(p)) for p in q.right_mults)
+        assert q.right_mult_cycles is q.right_mult_cycles
