@@ -45,11 +45,10 @@ instead of n^2; the Python evaluator pays those n products once per run
 of the innermost digit instead.  The numpy evaluator holds a batch
 coefficient-major, one row per basis key.
 
-`table_product` multiplies whole stacks of coefficient vectors under
-e_x e_y = e_{x*y}; the batched check on idempotent sets uses it.
-
-numpy is imported inside the functions, so commands that never search,
-and searches that stay in plain Python, do not pay for importing it.
+numpy serves this evaluator only.  It is imported inside
+`_evaluate_numpy`, and by the pool driver before it forks workers to run
+it, so commands that never search, and searches that stay in plain
+Python, do not pay for importing it.
 """
 
 from __future__ import annotations
@@ -71,29 +70,6 @@ def space_size(order: int, mode: str, param: int, blocks: int) -> int:
 def _int64_safe(order: int, param: int) -> bool:
     """True when no sum of order^2 coefficient products can overflow int64."""
     return order * order * param * param < 2**62
-
-
-def table_product(u, v, table):
-    """Products of coefficient vectors under e_x e_y = e_{x*y}.
-
-    u and v are arrays of shape (..., n) that broadcast against each
-    other; table is the n x n operation table.  The result has the
-    broadcast shape and the common dtype of u and v: int64 arithmetic
-    wraps, so callers pick object dtype when a guard says it must.
-    The loop runs on key-major contiguous copies, so each slice it adds is
-    one block of memory; the result is a key-last view of a key-major
-    array, which a further product takes without copying.
-    """
-    import numpy as np
-
-    uk = np.ascontiguousarray(np.moveaxis(u, -1, 0))
-    vk = np.ascontiguousarray(np.moveaxis(v, -1, 0))
-    out = np.zeros((len(table),) + np.broadcast_shapes(u.shape[:-1], v.shape[:-1]),
-                   dtype=np.result_type(u, v))
-    for i, row in enumerate(table):
-        for j, k in enumerate(row):
-            out[k] += uk[i] * vk[j]
-    return np.moveaxis(out, 0, -1)
 
 
 def _pairs(table, n: int) -> list[list[tuple[int, int]]]:

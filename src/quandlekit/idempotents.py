@@ -47,7 +47,6 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
-    CarrierMismatchError,
     ConstraintViolatedError,
     HypothesisFailedError,
     InternalCheckError,
@@ -63,6 +62,8 @@ from .ring import (
     IntegersMod,
     RingElement,
     ZZ,
+    _basis_action,
+    _basis_images,
     _pair_product,
     augmentation,
     dense_product,
@@ -122,11 +123,6 @@ POOL_MIN_SPACE = 1 << 21
 # always runs numpy.
 NUMPY_MIN_INDICES = 1 << 17
 _python_indices = 0  # per process, like the import it stands in for
-
-# Entries per array in the blocks of idempotent_quandle_check: 2^14 int64
-# is 128 KB, glibc's initial mmap threshold, so a block's temporaries come
-# from the heap whatever the process did before.
-_BLOCK = 1 << 14
 
 # A kernel call costs about as much as this many indices on top of them
 # (numpy's per-operation overhead on tiny batches, measured on the same
@@ -1075,51 +1071,6 @@ class IdempotentSetReport:
         return {"passed": self.passed, "size": self.size, "failures": self.failures}
 
 
-def _dense_sample(sample, q: FiniteQuandle, ring: CoeffRing):
-    """The sample as a k x n integer array D*S, with its scale D.
-
-    Over Q, D is the common denominator of all coefficients; over Z and
-    Z/m it is 1.  Over Z and Q every entry and partial sum the check
-    computes is bounded by L^4, L the largest l1 norm of a scaled row,
-    because |uv|_1 <= |u|_1 |v|_1 and D <= L (a nonzero idempotent has
-    l1 norm at least 1); int64 holds that when L^4 < 2^62.  Z/m reduces
-    after every product, so the kernel's guard applies.  Otherwise the
-    array holds Python ints.
-    """
-    import numpy as np
-
-    n = q.order
-    for i, u in enumerate(sample):
-        for key in u.support:
-            if not q.contains_key(key):
-                raise CarrierMismatchError(f"sample element {i}: basis key {key!r} is not in the carrier")
-    scale = 1
-    if ring.kind == "Q":
-        scale = math.lcm(*(c.denominator for u in sample for _, c in u.coeffs))
-    if ring.kind == "Zmod":
-        safe = _search_kernel._int64_safe(n, ring.modulus)
-    else:
-        norm = max(sum(abs(c) for _, c in u.coeffs) for u in sample) * scale
-        safe = norm**4 < 2**62
-    dense = np.zeros((len(sample), n), dtype=np.int64 if safe else object)
-    for i, u in enumerate(sample):
-        for key, c in u.coeffs:
-            dense[i, key] = int(c * scale)
-    return dense, scale
-
-
-def _distinct_rows(a):
-    """The distinct vectors of an array of shape (..., n), as an m x n
-    array, and for each vector of a the index of its own among them."""
-    import numpy as np
-
-    ids: dict = {}
-    flat = a.reshape(-1, a.shape[-1])
-    which = [ids.setdefault(row, len(ids)) for row in map(tuple, flat.tolist())]
-    rows = np.array(list(ids), dtype=a.dtype).reshape(len(ids), a.shape[-1])
-    return rows, np.array(which).reshape(a.shape[:-1])
-
-
 def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     """Check a set of idempotents under the ring product: closure into
     idempotents, self-distributivity on all triples, and that right
@@ -1127,31 +1078,24 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     basis element.  All failures are reported, not just the first, in
     index order.  The carrier must be a quandle.
 
-    The products run on dense integer arrays: S[i] = D u_i, from
-    _dense_sample.  Every row below has l1 norm at most L^2, so each
-    product keeps the L^4 bound of _dense_sample.  Member i acts as basis
-    element t when e_x S[i] = D e_{x*t} for every x: one product of the n
-    basis rows with S, n k rows, settles every member.  Let F be the
+    Member i acts as basis element t when every image e_x u_i is a basis
+    element e_{x*t} with coefficient 1: the images are gathered from the
+    member's pairs (_basis_images), with no product.  Let F be the
     members that act as no basis element.  In a quandle
     (x*y)*t = (x*t)*(y*t) and x -> x*t is a bijection, so right
     multiplication R_t by e_t is a ring automorphism.  If u_j acts as t,
     then u_i u_j = R_t(u_i) is a nonzero idempotent; if u_l acts as t,
     then (u_i u_j) u_l = R_t(u_i) R_t(u_j) = (u_i u_l)(u_j u_l).  So closure
     can fail only at (i, j) with j in F, and self-distributivity only at
-    (i, j, l) with l in F; a set with F empty costs the one product.
-    Otherwise P = S.S (at D^2) is computed once and reduced to its
-    distinct rows (_distinct_rows), which a failing set repeats: R_t
-    permutes the few idempotents it meets.  Closure squares each distinct
-    row met at a column in F once: it must be nonzero, with square D^2
-    times itself.  Self-distributivity compares P[i,j] (D S[l]) with
-    P[i,l] P[j,l], both at D^4.  The left sides are one product per
-    distinct row of P and l in F, the right sides one per pair of
-    distinct rows met in one column of F; each is at most k^2 |F| rows.
-    Both are then gathered and compared in blocks of first indices of
-    about _BLOCK entries, with no further product.
+    (i, j, l) with l in F; a set with F empty is settled there.
+    Otherwise vectors are interned by their nonzero (key, coefficient)
+    pairs and each ordered pair of ids is multiplied once with
+    _pair_product, in the ring's exact scalars: a failing set repeats
+    its products, since R_t permutes the few idempotents it meets.
+    P = S.S is a k x k grid of ids; closure squares P[i][j] for j in F,
+    and self-distributivity compares the ids of P[i][j] u_l and
+    P[i][l] P[j][l] for l in F.
     """
-    import numpy as np
-
     if not q.is_quandle:
         raise InvalidParamsError("the carrier is not a quandle")
     sample = list(sample)
@@ -1163,42 +1107,44 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
             raise RingMismatchError(f"sample element {i} uses {u.ring.tag}, expected {ring.tag}")
         if not is_idempotent(u, q):
             raise NotIdempotentInputError(f"sample element {i} is not idempotent")
-    k, n = len(sample), q.order
-    s, d = _dense_sample(sample, q, ring)
+    k, table = len(sample), q.table
+    columns = set(zip(*table))  # x -> x*t for each t
 
-    def product(a, b):
-        out = _search_kernel.table_product(a, b, q.table)
-        return out % ring.modulus if ring.kind == "Zmod" else out
+    def acts(u) -> bool:
+        sigma = _basis_action(_basis_images(u, q), ring)
+        return sigma is not None and tuple(sigma) in columns
 
-    eye = np.eye(n, dtype=s.dtype)
-    image = product(eye[:, None], s[None, :])  # image[x, i] = e_x S[i]
-    acts = np.zeros(k, dtype=bool)
-    for column in zip(*q.table):  # x -> x*t
-        acts |= (image == d * eye[list(column)][:, None]).all(axis=(0, 2))
-    f = np.flatnonzero(~acts).tolist()
+    f = [i for i, u in enumerate(sample) if not acts(u)]
     failures = []
     if f:
-        nf = len(f)
-        rows, pid = _distinct_rows(product(s[:, None], s[None, :]))  # P = S.S
-        fid = pid[:, f]
-        # closure: square each distinct row of P at a column in F once
-        met, at = np.unique(fid, return_inverse=True)
-        pf = rows[met]
-        bad = (pf == 0).all(axis=-1) | (product(pf, pf) != d * d * pf).any(axis=-1)
-        for i, j in np.argwhere(bad[at.reshape(fid.shape)]).tolist():
-            failures.append({"check": "closure", "indices": [i, f[j]]})
-        # self-distributivity: both sides are products of pairs of ids
-        r = len(rows)
-        left = product(rows[:, None], d * s[f])  # left[a, l] = P_a (D S[l])
-        met_by_column = map(np.unique, fid.T)
-        pairs = np.unique(np.concatenate([(c[:, None] * r + c).ravel() for c in met_by_column]))
-        right = product(rows[pairs // r], rows[pairs % r])  # P_a P_b, a and b met in one column
-        step = max(1, _BLOCK // (k * nf * n))
-        for i0 in range(0, k, step):
-            lhs = left[pid[i0:i0 + step, :, None], np.arange(nf)]
-            rhs = right[np.searchsorted(pairs, fid[i0:i0 + step, None, :] * r + fid[None, :, :])]
-            for i, j, l in np.argwhere((lhs != rhs).any(axis=-1)).tolist():
-                failures.append({"check": "self_distributivity", "indices": [i0 + i, j, f[l]]})
+        ids: dict = {}
+        vecs: list = []
+        memo: dict = {}
+
+        def intern(pairs) -> int:
+            pairs = tuple(pairs)
+            if pairs not in ids:
+                ids[pairs] = len(vecs)
+                vecs.append(pairs)
+            return ids[pairs]
+
+        def product(a: int, b: int) -> int:
+            if (a, b) not in memo:
+                out = _pair_product(vecs[a], vecs[b], table, ring)
+                memo[a, b] = intern((x, c) for x, c in enumerate(out) if c)
+            return memo[a, b]
+
+        s = [intern(u.coeffs) for u in sample]
+        p = [[product(a, b) for b in s] for a in s]
+        for i, j in itertools.product(range(k), f):
+            c = p[i][j]
+            if not vecs[c] or product(c, c) != c:
+                failures.append({"check": "closure", "indices": [i, j]})
+        for i, j in itertools.product(range(k), repeat=2):
+            c = p[i][j]
+            for l in f:
+                if product(c, s[l]) != product(p[i][l], p[j][l]):
+                    failures.append({"check": "self_distributivity", "indices": [i, j, l]})
     for i in f:
         failures.append({"check": "right_mult_is_basis_action", "indices": [i]})
     return IdempotentSetReport(not failures, k, failures)

@@ -19,8 +19,11 @@ the nonzero entries of each factor only, in the ring's own exact scalars
 RingElement.  Every check on a table goes through it, or through its
 form `_pair_product` on factors given as nonzero (key, coefficient)
 pairs, such as an element's own coeffs: idempotency, nilpotency,
-endomorphisms, annihilator witnesses, and the covering-family sweep and
-classification in idempotents.  `mul`, the sparse product on
+endomorphisms, annihilator witnesses, and the covering-family sweep,
+classification and idempotent-set check in idempotents.  Right
+multiplication by u needs no product: `_basis_images` gathers each
+e_k u from u's pairs, and `_basis_action` reads off sigma when every
+image is a basis element e_sigma(k).  `mul`, the sparse product on
 RingElements, serves the carriers that have no table: free quandles.
 """
 
@@ -414,6 +417,19 @@ def _basis_images(u: RingElement, q: FiniteQuandle | MagmaTable) -> list:
     return images
 
 
+def _basis_action(images: list, ring: CoeffRing) -> list | None:
+    """sigma with image k = e_sigma(k) for every k, or None when some
+    image is not a basis element with coefficient 1 (the scan stops at
+    the first such image)."""
+    zero, one = ring.zero, ring.one
+    sigma = []
+    for vec in images:
+        if vec.count(zero) != len(vec) - 1 or one not in vec:
+            return None
+        sigma.append(vec.index(one))
+    return sigma
+
+
 def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMatrix:
     """Matrix of w -> w*u on the basis: column k holds e_k * u."""
     return SquareMatrix(u.ring, zip(*_basis_images(u, q)))
@@ -430,15 +446,11 @@ def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     multiplied out."""
     table = q.table
     image = _basis_images(u, q)
-    zero, one = u.ring.zero, u.ring.one
-    sigma = []
-    for vec in image:
-        if vec.count(zero) != q.order - 1 or one not in vec:
-            break
-        sigma.append(vec.index(one))
-    else:
+    sigma = _basis_action(image, u.ring)
+    if sigma is not None:
         return all(list(map(sigma.__getitem__, row)) == list(map(table[s].__getitem__, sigma))
                    for row, s in zip(table, sigma))
+    one = u.ring.one
     nonzero = [_nonzero(vec) for vec in image]
     sigma = [pairs[0][0] if len(pairs) == 1 and pairs[0][1] == one else None for pairs in nonzero]
     for k, row in enumerate(table):

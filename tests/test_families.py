@@ -53,10 +53,9 @@ from quandlekit import (
     union_quandle,
 )
 
-from quandlekit import _search_kernel, core, idempotents
-from quandlekit._search_kernel import table_product
+from quandlekit import core, idempotents
 from quandlekit.core import union_offsets
-from quandlekit.idempotents import _dense_sample, _support_search, _union_membership
+from quandlekit.idempotents import _support_search, _union_membership
 
 from conftest import family_grid, fixture_path, load_fixture, read_json
 from oracles import (
@@ -333,21 +332,27 @@ def test_defect_polynomial_fails_on_each_kind_of_term_alone(kind):
 
 
 def test_family_library_checks_import_no_numpy(checkout_env):
-    # family-verify, classify and the endomorphism check stay in plain
-    # Python on r10 -> R_5, so library callers never pay numpy's import
+    # family-verify, classify, the endomorphism check and the idempotent-set
+    # check, passing on a family sample of r6 and failing on pairs6, stay in
+    # plain Python, so library callers never pay numpy's import
     code = (
         "import sys\n"
         "from quandlekit import *\n"
-        "r10, r5 = load_quandle(sys.argv[1]), load_quandle(sys.argv[2])\n"
+        "r10, r5, r6, p6 = map(load_quandle, sys.argv[1:])\n"
         "cov = check_covering(QuandleHom(r10, r5, [i % 5 for i in range(10)]))\n"
         "members = [dihedral_even_family(5, j, 2, [1, -1, 0]) for j in range(5)]\n"
         "assert all(is_ring_endomorphism(u, r10) for u in members)\n"
         "assert all(covering_classify(u, cov).in_family for u in members)\n"
         "assert all(covering_family_verify(cov, ring=r).verified for r in (ZZ, QQ, IntegersMod(7)))\n"
+        "sample = [dihedral_even_family(3, j, 1, [-1, 0]) for j in range(3)]\n"
+        "assert idempotent_quandle_check(sample, r6).passed\n"
+        "sample = [basis(ZZ, 0), basis(ZZ, 3), RingElement(ZZ, [(4, 2), (5, -1)])]\n"
+        "assert not idempotent_quandle_check(sample, p6).passed\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
     )
+    fixtures = [fixture_path(f"{name}.json") for name in ("r10", "r5", "r6", "pairs6")]
     proc = subprocess.run(
-        [sys.executable, "-c", code, fixture_path("r10.json"), fixture_path("r5.json")],
+        [sys.executable, "-c", code, *fixtures],
         env=checkout_env,
         capture_output=True,
         text=True,
@@ -887,7 +892,7 @@ def test_idempotent_set_failure_is_localized(p6):
 
 
 def test_idempotent_set_input_validation(r6, p6, magma8, monkeypatch):
-    rows = product_rows(monkeypatch)
+    calls = pair_products(monkeypatch)
     with pytest.raises(InvalidParamsError):
         idempotent_quandle_check([], p6)
     with pytest.raises(NotIdempotentInputError):
@@ -898,17 +903,15 @@ def test_idempotent_set_input_validation(r6, p6, magma8, monkeypatch):
     # a magma table need not have, though each e_x of this one is idempotent
     with pytest.raises(InvalidParamsError, match="not a quandle"):
         idempotent_quandle_check([basis(ZZ, x) for x in range(8)], magma8)
-    assert rows == []  # every refusal comes before any product
+    assert calls == []  # every refusal comes before any product
 
 
 @pytest.mark.parametrize("key", [6, -1])
 def test_idempotent_set_keys_outside_the_carrier(r6, key):
-    # a key of -1 would silently index the last column of a dense array
+    # a key of -1 would silently index the last entry of a coefficient list
     sample = [basis(ZZ, 0), basis(ZZ, key)]
     with pytest.raises(CarrierMismatchError):
         idempotent_quandle_check(sample, r6)
-    with pytest.raises(CarrierMismatchError):
-        _dense_sample(sample, r6, ZZ)
 
 
 def pair_element(ring, block, c):
@@ -918,8 +921,11 @@ def pair_element(ring, block, c):
 
 
 def big_pair_sample():
-    # l1 norms near 2 * 10^5: L^4 > 2^63, and products of products exceed int64
+    # l1 norms near 2 * 10^5, so products of products exceed int64
     return [pair_element(ZZ, b, c) for b, c in ((0, 98304), (1, -65535), (2, 100003))]
+
+
+Z6 = IntegersMod(6, force=True)
 
 
 IDEMPOTENT_SETS = {
@@ -934,8 +940,15 @@ IDEMPOTENT_SETS = {
     # every idempotent of Z/7[pairs6]: closure and self-distributivity both fail
     "zmod7-all": ("p6", 7, lambda q: enumerate_mod_p(q, 7).idempotents),
     "z-past-int64": ("p6", None, lambda q: big_pair_sample()),
-    # repeated, so duplicate rows of Python ints meet in every product
+    # repeated, so duplicate vectors meet in every product
     "z-past-int64-repeated": ("p6", None, lambda q: big_pair_sample() * 2),
+    # Fractions whose products leave int64
+    "q-past-int64": ("p6", None, lambda q: [
+        pair_element(QQ, b, c)
+        for b, c in ((0, Fraction(2**40 + 1, 3)), (1, Fraction(-5, 2**33)), (2, Fraction(7**25, 11)))
+    ]),
+    # e_x (3 e_0) = 3 e_{x*0} is a basis element times 3, not a basis action
+    "zmod6-scaled": ("r6", 6, lambda q: [elem(Z6, [(0, 3)]), elem(Z6, [(1, 4)]), basis(Z6, 2)]),
 }
 
 
@@ -960,25 +973,6 @@ def test_idempotent_set_check_matches_naive_oracle(name, request):
     report = idempotent_quandle_check(sample, q)
     assert report.failures == oracle_failures_reduce_to_basis_action(q.table, vecs, reduce=modulus)
     assert report.size == len(sample)
-
-
-def test_idempotent_set_products_stay_exact_past_int64(p6):
-    # P[i,l] P[j,l] reaches past 2^63 on this sample: int64 would wrap there
-    sample = big_pair_sample()
-    vecs = [[u.coeff(x) for x in range(6)] for u in sample]
-    pairs = [[product_vector(p6.table, a, b) for b in vecs] for a in vecs]
-    s, scale = _dense_sample(sample, p6, ZZ)
-    assert scale == 1
-    p = table_product(s[:, None], s[None, :], p6.table)
-    assert p.tolist() == pairs
-    biggest = 0
-    for i in range(len(sample)):
-        products = table_product(p[i][None, :], p, p6.table).tolist()
-        for j, l in itertools.product(range(len(sample)), repeat=2):
-            expected = product_vector(p6.table, pairs[i][l], pairs[j][l])
-            assert products[j][l] == expected
-            biggest = max(biggest, *map(abs, expected))
-    assert biggest > 2**63
 
 
 @functools.cache
@@ -1008,17 +1002,18 @@ def test_idempotent_set_check_matches_naive_oracle_on_random_samples(name, picks
     assert report.passed == (not expected)
 
 
-def product_rows(monkeypatch):
-    """Spy on table_product: the rows of each call's result, in call order."""
-    rows = []
+def pair_products(monkeypatch):
+    """Spy on the _pair_product of the idempotent-set check: the factors of
+    each call as tuples of (key, coefficient) pairs, in call order."""
+    calls = []
+    real = idempotents._pair_product
 
-    def spy(u, v, table):
-        out = table_product(u, v, table)
-        rows.append(out.size // out.shape[-1])
-        return out
+    def spy(left, right, table, ring):
+        calls.append((tuple(left), tuple(right)))
+        return real(left, right, table, ring)
 
-    monkeypatch.setattr(_search_kernel, "table_product", spy)
-    return rows
+    monkeypatch.setattr(idempotents, "_pair_product", spy)
+    return calls
 
 
 PASSING_SAMPLES = {
@@ -1031,14 +1026,14 @@ PASSING_SAMPLES = {
 @pytest.mark.parametrize("name,k", [("r6", 2), ("r6", 10), ("r6", 57), ("r10", 10), ("r10", 60),
                                     ("r10-box2", 500)])
 def test_idempotent_set_check_makes_a_few_products_whatever_k(name, k, monkeypatch, request):
-    # every member acts as a basis element, so the basis rows times S
-    # settle the set in one call of n k rows
+    # every member acts as a basis element, which its gathered basis
+    # images show, so the set is settled with no product at all
     q = request.getfixturevalue(name.split("-")[0])
     sample = PASSING_SAMPLES[name]()[:k]
     assert len(sample) == k
-    rows = product_rows(monkeypatch)
+    calls = pair_products(monkeypatch)
     assert idempotent_quandle_check(sample, q).passed
-    assert rows == [q.order * k]
+    assert calls == []
 
 
 def dihedral_members(n):
@@ -1052,35 +1047,45 @@ def dihedral_members(n):
     return out
 
 
+def assert_each_needed_pair_multiplied_once(table, sample, report, calls, reduce):
+    """The calls multiply each ordered pair of vectors that the check
+    needs exactly once: those of S.S, the nonzero P[i][j] squared for j in
+    F, and P[i][j] u_l and P[i][l] P[j][l] for l in F.  So there are at
+    most k^2 + k|F| + 2 k^2 |F| <= 2k^3 + 2k^2 of them."""
+    def pairs(vec):
+        return tuple((x, c) for x, c in enumerate(vec) if c)
+
+    k, n = len(sample), len(table)
+    vecs = [[u.coeff(x) for x in range(n)] for u in sample]
+    p = [[product_vector(table, a, b, reduce) for b in vecs] for a in vecs]
+    f = [e["indices"][0] for e in report.failures if e["check"] == "right_mult_is_basis_action"]
+    needed = {(pairs(a), pairs(b)) for a in vecs for b in vecs}
+    needed |= {(pairs(p[i][j]),) * 2 for i in range(k) for j in f if any(p[i][j])}
+    for i, j, l in itertools.product(range(k), range(k), f):
+        needed |= {(pairs(p[i][j]), pairs(vecs[l])), (pairs(p[i][l]), pairs(p[j][l]))}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == needed
+    assert len(calls) <= k * k + k * len(f) + 2 * k * k * len(f) <= 2 * k**3 + 2 * k**2
+    return f
+
+
 def test_idempotent_set_check_worst_case_stays_within_the_old_row_count(p6, monkeypatch):
     # every idempotent of Z/7[pairs6], most acting as no basis element (F):
-    # the basis action, S.S, closure on the distinct rows of P at columns in
-    # F, then self-distributivity on the distinct (row of P, l in F) and on
-    # the distinct pairs of rows met in one column of F
+    # the products repeat, 43k distinct ones, each made once
     sample = enumerate_mod_p(p6, 7).idempotents
-    k, n = len(sample), p6.order
-    vecs = [[u.coeff(x) for x in range(n)] for u in sample]
-    pairs = [[tuple(product_vector(p6.table, a, b, 7)) for b in vecs] for a in vecs]
-    rows = product_rows(monkeypatch)
+    calls = pair_products(monkeypatch)
     report = idempotent_quandle_check(sample, p6)  # its failures: the oracle test above
-    f = [e["indices"][0] for e in report.failures if e["check"] == "right_mult_is_basis_action"]
-    assert 0 < len(f) < k
-    distinct = {p for row in pairs for p in row}
-    met = {pairs[i][l] for i in range(k) for l in f}
-    met_pairs = {(pairs[i][l], pairs[j][l]) for l in f for i in range(k) for j in range(k)}
-    assert rows == [n * k, k * k, len(met), len(distinct) * len(f), len(met_pairs)]
-    assert len(met) <= k * len(f) and len(met_pairs) <= k * k * len(f)
-    assert sum(rows) <= 2 * k**3 + 2 * k**2 + n * k
+    f = assert_each_needed_pair_multiplied_once(p6.table, sample, report, calls, 7)
+    assert 0 < len(f) < len(sample)
 
 
 def test_idempotent_set_check_multiplies_the_distinct_rows_of_a_failing_set(r6, monkeypatch):
     # all 95 idempotents of Z/5[R_6], 20 of them acting as no basis element:
-    # P = S.S has 9,025 rows but 96 distinct ones, 21 of them at the columns
-    # in F; a product per block of first indices took 193 calls
+    # P = S.S has 9,025 entries but 96 distinct vectors
     sample = enumerate_mod_p(r6, 5).idempotents
     vecs = [[u.coeff(x) for x in range(r6.order)] for u in sample]
-    rows = product_rows(monkeypatch)
+    calls = pair_products(monkeypatch)
     report = idempotent_quandle_check(sample, r6)
     assert report.failures == oracle_failures_reduce_to_basis_action(r6.table, vecs, reduce=5)
-    assert len(rows) <= 20
-    assert rows[:3] == [6 * 95, 95 * 95, 21]
+    f = assert_each_needed_pair_multiplied_once(r6.table, sample, report, calls, 5)
+    assert len(f) == 20

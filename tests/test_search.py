@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 
-import numpy as np
+import numpy  # noqa: F401  (loaded, so int64-safe plans here run the numpy evaluator)
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -385,23 +385,6 @@ def test_object_path_box_slices_agree_with_oracle(bound):
         assert hits == [v for v in vecs if any(v) and list(v) == square_vector(q.table, v)]
         found.update(hits)
     assert {(0, 1, 0), (0, 0, 1)} <= found
-
-
-# ---------------------------------------------------------------------------
-# the dense product shared by the kernel and the idempotent-set check
-
-
-@pytest.mark.parametrize("dtype,bound", [(np.int64, 10**6), (object, 2**70)])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_table_product_matches_square_vector(r10, dtype, bound, data):
-    vecs = data.draw(st.lists(
-        st.lists(st.integers(-bound, bound), min_size=10, max_size=10), min_size=1, max_size=4,
-    ))
-    batch = np.array(vecs, dtype=dtype)
-    squares = _search_kernel.table_product(batch, batch, r10.table)
-    assert squares.dtype == batch.dtype
-    assert squares.tolist() == [square_vector(r10.table, v) for v in vecs]
 
 
 # ---------------------------------------------------------------------------
