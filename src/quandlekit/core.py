@@ -683,10 +683,42 @@ def principal_congruence(q: MagmaTable, a: int, b: int) -> Partition:
     return tuple(tuple(block) for block in blocks.values())
 
 
+def inner_generators(q: MagmaTable) -> tuple[tuple[int, ...], ...]:
+    """Generators of Inn(q), the right multiplications of a quandle, each an
+    automorphism by right distributivity; none for a magma table, whose
+    translations need not be automorphisms."""
+    return tuple(dict.fromkeys(q.right_mults)) if q.is_quandle else ()
+
+
 def congruences(q: MagmaTable) -> list[Partition]:
-    """The distinct principal congruences of q, sorted; O(n^4) at worst."""
+    """The distinct principal congruences of q, sorted.
+
+    An automorphism g maps the congruence generated by {a, b} to the one
+    generated by {g(a), g(b)}.  A right multiplication S_z of a quandle is
+    an automorphism that also maps each block of a congruence into a
+    block (x ~ y gives x*z ~ y*z), so it fixes every congruence: all the
+    pairs of one orbit under inner_generators(q) generate the same one.
+    The unordered pairs are walked in those orbits, one closure per
+    orbit.  A magma table has no generators: every pair is its own orbit.
+    """
     n = q.order
-    return sorted({principal_congruence(q, a, b) for a in range(n) for b in range(a + 1, n)})
+    gens = inner_generators(q)
+    seen: set[tuple[int, int]] = set()
+    found: set[Partition] = set()
+    for pair in itertools.combinations(range(n), 2):
+        if pair in seen:
+            continue
+        seen.add(pair)
+        frontier = [pair]
+        while frontier:
+            a, b = frontier.pop()
+            for g in gens:
+                image = (g[a], g[b]) if g[a] < g[b] else (g[b], g[a])
+                if image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
+        found.add(principal_congruence(q, *pair))
+    return sorted(found)
 
 
 def quotient_table(q: MagmaTable, partition: Partition) -> Table:

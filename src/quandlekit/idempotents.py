@@ -12,8 +12,11 @@ keeping the augmentation, so every idempotent in scope lies over 0 or
 over an idempotent of k[Y] in the same strata.  The search finds those
 on the quotient table first, then sweeps only the vectors whose sum over
 each fiber matches one of them.  Augmentation strata are the quotient to
-one point.  candidates_tested still counts the in-box vectors of the
-declared scope, not the vectors the sweep evaluates.
+one point.  In a quandle every right multiplication is an automorphism:
+it permutes the fibers, the targets and their lifts, so only one target
+per orbit under the group they generate is swept.  candidates_tested
+still counts the in-box vectors of the declared scope, not the vectors
+the sweep evaluates.
 
 Family constructors build idempotents from structure (coverings, even
 dihedral tables, unions) and every construction is re-checked by exact
@@ -38,7 +41,9 @@ from .core import (
     core_quandle,
     dihedral_quandle,
     doc_int,
+    inner_generators,
     perm_cycles,
+    perm_inverse,
     properties,
     quotient_table,
     union_quandle,
@@ -231,6 +236,8 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
     call): the quotient is dropped, with no search, when the idempotents
     known without one are already too many, and its search is abandoned
     as soon as its kernel finds too many.  Then the direct sweep is kept.
+    The caller sweeps one entry per orbit under Inn(X) (_target_orbits);
+    the choice here still prices every entry of the plan.
     """
     n = carrier.order
     cost = len(direct) * (space + SWEEP_COST)
@@ -253,6 +260,42 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
         targets = [(0,) * k] + [tuple(u.coeff(y) for y in range(k)) for u in base.idempotents]
         return [tuple(zip(partition, v)) for v in targets]
     return direct
+
+
+def _target_orbits(plan: list, gens, n: int) -> list:
+    """The plan's entries in orbits under gens, permutations of the n keys:
+    one (representative, members) pair per orbit, in plan order, members
+    a list of (entry, inverse of g) for g a product of gens carrying the
+    representative to the entry, the representative first.
+
+    An automorphism g of the table maps the blocks of a congruence to
+    blocks and, extended linearly, idempotents to idempotents with the
+    same coefficients on the image keys.  So the idempotents over entry
+    g(t) are the images under g of those over t, and one sweep per orbit
+    finds them all.  With no gens every entry is its own orbit.
+    """
+    index = {entry: i for i, entry in enumerate(plan)}
+    placed: set[int] = set()
+    orbits = []
+    for i, rep in enumerate(plan):
+        if i in placed:
+            continue
+        placed.add(i)
+        members = [(rep, tuple(range(n)))]
+        for entry, g in members:
+            for h in gens:
+                image = tuple(sorted((tuple(sorted(h[x] for x in keys)), target)
+                                     for keys, target in entry))
+                j = index.get(image)
+                if j is None:
+                    raise InternalCheckError(
+                        f"a table automorphism maps a sweep target outside the plan: {image}"
+                    )
+                if j not in placed:
+                    placed.add(j)
+                    members.append((image, tuple(h[x] for x in g)))
+        orbits.append((rep, [(entry, perm_inverse(g)) for entry, g in members]))
+    return orbits
 
 
 def _enumerate_table(
@@ -279,19 +322,22 @@ def _enumerate_table(
         raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
     plan = _sweep_plan(carrier, spec, mode, param, budget, jobs, direct, space)
-    sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers in plan]
+    # one sweep per orbit of the plan under Inn(X); its hits are mapped to the other members
+    orbits = _target_orbits(plan, inner_generators(carrier), n)
+    sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers, _ in orbits]
     workers = jobs if sum(sweeps) >= POOL_MIN_SPACE else 1
     evaluator = _kernel_evaluator(sum(sweeps), _search_kernel._int64_safe(n, param))
-    tasks = [
-        (carrier.table, n, mode, param, fibers, a, b, max_support, evaluator)
-        for fibers, sweep in zip(plan, sweeps)
-        for (a, b) in _chunk_ranges(sweep, workers)
-    ]
-    # each distinct hit, with the fibers it was swept under, in kernel order
+    tasks, task_orbits = [], []
+    for (fibers, orbit), sweep in zip(orbits, sweeps):
+        for a, b in _chunk_ranges(sweep, workers):
+            tasks.append((carrier.table, n, mode, param, fibers, a, b, max_support, evaluator))
+            task_orbits.append(orbit)
+    # each distinct hit, with the fibers it lies over, in kernel order
     hits: dict[tuple[int, ...], tuple] = {}
-    for task, (vecs, _) in zip(tasks, _run_tasks(tasks, workers)):
+    for orbit, (vecs, _) in zip(task_orbits, _run_tasks(tasks, workers)):
         for vec in vecs:
-            hits.setdefault(vec, task[4])
+            for fibers, g_inverse in orbit:
+                hits.setdefault(tuple(map(vec.__getitem__, g_inverse)), fibers)
         if max_hits is not None and len(hits) > max_hits:
             return None
     found: list[RingElement] = []

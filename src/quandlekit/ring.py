@@ -30,6 +30,7 @@ RingElements, serves the carriers that have no table: free quandles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -448,7 +449,12 @@ def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     image = _basis_images(u, q)
     sigma = _basis_action(image, u.ring)
     if sigma is not None:
-        return all(list(map(sigma.__getitem__, row)) == list(map(table[s].__getitem__, sigma))
+        if len(sigma) == 1:
+            # one element: sigma(0*0) = 0 = sigma(0)*sigma(0); itemgetter of
+            # one index would return a scalar, not a tuple
+            return True
+        row_image = operator.itemgetter(*sigma)
+        return all(tuple(map(sigma.__getitem__, row)) == row_image(table[s])
                    for row, s in zip(table, sigma))
     one = u.ring.one
     nonzero = [_nonzero(vec) for vec in image]

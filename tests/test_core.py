@@ -582,7 +582,8 @@ def _refines(fine, coarse):
 
 def _check_principal_congruences(q):
     """Each principal congruence is the finest oracle congruence holding
-    its pair, and congruences() lists exactly the distinct ones."""
+    its pair, and congruences() lists exactly the distinct ones.  Returns
+    every oracle congruence."""
     every = naive_congruences(q.table)
     principal = set()
     for a, b in itertools.combinations(range(q.order), 2):
@@ -592,6 +593,7 @@ def _check_principal_congruences(q):
         assert principal_congruence(q, a, b) == finest
         principal.add(finest)
     assert congruences(q) == sorted(principal)
+    return every
 
 
 def test_principal_congruences_match_the_oracle(r6, t3, p6, magma8):
@@ -607,6 +609,48 @@ def test_principal_congruences_of_random_magmas_match_the_oracle(data):
         st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n,
     ))
     _check_principal_congruences(MagmaTable(table))
+
+
+@st.composite
+def small_quandles(draw):
+    """A dihedral, core, product, union or twisted-union quandle of order
+    at most 7, where the oracle's Bell(n) partitions stay few.  Unlike a
+    magma table these have right multiplications, so congruences() walks
+    the pairs in orbits."""
+    def piece(most):
+        kind = draw(st.sampled_from(["trivial", "dihedral"]))
+        return make(kind, draw(st.integers(1, most)))
+
+    kind = draw(st.sampled_from(["dihedral", "core", "product", "union", "twisted-union"]))
+    if kind == "dihedral":
+        return make("dihedral", draw(st.integers(1, 7)))
+    if kind == "core":
+        return make("core", draw(st.sampled_from([[2, 2], [2, 3], [3, 2], [5], [7]])))
+    if kind == "product":
+        x = piece(3)
+        return make("product", x, piece(7 // x.order))
+    if kind == "union":
+        x = piece(5)
+        y = piece(6 - x.order)
+        rest = 7 - x.order - y.order
+        return make("union", x, y, *([piece(rest)] if rest and draw(st.booleans()) else []))
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 7 - a))
+    f = draw(st.permutations(range(a)))
+    g = draw(st.permutations(range(b)))
+    return make("twisted-union", make("trivial", a), make("trivial", b), f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=small_quandles())
+def test_principal_congruences_of_random_quandles_match_the_oracle(q):
+    every = _check_principal_congruences(q)
+    # each right multiplication fixes every congruence, so the pairs of
+    # one Inn(q)-orbit generate the same one
+    for partition in every:
+        for g in q.right_mults:
+            image = tuple(sorted(tuple(sorted(g[x] for x in block)) for block in partition))
+            assert image == partition
 
 
 def test_dihedral_10_folds_onto_dihedral_5(r10, r5):

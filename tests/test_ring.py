@@ -34,6 +34,7 @@ from quandlekit import (
     right_mult_matrix,
     ring_from_tag,
     scalar_mul,
+    trivial_quandle,
     zero,
 )
 from quandlekit import ring as ring_module
@@ -436,6 +437,18 @@ def test_basis_elements_are_ring_endomorphisms(r6):
 
 def test_non_endomorphism_detected(p6):
     assert not is_ring_endomorphism(elem(ZZ, [(0, 2), (1, -1)]), p6)
+
+
+def test_endomorphism_check_on_a_one_element_quandle():
+    # the basis action of e_0 is the one-entry sigma (0,), whose row compare
+    # would meet a scalar where a tuple is expected
+    one = trivial_quandle(1)
+    for ring in (ZZ, IntegersMod(5)):
+        assert is_ring_endomorphism(basis(ring, 0), one)
+        for c in (2, -1, 3):
+            vec = [ring.coerce(c)]
+            expected = naive_is_ring_endomorphism(one.table, vec, ring.modulus or None)
+            assert is_ring_endomorphism(elem(ring, [(0, c)]), one) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -254,19 +254,24 @@ def test_search_spec_json_spellings():
 # determinism
 
 
-def test_single_and_multi_worker_reports_are_byte_identical(r3, r6, r10, monkeypatch):
+def test_single_and_multi_worker_reports_are_byte_identical(r3, r6, r10, b12, monkeypatch):
     monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
     cases = [
-        (r3, lambda jobs: enumerate_boxed_Z(r3, 3, jobs=jobs)),
-        (r6, lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs)),
-        (r6, lambda jobs: enumerate_mod_p(r6, 5, jobs=jobs)),
-        # twelve targets through r10 -> R_5, each split across the workers
-        (r10, lambda jobs: enumerate_mod_p(r10, 3, jobs=jobs)),
+        lambda jobs: enumerate_boxed_Z(r3, 3, jobs=jobs),
+        lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs),
+        lambda jobs: enumerate_mod_p(r6, 5, jobs=jobs),
+        # twelve targets through r10 -> R_5, one per Inn(R_5)-orbit swept,
+        # each sweep split across the workers and its hits mapped to the
+        # other members of its orbit
+        lambda jobs: enumerate_mod_p(r10, 3, jobs=jobs),
+        lambda jobs: enumerate_boxed_Z(r10, 2, jobs=jobs),
+        lambda jobs: enumerate_mod_p(r10, 5, jobs=jobs),
+        lambda jobs: enumerate_mod_p(b12, 3, jobs=jobs),
     ]
-    for _, run in cases:
+    for run in cases:
         one = json.dumps(run(1).to_json(), sort_keys=True)
-        four = json.dumps(run(4).to_json(), sort_keys=True)
-        assert one == four
+        for jobs in (2, 4):
+            assert json.dumps(run(jobs).to_json(), sort_keys=True) == one
 
 
 def test_timing_zeroed_unless_requested(r3):
@@ -683,6 +688,124 @@ def test_r10_quotient_search_keeps_the_pinned_counts(
     assert report.candidates_tested == tested
 
 
+# ---------------------------------------------------------------------------
+# one sweep per Inn(X)-orbit of quotient targets
+
+
+def _inner_group(q):
+    """Every element of Inn(q): the right multiplications closed under composition."""
+    identity = tuple(range(q.order))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in q.right_mults:
+            hg = tuple(h[x] for x in g)
+            if hg not in group:
+                group.add(hg)
+                frontier.append(hg)
+    return group
+
+
+def _plans_and_sweeps(monkeypatch):
+    """The plan of every search and the distinct fibers every kernel run
+    swept, the outermost search last in each list."""
+    plans, swept = [], []
+    real_plan, real_run = idempotents._sweep_plan, idempotents._run_tasks
+
+    def plan_spy(*args):
+        plans.append(real_plan(*args))
+        return plans[-1]
+
+    def run_spy(tasks, jobs):
+        swept.append(list(dict.fromkeys(task[4] for task in tasks)))
+        return real_run(tasks, jobs)
+
+    monkeypatch.setattr(idempotents, "_sweep_plan", plan_spy)
+    monkeypatch.setattr(idempotents, "_run_tasks", run_spy)
+    return plans, swept
+
+
+def _check_one_sweep_per_orbit(q, plan, swept):
+    """Inn(q) maps the plan onto itself, and exactly one entry of each of
+    its orbits is swept."""
+    def image(g, entry):
+        return frozenset((frozenset(g[x] for x in keys), target) for keys, target in entry)
+
+    group = _inner_group(q)
+    entries = {image(range(q.order), entry) for entry in plan}
+    orbits = {frozenset(image(g, entry) for g in group) for entry in plan}
+    assert all(orbit <= entries for orbit in orbits)
+    swept = [image(range(q.order), entry) for entry in swept]
+    assert len(swept) == len(orbits)
+    assert all(sum(entry in orbit for entry in swept) == 1 for orbit in orbits)
+
+
+ORBIT_SCOPES = [("zbox", 1), ("zbox", 2), ("zp", 3), ("zp", 5)]
+
+
+def _orbit_tables(r6, p6, t2, t3, r3):
+    return [
+        r6,
+        p6,
+        make("dihedral", 4),
+        make("product", r3, t2),
+        make("product", t2, r3),
+        twisted_union_quandle(t2, t3, (1, 0), (1, 2, 0)),
+        twisted_union_quandle(t3, t3, (1, 2, 0), (2, 0, 1)),
+        twisted_union_quandle(t2, trivial_quandle(4), (1, 0), (1, 2, 3, 0)),
+    ]
+
+
+def test_orbit_sweeps_match_the_naive_oracles(r6, p6, t2, t3, r3, monkeypatch):
+    plans, swept = _plans_and_sweeps(monkeypatch)
+    for q in _orbit_tables(r6, p6, t2, t3, r3):
+        reduced = False
+        for mode, param in ORBIT_SCOPES:
+            if mode == "zp":
+                expected = naive_idempotents_mod_p(q.table, param)
+            else:
+                expected = naive_idempotents_boxed(q.table, param)
+            # a zero call cost takes every quotient whose own search fits
+            for cost in (0, idempotents.SWEEP_COST):
+                monkeypatch.setattr(idempotents, "SWEEP_COST", cost)
+                report = _search(q, mode, param, None)
+                assert report_vectors(report, q.order) == expected
+                _check_one_sweep_per_orbit(q, plans[-1], swept[-1])
+                reduced |= len(swept[-1]) < len(plans[-1])
+        assert reduced, f"{q.name}: no scope swept fewer targets than its plan"
+
+
+@pytest.mark.parametrize("name", ["r10", "b12"])
+def test_orbit_sweeps_match_the_unreduced_search(name, request, monkeypatch):
+    # past the naive oracles' reach: the same search with no generators
+    # sweeps every target of the same plan
+    q = request.getfixturevalue(name)
+    plans, swept = _plans_and_sweeps(monkeypatch)
+    for mode, param in ORBIT_SCOPES:
+        for max_support in (None, 3):
+            reduced = _search(q, mode, param, max_support).to_json()
+            _check_one_sweep_per_orbit(q, plans[-1], swept[-1])
+            assert len(swept[-1]) < len(plans[-1])
+            with monkeypatch.context() as mp:
+                mp.setattr(idempotents, "inner_generators", lambda carrier: ())
+                unreduced = _search(q, mode, param, max_support).to_json()
+            assert swept[-1] == plans[-1]
+            assert json.dumps(reduced, sort_keys=True) == json.dumps(unreduced, sort_keys=True)
+
+
+@pytest.mark.parametrize("mode,param,targets,orbits", [
+    ("zbox", 2, 6, 2),
+    ("zp", 5, 6, 2),
+    ("zp", 3, 12, 4),
+])
+def test_r10_sweeps_one_target_per_orbit(r10, monkeypatch, mode, param, targets, orbits):
+    # the lifts of 0 and of the idempotents of R_5; Inn(R_5) fixes 0 and
+    # moves each other target onto one of orbits - 1 representatives
+    plans, swept = _plans_and_sweeps(monkeypatch)
+    _search(r10, mode, param, None)
+    assert (len(plans[-1]), len(swept[-1])) == (targets, orbits)
+
+
 @st.composite
 def inflated_tables(draw):
     """A random magma Y with each point blown up into a block, in random
@@ -936,9 +1059,11 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
         # r6 mod 5: the quotient r6 -> R_3 costs more than the direct
         # sweep, two strata of 5^5 indices
         (lambda jobs: enumerate_mod_p(r6, 5, jobs=jobs), 2 * 5**5, 2),
-        # r6 in the box 2: the lifts of 0 and of the three basis
-        # idempotents of R_3, 5^3 indices each
-        (lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs), 4 * 5**3, 4),
+        # r6 in the box 2: the plan lifts 0 and the three basis
+        # idempotents of R_3, 5^(6 - 3) indices each.  Inn(R_3) fixes 0
+        # and is transitive on the three basis elements, so one sweep per
+        # orbit: the lift of 0 and that of e_0, 2 * 5^3 indices
+        (lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs), 2 * 5**3, 2),
     ]
     runs = []
     real = idempotents._run_tasks
