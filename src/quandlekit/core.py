@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,20 +65,34 @@ def validate_table(table) -> Table:
     Column permutation failures are reported before diagonal failures,
     which are reported before right-distributivity failures; within each
     axiom the first offending index tuple (lexicographically) is raised.
+
+    Right distributivity (i*j)*k = (i*k)*(j*k) for all i says that the
+    column maps compose as S_k S_j = S_{j*k} S_k, so it is checked as
+    2n^2 compositions of column tuples.  The least failing i of each
+    failing (j, k) is its first differing entry; the least triple over
+    those is raised.
     """
     rows = _normalize_table(table)
     n = len(rows)
-    for j in range(n):
-        if len({rows[i][j] for i in range(n)}) != n:
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        if len(set(col)) != n:
             raise NotPermutationError(j)
     for j in range(n):
         if rows[j][j] != j:
             raise NotIdempotentError(j)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[rows[i][j]][k] != rows[rows[i][k]][rows[j][k]]:
-                    raise NotRightDistributiveError(i, j, k)
+    # itemgetter(*col) composes col before another column; with n == 1 both
+    # sides are single entries instead of tuples, and still compare
+    gets = [operator.itemgetter(*col) for col in cols]
+    failures = []
+    for j in range(n):
+        for k in range(n):
+            left, right = gets[j](cols[k]), gets[k](cols[rows[j][k]])
+            if left != right:
+                i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+                failures.append((i, j, k))
+    if failures:
+        raise NotRightDistributiveError(*min(failures))
     return rows
 
 

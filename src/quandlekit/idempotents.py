@@ -247,7 +247,9 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
         base_param = param if mode == "zp" else param * max(map(len, partition))
         if _search_kernel.space_size(k, mode, base_param, len(direct[0])) > space:
             continue
-        quotient = MagmaTable(quotient_table(carrier, partition))
+        # the quotient of a quandle is a quandle, so its own search gets generators
+        quotient = (FiniteQuandle if carrier.is_quandle else MagmaTable)(
+            quotient_table(carrier, partition))
         # the most nonzero targets whose sweeps still cost less than the direct one
         sweep = _search_kernel.space_size(n, mode, param, k)
         limit = cost // (sweep + SWEEP_COST) - 1
@@ -752,7 +754,9 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     choice of representatives.  u is squared once, on its nonzero pairs;
     the stabilizer test v*w = v multiplies the pairs of v and w; the
     orbits, multiplicities and fiber classes of each base point come from
-    covering.orbit_plans, built once per covering.
+    covering.orbit_plans, built once per covering.  The parameters are
+    built as they are found, not re-validated by covering_family_params:
+    rebuilding u from them (_family_vector) is the check.
     """
     domain = covering.hom.domain
     ring = u.ring
@@ -772,11 +776,18 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     y0 = units[0]
     w = [(x, c) for x, c in u.coeffs if images[x] == y0]
     v_pairs = [(x, c) for x, c in u.coeffs if images[x] != y0]
-    unit = dict(w)
     x0 = w[0][0]
-    if not v_pairs:
-        params = covering_family_params(covering, ring, y0, unit, x0, {})
+
+    def result(groups: dict) -> ClassifyResult:
+        # built by construction; the round trip to u proves the decomposition
+        zero_sums = tuple((y, tuple(sorted(reps.items()))) for y, reps in sorted(groups.items()))
+        params = CoveringFamilyParams(ring, y0, x0, tuple(sorted(w)), zero_sums)
+        if _family_vector(covering, params) != vec:
+            raise InternalCheckError("classification failed to round-trip", element=element_to_json(u))
         return ClassifyResult(True, params=params, flags=flags)
+
+    if not v_pairs:
+        return result({})
     v = list(vec)
     for x, _ in w:
         v[x] = zero
@@ -809,10 +820,7 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
             return ClassifyResult(
                 False, reason="orbit multipliers do not cancel over a fiber class", flags=flags
             )
-    params = covering_family_params(covering, ring, y0, unit, x0, groups)
-    if _family_vector(covering, params) != vec:
-        raise InternalCheckError("classification failed to round-trip", element=element_to_json(u))
-    return ClassifyResult(True, params=params, flags=flags)
+    return result(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,7 +1245,8 @@ def _support_tuples(n: int, bound: int, max_support: int, limit: int | None = No
     return total
 
 
-def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[RingElement]]:
+def _support_search(keys, op, bound: int, max_support: int,
+                    gens=()) -> tuple[int, list[RingElement]]:
     """Every integer idempotent supported on at most max_support of keys.
 
     Walks each support S (combinations of keys in order) and each tuple of
@@ -1255,6 +1264,21 @@ def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[R
     tuple whose coefficient sum is not 0 or 1 is skipped (an integer
     idempotent's augmentation squares to itself) and the rest are squared.
 
+    gens are permutations of the key indices, each an automorphism of op
+    on keys (the right multiplications of a quandle, by right
+    distributivity); op must then keep keys closed.  Extended linearly,
+    an automorphism g maps an idempotent on S to one on g(S), with the
+    same size and coefficients, so the idempotents of the window are
+    closed under the group G the gens generate.  The orbits are taken in
+    the order of their least points.  If O is the first orbit a support S
+    meets, some g in G maps a point of S in O to the least point x of O,
+    and g(S) meets the same orbits as S.  So only the supports whose
+    least point is the least point of its orbit, with no point of an
+    earlier orbit, are walked: x is pushed first and larger keys of later
+    orbits are grown after it.  The idempotents found are then closed
+    under gens.  With no gens every point is its own orbit, and the walk
+    is the plain one.
+
     Supports grow one key at a time, depth first.  Adding x changes only
     the counts of the ids that (x, s), (s, x) and (x, x) reach, so the set
     of ids outside S reached exactly once is carried along.  A support of
@@ -1266,13 +1290,16 @@ def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[R
 
     Returns (tested, idempotents), idempotents in the order the naive
     loop finds them: by support size, then support, then tuple.  tested
-    counts every (support, coefficient tuple) pair, including the tuples
-    on ruled-out supports and those the coefficient-sum filter skips.
+    counts every (support, coefficient tuple) pair of the whole window,
+    including the tuples on supports that are ruled out or not walked and
+    those the coefficient-sum filter skips.
     """
     keys = list(keys)
     n = len(keys)
     ids = {key: i for i, key in enumerate(keys)}
     table = [[ids.setdefault(op(a, b), len(ids)) for b in keys] for a in keys]
+    if gens and len(ids) > n:
+        raise InternalCheckError("a product leaves the keys that automorphisms permute")
     covers: list[list[tuple[int, int]]] = [[] for _ in ids]
     for a, row in enumerate(table):
         for b, t in enumerate(row):
@@ -1282,9 +1309,10 @@ def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[R
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
     tuples = [[c for c in itertools.product(nonzero, repeat=k) if sum(c) in (0, 1)]
               for k in range(top + 1)]
-    found: list[list[RingElement]] = [[] for _ in tuples]
+    found: set[tuple[tuple[int, int], ...]] = set()  # sorted (index, coefficient) pairs
     count = [0] * len(ids)
     inside = [False] * len(ids)
+    walked = [False] * n  # points of the orbits whose supports are done
     once: set[int] = set()  # ids outside the support reached exactly once
     support: list[int] = []
 
@@ -1336,7 +1364,15 @@ def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[R
                 if total != want[target]:
                     break
             else:
-                found[k].append(RingElement(ZZ, [(keys[x], c) for x, c in zip(support, coeffs)]))
+                found.add(tuple(sorted(zip(support, coeffs))))
+
+    def visit(x, start):
+        push(x)
+        if not once:
+            evaluate()
+        if len(support) < top:
+            grow(start)
+        pop()
 
     def grow(start):
         if once and len(support) == top - 1:
@@ -1351,16 +1387,32 @@ def _support_search(keys, op, bound: int, max_support: int) -> tuple[int, list[R
         else:
             candidates = range(start, n)
         for x in candidates:
-            push(x)
-            if not once:
-                evaluate()
-            if len(support) < top:
-                grow(x + 1)
-            pop()
+            if not walked[x]:
+                visit(x, x + 1)
 
     if top > 0:
-        grow(0)
-    return _support_tuples(n, bound, max_support), [u for level in found for u in level]
+        for x in range(n):
+            if not walked[x]:
+                # x is the least point of its orbit: walk the supports it is least in
+                visit(x, x + 1)
+                walked[x] = True
+                frontier = [x]
+                for y in frontier:
+                    for g in gens:
+                        if not walked[g[y]]:
+                            walked[g[y]] = True
+                            frontier.append(g[y])
+    # close under gens; g keeps support size and coefficients
+    frontier = list(found)
+    for u in frontier:
+        for g in gens:
+            image = tuple(sorted((g[x], c) for x, c in u))
+            if image not in found:
+                found.add(image)
+                frontier.append(image)
+    ordered = sorted(found, key=lambda u: (len(u), [x for x, _ in u], [c for _, c in u]))
+    idempotents = [RingElement(ZZ, [(keys[x], c) for x, c in u]) for u in ordered]
+    return _support_tuples(n, bound, max_support), idempotents
 
 
 def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
@@ -1370,10 +1422,15 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     in [-bound, bound].
 
     This is the support enumerator (_support_search), not the table
-    kernel in _search_kernel.  candidates_tested counts every (support,
-    coefficient tuple) pair, including the tuples on supports that the
-    non-cancellation rule rules out without evaluating them and those the
-    coefficient-sum filter skips."""
+    kernel in _search_kernel.  The table is a validated quandle, so each
+    right multiplication S_y is an automorphism (right distributivity)
+    and extends to a ring automorphism of Z[X] that keeps support sizes
+    and coefficients: the window's idempotents are closed under Inn(X),
+    and the search walks one support per orbit and closes what it finds.
+    candidates_tested still counts every (support, coefficient tuple)
+    pair of the declared window, including the tuples on supports that
+    are not walked, those the non-cancellation rule rules out without
+    evaluating them and those the coefficient-sum filter skips."""
     if bound < 1:
         raise InvalidParamsError("bound must be >= 1")
     factors = [int(a) for a in factors]
@@ -1384,7 +1441,8 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     if total > budget:
         raise BudgetExceededError(total, budget)
     q = core_quandle(factors)
-    tested, found = _support_search(range(q.order), q.op, bound, 3)
+    tested, found = _support_search(range(q.order), q.op, bound, 3,
+                                    gens=inner_generators(q))
     nontrivial = [u for u in found if not (len(u.coeffs) == 1 and u.coeffs[0][1] == 1)]
     return {
         "quandle": q.name,

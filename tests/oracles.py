@@ -12,7 +12,35 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from quandlekit import fq_op, generator
+from quandlekit import (
+    NotIdempotentError,
+    NotPermutationError,
+    NotRightDistributiveError,
+    fq_op,
+    generator,
+)
+
+
+# ---------------------------------------------------------------------------
+# table axioms
+
+
+def naive_first_axiom_failure(table):
+    """(error class, constructor arguments) of the first quandle axiom the
+    table breaks, or None: a column that is not a permutation, then a
+    diagonal entry, then the lexicographically least (i, j, k) with
+    (i*j)*k != (i*k)*(j*k), each by a plain loop."""
+    n = len(table)
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != list(range(n)):
+            return NotPermutationError, (j,)
+    for j in range(n):
+        if table[j][j] != j:
+            return NotIdempotentError, (j,)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[table[i][k]][table[j][k]]:
+            return NotRightDistributiveError, (i, j, k)
+    return None
 
 # ---------------------------------------------------------------------------
 # idempotent enumeration over a raw table

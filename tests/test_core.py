@@ -19,6 +19,7 @@ from quandlekit import (
     NotRightDistributiveError,
     NotSurjectiveError,
     QuandleHom,
+    QuandleKitError,
     SearchBudgetExceededError,
     check_covering,
     cocycle_extension,
@@ -42,7 +43,7 @@ from quandlekit import (
 from quandlekit import core
 from quandlekit.core import congruences, principal_congruence, quotient_table
 
-from oracles import brute_force_coverings, naive_congruences
+from oracles import brute_force_coverings, naive_congruences, naive_first_axiom_failure
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +79,36 @@ def test_validate_rejects_non_distributive_quasigroup(magma8):
     with pytest.raises(NotRightDistributiveError) as exc:
         validate_table(magma8.table)
     assert exc.value.indices == (0, 1, 0)
+
+
+@st.composite
+def near_quandle_tables(draw):
+    """A random table whose columns are permutations fixing the diagonal,
+    most of them not right distributive; sometimes one entry is then
+    overwritten, which may break a column or the diagonal too."""
+    n = draw(st.integers(1, 6))
+    cols = []
+    for j in range(n):
+        rest = draw(st.permutations([x for x in range(n) if x != j]))
+        cols.append(rest[:j] + [j] + rest[j:])
+    table = [[cols[j][i] for j in range(n)] for i in range(n)]
+    if draw(st.integers(0, 4)) == 0:
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=near_quandle_tables())
+def test_validate_raises_the_naive_first_failure(table):
+    expected = naive_first_axiom_failure(table)
+    if expected is None:
+        assert validate_table(table) == tuple(map(tuple, table))
+        return
+    cls, args = expected
+    with pytest.raises(QuandleKitError) as exc:
+        validate_table(table)
+    assert type(exc.value) is cls
+    assert exc.value.payload() == cls(*args).payload()
 
 
 def test_right_distributivity_holds_on_validated(r6, p6, b12):

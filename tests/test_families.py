@@ -550,6 +550,8 @@ def test_classify_recovers_every_random_family_element(case):
     result = covering_classify(u, cov)
     assert result.in_family and result.reason is None
     assert naive_family_vector(table, images, result.params.to_json()) == vec
+    # built without covering_family_params, yet exactly what it validates
+    assert family_params_from_json(cov, result.params.to_json()) == result.params
 
 
 def test_classify_builds_orbit_data_once_per_quandle_and_base_point(monkeypatch):
@@ -571,6 +573,10 @@ def test_classify_builds_orbit_data_once_per_quandle_and_base_point(monkeypatch)
     assert first <= r10.order + r5.order
     assert all(covering_classify(u, cov).in_family for u in members)
     assert len(calls) == first
+    # the parameters are built directly; the round trip through
+    # _family_vector is their check, not covering_family_params
+    monkeypatch.setattr(idempotents, "covering_family_params", None)
+    assert all(covering_classify(u, cov).in_family for u in members)
 
 
 # ---------------------------------------------------------------------------

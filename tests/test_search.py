@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from quandlekit import (
     BudgetExceededError,
     CompositeModulusError,
+    FiniteQuandle,
     FreeQuandle,
     InternalCheckError,
     InvalidParamsError,
@@ -34,7 +35,7 @@ from quandlekit import (
 )
 from quandlekit import _search_kernel, idempotents
 
-from conftest import ROOT
+from conftest import ROOT, load_fixture
 from oracles import (
     naive_idempotents_boxed,
     naive_idempotents_mod_p,
@@ -806,6 +807,31 @@ def test_r10_sweeps_one_target_per_orbit(r10, monkeypatch, mode, param, targets,
     assert (len(plans[-1]), len(swept[-1])) == (targets, orbits)
 
 
+def test_quotients_of_a_quandle_are_searched_as_quandles(b12, monkeypatch):
+    # blocks12 B = 2 goes through an order-6 quotient, and that one through
+    # an order-2 quotient; each quotient of a quandle is a quandle, so its
+    # own search sweeps one of its targets per Inn-orbit: 2 of the 4
+    plans, swept = _plans_and_sweeps(monkeypatch)
+    carriers = []
+    real = idempotents._enumerate_table
+
+    def spy(carrier, *args, **kwargs):
+        carriers.append(type(carrier))
+        return real(carrier, *args, **kwargs)
+
+    monkeypatch.setattr(idempotents, "_enumerate_table", spy)
+    report = enumerate_boxed_Z(b12, 2)
+    assert carriers == [FiniteQuandle] * 3
+    assert [len(plan) for plan in plans] == [2, 4, 25]
+    assert [len(entries) for entries in swept] == [2, 2, 5]
+    # a magma table's quotients stay magma tables, with every target swept
+    carriers.clear()
+    magma = enumerate_boxed_Z(MagmaTable(b12.table, name=b12.name), 2)
+    assert carriers == [MagmaTable] * 3
+    assert [len(entries) for entries in swept[3:]] == [2, 4, 25]
+    assert magma.idempotents == report.idempotents
+
+
 @st.composite
 def inflated_tables(draw):
     """A random magma Y with each point blown up into a block, in random
@@ -1048,6 +1074,78 @@ def test_support_search_covers_by_squares_and_ids_outside_the_support(keys):
         assert tested == naive_tested
         assert [dict(u.coeffs) for u in found] == [dict(u) for u in naive_found]
         assert {0: 1, 1: -1, 2: 1} in [dict(u.coeffs) for u in found]
+
+
+@st.composite
+def inner_windows(draw):
+    """A quandle, often not connected, with its distinct right
+    multiplications, and a support window on it."""
+    kind = draw(st.sampled_from(["fixture", "dihedral", "trivial", "union", "twisted-union"]))
+    if kind == "fixture":
+        q = load_fixture(draw(st.sampled_from(
+            ["r3.json", "r6.json", "r10.json", "t3.json", "pairs6.json", "blocks12.json"])))
+    elif kind in ("dihedral", "trivial"):
+        q = make(kind, draw(st.integers(1, 8)))
+    elif kind == "union":
+        q = make("union", make("trivial", draw(st.integers(1, 3))),
+                 make("dihedral", draw(st.integers(1, 5))))
+    else:
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        q = make("twisted-union", make("trivial", a), make("trivial", b),
+                 draw(st.permutations(range(a))), draw(st.permutations(range(b))))
+    return q, tuple(dict.fromkeys(q.right_mults)), draw(st.integers(1, 2)), draw(st.integers(2, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=inner_windows())
+def test_support_search_by_orbits_matches_the_plain_walk(window):
+    # the orbit walk returns the plain walk's list, element for element
+    q, gens, bound, max_support = window
+    plain = idempotents._support_search(range(q.order), q.op, bound, max_support)
+    by_orbits = idempotents._support_search(range(q.order), q.op, bound, max_support, gens=gens)
+    assert by_orbits[0] == plain[0]
+    assert [u.coeffs for u in by_orbits[1]] == [u.coeffs for u in plain[1]]
+
+
+@pytest.mark.parametrize("name,bound,found,non_basis", [
+    ("t3.json", 2, 18, 15),
+    ("blocks12.json", 2, 156, 144),
+    ("r10.json", 2, 20, 10),
+])
+def test_support_search_by_orbits_closes_what_it_finds(name, bound, found, non_basis):
+    # a table with one orbit per point (t3) and two with several points per
+    # orbit, where most idempotents of the window lie off the walked supports
+    # and come from the closure; tested still counts the whole window
+    q = load_fixture(name)
+    gens = tuple(dict.fromkeys(q.right_mults))
+    tested, out = idempotents._support_search(range(q.order), q.op, bound, 3, gens=gens)
+    assert tested == idempotents._support_tuples(q.order, bound, 3)
+    assert len(out) == found
+    assert sum(1 for u in out if len(u.coeffs) > 1) == non_basis
+    assert out == sorted(out, key=lambda u: (len(u.coeffs), u.support, [c for _, c in u.coeffs]))
+
+
+def test_support_search_by_orbits_needs_products_inside_the_keys():
+    # the automorphisms permute keys; a product outside them has no image
+    table = [[0, 2], [1, 1]]
+    op = lambda a, b: table[a][b]
+    assert idempotents._support_search(range(2), op, 1, 2)[0] == 2 * 2 + 4
+    with pytest.raises(InternalCheckError, match="leaves the keys"):
+        idempotents._support_search(range(2), op, 1, 2, gens=((0, 1),))
+
+
+def test_core3_walks_by_inner_automorphisms(monkeypatch):
+    calls = []
+    real = idempotents._support_search
+
+    def spy(keys, op, bound, max_support, gens=()):
+        calls.append(gens)
+        return real(keys, op, bound, max_support, gens=gens)
+
+    monkeypatch.setattr(idempotents, "_support_search", spy)
+    out = idempotents.core_three_support_check([5], 2)
+    assert calls == [tuple(dict.fromkeys(core_quandle([5]).right_mults))]
+    assert out["trivial_found"] == 5 and out["nontrivial"] == []
 
 
 # ---------------------------------------------------------------------------
