@@ -254,16 +254,13 @@ def core_quandle(factors) -> FiniteQuandle:
     if not factors or any(a < 1 for a in factors):
         raise InvalidParamsError("factors must be positive integers")
     _check_order(math.prod(factors))
-    elems = list(itertools.product(*[range(a) for a in factors]))
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    table = tuple(
-        tuple(
-            index[tuple((2 * y[t] - x[t]) % factors[t] for t in range(len(factors)))]
-            for y in elems
-        )
-        for x in elems
-    )
+    # elements in mixed radix, the last factor fastest (itertools.product
+    # order): the index of (i, s) is i * a + s, so the table over the first
+    # factors combines with the next factor's own table entry by entry
+    table: list[tuple[int, ...]] = [(0,)]
+    for a in factors:
+        own = [[(2 * y - x) % a for y in range(a)] for x in range(a)]
+        table = [tuple(v * a + w for v in row for w in own_row) for row in table for own_row in own]
     q = FiniteQuandle(table)
     q.name = f"core({','.join(map(str, factors))})"
     return q

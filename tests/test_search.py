@@ -664,10 +664,13 @@ def test_quotient_search_matches_the_naive_oracles(r6, t2, t3, monkeypatch):
                 # a zero call cost takes every quotient whose own search fits
                 for cost in (0, idempotents.SWEEP_COST):
                     monkeypatch.setattr(idempotents, "SWEEP_COST", cost)
+                    blocks.clear()
                     report = _search(q, mode, param, max_support)
                     got = report_vectors(report, q.order)
                     assert (got, report.candidates_tested) == (capped, tested)
-                    outer.append(blocks[-1])
+                    # support <= 2 over Z walks supports and makes no plan
+                    if blocks:
+                        outer.append(blocks[-1])
         assert max(outer) > 1, "no scope swept through a proper quotient"
 
 
@@ -684,7 +687,10 @@ def test_r10_quotient_search_keeps_the_pinned_counts(
     # idempotent is rechecked exactly, so equal counts mean equal sets
     blocks = _outer_plans(monkeypatch)
     report = _search(r10, mode, param, max_support)
-    assert blocks[-1] == 5, "r10 swept through r10 -> R_5"
+    if max_support is None:
+        assert blocks[-1] == 5, "r10 swept through r10 -> R_5"
+    else:
+        assert blocks == [], "support <= 3 walks supports and makes no sweep plan"
     assert len(report.idempotents) == count
     assert report.candidates_tested == tested
 
@@ -784,13 +790,20 @@ def test_orbit_sweeps_match_the_unreduced_search(name, request, monkeypatch):
     plans, swept = _plans_and_sweeps(monkeypatch)
     for mode, param in ORBIT_SCOPES:
         for max_support in (None, 3):
+            # support <= 3 over Z walks supports, by orbits or plainly, with no plan
+            walks = mode == "zbox" and max_support is not None
+            plans.clear()
             reduced = _search(q, mode, param, max_support).to_json()
-            _check_one_sweep_per_orbit(q, plans[-1], swept[-1])
-            assert len(swept[-1]) < len(plans[-1])
+            if walks:
+                assert plans == []
+            else:
+                _check_one_sweep_per_orbit(q, plans[-1], swept[-1])
+                assert len(swept[-1]) < len(plans[-1])
             with monkeypatch.context() as mp:
                 mp.setattr(idempotents, "inner_generators", lambda carrier: ())
                 unreduced = _search(q, mode, param, max_support).to_json()
-            assert swept[-1] == plans[-1]
+            if not walks:
+                assert swept[-1] == plans[-1]
             assert json.dumps(reduced, sort_keys=True) == json.dumps(unreduced, sort_keys=True)
 
 
@@ -1149,6 +1162,148 @@ def test_core3_walks_by_inner_automorphisms(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# support-capped table searches over Z walk supports
+
+
+@st.composite
+def capped_box_searches(draw):
+    """A quandle or magma table of order <= 7 with a box bound and a support
+    cap: small caps fall on the walk's side of the rule, larger ones on the
+    kernel's."""
+    kind = draw(st.sampled_from(["dihedral", "trivial", "union", "twisted-union", "magma"]))
+    if kind in ("dihedral", "trivial"):
+        q = make(kind, draw(st.integers(1, 7)))
+    elif kind == "union":
+        q = make("union", make("trivial", draw(st.integers(1, 3))),
+                 make("dihedral", draw(st.integers(1, 4))))
+    elif kind == "twisted-union":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        q = make("twisted-union", make("trivial", a), make("trivial", b),
+                 draw(st.permutations(range(a))), draw(st.permutations(range(b))))
+    else:
+        n = draw(st.integers(1, 7))
+        q = MagmaTable(draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                                     min_size=n, max_size=n)))
+    return q, draw(st.integers(1, 2)), draw(st.integers(1, q.order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=capped_box_searches())
+def test_capped_box_search_matches_the_naive_oracle(case):
+    q, bound, max_support = case
+    report = enumerate_boxed_Z(q, bound, max_support)
+    assert report_vectors(report, q.order) == naive_idempotents_boxed(q.table, bound, max_support)
+    box = itertools.product(range(-bound, bound + 1), repeat=q.order)
+    assert report.candidates_tested == sum(1 for v in box if sum(v) in (0, 1))
+
+
+def _search_paths(monkeypatch):
+    """(order, gens) of every support walk and the order of every sweep plan made."""
+    walks, plans = [], []
+    real_walk, real_plan = idempotents._support_search, idempotents._sweep_plan
+
+    def walk_spy(keys, op, bound, max_support, gens=()):
+        walks.append((len(keys), gens))
+        return real_walk(keys, op, bound, max_support, gens=gens)
+
+    def plan_spy(carrier, *args):
+        plans.append(carrier.order)
+        return real_plan(carrier, *args)
+
+    monkeypatch.setattr(idempotents, "_support_search", walk_spy)
+    monkeypatch.setattr(idempotents, "_sweep_plan", plan_spy)
+    return walks, plans
+
+
+def _path_carrier(name, request):
+    if name == "r13":
+        return make("dihedral", 13)
+    if name == "magma10":
+        return MagmaTable(request.getfixturevalue("r10").table)
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name,bound,max_support,count", [
+    # 8,440 declared tuples against 2 * 5^9 indices; R_13: 2,626 against 2 * 3^12
+    ("r10", 2, 3, 20),
+    ("r13", 1, 3, 13),
+    ("magma10", 2, 3, 20),
+])
+def test_small_support_caps_walk_supports(name, bound, max_support, count, request, monkeypatch):
+    q = _path_carrier(name, request)
+    walks, plans = _search_paths(monkeypatch)
+    report = enumerate_boxed_Z(q, bound, max_support)
+    # Inn(X) for a quandle; a magma table's translations need not be automorphisms
+    gens = tuple(dict.fromkeys(q.right_mults)) if q.is_quandle else ()
+    assert (walks, plans) == ([(q.order, gens)], [])
+    assert len(report.idempotents) == count
+
+
+@pytest.mark.parametrize("name,mode,param,max_support", [
+    # the walk would declare more tuples than the box sweep has indices
+    ("r10", "zbox", 2, 9),
+    ("b12", "zbox", 2, 11),
+    # uncapped
+    ("r10", "zbox", 2, None),
+    ("p6", "zbox", 1, None),
+    # the walk's rule needs an integral domain and the Z strata
+    ("r10", "zp", 5, 1),
+    ("r10", "zp", 3, 3),
+    ("b12", "zp", 3, 2),
+    ("p6", "zp", 5, 1),
+])
+def test_other_searches_sweep_the_box(name, mode, param, max_support, request, monkeypatch):
+    q = _path_carrier(name, request)
+    walks, plans = _search_paths(monkeypatch)
+    _search(q, mode, param, max_support)
+    assert plans[0] == q.order
+    assert q.order not in [order for order, _ in walks]
+
+
+def _force_walk(spec, mode, *rest):
+    return mode == "zbox" and spec.max_support is not None
+
+
+@pytest.mark.parametrize("name,bound,max_support", [
+    ("r10", 1, 2), ("r10", 1, 7), ("r10", 2, 3), ("r10", 2, 5),
+    ("b12", 1, 3), ("b12", 2, 3), ("b12", 1, 5),
+    ("p6", 1, 2), ("p6", 2, 4), ("p6", 2, 5),
+])
+def test_walk_and_sweep_give_the_same_report(name, bound, max_support, request, monkeypatch):
+    q = request.getfixturevalue(name)
+    reports = []
+    for rule in (_force_walk, lambda *args: False):
+        walks, plans = _search_paths(monkeypatch)
+        monkeypatch.setattr(idempotents, "_walks_supports", rule)
+        reports.append(json.dumps(enumerate_boxed_Z(q, bound, max_support).to_json()))
+        assert bool(walks) != bool(plans)
+    assert reports[0] == reports[1]
+
+
+def test_walk_hit_failing_the_exact_recheck_is_an_internal_error(r10, monkeypatch):
+    # augmentation 1, so only the idempotency recheck can catch it
+    lie = idempotents.RingElement(ZZ, [(0, 2), (1, -1)])
+    real = idempotents._support_search
+
+    def lying_walk(*args, **kwargs):
+        tested, found = real(*args, **kwargs)
+        return tested, found + [lie]
+
+    monkeypatch.setattr(idempotents, "_support_search", lying_walk)
+    with pytest.raises(InternalCheckError, match="fails exact recheck") as info:
+        enumerate_boxed_Z(r10, 2, max_support=3)
+    assert info.value.payload()["vector"] == [2, -1] + [0] * 8
+
+
+def test_walk_keeps_max_hits(r10):
+    # a quotient base search that walks is abandoned past max_hits, as one that sweeps
+    spec = idempotents._spec(ZZ, 2, 3)
+    run = lambda max_hits: idempotents._enumerate_table(r10, spec, "zbox", 2, 10**8, 1, max_hits)
+    assert len(run(20).idempotents) == 20
+    assert run(19) is None
+
+
+# ---------------------------------------------------------------------------
 # process pool dispatch
 
 
@@ -1237,6 +1392,25 @@ def test_searches_import_numpy_only_past_the_break_even(checkout_env):
     assert python <= limit < python + sizes[1]
     assert steps[0][2] == steps[-1][2]
     assert len({report for _, _, report in steps[1:-1]}) == 1
+
+
+def test_support_walks_never_import_numpy(checkout_env):
+    # a fresh process: support-capped box searches that walk supports run
+    # no kernel chunk, so numpy stays out however large the box
+    code = (
+        "import json, sys\n"
+        "from quandlekit import enumerate_boxed_Z, load_quandle, make\n"
+        "r10 = load_quandle(sys.argv[1])\n"
+        "counts = [len(enumerate_boxed_Z(r10, 2, max_support=3).idempotents),\n"
+        "          len(enumerate_boxed_Z(make('dihedral', 13), 1, max_support=3).idempotents)]\n"
+        "print(json.dumps([counts, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "fixtures" / "r10.json")],
+        env=checkout_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[20, 13], False]
 
 
 def test_numpy_break_even_sits_below_the_pool_threshold():
