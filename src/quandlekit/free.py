@@ -68,17 +68,26 @@ def letters(a: Word) -> tuple[tuple[int, int], ...]:
 
 
 class FreeQuandleElement:
-    """Conjugate of a generator, in canonical (base, conjugator) form."""
+    """Conjugate of a generator, in canonical (base, conjugator) form.
 
-    __slots__ = ("base", "conjugator")
+    Invariant: the conjugator is a reduced word that does not end in a
+    power of the base.  The constructor brings any (base, conjugator)
+    pair into that form; _canonical builds an element from a pair that is
+    already in it, which is how fq_op returns its products.  The hash is
+    computed once, when the element is built.
+    """
+
+    __slots__ = ("base", "conjugator", "_hash")
 
     def __init__(self, base: int, conjugator=()):
+        base = int(base)
         conj = reduce_word(conjugator)
         # a trailing power of the base commutes past it and cancels
         if conj and conj[-1][0] == base:
             conj = conj[:-1]
-        object.__setattr__(self, "base", int(base))
-        object.__setattr__(self, "conjugator", conj)
+        _set_base(self, base)
+        _set_conjugator(self, conj)
+        _set_hash(self, hash((base, conj)))
 
     def __setattr__(self, *_):
         raise AttributeError("FreeQuandleElement is immutable")
@@ -94,7 +103,7 @@ class FreeQuandleElement:
         )
 
     def __hash__(self):
-        return hash((self.base, self.conjugator))
+        return self._hash
 
     def sort_key(self):
         return (length(self), self.base, letters(self.conjugator))
@@ -109,6 +118,20 @@ class FreeQuandleElement:
         return f"<{self}>"
 
 
+_set_base = FreeQuandleElement.base.__set__
+_set_conjugator = FreeQuandleElement.conjugator.__set__
+_set_hash = FreeQuandleElement._hash.__set__
+
+
+def _canonical(base: int, conj: Word) -> FreeQuandleElement:
+    """The element (base, conj), for a pair already in normal form."""
+    elem = object.__new__(FreeQuandleElement)
+    _set_base(elem, base)
+    _set_conjugator(elem, conj)
+    _set_hash(elem, hash((base, conj)))
+    return elem
+
+
 def generator(i: int) -> FreeQuandleElement:
     return FreeQuandleElement(i)
 
@@ -119,13 +142,37 @@ def length(elem: FreeQuandleElement) -> int:
 
 
 def fq_op(a: FreeQuandleElement, b: FreeQuandleElement, sign: int = 1) -> FreeQuandleElement:
-    """a * b (sign +1) or a *^{-1} b (sign -1): conjugation by b's word."""
+    """a * b (sign +1) or a *^{-1} b (sign -1): conjugation by b's word.
+
+    The product is u' x_a u'^{-1} with u' = w u, for w = v x_c^sign v^{-1}
+    the word of b (or of its inverse) and u the conjugator of a.  By the
+    normal-form invariant v does not end in a power of c, so w is reduced,
+    and u is reduced: in w u only the junction can merge or cancel.  It is
+    reduced as a stack, the end of w against the start of u, until two
+    syllables on distinct generators meet or one merged syllable is left.
+    u' ends in a power of a's base only when all of u cancels, and then in
+    one syllable, since a reduced word has no two adjacent syllables on
+    one generator: one strip restores the normal form.
+    """
     if sign not in (1, -1):
         raise InvalidParamsError("sign must be +1 or -1")
-    w = b.full_word()
-    if sign < 0:
-        w = word_inv(w)
-    return FreeQuandleElement(a.base, word_mul(w, a.conjugator))
+    v = b.conjugator
+    w = [*v, (b.base, sign), *word_inv(v)]
+    u = a.conjugator
+    j = 0
+    for g, e in u:
+        if not w or w[-1][0] != g:
+            break
+        j += 1
+        e += w.pop()[1]
+        if e:
+            w.append((g, e))
+            break
+    conj = (*w, *u[j:])
+    base = a.base
+    if conj and conj[-1][0] == base:
+        conj = conj[:-1]
+    return _canonical(base, conj)
 
 
 def products_stay_long(words, rank: int) -> bool:
@@ -148,13 +195,17 @@ def products_stay_long(words, rank: int) -> bool:
 
 
 class FreeQuandle:
-    """Carrier object for ring arithmetic over a free quandle basis."""
+    """Carrier object for ring arithmetic over a free quandle basis.
+
+    op is fq_op, unmemoized: every element is kept in normal form, so a
+    product costs one junction reduction, and the searches ask each pair
+    of keys once.
+    """
 
     def __init__(self, rank: int):
         if rank < 1:
             raise InvalidParamsError("rank must be >= 1")
         self.rank = rank
-        self._memo: dict = {}
 
     def contains_key(self, key) -> bool:
         return (
@@ -164,11 +215,7 @@ class FreeQuandle:
         )
 
     def op(self, a: FreeQuandleElement, b: FreeQuandleElement) -> FreeQuandleElement:
-        got = self._memo.get((a, b))
-        if got is None:
-            got = fq_op(a, b)
-            self._memo[(a, b)] = got
-        return got
+        return fq_op(a, b)
 
 
 # ---------------------------------------------------------------------------

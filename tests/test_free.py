@@ -1,6 +1,8 @@
 """Free quandle normal forms, expressions, enumeration, bounded search."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -41,6 +43,7 @@ from oracles import (
     oracle_op,
     random_rewrite,
     random_tree,
+    w_inv,
     w_reduce,
 )
 
@@ -67,6 +70,14 @@ def test_word_mul_inv():
 def test_element_normal_form_strips_trailing_base_power():
     assert FreeQuandleElement(0, [(0, 3)]) == X
     assert FreeQuandleElement(1, [(0, 1), (1, 2)]) == FreeQuandleElement(1, [(0, 1)])
+
+
+def test_element_coerces_the_base_before_stripping():
+    # the trailing x_0^2 commutes past the base x_0, given as "0" too
+    got = FreeQuandleElement("0", ((1, 1), (0, 2)))
+    assert got == FreeQuandleElement(0, ((1, 1), (0, 2))) == FreeQuandleElement(0, ((1, 1),))
+    assert got.base == 0 and got.conjugator == ((1, 1),)
+    assert hash(got) == hash(FreeQuandleElement(0, ((1, 1),)))
 
 
 def test_element_is_immutable():
@@ -117,6 +128,43 @@ def test_op_matches_letter_level_oracle(rng):
         sign = rng.choice((1, -1))
         got = oracle_full_word(fq_op(a, b, sign))
         assert got == oracle_op(oracle_full_word(a), oracle_full_word(b), sign)
+
+
+def _check_canonical_product(a, b, sign):
+    got = fq_op(a, b, sign)
+    w = b.full_word() if sign > 0 else word_inv(b.full_word())
+    # built publicly from the unreduced concatenation, an extra base power at its end
+    public = FreeQuandleElement(a.base, w + a.conjugator + ((a.base, 2),))
+    again = FreeQuandleElement(got.base, got.conjugator)
+    assert (again.base, again.conjugator) == (got.base, got.conjugator) == (public.base, public.conjugator)
+    assert hash(got) == hash(public) == hash(again)
+    assert oracle_full_word(got) == oracle_op(oracle_full_word(a), oracle_full_word(b), sign)
+    return got
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_op_products_are_in_normal_form(rng, rank):
+    # conjugators of up to 5 letters; besides random pairs, a's conjugator
+    # is the inverse of a suffix of b's word, so the junction cancels all of it
+    elems = enumerate_elements(rank, 6)
+    cancelled = bare = 0
+    for _ in range(150):
+        a, b, sign = rng.choice(elems), rng.choice(elems), rng.choice((1, -1))
+        _check_canonical_product(a, b, sign)
+        w = expand_syllables(b.full_word())
+        if sign < 0:
+            w = w_inv(w)
+        for k in range(1, len(w) + 1):
+            u = reduce_word(w_inv(w[-k:]))
+            for base in range(rank):
+                a = FreeQuandleElement(base, u)
+                u_letters = expand_syllables(a.conjugator)
+                assert len(w_reduce(w + u_letters)) == len(w) - len(u_letters)
+                got = _check_canonical_product(a, b, sign)
+                cancelled += a.conjugator != ()
+                bare += a.conjugator != () and got.conjugator == ()
+    if rank > 1:
+        assert cancelled and bare
 
 
 def test_full_word_is_reduced_conjugate():
@@ -355,6 +403,23 @@ def test_fq_search_wider_windows_hold_only_the_basis(max_len, max_support, size,
     assert [u.coeffs for u in report.idempotents] == [((w, 1),) for w in window]
     declared = sum(math.comb(size, k) * 4**k for k in range(1, max_support + 1))
     assert report.candidates_tested == declared == tested
+
+
+@pytest.mark.parametrize("args,tested,digest", [
+    ((2, 3, 3, 3), 181_872, "e2b149d06af8fce0f7b31d08abc95d72108723afeb5f68ffbeb994df246aee13"),
+    ((2, 4, 2, 1), 5_832, "081f95a359625709c65c0efc869257747d89175f37829952025e51d72f8c8180"),
+    ((2, 4, 3, 1), 204_264, "ca12969eeef7a2cc35177ec359bbfc28a06c9559c2af38d1f380b8fa87cea07e"),
+    ((3, 3, 2, 2), 44_700, "c099d3ac0e655055109271d0a2ea479a928d7701481a455aff4b70b339711194"),
+], ids=["2-3-3-3", "2-4-2-1", "2-4-3-1", "3-3-2-2"])
+def test_fq_search_reports_are_pinned(args, tested, digest):
+    # SHA-256 of the JSON report (timing serialized as 0), as the search
+    # gave it when every product was reduced in full and memoized
+    report = fq_idempotent_search(*args)
+    window = enumerate_elements(*args[:2])
+    assert [u.coeffs for u in report.idempotents] == [((w, 1),) for w in window]
+    assert report.candidates_tested == tested
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -1025,8 +1025,8 @@ def support_windows(draw, source):
     coefficient sum 1 is idempotent, and one idempotent is planted on two
     to four keys of the window.  core: the whole of core(5), core(6) or
     core(7); core(6) has non-basis idempotents on two keys.  free: a
-    window of rank 1-2, length <= 3, where the oracle multiplies flat
-    letter words.
+    window of rank 1-2 and length <= 3, or of rank 3 and length <= 2,
+    where the oracle multiplies flat letter words.
     """
     if source == "magma":
         n = draw(st.integers(1, 6))
@@ -1043,7 +1043,8 @@ def support_windows(draw, source):
     if source == "core":
         m = draw(st.sampled_from([5, 6, 7]))
         return range(m), core_quandle([m]).op, range(m), lambda a, b: (2 * b - a) % m, None
-    rank, max_len = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    max_len = draw(st.integers(1, 3 if rank < 3 else 2))
     keys = enumerate_elements(rank, max_len)
     return keys, FreeQuandle(rank).op, [oracle_full_word(e) for e in keys], oracle_op, None
 
