@@ -8,6 +8,11 @@ note on stderr.  Exit codes: 0 success, 1 domain error (a structured
 payload is still printed), 2 budget exceeded.
 
 Usage errors also exit 1: the code 2 is reserved for blown budgets.
+
+Each call executes only the modules its subcommand uses: `quandle` and
+`covering check|find` run on `core` alone; the other `covering` and
+`idem` subcommands load `ring` and `idempotents`, and only `idem
+fq-search` loads `free`.
 """
 
 from __future__ import annotations
@@ -17,16 +22,11 @@ import json
 import os
 import sys
 
-from . import core, free, idempotents
+# the package binds free, idempotents and ring lazily: a name is read off
+# its module when a subcommand runs, never imported from it here
+from . import core, free, idempotents, ring
 from .core import QuandleHom, check_covering, load_quandle, quandle_from_json, read_json
 from .errors import InvalidParamsError, QuandleKitError
-from .ring import (
-    augmentation,
-    element_from_json,
-    element_to_json,
-    is_idempotent,
-    ring_from_tag,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,9 +89,9 @@ def _scalar_ring(tag: str):
     """Coefficient ring for scalar flags: z, q, or zp:P."""
     tag = tag.lower()
     if tag in ("z", "q"):
-        return ring_from_tag(tag.upper())
+        return ring.ring_from_tag(tag.upper())
     if tag.startswith("zp:"):
-        return ring_from_tag("Zmod:" + tag.split(":", 1)[1])
+        return ring.ring_from_tag("Zmod:" + tag.split(":", 1)[1])
     raise InvalidParamsError(f"unsupported ring {tag!r}; use z, q, or zp:P")
 
 
@@ -224,33 +224,33 @@ def _cmd_covering_find(args) -> dict:
 
 def _cmd_covering_family_verify(args) -> dict:
     total, base, cov = _covering_from_args(args)
-    ring = _scalar_ring(args.ring)
-    report = idempotents.covering_family_verify(cov, ring=ring, max_j=args.max_j, budget=args.budget)
+    scalars = _scalar_ring(args.ring)
+    report = idempotents.covering_family_verify(cov, ring=scalars, max_j=args.max_j, budget=args.budget)
     return {"total": total.name, "base": base.name, **report.to_json()}
 
 
 def _cmd_covering_classify(args) -> dict:
     total, base, cov = _covering_from_args(args)
-    u = element_from_json(_load_doc(args.element, "coeffs"))
+    u = ring.element_from_json(_load_doc(args.element, "coeffs"))
     result = idempotents.covering_classify(u, cov)
     return {
         "total": total.name,
         "base": base.name,
-        "element": element_to_json(u),
+        "element": ring.element_to_json(u),
         **result.to_json(),
     }
 
 
 def _cmd_covering_zero_divisor(args) -> dict:
     total, base, cov = _covering_from_args(args)
-    ring = _scalar_ring(args.ring)
-    alphas = [ring.scalar_parse(tok) for tok in args.alphas.split(",")]
-    out = idempotents.right_zero_divisor_from_fiber(cov, args.fiber, alphas, ring)
+    scalars = _scalar_ring(args.ring)
+    alphas = [scalars.scalar_parse(tok) for tok in args.alphas.split(",")]
+    out = idempotents.right_zero_divisor_from_fiber(cov, args.fiber, alphas, scalars)
     return {
         "total": total.name,
         "base": base.name,
         "fiber": args.fiber,
-        "element": element_to_json(out["element"]),
+        "element": ring.element_to_json(out["element"]),
         "verified": out["verified"],
     }
 
@@ -275,9 +275,9 @@ def _cmd_idem_family(args) -> dict:
     params = idempotents.family_params_from_json(cov, _load_doc(args.params, "unit_coeffs"))
     u = idempotents.covering_idempotent(cov, params)
     return {
-        "element": element_to_json(u),
-        "idempotent": is_idempotent(u, cov.hom.domain),
-        "augmentation": params.ring.scalar_str(augmentation(u)),
+        "element": ring.element_to_json(u),
+        "idempotent": ring.is_idempotent(u, cov.hom.domain),
+        "augmentation": params.ring.scalar_str(ring.augmentation(u)),
         "params": params.to_json(),
     }
 

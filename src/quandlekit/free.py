@@ -92,6 +92,10 @@ class FreeQuandleElement:
     def __setattr__(self, *_):
         raise AttributeError("FreeQuandleElement is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the slots
+        return FreeQuandleElement, (self.base, self.conjugator)
+
     def full_word(self) -> Word:
         return self.conjugator + ((self.base, 1),) + word_inv(self.conjugator)
 

@@ -190,6 +190,10 @@ class RingElement:
     def __setattr__(self, *_):
         raise AttributeError("RingElement is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the slots
+        return RingElement, (self.ring, self.coeffs)
+
     @property
     def support(self) -> tuple:
         return tuple(k for k, _ in self.coeffs)

@@ -280,6 +280,65 @@ def test_r10_quotient_sweeps_run_without_numpy(checkout_env):
         assert plain[1] == numpy_first[1], argv
 
 
+LAZY_MODULES = ("ring", "reports", "idempotents", "free", "_search_kernel")
+
+# golden case -> the lazily bound submodules its CLI call executes
+LOADS = {
+    "quandle_check_r3.json": [],
+    "quandle_check_magma8.json": [],
+    "quandle_make_dihedral6.json": [],
+    "quandle_make_twisted_union.json": [],
+    "covering_check_r6_r3.json": [],
+    "covering_find_r6_r3.json": [],
+    "idem_enumerate_r3_mod5.json": ["_search_kernel", "idempotents", "reports", "ring"],
+    "idem_fq_search_len2.json": ["free", "idempotents", "reports", "ring"],
+}
+
+
+def test_each_subcommand_executes_only_the_modules_it_uses(checkout_env):
+    # `import quandlekit` registers every submodule, which the benchmark's
+    # tracer needs, but executes only core and errors; each call then runs
+    # in a process forked after `import quandlekit.cli`.  A submodule still
+    # waiting for its first attribute access is not a plain ModuleType.
+    code = (
+        "import contextlib, io, json, os, sys, types\n"
+        "names = json.loads(sys.argv[2])\n"
+        "def executed():\n"
+        "    modules = [sys.modules['quandlekit.' + n] for n in names]\n"
+        "    return sorted(n for n, m in zip(names, modules) if type(m) is types.ModuleType)\n"
+        "import quandlekit\n"
+        "print(json.dumps([all('quandlekit.' + n in sys.modules for n in names), executed()]))\n"
+        "from quandlekit import cli\n"
+        "print(json.dumps(executed()))\n"
+        "sys.stdout.flush()\n"
+        "for name, argv in json.loads(sys.argv[1]):\n"
+        "    pid = os.fork()\n"
+        "    if pid == 0:\n"
+        "        out = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out):\n"
+        "            code = cli.main(argv)\n"
+        "        print(json.dumps([name, code, out.getvalue(), executed()]))\n"
+        "        sys.stdout.flush()\n"
+        "        os._exit(0)\n"
+        "    os.waitpid(pid, 0)\n"
+    )
+    cases = [(name, argv) for name, argv in CASES if name in LOADS]
+    assert len(cases) == len(LOADS)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(cases), json.dumps(LAZY_MODULES)],
+        env=checkout_env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert lines[:2] == [[True, []], []]
+    assert [name for name, _, _, _ in lines[2:]] == [name for name, _ in cases]
+    for name, code, out, executed in lines[2:]:
+        assert (code, executed) == (0, LOADS[name]), name
+        assert out == (GOLDEN / name).read_text(), name
+
+
 def test_integer_ring_requires_bound(capsys):
     code, out, _ = run_cli(["idem", "enumerate", fx("r3.json"), "--ring", "z"], capsys)
     assert code == 1

@@ -1,9 +1,11 @@
 """Free quandle normal forms, expressions, enumeration, bounded search."""
 
+import copy
 import hashlib
 import itertools
 import json
 import math
+import pickle
 
 import pytest
 
@@ -83,6 +85,22 @@ def test_element_coerces_the_base_before_stripping():
 def test_element_is_immutable():
     with pytest.raises(AttributeError):
         X.base = 1
+
+
+@pytest.mark.parametrize("copier", [
+    lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_elements_survive_pickle_and_copy(copier):
+    # the immutable slots are rebuilt through the constructor
+    elems = [X, fq_op(Y, X), fq_op(fq_op(X, Y, -1), Z), FreeQuandleElement(2, [(0, 2), (1, -1)])]
+    for a in elems:
+        b = copier(a)
+        assert b == a and hash(b) == hash(a)
+        assert (b.base, b.conjugator) == (a.base, a.conjugator)
+    u = basis(ZZ, elems[1]) + basis(ZZ, elems[2]).scale(-3)
+    v = copier(u)
+    assert v == u and hash(v) == hash(u)
+    assert v.support == u.support and mul(v, v, FreeQuandle(3)) == mul(u, u, FreeQuandle(3))
 
 
 # ---------------------------------------------------------------------------

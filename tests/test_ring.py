@@ -1,7 +1,9 @@
 """Coefficient rings, ring elements, products, matrices, annihilators."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,18 @@ def test_element_is_immutable():
     u = basis(ZZ, 0)
     with pytest.raises(AttributeError):
         u.coeffs = ()
+
+
+@pytest.mark.parametrize("copier", [
+    lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_element_survives_pickle_and_copy(copier):
+    # the immutable slots are rebuilt through the constructor
+    for u in (elem(ZZ, [(0, 2), (3, -1)]), elem(QQ, [(1, Fraction(1, 2))]),
+              elem(IntegersMod(7), [(2, 5)]), zero(ZZ)):
+        v = copier(u)
+        assert v == u and hash(v) == hash(u)
+        assert (v.ring, v.coeffs) == (u.ring, u.coeffs)
 
 
 def test_add_sub_scale_mod_3():
