@@ -534,6 +534,35 @@ def perm_inverse(perm) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def orbits(points, gens, n: int, act=operator.getitem) -> list[list[tuple]]:
+    """The orbits of the group that gens generate on points, in the order
+    of each orbit's first point.
+
+    gens are permutations of range(n) and act(g, point) is the image of a
+    point under g.  Each orbit is a list of (point, g), g a product of
+    gens that carries the orbit's first point to point; the first points
+    share one identity tuple.  The group is finite, so the closure under
+    the gens alone is the whole orbit.  An image need not be one of
+    points: it joins the orbit it is reached from.
+    """
+    identity = tuple(range(n))
+    seen = set()
+    out = []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [(start, identity)]
+        for point, g in orbit:
+            for h in gens:
+                image = act(h, point)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append((image, tuple(map(h.__getitem__, g))))
+        out.append(orbit)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -559,31 +588,10 @@ class QuandleProperties:
 
 
 def inner_orbits(q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """Orbits of the group generated by all right multiplications.
-
-    BFS closes under every S_y and its inverse; orbits come out sorted
-    by least element, each orbit as a sorted tuple.
-    """
-    n = q.order
-    moves = list(q.right_mults) + [perm_inverse(p) for p in q.right_mults]
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        frontier = [start]
-        seen[start] = True
-        orbit = [start]
-        while frontier:
-            e = frontier.pop()
-            for mv in moves:
-                t = mv[e]
-                if not seen[t]:
-                    seen[t] = True
-                    orbit.append(t)
-                    frontier.append(t)
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+    """Orbits of Inn(q), the group generated by the right multiplications,
+    sorted by least element, each orbit as a sorted tuple."""
+    return [tuple(sorted(x for x, _ in orbit))
+            for orbit in orbits(range(q.order), inner_generators(q), q.order)]
 
 
 def properties(q: FiniteQuandle) -> QuandleProperties:
@@ -710,27 +718,17 @@ def congruences(q: MagmaTable) -> list[Partition]:
     an automorphism that also maps each block of a congruence into a
     block (x ~ y gives x*z ~ y*z), so it fixes every congruence: all the
     pairs of one orbit under inner_generators(q) generate the same one.
-    The unordered pairs are walked in those orbits, one closure per
-    orbit.  A magma table has no generators: every pair is its own orbit.
+    The unordered pairs are walked in those orbits (orbits), one closure
+    per orbit.  A magma table has no generators: every pair is its own
+    orbit.
     """
-    n = q.order
-    gens = inner_generators(q)
-    seen: set[tuple[int, int]] = set()
-    found: set[Partition] = set()
-    for pair in itertools.combinations(range(n), 2):
-        if pair in seen:
-            continue
-        seen.add(pair)
-        frontier = [pair]
-        while frontier:
-            a, b = frontier.pop()
-            for g in gens:
-                image = (g[a], g[b]) if g[a] < g[b] else (g[b], g[a])
-                if image not in seen:
-                    seen.add(image)
-                    frontier.append(image)
-        found.add(principal_congruence(q, *pair))
-    return sorted(found)
+    def act(g, pair):
+        a, b = g[pair[0]], g[pair[1]]
+        return (a, b) if a < b else (b, a)
+
+    pairs = itertools.combinations(range(q.order), 2)
+    return sorted({principal_congruence(q, *orbit[0][0])
+                   for orbit in orbits(pairs, inner_generators(q), q.order, act)})
 
 
 def quotient_table(q: MagmaTable, partition: Partition) -> Table:

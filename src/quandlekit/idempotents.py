@@ -44,6 +44,7 @@ from .core import (
     dihedral_quandle,
     doc_int,
     inner_generators,
+    orbits,
     perm_cycles,
     perm_inverse,
     properties,
@@ -86,16 +87,30 @@ from .ring import (
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Scope of an enumeration: ring, coefficient box, support cap, strata."""
+    """Scope of an enumeration: the ring, a coefficient box over Z (None:
+    every residue of Z/p) and a support cap (None: unrestricted).  The
+    declared strata follow from the ring: 0 and 1 over a domain, every
+    one (None) otherwise; the kernel's mode and parameter from the box."""
 
     ring: CoeffRing
     box_bound: int | None = None
-    max_support: int | None = None  # None = unrestricted
-    augmentation: tuple[int, ...] | None = (0, 1)  # None = all strata
+    max_support: int | None = None
 
     def __post_init__(self):
         if self.max_support is not None and self.max_support < 1:
             raise InvalidParamsError("max_support must be >= 1")
+
+    @property
+    def augmentation(self) -> tuple[int, ...] | None:
+        return (0, 1) if self.ring.is_domain else None
+
+    @property
+    def mode(self) -> str:
+        return "zp" if self.box_bound is None else "zbox"
+
+    @property
+    def param(self) -> int:
+        return self.ring.modulus if self.box_bound is None else self.box_bound
 
     def to_json(self) -> dict:
         return {
@@ -104,12 +119,6 @@ class SearchSpec:
             "max_support": "all" if self.max_support is None else self.max_support,
             "augmentation": "any" if self.augmentation is None else list(self.augmentation),
         }
-
-
-def _spec(ring: CoeffRing, box_bound: int | None, max_support: int | None) -> SearchSpec:
-    """The declared scope of a table search: the strata 0 and 1 over a
-    domain, every stratum otherwise."""
-    return SearchSpec(ring, box_bound, max_support, (0, 1) if ring.is_domain else None)
 
 
 # Fewer candidates than this, all strata together, run serially whatever
@@ -169,12 +178,13 @@ def _kernel_evaluator(indices: int, int64_safe: bool) -> str:
     return "python"
 
 
-def _declared_count(n: int, mode: str, param: int, strata) -> int:
+def _declared_count(n: int, spec: SearchSpec) -> int:
     """In-box vectors of the declared scope: those of the box, or of
     (Z/p)^n, whose coefficient sum lies in a stratum, counted per stratum."""
+    strata, param = spec.augmentation, spec.param
     if strata is None:
-        return _search_kernel.space_size(n, mode, param, 0)
-    if mode == "zp":
+        return _search_kernel.space_size(n, spec.mode, param, 0)
+    if spec.mode == "zp":
         return len(strata) * param ** (n - 1)
     return sum(_box_sum_count(n, param, s) for s in strata)
 
@@ -198,7 +208,7 @@ def _box_sum_count(n: int, bound: int, s: int) -> int:
     return total
 
 
-def _known_idempotents(table, mode: str, param: int, max_support: int | None) -> int:
+def _known_idempotents(table, spec: SearchSpec) -> int:
     """A lower bound, found without a search, on the nonzero idempotents of
     augmentation 1 in scope.
 
@@ -207,7 +217,7 @@ def _known_idempotents(table, mode: str, param: int, max_support: int | None) ->
     S is grown greedily; the vectors on its first max_support keys count,
     and so does e_y for every other y with y*y = y.
     """
-    n = len(table)
+    n, max_support = len(table), spec.max_support
     block: list[int] = []
     for y in range(n):
         if table[y][y] == y and all(table[s][y] == s and table[y][s] == y for s in block):
@@ -215,12 +225,12 @@ def _known_idempotents(table, mode: str, param: int, max_support: int | None) ->
     m = min(n if max_support is None else max_support, len(block))
     if m < 1:
         return 0
-    on_block = param ** (m - 1) if mode == "zp" else _box_sum_count(m, param, 1)
+    on_block = spec.param ** (m - 1) if spec.mode == "zp" else _box_sum_count(m, spec.param, 1)
     return on_block + sum(1 for y in range(n) if table[y][y] == y) - m
 
 
-def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, jobs: int,
-                direct: list, space: int) -> list:
+def _sweep_plan(carrier, spec: SearchSpec, budget: int, jobs: int, direct: list,
+                space: int) -> list:
     """The fiber-sum constraints to sweep: one tuple of (keys, target) pairs
     per sweep, in a fixed order.
 
@@ -241,13 +251,14 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
     The caller sweeps one entry per orbit under Inn(X) (_target_orbits);
     the choice here still prices every entry of the plan.
     """
-    n = carrier.order
+    n, mode, param = carrier.order, spec.mode, spec.param
     cost = len(direct) * (space + SWEEP_COST)
     proper = [c for c in congruences(carrier) if len(c) > 1]
     for partition in sorted(proper, key=lambda c: (-len(c), c)):
         k = len(partition)
-        base_param = param if mode == "zp" else param * max(map(len, partition))
-        if _search_kernel.space_size(k, mode, base_param, len(direct[0])) > space:
+        base_spec = spec if mode == "zp" else SearchSpec(
+            spec.ring, param * max(map(len, partition)), spec.max_support)
+        if _search_kernel.space_size(k, mode, base_spec.param, len(direct[0])) > space:
             continue
         # the quotient of a quandle is a quandle, so its own search gets generators
         quotient = (FiniteQuandle if carrier.is_quandle else MagmaTable)(
@@ -255,10 +266,9 @@ def _sweep_plan(carrier, spec: SearchSpec, mode: str, param: int, budget: int, j
         # the most nonzero targets whose sweeps still cost less than the direct one
         sweep = _search_kernel.space_size(n, mode, param, k)
         limit = cost // (sweep + SWEEP_COST) - 1
-        if _known_idempotents(quotient.table, mode, base_param, spec.max_support) > limit:
+        if _known_idempotents(quotient.table, base_spec) > limit:
             break
-        base_spec = _spec(spec.ring, None if mode == "zp" else base_param, spec.max_support)
-        base = _enumerate_table(quotient, base_spec, mode, base_param, budget, jobs, max_hits=limit)
+        base = _enumerate_table(quotient, base_spec, budget, jobs, max_hits=limit)
         if base is None:
             break
         targets = [(0,) * k] + [tuple(u.coeff(y) for y in range(k)) for u in base.idempotents]
@@ -278,31 +288,21 @@ def _target_orbits(plan: list, gens, n: int) -> list:
     g(t) are the images under g of those over t, and one sweep per orbit
     finds them all.  With no gens every entry is its own orbit.
     """
-    index = {entry: i for i, entry in enumerate(plan)}
-    placed: set[int] = set()
-    orbits = []
-    for i, rep in enumerate(plan):
-        if i in placed:
-            continue
-        placed.add(i)
-        members = [(rep, tuple(range(n)))]
-        for entry, g in members:
-            for h in gens:
-                image = tuple(sorted((tuple(sorted(h[x] for x in keys)), target)
-                                     for keys, target in entry))
-                j = index.get(image)
-                if j is None:
-                    raise InternalCheckError(
-                        f"a table automorphism maps a sweep target outside the plan: {image}"
-                    )
-                if j not in placed:
-                    placed.add(j)
-                    members.append((image, tuple(h[x] for x in g)))
-        orbits.append((rep, [(entry, perm_inverse(g)) for entry, g in members]))
-    return orbits
+    def act(h, entry):
+        return tuple(sorted((tuple(sorted(h[x] for x in keys)), target) for keys, target in entry))
+
+    plan_orbits = orbits(plan, gens, n, act)
+    entries = set(plan)
+    stray = [entry for orbit in plan_orbits for entry, _ in orbit if entry not in entries]
+    if stray:
+        raise InternalCheckError(
+            f"a table automorphism maps a sweep target outside the plan: {stray[0]}"
+        )
+    return [(orbit[0][0], [(entry, perm_inverse(g)) for entry, g in orbit])
+            for orbit in plan_orbits]
 
 
-def _walks_supports(spec: SearchSpec, mode: str, param: int, n: int, indices: int) -> bool:
+def _walks_supports(spec: SearchSpec, n: int, indices: int) -> bool:
     """Whether a table search walks supports (_support_search) instead of
     sweeping the box through the kernel.
 
@@ -321,15 +321,13 @@ def _walks_supports(spec: SearchSpec, mode: str, param: int, n: int, indices: in
     18 s.  It loses near half the order: r10 B = 2 with support <= 5
     walks in 11 ms where the kernel takes 5.7 ms.
     """
-    return (mode == "zbox" and spec.max_support is not None
-            and _support_tuples(n, param, spec.max_support, limit=indices) < indices)
+    return (spec.mode == "zbox" and spec.max_support is not None
+            and _support_tuples(n, spec.param, spec.max_support, limit=indices) < indices)
 
 
 def _enumerate_table(
     carrier: FiniteQuandle | MagmaTable,
     spec: SearchSpec,
-    mode: str,
-    param: int,
     budget: int,
     jobs: int,
     max_hits: int | None = None,
@@ -345,7 +343,7 @@ def _enumerate_table(
     target per Inn(X)-orbit.  Both paths end in _checked_report.
     """
     start = time.monotonic()
-    n = carrier.order
+    n, mode, param = carrier.order, spec.mode, spec.param
     # the direct sweep: one block of all keys per augmentation stratum
     strata = spec.augmentation
     direct = [()] if strata is None else [((tuple(range(n)), s),) for s in strata]
@@ -356,22 +354,22 @@ def _enumerate_table(
         # kernel indices are int64; refuse before any chunk is built
         raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
-    if _walks_supports(spec, mode, param, n, space * len(direct)):
+    if _walks_supports(spec, n, space * len(direct)):
         _, found = _support_search(range(n), carrier.op, param, max_support,
                                    gens=inner_generators(carrier))
         if max_hits is not None and len(found) > max_hits:
             return None
         # no fiber-sum targets: the walk sweeps no plan
         hits = {tuple(dense_vector(u, n)): () for u in found}
-        return _checked_report(carrier, spec, mode, param, max_support, hits, start)
-    plan = _sweep_plan(carrier, spec, mode, param, budget, jobs, direct, space)
+        return _checked_report(carrier, spec, hits, start)
+    plan = _sweep_plan(carrier, spec, budget, jobs, direct, space)
     # one sweep per orbit of the plan under Inn(X); its hits are mapped to the other members
-    orbits = _target_orbits(plan, inner_generators(carrier), n)
-    sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers, _ in orbits]
+    plan_orbits = _target_orbits(plan, inner_generators(carrier), n)
+    sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers, _ in plan_orbits]
     workers = jobs if sum(sweeps) >= POOL_MIN_SPACE else 1
     evaluator = _kernel_evaluator(sum(sweeps), _search_kernel._int64_safe(n, param))
     tasks, task_orbits = [], []
-    for (fibers, orbit), sweep in zip(orbits, sweeps):
+    for (fibers, orbit), sweep in zip(plan_orbits, sweeps):
         for a, b in _chunk_ranges(sweep, workers):
             tasks.append((carrier.table, n, mode, param, fibers, a, b, max_support, evaluator))
             task_orbits.append(orbit)
@@ -383,23 +381,23 @@ def _enumerate_table(
                 hits.setdefault(tuple(map(vec.__getitem__, g_inverse)), fibers)
         if max_hits is not None and len(hits) > max_hits:
             return None
-    return _checked_report(carrier, spec, mode, param, max_support, hits, start)
+    return _checked_report(carrier, spec, hits, start)
 
 
-def _checked_report(carrier, spec: SearchSpec, mode: str, param: int, max_support: int,
-                    hits: dict, start: float) -> IdempotentReport:
+def _checked_report(carrier, spec: SearchSpec, hits: dict, start: float) -> IdempotentReport:
     """The report of a search's hits, each vector mapped to the (keys,
     target) fiber sums it was swept on, after an exact recheck of every
     hit: idempotent, augmentation 0 or 1 where the strata are, and on its
     fiber-sum targets."""
-    n = carrier.order
+    n, ring, mode, param = carrier.order, spec.ring, spec.mode, spec.param
+    strata, max_support = spec.augmentation, spec.max_support
     found: list[RingElement] = []
     for vec, fibers in hits.items():
-        u = RingElement(spec.ring, list(enumerate(vec)))
+        u = RingElement(ring, list(enumerate(vec)))
         # exact re-verification of every hit
         if not is_idempotent(u, carrier):
             raise InternalCheckError(f"search hit fails exact recheck: {vec}", vector=list(vec))
-        if spec.augmentation is not None and augmentation(u) not in (spec.ring.zero, spec.ring.one):
+        if strata is not None and augmentation(u) not in (ring.zero, ring.one):
             raise InternalCheckError(
                 f"search hit has augmentation not 0 or 1: {vec}", vector=list(vec)
             )
@@ -416,13 +414,13 @@ def _checked_report(carrier, spec: SearchSpec, mode: str, param: int, max_suppor
         flags.append("not a quandle")
     if mode == "zbox":
         flags.append(f"complete within |coefficient| <= {param}; nothing claimed outside the box")
-    if spec.ring.invertible(n):
+    if ring.invertible(n):
         flags.append("|X| invertible in k")
-    if spec.ring.kind == "Zmod" and spec.ring.modulus == 2:
+    if ring.kind == "Zmod" and ring.modulus == 2:
         flags.append("two-element coefficient ring")
-    if not spec.ring.is_domain:
+    if not ring.is_domain:
         flags.append("non-domain coefficients")
-    if max_support < n:
+    if max_support is not None and max_support < n:
         flags.append(f"support limited to <= {max_support} basis elements")
     elapsed = int((time.monotonic() - start) * 1000)
     return IdempotentReport(
@@ -432,7 +430,7 @@ def _checked_report(carrier, spec: SearchSpec, mode: str, param: int, max_suppor
         idempotents=sorted(found, key=lambda u: u.sort_key()),
         exhaustive=True,
         flags=flags,
-        candidates_tested=_declared_count(n, mode, param, spec.augmentation),
+        candidates_tested=_declared_count(n, spec),
         elapsed_ms=elapsed,
     )
 
@@ -448,7 +446,7 @@ def enumerate_mod_p(
 ) -> IdempotentReport:
     """Every idempotent of the mod-p quandle ring; a composite p needs force."""
     ring = IntegersMod(p, force=force)
-    return _enumerate_table(carrier, _spec(ring, None, max_support), "zp", p, budget, jobs)
+    return _enumerate_table(carrier, SearchSpec(ring, None, max_support), budget, jobs)
 
 
 def enumerate_boxed_Z(
@@ -469,7 +467,7 @@ def enumerate_boxed_Z(
     """
     if bound < 1:
         raise InvalidParamsError("bound must be >= 1")
-    return _enumerate_table(carrier, _spec(ZZ, bound, max_support), "zbox", bound, budget, jobs)
+    return _enumerate_table(carrier, SearchSpec(ZZ, bound, max_support), budget, jobs)
 
 
 def _enumerate(carrier, modulus, bound, max_support, budget: int, jobs: int) -> IdempotentReport:
@@ -658,7 +656,8 @@ def covering_family_verify(
     note = _grid_note(ring, grid)
     fibers = covering.fibers
     codomain = sorted(fibers)
-    # count the sweep before running it
+    # count the sweep before running it: a structure has len(grid)^(free
+    # slots) cases, whether its defect vanishes or its cases are squared
     structures = 0
     cases = 0
     for size in range(0, max_j + 1):
@@ -670,7 +669,7 @@ def covering_family_verify(
                 cases += k0 * len(grid) ** (free + k0 - 1)
     if cases > budget:
         raise BudgetExceededError(cases, budget)
-    report = FamilyVerifyReport(True, structures, 0)
+    report = FamilyVerifyReport(True, structures, cases)
     domain = covering.hom.domain
     # over Q an integral case squares the same in ints
     m = ring.characteristic
@@ -705,7 +704,6 @@ def covering_family_verify(
                     if ("e", last) not in vectors:
                         add(("e", last), ((last, 1),))
                     if _defect_vanishes(("e", last), keys, vectors, domain.table, ring, verdicts):
-                        report.cases += len(grid) ** len(keys)
                         continue
                     dirs = [[(k, a) for k, a in enumerate(vectors[key]) if a] for key in keys]
                     for point in itertools.product(grid, repeat=len(dirs)):
@@ -716,7 +714,6 @@ def covering_family_verify(
                                 u[k] += c * a
                         if m:
                             u = [c % m for c in u]
-                        report.cases += 1
                         # the unit part gives u augmentation 1, so u is never 0
                         if dense_product(u, u, domain.table, arith) == u:
                             continue
@@ -1329,20 +1326,20 @@ def _support_search(keys, op, bound: int, max_support: int,
     distributivity); op must then keep keys closed.  Extended linearly,
     an automorphism g maps an idempotent on S to one on g(S), with the
     same size and coefficients, so the idempotents of the window are
-    closed under the group G the gens generate.  The orbits are taken in
-    the order of their least points.  If O is the first orbit a support S
-    meets, some g in G maps a point of S in O to the least point x of O,
-    and g(S) meets the same orbits as S.  So only the supports whose
-    least point is the least point of its orbit, with no point of an
-    earlier orbit, are walked: x is pushed first and larger keys of later
-    orbits are grown after it.  While an orbit is marked walked, each of
-    its points y gets one element t_y of G with t_y(x) = y.  The walked
-    idempotents on supports least at x are closed under the stabilizer
-    of x (h(S) is again least at x and meets the same orbits), and every
-    g in G is t_y h with y = g(x) and h fixing x.  So the closure under G
-    is the images t_y(u), one per point of the orbit, not a search over
-    every generator.  With no gens every point is its own orbit, and the
-    walk is the plain one.
+    closed under the group G the gens generate.  The orbits (core.orbits)
+    are taken in the order of their least points.  If O is the first
+    orbit a support S meets, some g in G maps a point of S in O to the
+    least point x of O, and g(S) meets the same orbits as S.  So only the
+    supports whose least point is the least point of its orbit, with no
+    point of an earlier orbit, are walked: x is pushed first and larger
+    keys of later orbits are grown after it.  The orbit gives each of its
+    points y one element t_y of G with t_y(x) = y.  The walked idempotents
+    on supports least at x are closed under the stabilizer of x (h(S) is
+    again least at x and meets the same orbits), and every g in G is t_y h
+    with y = g(x) and h fixing x.  So the closure under G is the images
+    t_y(u), one per point of the orbit, not a search over every
+    generator.  With no gens every point is its own orbit, and the walk
+    is the plain one.
 
     Supports grow one key at a time, depth first.  Adding x changes only
     the counts of the ids that (x, s), (s, x) and (x, x) reach, so the set
@@ -1457,20 +1454,13 @@ def _support_search(keys, op, bound: int, max_support: int,
 
     # per orbit, keyed by its least point x: one group element t with t(x) = y per point y
     moves: dict[int, list[tuple[int, ...]]] = {}
-    identity = tuple(range(n))
-    if top > 0:
-        for x in range(n):
-            if not walked[x]:
-                # x is the least point of its orbit: walk the supports it is least in
-                visit(x, x + 1)
-                walked[x] = True
-                orbit = [(x, identity)]
-                for y, t in orbit:
-                    for g in gens:
-                        if not walked[g[y]]:
-                            walked[g[y]] = True
-                            orbit.append((g[y], tuple(map(g.__getitem__, t))))
-                moves[x] = [t for _, t in orbit[1:]]
+    for orbit in orbits(range(n), gens, n) if top > 0 else ():
+        # x is the least point of its orbit: walk the supports it is least in
+        x = orbit[0][0]
+        visit(x, x + 1)
+        for y, _ in orbit:
+            walked[y] = True
+        moves[x] = [t for _, t in orbit[1:]]
     # close under G; t keeps support size and coefficients
     for u in list(found):
         for t in moves[u[0][0]]:

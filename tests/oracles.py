@@ -327,6 +327,27 @@ def naive_congruences(table):
 
 
 # ---------------------------------------------------------------------------
+# orbits of a permutation group
+
+
+def naive_orbits(n, gens):
+    """The orbits of the group the permutations gens of range(n) generate,
+    as sorted tuples ordered by least point: each point's set is closed
+    under the gens and their inverses until no set grows."""
+    moves = [list(g) for g in gens] + [[list(g).index(y) for y in range(n)] for g in gens]
+    reach = [{x} for x in range(n)]
+    grown = True
+    while grown:
+        grown = False
+        for points in reach:
+            images = {g[y] for g in moves for y in points}
+            if not images <= points:
+                points |= images
+                grown = True
+    return sorted({tuple(sorted(points)) for points in reach})
+
+
+# ---------------------------------------------------------------------------
 # covering search over raw tables
 
 

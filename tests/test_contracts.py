@@ -13,9 +13,11 @@ from quandlekit import (
     covering_idempotent,
     dihedral_even_family,
     element_to_json,
+    enumerate_boxed_Z,
+    enumerate_mod_p,
     union_idempotents,
 )
-from quandlekit import idempotents
+from quandlekit import _search_kernel, idempotents
 from quandlekit.cli import build_parser
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quandlekit"
@@ -93,3 +95,38 @@ def test_cli_surface_is_pinned():
             )
             surface[f"{group} {name}"] = " ".join(positionals + options)
     assert surface == CLI_SURFACE
+
+
+KERNEL_SEARCHES = {
+    "r10-box-2": lambda r6, r10: enumerate_boxed_Z(r10, 2, jobs=2),
+    "r6-mod-5": lambda r6, r10: enumerate_mod_p(r6, 5, jobs=2),
+    "r6-mod-4-every-stratum": lambda r6, r10: enumerate_mod_p(r6, 4, jobs=2, force=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SEARCHES))
+def test_kernel_tasks_keep_the_layout_the_bench_tracer_reads(name, r6, r10, monkeypatch):
+    # the benchmark's tracer reads a chunk's index count as task[6] - task[5]
+    # and the evaluator from task[8]; the chunks of each sweep tile its indices
+    tasks = []
+    real = idempotents._run_tasks
+
+    def spy(batch, jobs):
+        tasks.extend(batch)
+        return real(batch, 1)
+
+    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
+    monkeypatch.setattr(idempotents, "_run_tasks", spy)
+    KERNEL_SEARCHES[name](r6, r10)
+    sweeps: dict = {}
+    for task in tasks:
+        assert len(task) == 9
+        table, n, mode, param, fibers, start, stop, _, evaluator = task
+        assert n == len(table) and mode in ("zbox", "zp") and evaluator in ("python", "numpy")
+        sweeps.setdefault((table, fibers), []).append(task)
+    assert any(len(chunks) > 1 for chunks in sweeps.values())
+    for chunks in sweeps.values():
+        _, n, mode, param, fibers = chunks[0][:5]
+        assert [task[5] for task in chunks] == [0] + [task[6] for task in chunks[:-1]]
+        indices = sum(task[6] - task[5] for task in chunks)
+        assert indices == _search_kernel.space_size(n, mode, param, len(fibers))

@@ -43,7 +43,12 @@ from quandlekit import (
 from quandlekit import core
 from quandlekit.core import congruences, principal_congruence, quotient_table
 
-from oracles import brute_force_coverings, naive_congruences, naive_first_axiom_failure
+from oracles import (
+    brute_force_coverings,
+    naive_congruences,
+    naive_first_axiom_failure,
+    naive_orbits,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +687,40 @@ def test_principal_congruences_of_random_quandles_match_the_oracle(q):
         for g in q.right_mults:
             image = tuple(sorted(tuple(sorted(g[x] for x in block)) for block in partition))
             assert image == partition
+
+
+def _check_orbits(q):
+    """core.orbits on Inn(q) gives the oracle's orbits in the same order;
+    each g carries the orbit's first point to its point and is a table
+    automorphism, and the first points share one identity tuple."""
+    n, table = q.order, q.table
+    gens = tuple(dict.fromkeys(q.right_mults))
+    found = core.orbits(range(n), gens, n)
+    assert [tuple(sorted(x for x, _ in orbit)) for orbit in found] == naive_orbits(n, gens)
+    assert all(orbit[0][0] == min(x for x, _ in orbit) for orbit in found)
+    assert len({id(orbit[0][1]) for orbit in found}) == 1
+    assert found[0][0][1] == tuple(range(n))
+    for orbit in found:
+        first = orbit[0][0]
+        for x, g in orbit:
+            assert g[first] == x
+            assert all(table[g[a]][g[b]] == g[table[a][b]] for a in range(n) for b in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=small_quandles())
+def test_orbits_of_random_quandles_match_the_oracle(q):
+    _check_orbits(q)
+
+
+@pytest.mark.parametrize("name", ["r10", "b12"])
+def test_orbits_of_fixture_quandles_match_the_oracle(name, request):
+    _check_orbits(request.getfixturevalue(name))
+
+
+def test_orbits_without_generators_are_single_points():
+    identity = tuple(range(4))
+    assert core.orbits(range(4), (), 4) == [[(x, identity)] for x in range(4)]
 
 
 def test_dihedral_10_folds_onto_dihedral_5(r10, r5):

@@ -16,6 +16,7 @@ from quandlekit import (
     CompositeModulusError,
     FiniteQuandle,
     FreeQuandle,
+    IntegersMod,
     InternalCheckError,
     InvalidParamsError,
     MagmaTable,
@@ -239,16 +240,26 @@ def test_index_space_beyond_int64_is_refused_up_front():
 
 
 def test_search_spec_json_spellings():
-    spec = SearchSpec(ZZ, box_bound=2, max_support=None, augmentation=None)
+    # a composite modulus declares every stratum
+    spec = SearchSpec(IntegersMod(6, force=True), box_bound=None, max_support=None)
     assert spec.to_json() == {
-        "ring": "Z",
-        "box_bound": 2,
+        "ring": "Zmod:6",
+        "box_bound": None,
         "max_support": "all",
         "augmentation": "any",
     }
-    spec2 = SearchSpec(ZZ, box_bound=1, max_support=3, augmentation=(0, 1))
-    assert spec2.to_json()["max_support"] == 3
-    assert spec2.to_json()["augmentation"] == [0, 1]
+    spec2 = SearchSpec(ZZ, box_bound=1, max_support=3)
+    assert spec2.to_json() == {"ring": "Z", "box_bound": 1, "max_support": 3, "augmentation": [0, 1]}
+
+
+@pytest.mark.parametrize("spec,scope", [
+    (SearchSpec(ZZ, 2, 3), ("zbox", 2, (0, 1))),
+    (SearchSpec(IntegersMod(5), None, None), ("zp", 5, (0, 1))),
+    (SearchSpec(IntegersMod(6, force=True), None, None), ("zp", 6, None)),
+])
+def test_search_spec_derives_its_scope(spec, scope):
+    # the kernel mode, its parameter and the declared strata come from the ring and the box
+    assert (spec.mode, spec.param, spec.augmentation) == scope
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +831,14 @@ def test_r10_sweeps_one_target_per_orbit(r10, monkeypatch, mode, param, targets,
     assert (len(plans[-1]), len(swept[-1])) == (targets, orbits)
 
 
+def test_target_orbits_refuse_a_plan_an_automorphism_leaves():
+    # swapping 0 and 1 maps the target (1 on {0}, 0 on {1}) to (0 on {0}, 1 on {1})
+    plan = [(((0,), 1), ((1,), 0))]
+    assert idempotents._target_orbits(plan, (), 2) == [(plan[0], [(plan[0], (0, 1))])]
+    with pytest.raises(InternalCheckError, match="outside the plan"):
+        idempotents._target_orbits(plan, ((1, 0),), 2)
+
+
 def test_quotients_of_a_quandle_are_searched_as_quandles(b12, monkeypatch):
     # blocks12 B = 2 goes through an order-6 quotient, and that one through
     # an order-2 quotient; each quotient of a quandle is a quandle, so its
@@ -959,10 +978,10 @@ def test_quotient_search_is_abandoned_before_any_recheck(r6, monkeypatch):
 
 
 def test_max_hits_abandons_a_search_only_past_it(r6):
-    spec = SearchSpec(ZZ, 2, None, (0, 1))
+    spec = SearchSpec(ZZ, 2, None)
     count = len(enumerate_boxed_Z(r6, 2).idempotents)
-    assert idempotents._enumerate_table(r6, spec, "zbox", 2, 10**8, 1, max_hits=count - 1) is None
-    report = idempotents._enumerate_table(r6, spec, "zbox", 2, 10**8, 1, max_hits=count)
+    assert idempotents._enumerate_table(r6, spec, 10**8, 1, max_hits=count - 1) is None
+    report = idempotents._enumerate_table(r6, spec, 10**8, 1, max_hits=count)
     assert len(report.idempotents) == count
 
 
@@ -972,7 +991,9 @@ def test_known_idempotents_are_a_lower_bound(table, scope, data):
     mode, param = scope
     max_support = data.draw(st.sampled_from([None, *range(1, len(table) + 1)]))
     found, _ = _expected(table, mode, param, (1,), max_support)
-    assert idempotents._known_idempotents(table, mode, param, max_support) <= len(found)
+    spec = (SearchSpec(IntegersMod(param, force=True), None, max_support) if mode == "zp"
+            else SearchSpec(ZZ, param, max_support))
+    assert idempotents._known_idempotents(table, spec) <= len(found)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,8 +1282,8 @@ def test_other_searches_sweep_the_box(name, mode, param, max_support, request, m
     assert q.order not in [order for order, _ in walks]
 
 
-def _force_walk(spec, mode, *rest):
-    return mode == "zbox" and spec.max_support is not None
+def _force_walk(spec, *rest):
+    return spec.mode == "zbox" and spec.max_support is not None
 
 
 @pytest.mark.parametrize("name,bound,max_support", [
@@ -1298,8 +1319,8 @@ def test_walk_hit_failing_the_exact_recheck_is_an_internal_error(r10, monkeypatc
 
 def test_walk_keeps_max_hits(r10):
     # a quotient base search that walks is abandoned past max_hits, as one that sweeps
-    spec = idempotents._spec(ZZ, 2, 3)
-    run = lambda max_hits: idempotents._enumerate_table(r10, spec, "zbox", 2, 10**8, 1, max_hits)
+    spec = SearchSpec(ZZ, 2, 3)
+    run = lambda max_hits: idempotents._enumerate_table(r10, spec, 10**8, 1, max_hits)
     assert len(run(20).idempotents) == 20
     assert run(19) is None
 
