@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -366,7 +367,8 @@ def _enumerate_table(
     # one sweep per orbit of the plan under Inn(X); its hits are mapped to the other members
     plan_orbits = _target_orbits(plan, inner_generators(carrier), n)
     sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers, _ in plan_orbits]
-    workers = jobs if sum(sweeps) >= POOL_MIN_SPACE else 1
+    # a pool forks all its workers at once, so never more than the CPUs
+    workers = min(jobs, os.cpu_count() or 1) if sum(sweeps) >= POOL_MIN_SPACE else 1
     evaluator = _kernel_evaluator(sum(sweeps), _search_kernel._int64_safe(n, param))
     tasks, task_orbits = [], []
     for (fibers, orbit), sweep in zip(plan_orbits, sweeps):
@@ -427,7 +429,7 @@ def _checked_report(carrier, spec: SearchSpec, hits: dict, start: float) -> Idem
         quandle=carrier.name or f"order-{n}",
         order=n,
         spec=spec.to_json(),
-        idempotents=sorted(found, key=lambda u: u.sort_key()),
+        idempotents=found,
         exhaustive=True,
         flags=flags,
         candidates_tested=_declared_count(n, spec),
@@ -816,7 +818,7 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     domain = covering.hom.domain
     ring = u.ring
     zero, one = ring.zero, ring.one
-    flags = ["codomain ring attested to have only trivial idempotents"]
+    flags = ["codomain ring assumed, not certified, to have only trivial idempotents"]
     vec = dense_vector(u, domain.order)
     if u.is_zero() or _pair_product(u.coeffs, u.coeffs, domain.table, ring) != vec:
         raise NotIdempotentInputError("element is not idempotent (its square differs)")
@@ -1074,7 +1076,7 @@ def union_cross_check(
     report = _enumerate(union_q, modulus, bound, max_support, budget, jobs)
     counts = {"weighted_idempotents": 0, "nilpotent_perturbation": 0, "component_mass": 0}
     gaps = []
-    for u in report.sorted_idempotents():
+    for u in report.idempotents:
         clause = _union_membership(u, parts, offsets)
         if clause is None:
             gaps.append(u)
@@ -1341,14 +1343,16 @@ def _support_search(keys, op, bound: int, max_support: int,
     generator.  With no gens every point is its own orbit, and the walk
     is the plain one.
 
-    Supports grow one key at a time, depth first.  Adding x changes only
-    the counts of the ids that (x, s), (s, x) and (x, x) reach, so the set
-    of ids outside S reached exactly once is carried along.  A support of
-    max_support - 1 keys with such an id t is extended only by keys that
-    cover t: t itself, or x with (x, s), (s, x) or (x, x) reaching t.  Any
-    other x leaves t reached once, outside the support.  A square is
-    checked target by target, the ids outside S (sum 0) first, and stops
-    at the first that fails.
+    Supports grow one key at a time, depth first, and nothing is carried
+    from one support to the next.  Each visited support S groups its
+    ordered pairs (a, b), a == b included, by the id of their product,
+    once.  That grouping is S's own system of idempotency equations, and
+    it feeds both the rule (an id outside S with a single pair) and the
+    square.  A support of max_support - 1 keys with such an id t is
+    extended only by keys that cover t: t itself, or x with (x, s),
+    (s, x) or (x, x) reaching t.  Any other x leaves t reached once,
+    outside the support.  A square is checked target by target, the ids
+    outside S (sum 0) first, and stops at the first that fails.
 
     Returns (tested, idempotents), idempotents in the order the naive
     loop finds them: by support size, then support, then tuple.  tested
@@ -1372,51 +1376,14 @@ def _support_search(keys, op, bound: int, max_support: int,
     tuples = [[c for c in itertools.product(nonzero, repeat=k) if sum(c) in (0, 1)]
               for k in range(top + 1)]
     found: set[tuple[tuple[int, int], ...]] = set()  # sorted (index, coefficient) pairs
-    count = [0] * len(ids)
-    inside = [False] * len(ids)
     walked = [False] * n  # points of the orbits whose supports are done
-    once: set[int] = set()  # ids outside the support reached exactly once
     support: list[int] = []
 
-    def reached(x):
-        row = table[x]
-        return [row[s] for s in support] + [table[s][x] for s in support] + [row[x]]
-
-    def push(x):
-        inside[x] = True
-        once.discard(x)
-        for t in reached(x):
-            count[t] += 1
-            if count[t] == 1:
-                if not inside[t]:
-                    once.add(t)
-            elif count[t] == 2:
-                once.discard(t)
-        support.append(x)
-
-    def pop():
-        x = support.pop()
-        for t in reached(x):
-            count[t] -= 1
-            if count[t] == 1:
-                if not inside[t]:
-                    once.add(t)
-            elif count[t] == 0:
-                once.discard(t)
-        inside[x] = False
-        if count[x] == 1:
-            once.add(x)
-
-    def evaluate():
+    def evaluate(groups):
         k = len(support)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, a in enumerate(support):
-            row = table[a]
-            for j, b in enumerate(support):
-                groups.setdefault(row[b], []).append((i, j))
-        within = [(i, groups.pop(x, [])) for i, x in enumerate(support)]
         # outside targets first; their sums must be 0, the entry at position k
-        checks = [(k, pairs) for pairs in groups.values()] + within
+        checks = [(k, pairs) for t, pairs in groups.items() if t not in support]
+        checks += [(i, groups.get(x, [])) for i, x in enumerate(support)]
         for coeffs in tuples[k]:
             want = coeffs + (0,)
             for target, pairs in checks:
@@ -1429,28 +1396,32 @@ def _support_search(keys, op, bound: int, max_support: int,
                 found.add(tuple(sorted(zip(support, coeffs))))
 
     def visit(x, start):
-        push(x)
+        support.append(x)
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, a in enumerate(support):
+            row = table[a]
+            for j, b in enumerate(support):
+                groups.setdefault(row[b], []).append((i, j))
+        # ids outside the support reached by exactly one ordered pair
+        once = [t for t, pairs in groups.items() if len(pairs) == 1 and t not in support]
         if not once:
-            evaluate()
+            evaluate(groups)
         if len(support) < top:
-            grow(start)
-        pop()
-
-    def grow(start):
-        if once and len(support) == top - 1:
-            t = min(once, key=width.__getitem__)
-            cover = {t} if t < n else set()
-            for a, b in covers[t]:
-                if a == b or inside[b]:
-                    cover.add(a)
-                elif inside[a]:
-                    cover.add(b)
-            candidates = sorted(x for x in cover if x >= start)
-        else:
-            candidates = range(start, n)
-        for x in candidates:
-            if not walked[x]:
-                visit(x, x + 1)
+            if once and len(support) == top - 1:
+                t = min(once, key=width.__getitem__)
+                cover = {t} if t < n else set()
+                for a, b in covers[t]:
+                    if a == b or b in support:
+                        cover.add(a)
+                    elif a in support:
+                        cover.add(b)
+                candidates = sorted(y for y in cover if y >= start)
+            else:
+                candidates = range(start, n)
+            for y in candidates:
+                if not walked[y]:
+                    visit(y, y + 1)
+        support.pop()
 
     # per orbit, keyed by its least point x: one group element t with t(x) = y per point y
     moves: dict[int, list[tuple[int, ...]]] = {}
@@ -1575,7 +1546,7 @@ def conjecture_scan(
 
 def _non_basis(report: IdempotentReport) -> list[RingElement]:
     out = []
-    for u in report.sorted_idempotents():
+    for u in report.idempotents:
         if len(u.coeffs) == 1 and u.coeffs[0][1] == u.ring.one:
             continue
         out.append(u)

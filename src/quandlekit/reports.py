@@ -27,15 +27,16 @@ class IdempotentReport:
     candidates_tested: int = 0
     elapsed_ms: int = 0
 
-    def sorted_idempotents(self) -> list[RingElement]:
-        return sorted(self.idempotents, key=lambda u: u.sort_key())
+    def __post_init__(self):
+        # the one order of every report, its JSON included
+        self.idempotents = sorted(self.idempotents, key=lambda u: u.sort_key())
 
     def to_json(self, include_timing: bool = False) -> dict:
         return {
             "quandle": self.quandle,
             "order": self.order,
             "spec": self.spec,
-            "idempotents": [element_to_json(u) for u in self.sorted_idempotents()],
+            "idempotents": [element_to_json(u) for u in self.idempotents],
             "exhaustive": self.exhaustive,
             "flags": list(self.flags),
             "candidates_tested": self.candidates_tested,

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -20,7 +21,8 @@ from quandlekit import (
 from quandlekit import _search_kernel, idempotents
 from quandlekit.cli import build_parser
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quandlekit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quandlekit"
 
 
 def test_package_source_has_no_assert_statements():
@@ -130,3 +132,20 @@ def test_kernel_tasks_keep_the_layout_the_bench_tracer_reads(name, r6, r10, monk
         assert [task[5] for task in chunks] == [0] + [task[6] for task in chunks[:-1]]
         indices = sum(task[6] - task[5] for task in chunks)
         assert indices == _search_kernel.space_size(n, mode, param, len(fibers))
+
+
+def test_every_entry_point_the_bench_tracer_wraps_resolves():
+    # bench/tracing.py wraps each (module, attribute) of SPANS and HOT by
+    # name, so a renamed or deleted entry point would break or drop a
+    # per-layer metric
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in ("cli", "ring", "reports", "_search_kernel", "idempotents", "free"):
+        # executes a lazy submodule on its first attribute access
+        assert importlib.import_module(f"quandlekit.{name}").__name__ == f"quandlekit.{name}"
+    entries = [(module, attr) for _, module, attr, _ in tracing.SPANS]
+    entries += [(module, attr) for _, module, attr in tracing.HOT]
+    assert len(entries) == 20
+    for module, attr in entries:
+        assert callable(tracing._resolve(module, attr)[2]), (module, attr)

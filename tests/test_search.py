@@ -1,8 +1,10 @@
 """Exhaustive idempotent enumeration: completeness, soundness, determinism."""
 
+import concurrent.futures
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -1362,6 +1364,34 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
         assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
             pooled.to_json(), sort_keys=True
         )
+
+
+def test_pool_workers_are_capped_at_the_cpu_count(r6, monkeypatch):
+    # a pool forks all its workers at its first submit, so a huge --jobs
+    # must not ask for that many processes; the stub runs map serially
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    capped = enumerate_boxed_Z(r6, 2, jobs=10**6)
+    assert asked and set(asked) == {3}
+    assert json.dumps(capped.to_json(), sort_keys=True) == json.dumps(
+        enumerate_boxed_Z(r6, 2, jobs=1).to_json(), sort_keys=True
+    )
 
 
 # ---------------------------------------------------------------------------
