@@ -1,4 +1,4 @@
-"""Batched evaluation of idempotency over a coefficient grid.
+"""Both enumerators: the batched sweep of a coefficient grid, and the support walk.
 
 A sweep is constrained by fiber sums: a partition of some of the keys
 into blocks, each with a target for the sum of its coefficients.  The
@@ -12,9 +12,9 @@ space deterministically and merge by construction.
 
 There are two evaluators behind one entry point, `evaluate_chunk`,
 with the same contract: the same hits in the same index order, and the
-same count of tested candidates.  The caller picks one per plan and
-carries its name in the task, so every chunk passes through
-`evaluate_chunk` whichever runs:
+same count of tested candidates.  `run` picks one per plan and carries
+its name in the task, so every chunk passes through `evaluate_chunk`
+whichever runs:
 
 - "python" runs in plain Python ints and solves the first equation,
   that of key 0, instead of testing it index by index.  With every other
@@ -31,11 +31,11 @@ carries its name in the task, so every chunk passes through
   refuses a plan that `_int64_safe` does not pass.  It costs a fraction
   of a microsecond per index, but importing numpy takes about 0.1 s.
 
-The caller's rule (`idempotents.NUMPY_MIN_INDICES`) takes numpy once it
-is imported, or once plain Python would have evaluated more indices in
-this process than the import costs; a plan past int64 (a huge modulus or
-box) always runs in plain Python.  Callers refuse index spaces of 2^63
-or more.  The driver re-verifies every hit with exact arithmetic.
+The rule (NUMPY_MIN_INDICES) takes numpy once it is imported, or once
+plain Python would have evaluated more indices in this process than the
+import costs; a plan past int64 (a huge modulus or box) always runs in
+plain Python.  Callers refuse index spaces of 2^63 or more.  The driver
+re-verifies every hit with exact arithmetic.
 
 Both square a candidate one key at a time: the coefficient of e_k in
 u^2 is the sum of c_i c_j over the pairs with i*j = k, and only the
@@ -46,19 +46,36 @@ of the innermost digit instead.  The numpy evaluator holds a batch
 coefficient-major, one row per basis key.
 
 numpy serves this evaluator only.  It is imported inside
-`_evaluate_numpy`, and by the pool driver before it forks workers to run
-it, so commands that never search, and searches that stay in plain
-Python, do not pay for importing it.
+`_evaluate_numpy`, and by `run` before it forks pool workers, so
+commands that never search, and searches that stay in plain Python, do
+not pay for importing it.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 from math import isqrt
 
+from .core import orbits
 from .errors import InternalCheckError
 
 BATCH = 1 << 15
 INDEX_LIMIT = 2**63  # indices are int64
+
+# A process evaluates at most this many kernel indices in plain Python,
+# all plans together; a plan that would take it past them, and every plan
+# once numpy is imported, runs the numpy evaluator.  This is the
+# ski-rental rule (Karlin, Manasse, Rudolph and Sleator, "Competitive
+# snoopy caching", 1988): pay per index until the total would cover the
+# one-off import, the import cost divided by the saving per index.  On a
+# 2-core host, importing numpy took 78-124 ms.  On direct sweeps of R_7 to
+# R_13 (32,768-index chunks) plain Python took 0.8-1.2 us per index and
+# numpy 0.1-0.4 us, a saving of 0.6-0.9 us, so the two break even between
+# 0.9 and 2.1 * 10^5 indices.  It stays below idempotents.POOL_MIN_SPACE,
+# so a pool always runs numpy.
+NUMPY_MIN_INDICES = 1 << 17
+_python_indices = 0  # per process, like the import it stands in for
 
 
 def space_size(order: int, mode: str, param: int, blocks: int) -> int:
@@ -80,6 +97,29 @@ def _pairs(table, n: int) -> list[list[tuple[int, int]]]:
         for j, k in enumerate(row):
             pairs[k].append((i, j))
     return pairs
+
+
+def run(tasks, workers: int):
+    """The (hits, tested) of each chunk of one plan, tasks (table, n, mode,
+    param, fibers, start, stop, max_support), all run by the evaluator the
+    rule at NUMPY_MIN_INDICES picks for the plan: with one worker lazily,
+    so an abandoned search runs no further chunk, else on a pool."""
+    global _python_indices
+    indices = sum(task[6] - task[5] for task in tasks)
+    use_numpy = all(_int64_safe(task[1], task[3]) for task in tasks) and (
+        "numpy" in sys.modules or _python_indices + indices > NUMPY_MIN_INDICES)
+    if not use_numpy:
+        _python_indices += indices
+    tasks = [(*task, "numpy" if use_numpy else "python") for task in tasks]
+    if workers <= 1 or len(tasks) <= 1:
+        return map(evaluate_chunk, tasks)
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers inherit numpy instead of each importing it again
+    import numpy  # noqa: F401
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(evaluate_chunk, tasks))
 
 
 def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
@@ -292,3 +332,154 @@ def _evaluate_numpy(table, n, mode, param, fibers, start, stop, max_support):
             hits.append(tuple(int(v) for v in vec))
         idx0 += m
     return hits, tested
+
+
+def _support_tuples(n: int, bound: int, max_support: int, limit: int | None = None) -> int:
+    """(support, coefficient tuple) pairs with at most max_support of n
+    keys and nonzero entries in [-bound, bound]: sum of C(n, k) (2 bound)^k.
+
+    Term by term, C(n, k) (2 bound)^k = C(n, k - 1) (2 bound)^(k - 1) *
+    (n - k + 1) 2 bound / k exactly, so no binomial is computed afresh.
+    With a limit the sum stops once it passes it, and is then only a
+    lower bound."""
+    total, term = 0, 1
+    for k in range(1, min(max_support, n) + 1):
+        term = term * (n - k + 1) * 2 * bound // k
+        total += term
+        if limit is not None and total > limit:
+            break
+    return total
+
+
+def _support_search(keys, op, bound: int, max_support: int,
+                    gens=()) -> list[tuple[tuple[int, int], ...]]:
+    """Every integer idempotent supported on at most max_support of keys.
+
+    It serves core_three_support_check, fq_idempotent_search and the
+    support-capped table searches over Z (_walks_supports).  Walks each
+    support S (combinations of keys in order) and each tuple of
+    nonzero coefficients in [-bound, bound] on S.  op(a, b) is computed
+    once per pair of keys and interned as an int: keys get 0..n-1 in
+    order, products outside keys get fresh ids.  Keys must be distinct.
+
+    A support is ruled out without evaluating any tuple on it when some id
+    outside S is reached by exactly one ordered pair (a, b) of S, a == b
+    included (the non-cancellation step of the free-quandle argument):
+    u^2 then carries c_a * c_b at that id and u carries 0.  That product
+    is nonzero only because Z is an integral domain and the coefficients
+    are nonzero; over a composite Z/m (2 * 3 = 0 mod 6) the rule is
+    unsound, so this search runs over Z only.  On the other supports a
+    tuple whose coefficient sum is not 0 or 1 is skipped (an integer
+    idempotent's augmentation squares to itself) and the rest are squared.
+
+    gens are permutations of the key indices, each an automorphism of op
+    on keys (the right multiplications of a quandle, by right
+    distributivity); op must then keep keys closed.  Extended linearly,
+    an automorphism g maps an idempotent on S to one on g(S), with the
+    same size and coefficients, so the idempotents of the window are
+    closed under the group G the gens generate.  The orbits (core.orbits)
+    are taken in the order of their least points.  If O is the first
+    orbit a support S meets, some g in G maps a point of S in O to the
+    least point x of O, and g(S) meets the same orbits as S.  So only the
+    supports whose least point is the least point of its orbit, with no
+    point of an earlier orbit, are walked: x is pushed first and larger
+    keys of later orbits are grown after it.  The orbit gives each of its
+    points y one element t_y of G with t_y(x) = y.  The walked idempotents
+    on supports least at x are closed under the stabilizer of x (h(S) is
+    again least at x and meets the same orbits), and every g in G is t_y h
+    with y = g(x) and h fixing x.  So the closure under G is the images
+    t_y(u), one per point of the orbit, not a search over every
+    generator.  With no gens every point is its own orbit, and the walk
+    is the plain one.
+
+    Supports grow one key at a time, depth first, and nothing is carried
+    from one support to the next.  Each visited support S groups its
+    ordered pairs (a, b), a == b included, by the id of their product,
+    once.  That grouping is S's own system of idempotency equations, and
+    it feeds both the rule (an id outside S with a single pair) and the
+    square.  A support of max_support - 1 keys with such an id t is
+    extended only by keys that cover t: t itself, or x with (x, s),
+    (s, x) or (x, x) reaching t.  Any other x leaves t reached once,
+    outside the support.  A square is checked target by target, the ids
+    outside S (sum 0) first, and stops at the first that fails.
+
+    Returns the idempotents as sorted (key index, coefficient) tuples in
+    the order the naive loop finds them: by support size, then support,
+    then tuple.  Callers build the ring elements and declare the window's
+    count, _support_tuples: every (support, coefficient tuple) pair, the
+    tuples ruled out, not walked or skipped by the sum filter included.
+    """
+    keys = list(keys)
+    n = len(keys)
+    ids = {key: i for i, key in enumerate(keys)}
+    table = [[ids.setdefault(op(a, b), len(ids)) for b in keys] for a in keys]
+    if gens and len(ids) > n:
+        raise InternalCheckError("a product leaves the keys that automorphisms permute")
+    covers = _pairs(table, len(ids))  # the pairs reaching each id
+    width = [len(pairs) for pairs in covers]
+    top = min(max_support, n)
+    nonzero = [c for c in range(-bound, bound + 1) if c != 0]
+    tuples = [[c for c in itertools.product(nonzero, repeat=k) if sum(c) in (0, 1)]
+              for k in range(top + 1)]
+    found: set[tuple[tuple[int, int], ...]] = set()  # sorted (index, coefficient) pairs
+    walked = [False] * n  # points of the orbits whose supports are done
+    support: list[int] = []
+
+    def evaluate(groups):
+        k = len(support)
+        # outside targets first; their sums must be 0, the entry at position k
+        checks = [(k, pairs) for t, pairs in groups.items() if t not in support]
+        checks += [(i, groups.get(x, [])) for i, x in enumerate(support)]
+        for coeffs in tuples[k]:
+            want = coeffs + (0,)
+            for target, pairs in checks:
+                total = 0
+                for i, j in pairs:
+                    total += coeffs[i] * coeffs[j]
+                if total != want[target]:
+                    break
+            else:
+                found.add(tuple(sorted(zip(support, coeffs))))
+
+    def visit(x, start):
+        support.append(x)
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, a in enumerate(support):
+            row = table[a]
+            for j, b in enumerate(support):
+                groups.setdefault(row[b], []).append((i, j))
+        # ids outside the support reached by exactly one ordered pair
+        once = [t for t, pairs in groups.items() if len(pairs) == 1 and t not in support]
+        if not once:
+            evaluate(groups)
+        if len(support) < top:
+            if once and len(support) == top - 1:
+                t = min(once, key=width.__getitem__)
+                cover = {t} if t < n else set()
+                for a, b in covers[t]:
+                    if a == b or b in support:
+                        cover.add(a)
+                    elif a in support:
+                        cover.add(b)
+                candidates = sorted(y for y in cover if y >= start)
+            else:
+                candidates = range(start, n)
+            for y in candidates:
+                if not walked[y]:
+                    visit(y, y + 1)
+        support.pop()
+
+    # per orbit, keyed by its least point x: one group element t with t(x) = y per point y
+    moves: dict[int, list[tuple[int, ...]]] = {}
+    for orbit in orbits(range(n), gens, n) if top > 0 else ():
+        # x is the least point of its orbit: walk the supports it is least in
+        x = orbit[0][0]
+        visit(x, x + 1)
+        for y, _ in orbit:
+            walked[y] = True
+        moves[x] = [t for _, t in orbit[1:]]
+    # close under G; t keeps support size and coefficients
+    for u in list(found):
+        for t in moves[u[0][0]]:
+            found.add(tuple(sorted((t[x], c) for x, c in u)))
+    return sorted(found, key=lambda u: (len(u), [x for x, _ in u], [c for _, c in u]))

@@ -360,7 +360,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p = sub(qsub, "orbits", _cmd_quandle_orbits, help="orbits of the inner group")
     p.add_argument("file")
-    p = sub(qsub, "subquandles", _cmd_quandle_subquandles, help="maximal trivial subsets")
+    p = sub(qsub, "subquandles", _cmd_quandle_subquandles, help="trivial subquandles of 2 to --max points")
     p.add_argument("file")
     p.add_argument("--max", type=int, required=True, help="largest subset size to report")
 

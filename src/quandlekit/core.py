@@ -635,7 +635,8 @@ def trivial_subquandles(q: FiniteQuandle, max_size: int, cap: int = 10**6) -> li
 
     Equivalent to enumerating cliques in the graph with an edge x~y when
     x*y = x and y*x = y.  Output is every clique as a sorted tuple, in
-    lexicographic order, capped at `cap` results.
+    lexicographic order.  The (cap + 1)-th clique raises
+    BudgetExceededError: the list is complete or not returned.
     """
     n = q.order
     if max_size < 2:
@@ -649,14 +650,13 @@ def trivial_subquandles(q: FiniteQuandle, max_size: int, cap: int = 10**6) -> li
     out: list[tuple[int, ...]] = []
 
     def extend(clique: list[int], candidates: set[int]):
-        if len(out) >= cap:
-            return
         for v in sorted(candidates):
             new = clique + [v]
             if len(new) >= 2:
+                if len(out) == cap:
+                    raise BudgetExceededError(f"more than {cap}", cap, what="trivial subquandles",
+                                              work="listing")
                 out.append(tuple(new))
-                if len(out) >= cap:
-                    return
             if len(new) < max_size:
                 extend(new, {u for u in candidates if u > v and u in adj[v]})
 

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce as _fold
 
+from . import _search_kernel
 from .errors import (
     BudgetExceededError,
     IndexOutOfRangeError,
@@ -24,7 +25,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .reports import IdempotentReport
-from .idempotents import _support_search, _support_tuples
+from .ring import ZZ, RingElement, element_to_json, is_idempotent
 
 Word = tuple[tuple[int, int], ...]
 
@@ -383,8 +384,9 @@ def fq_idempotent_search(
     Candidates whose coefficient sum is not 0 or 1 cannot square to
     themselves over the integers and are skipped.
 
-    This is the support enumerator (idempotents._support_search), not
-    the table kernel in _search_kernel.  candidates_tested counts every
+    This is the support walk (_search_kernel._support_search), not the
+    kernel's chunks; every element it returns is squared again exactly
+    over fq_op.  candidates_tested counts every
     (support, coefficient tuple) pair, including the tuples on supports
     that the non-cancellation rule rules out without evaluating them and
     those the coefficient-sum filter skips.  The budget is checked on that
@@ -402,13 +404,19 @@ def fq_idempotent_search(
     total = None
     if (max_len - 1) * ((2 * rank - 1).bit_length() - 1) <= COUNT_BITS:
         u_count = _window_size(rank, max_len)
-        total = _support_tuples(u_count, bound, max_support, limit=1 << COUNT_BITS)
+        total = _search_kernel._support_tuples(u_count, bound, max_support, limit=1 << COUNT_BITS)
     if total is None or total > 1 << COUNT_BITS:
         raise BudgetExceededError(f"more than 2^{COUNT_BITS}", budget)
     if total > budget:
         raise BudgetExceededError(total, budget)
     universe = enumerate_elements(rank, max_len)
-    tested, found = _support_search(universe, FreeQuandle(rank).op, bound, max_support)
+    carrier = FreeQuandle(rank)
+    walk = _search_kernel._support_search(universe, carrier.op, bound, max_support)
+    found = [RingElement(ZZ, [(universe[x], c) for x, c in u]) for u in walk]
+    for u in found:
+        if not is_idempotent(u, carrier):
+            raise InternalCheckError("support walk result fails exact recheck",
+                                     element=element_to_json(u))
     elapsed = int((time.monotonic() - start) * 1000)
     spec = {
         "ring": "Z",
@@ -428,6 +436,6 @@ def fq_idempotent_search(
         idempotents=found,
         exhaustive=True,
         flags=flags,
-        candidates_tested=tested,
+        candidates_tested=total,
         elapsed_ms=elapsed,
     )

@@ -18,7 +18,8 @@ per orbit under the group they generate is swept.  A support-capped
 search over Z whose support window is smaller than the box walks the
 supports instead (_support_search), one per orbit under the same group.
 candidates_tested still counts the in-box vectors of the declared scope,
-not the vectors the sweep or the walk evaluates.
+not the vectors the sweep or the walk evaluates.  Both run in
+_search_kernel; this module plans them and rechecks every result exactly.
 
 Family constructors build idempotents from structure (coverings, even
 dihedral tables, unions) and every construction is re-checked by exact
@@ -31,7 +32,6 @@ import functools
 import itertools
 import math
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -127,20 +127,6 @@ class SearchSpec:
 # second worker saves (break-even measured on a 2-core host).
 POOL_MIN_SPACE = 1 << 21
 
-# A process evaluates at most this many kernel indices in plain Python,
-# all plans together; a plan that would take it past them, and every plan
-# once numpy is imported, runs the numpy evaluator.  This is the
-# ski-rental rule (Karlin, Manasse, Rudolph and Sleator, "Competitive
-# snoopy caching", 1988): pay per index until the total would cover the
-# one-off import, the import cost divided by the saving per index.  On a
-# 2-core host, importing numpy took 78-124 ms.  On direct sweeps of R_7 to
-# R_13 (32,768-index chunks) plain Python took 0.8-1.2 us per index and
-# numpy 0.1-0.4 us, a saving of 0.6-0.9 us, so the two break even between
-# 0.9 and 2.1 * 10^5 indices.  It stays below POOL_MIN_SPACE, so a pool
-# always runs numpy.
-NUMPY_MIN_INDICES = 1 << 17
-_python_indices = 0  # per process, like the import it stands in for
-
 # A kernel call costs about as much as this many indices on top of them
 # (numpy's per-operation overhead on tiny batches, measured on the same
 # host), so a quotient is not worth many small sweeps.
@@ -153,30 +139,6 @@ def _chunk_ranges(space: int, pieces: int) -> list[tuple[int, int]]:
     pieces = max(1, min(pieces, space))
     step = (space + pieces - 1) // pieces
     return [(s, min(space, s + step)) for s in range(0, space, step)]
-
-
-def _run_tasks(tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        # lazily, so a search that is abandoned runs no further chunks
-        return map(_search_kernel.evaluate_chunk, tasks)
-    from concurrent.futures import ProcessPoolExecutor
-
-    # forked workers inherit numpy instead of each importing it again
-    import numpy  # noqa: F401
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_search_kernel.evaluate_chunk, tasks))
-
-
-def _kernel_evaluator(indices: int, int64_safe: bool) -> str:
-    """The evaluator of a plan of `indices` kernel indices, by the rule at
-    NUMPY_MIN_INDICES; a plan given to plain Python counts towards it.  A
-    plan whose squares could overflow int64 always runs in plain Python."""
-    global _python_indices
-    if int64_safe and ("numpy" in sys.modules or _python_indices + indices > NUMPY_MIN_INDICES):
-        return "numpy"
-    _python_indices += indices
-    return "python"
 
 
 def _declared_count(n: int, spec: SearchSpec) -> int:
@@ -323,7 +285,7 @@ def _walks_supports(spec: SearchSpec, n: int, indices: int) -> bool:
     walks in 11 ms where the kernel takes 5.7 ms.
     """
     return (spec.mode == "zbox" and spec.max_support is not None
-            and _support_tuples(n, spec.param, spec.max_support, limit=indices) < indices)
+            and _search_kernel._support_tuples(n, spec.param, spec.max_support, limit=indices) < indices)
 
 
 def _enumerate_table(
@@ -356,12 +318,12 @@ def _enumerate_table(
         raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
     if _walks_supports(spec, n, space * len(direct)):
-        _, found = _support_search(range(n), carrier.op, param, max_support,
-                                   gens=inner_generators(carrier))
+        found = _search_kernel._support_search(range(n), carrier.op, param, max_support,
+                                               gens=inner_generators(carrier))
         if max_hits is not None and len(found) > max_hits:
             return None
         # no fiber-sum targets: the walk sweeps no plan
-        hits = {tuple(dense_vector(u, n)): () for u in found}
+        hits = {tuple(dict(u).get(x, 0) for x in range(n)): () for u in found}
         return _checked_report(carrier, spec, hits, start)
     plan = _sweep_plan(carrier, spec, budget, jobs, direct, space)
     # one sweep per orbit of the plan under Inn(X); its hits are mapped to the other members
@@ -369,15 +331,14 @@ def _enumerate_table(
     sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers, _ in plan_orbits]
     # a pool forks all its workers at once, so never more than the CPUs
     workers = min(jobs, os.cpu_count() or 1) if sum(sweeps) >= POOL_MIN_SPACE else 1
-    evaluator = _kernel_evaluator(sum(sweeps), _search_kernel._int64_safe(n, param))
     tasks, task_orbits = [], []
     for (fibers, orbit), sweep in zip(plan_orbits, sweeps):
         for a, b in _chunk_ranges(sweep, workers):
-            tasks.append((carrier.table, n, mode, param, fibers, a, b, max_support, evaluator))
+            tasks.append((carrier.table, n, mode, param, fibers, a, b, max_support))
             task_orbits.append(orbit)
     # each distinct hit, with the fibers it lies over, in kernel order
     hits: dict[tuple[int, ...], tuple] = {}
-    for orbit, (vecs, _) in zip(task_orbits, _run_tasks(tasks, workers)):
+    for orbit, (vecs, _) in zip(task_orbits, _search_kernel.run(tasks, workers)):
         for vec in vecs:
             for fibers, g_inverse in orbit:
                 hits.setdefault(tuple(map(vec.__getitem__, g_inverse)), fibers)
@@ -1285,174 +1246,19 @@ def right_zero_divisor_from_fiber(covering: Covering, y: int, alphas, ring: Coef
     return {"element": v, "verified": matrix.is_zero()}
 
 
-def _support_tuples(n: int, bound: int, max_support: int, limit: int | None = None) -> int:
-    """(support, coefficient tuple) pairs with at most max_support of n
-    keys and nonzero entries in [-bound, bound]: sum of C(n, k) (2 bound)^k.
-
-    Term by term, C(n, k) (2 bound)^k = C(n, k - 1) (2 bound)^(k - 1) *
-    (n - k + 1) 2 bound / k exactly, so no binomial is computed afresh.
-    With a limit the sum stops once it passes it, and is then only a
-    lower bound."""
-    total, term = 0, 1
-    for k in range(1, min(max_support, n) + 1):
-        term = term * (n - k + 1) * 2 * bound // k
-        total += term
-        if limit is not None and total > limit:
-            break
-    return total
-
-
-def _support_search(keys, op, bound: int, max_support: int,
-                    gens=()) -> tuple[int, list[RingElement]]:
-    """Every integer idempotent supported on at most max_support of keys.
-
-    It serves core_three_support_check, fq_idempotent_search and the
-    support-capped table searches over Z (_walks_supports).  Walks each
-    support S (combinations of keys in order) and each tuple of
-    nonzero coefficients in [-bound, bound] on S.  op(a, b) is computed
-    once per pair of keys and interned as an int: keys get 0..n-1 in
-    order, products outside keys get fresh ids.  Keys must be distinct.
-
-    A support is ruled out without evaluating any tuple on it when some id
-    outside S is reached by exactly one ordered pair (a, b) of S, a == b
-    included (the non-cancellation step of the free-quandle argument):
-    u^2 then carries c_a * c_b at that id and u carries 0.  That product
-    is nonzero only because Z is an integral domain and the coefficients
-    are nonzero; over a composite Z/m (2 * 3 = 0 mod 6) the rule is
-    unsound, so this search runs over Z only.  On the other supports a
-    tuple whose coefficient sum is not 0 or 1 is skipped (an integer
-    idempotent's augmentation squares to itself) and the rest are squared.
-
-    gens are permutations of the key indices, each an automorphism of op
-    on keys (the right multiplications of a quandle, by right
-    distributivity); op must then keep keys closed.  Extended linearly,
-    an automorphism g maps an idempotent on S to one on g(S), with the
-    same size and coefficients, so the idempotents of the window are
-    closed under the group G the gens generate.  The orbits (core.orbits)
-    are taken in the order of their least points.  If O is the first
-    orbit a support S meets, some g in G maps a point of S in O to the
-    least point x of O, and g(S) meets the same orbits as S.  So only the
-    supports whose least point is the least point of its orbit, with no
-    point of an earlier orbit, are walked: x is pushed first and larger
-    keys of later orbits are grown after it.  The orbit gives each of its
-    points y one element t_y of G with t_y(x) = y.  The walked idempotents
-    on supports least at x are closed under the stabilizer of x (h(S) is
-    again least at x and meets the same orbits), and every g in G is t_y h
-    with y = g(x) and h fixing x.  So the closure under G is the images
-    t_y(u), one per point of the orbit, not a search over every
-    generator.  With no gens every point is its own orbit, and the walk
-    is the plain one.
-
-    Supports grow one key at a time, depth first, and nothing is carried
-    from one support to the next.  Each visited support S groups its
-    ordered pairs (a, b), a == b included, by the id of their product,
-    once.  That grouping is S's own system of idempotency equations, and
-    it feeds both the rule (an id outside S with a single pair) and the
-    square.  A support of max_support - 1 keys with such an id t is
-    extended only by keys that cover t: t itself, or x with (x, s),
-    (s, x) or (x, x) reaching t.  Any other x leaves t reached once,
-    outside the support.  A square is checked target by target, the ids
-    outside S (sum 0) first, and stops at the first that fails.
-
-    Returns (tested, idempotents), idempotents in the order the naive
-    loop finds them: by support size, then support, then tuple.  tested
-    counts every (support, coefficient tuple) pair of the whole window,
-    including the tuples on supports that are ruled out or not walked and
-    those the coefficient-sum filter skips.
-    """
-    keys = list(keys)
-    n = len(keys)
-    ids = {key: i for i, key in enumerate(keys)}
-    table = [[ids.setdefault(op(a, b), len(ids)) for b in keys] for a in keys]
-    if gens and len(ids) > n:
-        raise InternalCheckError("a product leaves the keys that automorphisms permute")
-    covers: list[list[tuple[int, int]]] = [[] for _ in ids]
-    for a, row in enumerate(table):
-        for b, t in enumerate(row):
-            covers[t].append((a, b))
-    width = [len(pairs) for pairs in covers]
-    top = min(max_support, n)
-    nonzero = [c for c in range(-bound, bound + 1) if c != 0]
-    tuples = [[c for c in itertools.product(nonzero, repeat=k) if sum(c) in (0, 1)]
-              for k in range(top + 1)]
-    found: set[tuple[tuple[int, int], ...]] = set()  # sorted (index, coefficient) pairs
-    walked = [False] * n  # points of the orbits whose supports are done
-    support: list[int] = []
-
-    def evaluate(groups):
-        k = len(support)
-        # outside targets first; their sums must be 0, the entry at position k
-        checks = [(k, pairs) for t, pairs in groups.items() if t not in support]
-        checks += [(i, groups.get(x, [])) for i, x in enumerate(support)]
-        for coeffs in tuples[k]:
-            want = coeffs + (0,)
-            for target, pairs in checks:
-                total = 0
-                for i, j in pairs:
-                    total += coeffs[i] * coeffs[j]
-                if total != want[target]:
-                    break
-            else:
-                found.add(tuple(sorted(zip(support, coeffs))))
-
-    def visit(x, start):
-        support.append(x)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, a in enumerate(support):
-            row = table[a]
-            for j, b in enumerate(support):
-                groups.setdefault(row[b], []).append((i, j))
-        # ids outside the support reached by exactly one ordered pair
-        once = [t for t, pairs in groups.items() if len(pairs) == 1 and t not in support]
-        if not once:
-            evaluate(groups)
-        if len(support) < top:
-            if once and len(support) == top - 1:
-                t = min(once, key=width.__getitem__)
-                cover = {t} if t < n else set()
-                for a, b in covers[t]:
-                    if a == b or b in support:
-                        cover.add(a)
-                    elif a in support:
-                        cover.add(b)
-                candidates = sorted(y for y in cover if y >= start)
-            else:
-                candidates = range(start, n)
-            for y in candidates:
-                if not walked[y]:
-                    visit(y, y + 1)
-        support.pop()
-
-    # per orbit, keyed by its least point x: one group element t with t(x) = y per point y
-    moves: dict[int, list[tuple[int, ...]]] = {}
-    for orbit in orbits(range(n), gens, n) if top > 0 else ():
-        # x is the least point of its orbit: walk the supports it is least in
-        x = orbit[0][0]
-        visit(x, x + 1)
-        for y, _ in orbit:
-            walked[y] = True
-        moves[x] = [t for _, t in orbit[1:]]
-    # close under G; t keeps support size and coefficients
-    for u in list(found):
-        for t in moves[u[0][0]]:
-            found.add(tuple(sorted((t[x], c) for x, c in u)))
-    ordered = sorted(found, key=lambda u: (len(u), [x for x, _ in u], [c for _, c in u]))
-    idempotents = [RingElement(ZZ, [(keys[x], c) for x, c in u]) for u in ordered]
-    return _support_tuples(n, bound, max_support), idempotents
-
-
 def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     """Exhaust small-support idempotents of a reflection table over an
     abelian group with orders coprime to 2 and 3; only basis elements are
     expected.  Supports run up to 3 distinct keys, nonzero coefficients
     in [-bound, bound].
 
-    This is the support enumerator (_support_search), not the table
-    kernel in _search_kernel.  The table is a validated quandle, so each
-    right multiplication S_y is an automorphism (right distributivity)
-    and extends to a ring automorphism of Z[X] that keeps support sizes
-    and coefficients: the window's idempotents are closed under Inn(X),
-    and the search walks one support per orbit and closes what it finds.
+    This is the support walk (_search_kernel._support_search), not the
+    kernel's chunks.  The table is a validated quandle, so each right
+    multiplication S_y is an automorphism (right distributivity) and
+    extends to a ring automorphism of Z[X] that keeps support sizes and
+    coefficients: the window's idempotents are closed under Inn(X), and
+    the search walks one support per orbit and closes what it finds.
+    Every result, the closure's images included, is squared again exactly.
     candidates_tested still counts every (support, coefficient tuple)
     pair of the declared window, including the tuples on supports that
     are not walked, those the non-cancellation rule rules out without
@@ -1463,18 +1269,22 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     order = math.prod(factors)
     if math.gcd(order, 6) != 1:
         raise HypothesisFailedError("group order must be coprime to 2 and 3")
-    total = _support_tuples(order, bound, 3)  # counted before the table is built
+    total = _search_kernel._support_tuples(order, bound, 3)  # counted before the table is built
     if total > budget:
         raise BudgetExceededError(total, budget)
     q = core_quandle(factors)
-    tested, found = _support_search(range(q.order), q.op, bound, 3,
-                                    gens=inner_generators(q))
+    walk = _search_kernel._support_search(range(q.order), q.op, bound, 3, gens=inner_generators(q))
+    found = [RingElement(ZZ, u) for u in walk]
+    for u in found:
+        if not is_idempotent(u, q):
+            raise InternalCheckError("support walk result fails exact recheck",
+                                     element=element_to_json(u))
     nontrivial = [u for u in found if not (len(u.coeffs) == 1 and u.coeffs[0][1] == 1)]
     return {
         "quandle": q.name,
         "box_bound": bound,
         "max_support": 3,
-        "candidates_tested": tested,
+        "candidates_tested": total,
         "trivial_found": len(found) - len(nontrivial),
         "nontrivial": [element_to_json(u) for u in nontrivial],
     }

@@ -201,7 +201,7 @@ def test_commands_without_a_kernel_search_do_not_import_numpy(checkout_env):
 
 
 def test_golden_cases_run_without_numpy(checkout_env):
-    # every golden search is below idempotents.NUMPY_MIN_INDICES, so a
+    # every golden search is below _search_kernel.NUMPY_MIN_INDICES, so a
     # CLI call of any golden case imports no numpy and still prints its
     # golden; each case runs in a process forked after `import
     # quandlekit.cli`, as fresh as a new CLI call
@@ -245,7 +245,7 @@ R10_SWEEPS = [
 
 def test_r10_quotient_sweeps_run_without_numpy(checkout_env):
     # each r10 search through the quotient R_5 stays below
-    # idempotents.NUMPY_MIN_INDICES, so a CLI call imports no numpy, and
+    # _search_kernel.NUMPY_MIN_INDICES, so a CLI call imports no numpy, and
     # prints what a process that imported numpy first prints
     code = (
         "import contextlib, io, json, os, sys\n"
@@ -291,7 +291,8 @@ LOADS = {
     "covering_check_r6_r3.json": [],
     "covering_find_r6_r3.json": [],
     "idem_enumerate_r3_mod5.json": ["_search_kernel", "idempotents", "reports", "ring"],
-    "idem_fq_search_len2.json": ["free", "idempotents", "reports", "ring"],
+    "idem_fq_search_len2.json": ["_search_kernel", "free", "reports", "ring"],
+    "idem_core3_factor5.json": ["_search_kernel", "idempotents", "reports", "ring"],
 }
 
 
@@ -351,6 +352,21 @@ def test_bound_is_rejected_for_modular_ring(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"] == "InvalidParams"
+
+
+def test_subquandle_listing_past_its_cap_is_refused(tmp_path, capsys):
+    # T_21 has 2^21 - 22 trivial subquandles of 2 to 21 points, past the
+    # cap of 10^6: the listing is refused, never printed in part
+    path = tmp_path / "t21.json"
+    path.write_text(json.dumps({"table": [[x] * 21 for x in range(21)]}))
+    code, out, _ = run_cli(["quandle", "subquandles", str(path), "--max", "21"], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "BudgetExceeded",
+        "message": "listing needs more than 1000000 trivial subquandles, budget is 1000000",
+        "needed": "more than 1000000",
+        "budget": 1000000,
+    }
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

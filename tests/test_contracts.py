@@ -34,6 +34,29 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
+def _imports(path: pathlib.Path) -> set[str]:
+    """The modules a source file imports, relative ones by their dotted tail."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            if node.level:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_the_kernel_imports_numpy_and_free_skips_idempotents():
+    # the search kernel owns both enumerators and its evaluator; the free
+    # quandle reaches the support walk without the table searches
+    importers = {path.name for path in SRC.glob("*.py")
+                 if any(name.split(".")[0] == "numpy" for name in _imports(path))}
+    assert importers == {"_search_kernel.py"}
+    assert "idempotents" not in _imports(SRC / "free.py")
+
+
 SELF_CHECKED = {
     "covering_idempotent": lambda cov63, t2, r3: covering_idempotent(
         cov63, covering_family_params(cov63, ZZ, 1, {4: 1}, 4)
@@ -111,14 +134,16 @@ def test_kernel_tasks_keep_the_layout_the_bench_tracer_reads(name, r6, r10, monk
     # the benchmark's tracer reads a chunk's index count as task[6] - task[5]
     # and the evaluator from task[8]; the chunks of each sweep tile its indices
     tasks = []
-    real = idempotents._run_tasks
+    real_run, real_chunk = _search_kernel.run, _search_kernel.evaluate_chunk
 
-    def spy(batch, jobs):
-        tasks.extend(batch)
-        return real(batch, 1)
+    def spy(task):
+        tasks.append(task)
+        return real_chunk(task)
 
     monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
-    monkeypatch.setattr(idempotents, "_run_tasks", spy)
+    # in process, and every chunk, even those of a base search it abandons
+    monkeypatch.setattr(_search_kernel, "run", lambda batch, jobs: list(real_run(batch, 1)))
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", spy)
     KERNEL_SEARCHES[name](r6, r10)
     sweeps: dict = {}
     for task in tasks:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
+    BudgetExceededError,
     CocycleData,
     Covering,
     CoveringConditionError,
@@ -423,7 +424,11 @@ def test_trivial_subquandles_none_in_connected_latin(r3, r5):
 
 
 def test_trivial_subquandles_cap(b12):
-    assert len(trivial_subquandles(b12, 4, cap=5)) == 5
+    # 33 subsets: a cap of 33 lists them all, one less refuses the listing
+    assert len(trivial_subquandles(b12, 4, cap=33)) == 33
+    with pytest.raises(BudgetExceededError) as info:
+        trivial_subquandles(b12, 4, cap=32)
+    assert info.value.payload()["budget"] == 32
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ from quandlekit import (
 
 from quandlekit import core, idempotents
 from quandlekit.core import union_offsets
-from quandlekit.idempotents import _support_search, _union_membership
+from quandlekit._search_kernel import _support_search, _support_tuples
+from quandlekit.idempotents import _union_membership
 
 from conftest import family_grid, fixture_path, load_fixture, read_json
 from oracles import (
@@ -677,6 +678,35 @@ def test_union_component_mass_rejects_bad_mass(t2, r3):
         union_idempotents([t2, r3], "component_mass", weights=[1, 0])
 
 
+# over Z/6, 3 e_0 is an idempotent of augmentation 3
+Z6 = IntegersMod(6, force=True)
+
+UNION_REFUSALS = {
+    "weighted-one-weight-short": (InvalidParamsError, "one element and one weight", dict(
+        kind="weighted_idempotents", weights=[1], elements=[basis(ZZ, 0), basis(ZZ, 2)])),
+    "weighted-part-sum-not-1": (ConstraintViolatedError, "part idempotents must", dict(
+        kind="weighted_idempotents", weights=[1, 0], ring=Z6,
+        elements=[elem(Z6, [(0, 3)]), basis(Z6, 2)])),
+    "nilpotent-no-unit-index": (InvalidParamsError, "and a unit index", dict(
+        kind="nilpotent_perturbation", elements=[basis(ZZ, 0), basis(ZZ, 2)])),
+    "nilpotent-unit-not-idempotent": (NotIdempotentInputError, "unit part element", dict(
+        kind="nilpotent_perturbation", unit_index=0,
+        elements=[basis(ZZ, 0).scale(2), RingElement(ZZ, [])])),
+    "nilpotent-unit-sum-not-1": (ConstraintViolatedError, "unit part must", dict(
+        kind="nilpotent_perturbation", unit_index=0, ring=Z6,
+        elements=[elem(Z6, [(0, 3)]), RingElement(Z6, [])])),
+    "mass-one-weight-short": (InvalidParamsError, "one weight per part", dict(
+        kind="component_mass", weights=[1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNION_REFUSALS))
+def test_union_refuses_malformed_parts(case, t2, r3):
+    error, message, kwargs = UNION_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        union_idempotents([t2, r3], **kwargs)
+
+
 def test_union_rejects_unknown_kind(t2, r3):
     with pytest.raises(InvalidParamsError):
         union_idempotents([t2, r3], "holomorphic", weights=[1, 0])
@@ -784,12 +814,12 @@ def test_core_small_support_only_trivial_mod_coprime():
 def test_support_search_finds_non_basis_idempotents(r6):
     # order 6 is not coprime to 2 and 3, so this support window holds
     # idempotents other than the basis; the naive oracle knows all of them
-    tested, found = _support_search(range(6), core_quandle([6]).op, 2, 3)
+    found = [RingElement(ZZ, u) for u in _support_search(range(6), core_quandle([6]).op, 2, 3)]
     vectors = {element_to_vector(u, 6) for u in found}
     assert len(vectors) == len(found) == 12
     assert vectors == naive_idempotents_boxed(r6.table, 2, max_support=3)
     assert sum(1 for u in found if len(u.coeffs) > 1) == 6
-    assert tested == 6 * 4 + 15 * 16 + 20 * 64
+    assert _support_tuples(6, 2, 3) == 6 * 4 + 15 * 16 + 20 * 64
 
 
 @pytest.mark.parametrize("bound", [0, -1])

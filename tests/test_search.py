@@ -29,7 +29,9 @@ from quandlekit import (
     dihedral_quandle,
     enumerate_boxed_Z,
     enumerate_elements,
+    element_to_json,
     enumerate_mod_p,
+    fq_idempotent_search,
     is_idempotent,
     make,
     trivial_quandle,
@@ -206,7 +208,7 @@ def test_support_cap_below_one_rejected(r3, max_support):
 @given(n=st.integers(0, 40), bound=st.integers(1, 5), max_support=st.integers(0, 45))
 def test_support_tuples_matches_the_binomial_sum(n, bound, max_support):
     expected = sum(math.comb(n, k) * (2 * bound) ** k for k in range(1, min(max_support, n) + 1))
-    assert idempotents._support_tuples(n, bound, max_support) == expected
+    assert _search_kernel._support_tuples(n, bound, max_support) == expected
 
 
 def test_budget_error_keeps_printable_counts_exact():
@@ -596,7 +598,7 @@ def test_python_evaluator_matches_the_oracles_and_numpy(plan, data):
 
 
 # plain Python takes about 6 s on the two large strata, all four sweeps
-# together; no plan that large reaches it (idempotents.NUMPY_MIN_INDICES)
+# together; no plan that large reaches it (_search_kernel.NUMPY_MIN_INDICES)
 @pytest.mark.parametrize("mode,param,hits,tested,evaluators", [
     pytest.param("zbox", 2, 500, 1_694_045, ("numpy",), id="zbox-2-500-1694045"),
     pytest.param("zp", 5, 625, 3_906_250, ("numpy",), id="zp-5-625-3906250"),
@@ -730,7 +732,7 @@ def _plans_and_sweeps(monkeypatch):
     """The plan of every search and the distinct fibers every kernel run
     swept, the outermost search last in each list."""
     plans, swept = [], []
-    real_plan, real_run = idempotents._sweep_plan, idempotents._run_tasks
+    real_plan, real_run = idempotents._sweep_plan, _search_kernel.run
 
     def plan_spy(*args):
         plans.append(real_plan(*args))
@@ -741,7 +743,7 @@ def _plans_and_sweeps(monkeypatch):
         return real_run(tasks, jobs)
 
     monkeypatch.setattr(idempotents, "_sweep_plan", plan_spy)
-    monkeypatch.setattr(idempotents, "_run_tasks", run_spy)
+    monkeypatch.setattr(_search_kernel, "run", run_spy)
     return plans, swept
 
 
@@ -1090,10 +1092,10 @@ def test_support_search_matches_the_naive_oracle(source, data, bound):
         sizes |= st.just(planted)
     max_support = data.draw(sizes)
     word = dict(zip(keys, naive_keys))
-    tested, found = idempotents._support_search(keys, op, bound, max_support)
+    found = _search_kernel._support_search(keys, op, bound, max_support)
     naive_tested, naive_found = naive_support_search(naive_keys, naive_op, bound, max_support)
-    assert tested == naive_tested
-    assert [{word[k]: c for k, c in u.coeffs} for u in found] == [dict(u) for u in naive_found]
+    assert _search_kernel._support_tuples(len(keys), bound, max_support) == naive_tested
+    assert [{word[keys[x]]: c for x, c in u} for u in found] == [dict(u) for u in naive_found]
 
 
 @pytest.mark.parametrize("keys", list(itertools.permutations(range(3))))
@@ -1106,11 +1108,12 @@ def test_support_search_covers_by_squares_and_ids_outside_the_support(keys):
     table = [[0, 3, 0], [1, 1, 1], [2, 0, 3]]
     op = lambda a, b: table[a][b]
     for max_support in (3, 4):
-        tested, found = idempotents._support_search(keys, op, 1, max_support)
+        found = _search_kernel._support_search(keys, op, 1, max_support)
         naive_tested, naive_found = naive_support_search(keys, op, 1, max_support)
-        assert tested == naive_tested
-        assert [dict(u.coeffs) for u in found] == [dict(u) for u in naive_found]
-        assert {0: 1, 1: -1, 2: 1} in [dict(u.coeffs) for u in found]
+        assert _search_kernel._support_tuples(len(keys), 1, max_support) == naive_tested
+        found = [{keys[x]: c for x, c in u} for u in found]
+        assert found == [dict(u) for u in naive_found]
+        assert {0: 1, 1: -1, 2: 1} in found
 
 
 @st.composite
@@ -1138,10 +1141,9 @@ def inner_windows(draw):
 def test_support_search_by_orbits_matches_the_plain_walk(window):
     # the orbit walk returns the plain walk's list, element for element
     q, gens, bound, max_support = window
-    plain = idempotents._support_search(range(q.order), q.op, bound, max_support)
-    by_orbits = idempotents._support_search(range(q.order), q.op, bound, max_support, gens=gens)
-    assert by_orbits[0] == plain[0]
-    assert [u.coeffs for u in by_orbits[1]] == [u.coeffs for u in plain[1]]
+    plain = _search_kernel._support_search(range(q.order), q.op, bound, max_support)
+    by_orbits = _search_kernel._support_search(range(q.order), q.op, bound, max_support, gens=gens)
+    assert by_orbits == plain
 
 
 @pytest.mark.parametrize("name,bound,found,non_basis", [
@@ -1152,34 +1154,34 @@ def test_support_search_by_orbits_matches_the_plain_walk(window):
 def test_support_search_by_orbits_closes_what_it_finds(name, bound, found, non_basis):
     # a table with one orbit per point (t3) and two with several points per
     # orbit, where most idempotents of the window lie off the walked supports
-    # and come from the closure; tested still counts the whole window
+    # and come from the closure
     q = load_fixture(name)
     gens = tuple(dict.fromkeys(q.right_mults))
-    tested, out = idempotents._support_search(range(q.order), q.op, bound, 3, gens=gens)
-    assert tested == idempotents._support_tuples(q.order, bound, 3)
+    out = _search_kernel._support_search(range(q.order), q.op, bound, 3, gens=gens)
     assert len(out) == found
-    assert sum(1 for u in out if len(u.coeffs) > 1) == non_basis
-    assert out == sorted(out, key=lambda u: (len(u.coeffs), u.support, [c for _, c in u.coeffs]))
+    assert sum(1 for u in out if len(u) > 1) == non_basis
+    assert out == sorted(out, key=lambda u: (len(u), [x for x, _ in u], [c for _, c in u]))
 
 
 def test_support_search_by_orbits_needs_products_inside_the_keys():
     # the automorphisms permute keys; a product outside them has no image
     table = [[0, 2], [1, 1]]
     op = lambda a, b: table[a][b]
-    assert idempotents._support_search(range(2), op, 1, 2)[0] == 2 * 2 + 4
+    assert _search_kernel._support_search(range(2), op, 1, 2) == [((0, 1),), ((1, 1),)]
+    assert _search_kernel._support_tuples(2, 1, 2) == 2 * 2 + 4
     with pytest.raises(InternalCheckError, match="leaves the keys"):
-        idempotents._support_search(range(2), op, 1, 2, gens=((0, 1),))
+        _search_kernel._support_search(range(2), op, 1, 2, gens=((0, 1),))
 
 
 def test_core3_walks_by_inner_automorphisms(monkeypatch):
     calls = []
-    real = idempotents._support_search
+    real = _search_kernel._support_search
 
     def spy(keys, op, bound, max_support, gens=()):
         calls.append(gens)
         return real(keys, op, bound, max_support, gens=gens)
 
-    monkeypatch.setattr(idempotents, "_support_search", spy)
+    monkeypatch.setattr(_search_kernel, "_support_search", spy)
     out = idempotents.core_three_support_check([5], 2)
     assert calls == [tuple(dict.fromkeys(core_quandle([5]).right_mults))]
     assert out["trivial_found"] == 5 and out["nontrivial"] == []
@@ -1224,7 +1226,7 @@ def test_capped_box_search_matches_the_naive_oracle(case):
 def _search_paths(monkeypatch):
     """(order, gens) of every support walk and the order of every sweep plan made."""
     walks, plans = [], []
-    real_walk, real_plan = idempotents._support_search, idempotents._sweep_plan
+    real_walk, real_plan = _search_kernel._support_search, idempotents._sweep_plan
 
     def walk_spy(keys, op, bound, max_support, gens=()):
         walks.append((len(keys), gens))
@@ -1234,7 +1236,7 @@ def _search_paths(monkeypatch):
         plans.append(carrier.order)
         return real_plan(carrier, *args)
 
-    monkeypatch.setattr(idempotents, "_support_search", walk_spy)
+    monkeypatch.setattr(_search_kernel, "_support_search", walk_spy)
     monkeypatch.setattr(idempotents, "_sweep_plan", plan_spy)
     return walks, plans
 
@@ -1306,17 +1308,36 @@ def test_walk_and_sweep_give_the_same_report(name, bound, max_support, request, 
 
 def test_walk_hit_failing_the_exact_recheck_is_an_internal_error(r10, monkeypatch):
     # augmentation 1, so only the idempotency recheck can catch it
-    lie = idempotents.RingElement(ZZ, [(0, 2), (1, -1)])
-    real = idempotents._support_search
+    lie = ((0, 2), (1, -1))
+    real = _search_kernel._support_search
 
     def lying_walk(*args, **kwargs):
-        tested, found = real(*args, **kwargs)
-        return tested, found + [lie]
+        return real(*args, **kwargs) + [lie]
 
-    monkeypatch.setattr(idempotents, "_support_search", lying_walk)
+    monkeypatch.setattr(_search_kernel, "_support_search", lying_walk)
     with pytest.raises(InternalCheckError, match="fails exact recheck") as info:
         enumerate_boxed_Z(r10, 2, max_support=3)
     assert info.value.payload()["vector"] == [2, -1] + [0] * 8
+
+
+@pytest.mark.parametrize("search", [
+    lambda: idempotents.core_three_support_check([5], 2),
+    lambda: fq_idempotent_search(2, 2, 2, 1),
+], ids=["core3", "fq-search"])
+def test_walk_result_failing_the_exact_recheck_is_an_internal_error(search, monkeypatch):
+    # augmentation 1, so only the idempotency recheck can catch it
+    lies = []
+    real = _search_kernel._support_search
+
+    def lying_walk(keys, *args, **kwargs):
+        keys = list(keys)
+        lies.append(element_to_json(idempotents.RingElement(ZZ, [(keys[0], 2), (keys[1], -1)])))
+        return real(keys, *args, **kwargs) + [((0, 2), (1, -1))]
+
+    monkeypatch.setattr(_search_kernel, "_support_search", lying_walk)
+    with pytest.raises(InternalCheckError, match="fails exact recheck") as info:
+        search()
+    assert info.value.payload()["element"] == lies[0]
 
 
 def test_walk_keeps_max_hits(r10):
@@ -1343,13 +1364,13 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
         (lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs), 2 * 5**3, 2),
     ]
     runs = []
-    real = idempotents._run_tasks
+    real = _search_kernel.run
 
     def spy(tasks, jobs):
         runs.append((sum(t[6] - t[5] for t in tasks), len(tasks), jobs))
         return real(tasks, jobs)
 
-    monkeypatch.setattr(idempotents, "_run_tasks", spy)
+    monkeypatch.setattr(_search_kernel, "run", spy)
     for search, evaluated, sweeps in cases:
         monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", evaluated + 1)
         runs.clear()
@@ -1364,6 +1385,17 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
         assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
             pooled.to_json(), sort_keys=True
         )
+
+
+def test_one_worker_runs_each_chunk_only_when_it_is_read(monkeypatch):
+    # so a search abandoned past max_hits runs no further chunk
+    ran = []
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", lambda task: ran.append(task[5]) or ([], 0))
+    table = dihedral_quandle(3).table
+    chunks = _search_kernel.run([(table, 3, "zp", 3, (), a, a + 9, 3) for a in (0, 9, 18)], 1)
+    assert ran == []
+    next(chunks)
+    assert ran == [0]
 
 
 def test_pool_workers_are_capped_at_the_cpu_count(r6, monkeypatch):
@@ -1405,7 +1437,7 @@ def test_searches_import_numpy_only_past_the_break_even(checkout_env):
     code = (
         "import json, sys\n"
         "from quandlekit import _search_kernel, enumerate_boxed_Z, enumerate_mod_p\n"
-        "from quandlekit import idempotents, load_quandle\n"
+        "from quandlekit import load_quandle\n"
         "r3, r10 = (load_quandle(path) for path in sys.argv[1:])\n"
         "calls = []\n"
         "real = _search_kernel.evaluate_chunk\n"
@@ -1423,7 +1455,7 @@ def test_searches_import_numpy_only_past_the_break_even(checkout_env):
         "    run(lambda: enumerate_boxed_Z(r10, 2))\n"
         "run(lambda: enumerate_boxed_Z(r10, 2))\n"
         "run(lambda: enumerate_mod_p(r3, 5))\n"
-        "print(json.dumps([idempotents.NUMPY_MIN_INDICES, steps]))\n"
+        "print(json.dumps([_search_kernel.NUMPY_MIN_INDICES, steps]))\n"
     )
     paths = [str(ROOT / "fixtures" / f"{name}.json") for name in ("r3", "r10")]
     proc = subprocess.run(
@@ -1467,7 +1499,7 @@ def test_support_walks_never_import_numpy(checkout_env):
 
 def test_numpy_break_even_sits_below_the_pool_threshold():
     # a plan big enough for the pool runs numpy, which the workers inherit
-    assert idempotents.NUMPY_MIN_INDICES < idempotents.POOL_MIN_SPACE
+    assert _search_kernel.NUMPY_MIN_INDICES < idempotents.POOL_MIN_SPACE
 
 
 def test_kernel_hit_failing_the_exact_recheck_is_an_internal_error(r3, monkeypatch):
