@@ -10,11 +10,14 @@ one-block partition ((all keys, s),); the whole space is no blocks, ().
 Chunks are contiguous index ranges, so multi-worker runs partition the
 space deterministically and merge by construction.
 
-There are two evaluators behind one entry point, `evaluate_chunk`,
-with the same contract: the same hits in the same index order, and the
-same count of tested candidates.  `run` picks one per plan and carries
-its name in the task, so every chunk passes through `evaluate_chunk`
-whichever runs:
+`run` takes a whole plan, one fiber tuple per sweep, and owns how it
+runs: it splits each sweep into chunks, one per worker, and runs them in
+process or, from POOL_MIN_SPACE indices on, on a pool of as many workers
+as the job count and the CPUs allow.  There are two evaluators behind
+one entry point, `evaluate_chunk`, with the same contract: the same hits
+in the same index order, and the same count of tested candidates.  `run`
+picks one per plan and carries its name in the task, so every chunk
+passes through `evaluate_chunk` whichever runs:
 
 - "python" runs in plain Python ints and solves the first equation,
   that of key 0, instead of testing it index by index.  With every other
@@ -54,6 +57,7 @@ not pay for importing it.
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 from math import isqrt
 
@@ -72,10 +76,15 @@ INDEX_LIMIT = 2**63  # indices are int64
 # 2-core host, importing numpy took 78-124 ms.  On direct sweeps of R_7 to
 # R_13 (32,768-index chunks) plain Python took 0.8-1.2 us per index and
 # numpy 0.1-0.4 us, a saving of 0.6-0.9 us, so the two break even between
-# 0.9 and 2.1 * 10^5 indices.  It stays below idempotents.POOL_MIN_SPACE,
-# so a pool always runs numpy.
+# 0.9 and 2.1 * 10^5 indices.  It stays below POOL_MIN_SPACE, so a pool
+# always runs numpy.
 NUMPY_MIN_INDICES = 1 << 17
 _python_indices = 0  # per process, like the import it stands in for
+
+# Fewer indices than this, all sweeps of a plan together, run serially
+# whatever the job count: below it starting a process pool costs more than
+# the second worker saves (break-even measured on a 2-core host).
+POOL_MIN_SPACE = 1 << 21
 
 
 def space_size(order: int, mode: str, param: int, blocks: int) -> int:
@@ -89,6 +98,15 @@ def _int64_safe(order: int, param: int) -> bool:
     return order * order * param * param < 2**62
 
 
+def _layout(n: int, mode: str, param: int, fibers) -> tuple[int, int, list[int]]:
+    """A sweep's digits: the base, the lowest coefficient, and the free
+    keys (those no block determines) in ascending order."""
+    base = param if mode == "zp" else 2 * param + 1
+    low = 0 if mode == "zp" else -param
+    determined = {keys[-1] for keys, _ in fibers}
+    return base, low, [k for k in range(n) if k not in determined]
+
+
 def _pairs(table, n: int) -> list[list[tuple[int, int]]]:
     """The pairs (i, j) with i*j = k, for each key k: n of them in a
     quandle, anywhere from 0 to n^2 in a magma table."""
@@ -99,27 +117,43 @@ def _pairs(table, n: int) -> list[list[tuple[int, int]]]:
     return pairs
 
 
-def run(tasks, workers: int):
-    """The (hits, tested) of each chunk of one plan, tasks (table, n, mode,
-    param, fibers, start, stop, max_support), all run by the evaluator the
-    rule at NUMPY_MIN_INDICES picks for the plan: with one worker lazily,
-    so an abandoned search runs no further chunk, else on a pool."""
+def _chunk_ranges(space: int, pieces: int) -> list[tuple[int, int]]:
+    pieces = max(1, min(pieces, space))
+    step = (space + pieces - 1) // pieces
+    return [(s, min(space, s + step)) for s in range(0, space, step)]
+
+
+def run(table, mode: str, param: int, max_support: int, sweeps, jobs: int):
+    """The hits of one plan on table, sweeps a list of fiber tuples: one
+    (sweep index, hits) per chunk, in plan and index order.  The plan runs
+    with min(jobs, CPUs) workers from POOL_MIN_SPACE indices on, else one,
+    each sweep split into a chunk per worker, all by the evaluator the rule
+    at NUMPY_MIN_INDICES picks: with one worker lazily, so an abandoned
+    search runs no further chunk, else on a pool."""
     global _python_indices
-    indices = sum(task[6] - task[5] for task in tasks)
-    use_numpy = all(_int64_safe(task[1], task[3]) for task in tasks) and (
+    n = len(table)
+    spaces = [space_size(n, mode, param, len(fibers)) for fibers in sweeps]
+    indices = sum(spaces)
+    # a pool forks all its workers at once, so never more than the CPUs
+    workers = min(jobs, os.cpu_count() or 1) if indices >= POOL_MIN_SPACE else 1
+    use_numpy = _int64_safe(n, param) and (
         "numpy" in sys.modules or _python_indices + indices > NUMPY_MIN_INDICES)
     if not use_numpy:
         _python_indices += indices
-    tasks = [(*task, "numpy" if use_numpy else "python") for task in tasks]
-    if workers <= 1 or len(tasks) <= 1:
-        return map(evaluate_chunk, tasks)
+    evaluator = "numpy" if use_numpy else "python"
+    chunks = [(i, (table, n, mode, param, fibers, a, b, max_support, evaluator))
+              for i, (fibers, space) in enumerate(zip(sweeps, spaces))
+              for a, b in _chunk_ranges(space, workers)]
+    if workers <= 1 or len(chunks) <= 1:
+        return ((i, evaluate_chunk(task)[0]) for i, task in chunks)
     from concurrent.futures import ProcessPoolExecutor
 
     # forked workers inherit numpy instead of each importing it again
     import numpy  # noqa: F401
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate_chunk, tasks))
+        done = list(pool.map(evaluate_chunk, [task for _, task in chunks]))
+    return [(i, hits) for (i, _), (hits, _) in zip(chunks, done)]
 
 
 def evaluate_chunk(args) -> tuple[list[tuple[int, ...]], int]:
@@ -169,11 +203,8 @@ def _modular_roots(a: int, b: int, e: int, p: int, lo: int, hi: int, memo: dict)
 def _evaluate_python(table, n, mode, param, fibers, start, stop, max_support):
     pairs = _pairs(table, n)
     zp = mode == "zp"
-    base = param if zp else 2 * param + 1
-    low = 0 if zp else -param
+    base, low, digits = _layout(n, mode, param, fibers)
     high = low + base - 1
-    determined = {keys[-1] for keys, _ in fibers}
-    digits = [k for k in range(n) if k not in determined]
     # x, the innermost digit, and the determined key d of its block (if
     # any) are the only coefficients that move between consecutive
     # indices of one outer state: c_x = x and c_d = K - x.  Write
@@ -290,10 +321,7 @@ def _evaluate_numpy(table, n, mode, param, fibers, start, stop, max_support):
     import numpy as np
 
     pairs = _pairs(table, n)
-    base = param if mode == "zp" else 2 * param + 1
-    offset = param if mode == "zbox" else 0
-    determined = {keys[-1] for keys, _ in fibers}
-    digits = [k for k in range(n) if k not in determined]
+    base, low, digits = _layout(n, mode, param, fibers)
     weights = [base**k for k in range(len(digits) - 1, -1, -1)]
     hits: list[tuple[int, ...]] = []
     tested = 0
@@ -304,7 +332,7 @@ def _evaluate_numpy(table, n, mode, param, fibers, start, stop, max_support):
         # coefficient-major: row k holds coefficient k of every candidate
         full = np.empty((n, m), dtype=np.int64)
         for key, w in zip(digits, weights):
-            full[key] = (idx // w) % base - offset
+            full[key] = (idx // w) % base + low
         in_box = np.ones(m, dtype=bool)
         for keys, target in fibers:
             last = target - full[list(keys[:-1])].sum(axis=0)

@@ -25,7 +25,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .reports import IdempotentReport
-from .ring import ZZ, RingElement, element_to_json, is_idempotent
+from .ring import ZZ, RingElement, _checked
 
 Word = tuple[tuple[int, int], ...]
 
@@ -412,11 +412,8 @@ def fq_idempotent_search(
     universe = enumerate_elements(rank, max_len)
     carrier = FreeQuandle(rank)
     walk = _search_kernel._support_search(universe, carrier.op, bound, max_support)
-    found = [RingElement(ZZ, [(universe[x], c) for x, c in u]) for u in walk]
-    for u in found:
-        if not is_idempotent(u, carrier):
-            raise InternalCheckError("support walk result fails exact recheck",
-                                     element=element_to_json(u))
+    found = [_checked(RingElement(ZZ, [(universe[x], c) for x, c in u]), carrier,
+                      "support walk result") for u in walk]
     elapsed = int((time.monotonic() - start) * 1000)
     spec = {
         "ring": "Z",

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -73,6 +72,7 @@ from .ring import (
     ZZ,
     _basis_action,
     _basis_images,
+    _checked,
     _pair_product,
     augmentation,
     dense_product,
@@ -122,23 +122,10 @@ class SearchSpec:
         }
 
 
-# Fewer candidates than this, all strata together, run serially whatever
-# the job count: below it starting a process pool costs more than the
-# second worker saves (break-even measured on a 2-core host).
-POOL_MIN_SPACE = 1 << 21
-
 # A kernel call costs about as much as this many indices on top of them
 # (numpy's per-operation overhead on tiny batches, measured on the same
 # host), so a quotient is not worth many small sweeps.
 SWEEP_COST = 1 << 10
-
-
-def _chunk_ranges(space: int, pieces: int) -> list[tuple[int, int]]:
-    if space <= 0:
-        return []
-    pieces = max(1, min(pieces, space))
-    step = (space + pieces - 1) // pieces
-    return [(s, min(space, s + step)) for s in range(0, space, step)]
 
 
 def _declared_count(n: int, spec: SearchSpec) -> int:
@@ -328,19 +315,12 @@ def _enumerate_table(
     plan = _sweep_plan(carrier, spec, budget, jobs, direct, space)
     # one sweep per orbit of the plan under Inn(X); its hits are mapped to the other members
     plan_orbits = _target_orbits(plan, inner_generators(carrier), n)
-    sweeps = [_search_kernel.space_size(n, mode, param, len(fibers)) for fibers, _ in plan_orbits]
-    # a pool forks all its workers at once, so never more than the CPUs
-    workers = min(jobs, os.cpu_count() or 1) if sum(sweeps) >= POOL_MIN_SPACE else 1
-    tasks, task_orbits = [], []
-    for (fibers, orbit), sweep in zip(plan_orbits, sweeps):
-        for a, b in _chunk_ranges(sweep, workers):
-            tasks.append((carrier.table, n, mode, param, fibers, a, b, max_support))
-            task_orbits.append(orbit)
     # each distinct hit, with the fibers it lies over, in kernel order
     hits: dict[tuple[int, ...], tuple] = {}
-    for orbit, (vecs, _) in zip(task_orbits, _search_kernel.run(tasks, workers)):
+    for i, vecs in _search_kernel.run(carrier.table, mode, param, max_support,
+                                      [fibers for fibers, _ in plan_orbits], jobs):
         for vec in vecs:
-            for fibers, g_inverse in orbit:
+            for fibers, g_inverse in plan_orbits[i][1]:
                 hits.setdefault(tuple(map(vec.__getitem__, g_inverse)), fibers)
         if max_hits is not None and len(hits) > max_hits:
             return None
@@ -556,11 +536,7 @@ def _family_vector(covering: Covering, params: CoveringFamilyParams) -> list:
 def covering_idempotent(covering: Covering, params: CoveringFamilyParams) -> RingElement:
     """Assemble the family element; the result is checked idempotent."""
     u = RingElement(params.ring, list(enumerate(_family_vector(covering, params))))
-    if not is_idempotent(u, covering.hom.domain):
-        raise InternalCheckError(
-            "family element failed the idempotency check", element=element_to_json(u)
-        )
-    return u
+    return _checked(u, covering.hom.domain, "family element")
 
 
 @dataclass
@@ -875,12 +851,7 @@ def dihedral_even_family(n: int, j: int, beta, alphas, ring: CoeffRing = ZZ) -> 
         pairs.append(((n + i) % order, ring.neg(a)))
         pairs.append(((2 * j - i) % order, a))
         pairs.append(((n + 2 * j - i) % order, ring.neg(a)))
-    u = RingElement(ring, pairs)
-    if not is_idempotent(u, _dihedral(order)):
-        raise InternalCheckError(
-            "family element failed the idempotency check", element=element_to_json(u)
-        )
-    return u
+    return _checked(RingElement(ring, pairs), _dihedral(order), "family element")
 
 
 # ---------------------------------------------------------------------------
@@ -953,11 +924,7 @@ def union_idempotents(
             raise ConstraintViolatedError(f"total weighted mass is {mass}, need 1")
     else:
         raise InvalidParamsError(f"unknown union family kind {kind!r}")
-    if not is_idempotent(out, union_q):
-        raise InternalCheckError(
-            "union element failed the idempotency check", element=element_to_json(out)
-        )
-    return out
+    return _checked(out, union_q, "union element")
 
 
 def _square(u: RingElement, part: FiniteQuandle) -> list:
@@ -1274,11 +1241,7 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
         raise BudgetExceededError(total, budget)
     q = core_quandle(factors)
     walk = _search_kernel._support_search(range(q.order), q.op, bound, 3, gens=inner_generators(q))
-    found = [RingElement(ZZ, u) for u in walk]
-    for u in found:
-        if not is_idempotent(u, q):
-            raise InternalCheckError("support walk result fails exact recheck",
-                                     element=element_to_json(u))
+    found = [_checked(RingElement(ZZ, u), q, "support walk result") for u in walk]
     nontrivial = [u for u in found if not (len(u.coeffs) == 1 and u.coeffs[0][1] == 1)]
     return {
         "quandle": q.name,

@@ -337,6 +337,14 @@ def is_idempotent(u: RingElement, carrier) -> bool:
     return _pair_product(u.coeffs, u.coeffs, carrier.table, u.ring) == vec
 
 
+def _checked(u: RingElement, carrier, what: str) -> RingElement:
+    """u, after an exact square shows it idempotent; a constructed or
+    walked element that is not is the program's fault."""
+    if not is_idempotent(u, carrier):
+        raise InternalCheckError(f"{what} fails exact recheck", element=element_to_json(u))
+    return u
+
+
 def orbit_sum(x: int, y: int, q: FiniteQuandle, ring: CoeffRing = ZZ) -> RingElement:
     """Sum of n_y repeated images of e_x under right multiplication by y.
 

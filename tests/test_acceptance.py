@@ -46,7 +46,7 @@ from quandlekit import (
     validate_table,
     zero,
 )
-from quandlekit import idempotents
+from quandlekit import _search_kernel
 
 LIMITS_S = {
     1: 1, 2: 5, 3: 5, 4: 1, 5: 1, 6: 1, 7: 5,
@@ -268,7 +268,7 @@ def test_criterion_13_free_word_property_suites(rng, criterion):
 
 def test_criterion_14_reports_do_not_depend_on_worker_count(r3, r5, r6, criterion, monkeypatch):
     # these spaces are below the pool threshold; lower it so jobs=4 really forks
-    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
+    monkeypatch.setattr(_search_kernel, "POOL_MIN_SPACE", 0)
     with criterion(14):
         for q, bound in ((r3, 3), (r5, 2), (r6, 2)):
             serial = enumerate_boxed_Z(q, bound, jobs=1)

@@ -124,6 +124,20 @@ def test_malformed_values_are_structured_errors(argv, capsys):
     assert json.loads(out)["error"] == "InvalidParams"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["quandle", "make", "union", fx("r3.json")], "union needs at least two quandle files"),
+    (["quandle", "make", "twisted-union", fx("r3.json"), fx("r3.json"), "--g", "0,1,2"],
+     "twisted-union needs --f and --g"),
+    (["quandle", "make", "cocycle", fx("r3.json"), "2"], "cocycle needs --alpha"),
+    (["idem", "scan", fx("r3.json")], "scan needs --bound and/or --moduli"),
+], ids=["union-of-one", "twisted-union-without-f", "cocycle-without-alpha", "scan-without-scope"])
+def test_subcommands_missing_a_required_input_are_invalid_params(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "InvalidParams", "message": message}
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"table": "abc"}, {"table": 5}, {"order": 3, "table": 5}, {"order": "x", "table": [[0]]},

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import concurrent.futures
 import importlib.util
 import pathlib
 
@@ -18,7 +19,7 @@ from quandlekit import (
     enumerate_mod_p,
     union_idempotents,
 )
-from quandlekit import _search_kernel, idempotents
+from quandlekit import _search_kernel, ring
 from quandlekit.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -48,13 +49,33 @@ def _imports(path: pathlib.Path) -> set[str]:
     return names
 
 
+def _names(path: pathlib.Path) -> set[str]:
+    """The identifiers and attribute names a source file uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[-1])
+    return names
+
+
 def test_only_the_kernel_imports_numpy_and_free_skips_idempotents():
-    # the search kernel owns both enumerators and its evaluator; the free
-    # quandle reaches the support walk without the table searches
+    # the search kernel owns both enumerators, its evaluator and how a plan
+    # runs: its workers, chunks and pool; the free quandle reaches the
+    # support walk without the table searches
     importers = {path.name for path in SRC.glob("*.py")
                  if any(name.split(".")[0] == "numpy" for name in _imports(path))}
     assert importers == {"_search_kernel.py"}
     assert "idempotents" not in _imports(SRC / "free.py")
+    # the CLI reads the CPU count only as the default of --jobs
+    for name, allowed in (("POOL_MIN_SPACE", set()), ("ProcessPoolExecutor", set()),
+                          ("cpu_count", {"cli.py"})):
+        users = {path.name for path in SRC.glob("*.py") if name in _names(path)}
+        assert users == {"_search_kernel.py"} | allowed, name
+    assert not {"os", "concurrent", "concurrent.futures"} & _imports(SRC / "idempotents.py")
 
 
 SELF_CHECKED = {
@@ -71,8 +92,8 @@ SELF_CHECKED = {
 @pytest.mark.parametrize("name", sorted(SELF_CHECKED))
 def test_constructed_idempotents_failing_their_self_check_raise(name, cov63, t2, r3, monkeypatch):
     built = SELF_CHECKED[name](cov63, t2, r3)
-    monkeypatch.setattr(idempotents, "is_idempotent", lambda u, q: False)
-    with pytest.raises(InternalCheckError, match="failed the idempotency check") as info:
+    monkeypatch.setattr(ring, "is_idempotent", lambda u, q: False)
+    with pytest.raises(InternalCheckError, match="fails exact recheck") as info:
         SELF_CHECKED[name](cov63, t2, r3)
     assert info.value.payload()["error"] == "InternalCheck"
     assert info.value.payload()["element"] == element_to_json(built)
@@ -140,9 +161,24 @@ def test_kernel_tasks_keep_the_layout_the_bench_tracer_reads(name, r6, r10, monk
         tasks.append(task)
         return real_chunk(task)
 
-    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
-    # in process, and every chunk, even those of a base search it abandons
-    monkeypatch.setattr(_search_kernel, "run", lambda batch, jobs: list(real_run(batch, 1)))
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(_search_kernel, "POOL_MIN_SPACE", 0)
+    # a chunk per worker, run in process, and every chunk, even those of a
+    # base search it abandons
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(_search_kernel, "run", lambda *plan: list(real_run(*plan)))
     monkeypatch.setattr(_search_kernel, "evaluate_chunk", spy)
     KERNEL_SEARCHES[name](r6, r10)
     sweeps: dict = {}

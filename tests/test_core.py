@@ -65,6 +65,21 @@ def test_validate_accepts_trivial_2():
     assert validate_table([[0, 0], [1, 1]]) == ((0, 0), (1, 1))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda r3: MagmaTable([[0, 0], [1]]), "row 1 has length 1, expected 2"),
+    (lambda r3: MagmaTable([[0, 2], [1, 1]]), r"entry 2 in row 0 is outside \[0, 2\)"),
+    (lambda r3: MagmaTable([[0, 0], [1, 1]], labels="ab"), "labels must be a list"),
+    (lambda r3: MagmaTable([[0, 0], [1, 1]], labels=["a"]), "labels length differs"),
+    # 0 is an identity, but (1*1)*2 = 0 and 1*(1*2) = 1
+    (lambda r3: make("conj", [[0, 1, 2], [1, 1, 0], [2, 0, 2]]), "not associative at"),
+    (lambda r3: QuandleHom(r3, r3, [0, 1, 3]), "image index out of range"),
+], ids=["ragged-row", "entry-out-of-range", "labels-not-a-list", "labels-wrong-length",
+        "group-not-associative", "hom-image-out-of-range"])
+def test_malformed_tables_labels_groups_and_homs_are_refused(build, message, r3):
+    with pytest.raises(InvalidParamsError, match=message):
+        build(r3)
+
+
 def test_validate_rejects_bad_column_first():
     # column 0 is (0, 0); the diagonal is also broken but the column
     # check must fire first

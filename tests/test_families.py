@@ -93,6 +93,16 @@ def test_family_params_validation(cov63):
         covering_family_params(cov63, ZZ, 0, {0: 1}, 0, {1: {1: 1}})  # fiber sum 1, need 0
 
 
+@pytest.mark.parametrize("unit, zero_sum, message", [
+    ({}, None, "unit part must be nonempty"),
+    ({4: 1}, {7: {0: 1, 3: -1}}, "7 is not a codomain index"),
+    ({4: 1}, {0: {0: 1, 1: -1}}, "1 is not in the fiber over 0"),
+], ids=["empty-unit-part", "zero-sum-off-the-codomain", "zero-sum-point-off-its-fiber"])
+def test_family_params_refuse_malformed_parts(unit, zero_sum, message, cov63):
+    with pytest.raises(ConstraintViolatedError, match=message):
+        covering_family_params(cov63, ZZ, 1, unit, 4, zero_sum)
+
+
 def test_family_element_plain_unit(cov63):
     params = covering_family_params(cov63, ZZ, 1, {4: 1}, 4)
     assert covering_idempotent(cov63, params) == basis(ZZ, 4)

@@ -56,6 +56,12 @@ X, Y, Z = generator(0), generator(1), generator(2)
 # words
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_free_quandle_of_rank_below_one_is_refused(rank):
+    with pytest.raises(InvalidParamsError, match="rank must be >= 1"):
+        FreeQuandle(rank)
+
+
 def test_reduce_word_merges_and_cancels():
     assert reduce_word([(0, 1), (0, 1)]) == ((0, 2),)
     assert reduce_word([(0, 1), (0, -1)]) == ()

@@ -60,6 +60,17 @@ def test_composite_modulus_rejected():
     assert exc.value.modulus == 4
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ring_module.CoeffRing("R"), "unknown coefficient ring kind 'R'"),
+    (lambda: ZZ.coerce(1.5), "cannot coerce 1.5 into Z"),
+    (lambda: IntegersMod(5).coerce([1]), r"cannot coerce \[1\] into Zmod:5"),
+    (lambda: element_from_json([[0, "1"]]), "element document must be an object, got list"),
+], ids=["unknown-kind", "float-scalar", "list-scalar", "list-document"])
+def test_malformed_rings_scalars_and_documents_are_refused(build, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        build()
+
+
 def test_composite_modulus_forced_is_not_a_domain():
     r = IntegersMod(4, force=True)
     assert not r.is_domain

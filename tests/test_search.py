@@ -271,7 +271,7 @@ def test_search_spec_derives_its_scope(spec, scope):
 
 
 def test_single_and_multi_worker_reports_are_byte_identical(r3, r6, r10, b12, monkeypatch):
-    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
+    monkeypatch.setattr(_search_kernel, "POOL_MIN_SPACE", 0)
     cases = [
         lambda jobs: enumerate_boxed_Z(r3, 3, jobs=jobs),
         lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs),
@@ -738,9 +738,9 @@ def _plans_and_sweeps(monkeypatch):
         plans.append(real_plan(*args))
         return plans[-1]
 
-    def run_spy(tasks, jobs):
-        swept.append(list(dict.fromkeys(task[4] for task in tasks)))
-        return real_run(tasks, jobs)
+    def run_spy(table, mode, param, max_support, sweeps, jobs):
+        swept.append(list(sweeps))
+        return real_run(table, mode, param, max_support, sweeps, jobs)
 
     monkeypatch.setattr(idempotents, "_sweep_plan", plan_spy)
     monkeypatch.setattr(_search_kernel, "run", run_spy)
@@ -1363,20 +1363,30 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
         # orbit: the lift of 0 and that of e_0, 2 * 5^3 indices
         (lambda jobs: enumerate_boxed_Z(r6, 2, jobs=jobs), 2 * 5**3, 2),
     ]
-    runs = []
-    real = _search_kernel.run
+    # each run as (indices, chunks, workers); a run that starts no pool has one worker
+    runs, pools = [], []
+    real_run, real_pool = _search_kernel.run, concurrent.futures.ProcessPoolExecutor
 
-    def spy(tasks, jobs):
-        runs.append((sum(t[6] - t[5] for t in tasks), len(tasks), jobs))
-        return real(tasks, jobs)
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
 
+    def spy(table, mode, param, max_support, sweeps, jobs):
+        pools.clear()
+        chunks = list(real_run(table, mode, param, max_support, sweeps, jobs))
+        indices = sum(_search_kernel.space_size(len(table), mode, param, len(fibers))
+                      for fibers in sweeps)
+        runs.append((indices, len(chunks), pools[0] if pools else 1))
+        return iter(chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(_search_kernel, "run", spy)
     for search, evaluated, sweeps in cases:
-        monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", evaluated + 1)
+        monkeypatch.setattr(_search_kernel, "POOL_MIN_SPACE", evaluated + 1)
         runs.clear()
         serial = search(2)
         assert runs[-1] == (evaluated, sweeps, 1)
-        monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", evaluated)
+        monkeypatch.setattr(_search_kernel, "POOL_MIN_SPACE", evaluated)
         runs.clear()
         pooled = search(2)
         assert runs[-1] == (evaluated, 2 * sweeps, 2)
@@ -1390,12 +1400,13 @@ def test_pool_starts_only_from_the_threshold_space(r6, monkeypatch):
 def test_one_worker_runs_each_chunk_only_when_it_is_read(monkeypatch):
     # so a search abandoned past max_hits runs no further chunk
     ran = []
-    monkeypatch.setattr(_search_kernel, "evaluate_chunk", lambda task: ran.append(task[5]) or ([], 0))
+    monkeypatch.setattr(_search_kernel, "evaluate_chunk", lambda task: ran.append(task[4]) or ([], 0))
     table = dihedral_quandle(3).table
-    chunks = _search_kernel.run([(table, 3, "zp", 3, (), a, a + 9, 3) for a in (0, 9, 18)], 1)
+    sweeps = [(((0, 1, 2), s),) for s in range(3)]
+    chunks = _search_kernel.run(table, "zp", 3, 3, sweeps, 1)
     assert ran == []
     next(chunks)
-    assert ran == [0]
+    assert ran == [sweeps[0]]
 
 
 def test_pool_workers_are_capped_at_the_cpu_count(r6, monkeypatch):
@@ -1417,7 +1428,7 @@ def test_pool_workers_are_capped_at_the_cpu_count(r6, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(idempotents, "POOL_MIN_SPACE", 0)
+    monkeypatch.setattr(_search_kernel, "POOL_MIN_SPACE", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     capped = enumerate_boxed_Z(r6, 2, jobs=10**6)
     assert asked and set(asked) == {3}
@@ -1499,7 +1510,7 @@ def test_support_walks_never_import_numpy(checkout_env):
 
 def test_numpy_break_even_sits_below_the_pool_threshold():
     # a plan big enough for the pool runs numpy, which the workers inherit
-    assert _search_kernel.NUMPY_MIN_INDICES < idempotents.POOL_MIN_SPACE
+    assert _search_kernel.NUMPY_MIN_INDICES < _search_kernel.POOL_MIN_SPACE
 
 
 def test_kernel_hit_failing_the_exact_recheck_is_an_internal_error(r3, monkeypatch):
