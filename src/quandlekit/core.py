@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -40,6 +39,48 @@ def doc_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParamsError(f"{what} must be an integer, got {type(value).__name__}")
     return int(value)
+
+
+class Record:
+    """A plain record: `==` compares and repr shows `_args()`, the
+    constructor's arguments, and a mutable record has no hash.  Records
+    are written by hand rather than with `dataclasses`, which costs a CLI
+    process about 4.5 ms to import and compiles each class's methods at
+    start-up."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _args(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._args()!r}"
+
+
+class Frozen(Record):
+    """An immutable record: __init__ sets each field once through
+    object.__setattr__; hash, pickle and copy go through `_args()`, since
+    the default slot restore would assign through __setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
 
 
 def _normalize_table(table) -> Table:
@@ -386,17 +427,22 @@ def twisted_union_quandle(x: FiniteQuandle, y: FiniteQuandle, f, g) -> FiniteQua
     return q
 
 
-@dataclass(frozen=True)
-class CocycleData:
+class CocycleData(Frozen):
     """A base quandle with a cyclic-group 2-cocycle written additively.
 
     alpha[x][y] lives in Z_a; the extension multiplies as
     (x, s) * (y, t) = (x*y, s + alpha[x][y]).
     """
 
-    base: FiniteQuandle
-    group_order: int
-    alpha: tuple[tuple[int, ...], ...]
+    __slots__ = ("base", "group_order", "alpha")
+
+    def __init__(self, base: FiniteQuandle, group_order: int, alpha: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "alpha", alpha)
+
+    def _args(self) -> tuple:
+        return self.base, self.group_order, self.alpha
 
     @staticmethod
     def from_parts(base: FiniteQuandle, group_order: int, alpha) -> "CocycleData":
@@ -413,12 +459,18 @@ class CocycleData:
         return CocycleData(base, a, rows)
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    valid: bool
-    violation: dict | None
-    involutory_compatible: bool
-    involutory_violation: dict | None
+class CocycleReport(Frozen):
+    __slots__ = ("valid", "violation", "involutory_compatible", "involutory_violation")
+
+    def __init__(self, valid: bool, violation: dict | None, involutory_compatible: bool,
+                 involutory_violation: dict | None):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "violation", violation)
+        object.__setattr__(self, "involutory_compatible", involutory_compatible)
+        object.__setattr__(self, "involutory_violation", involutory_violation)
+
+    def _args(self) -> tuple:
+        return self.valid, self.violation, self.involutory_compatible, self.involutory_violation
 
     def to_json(self) -> dict:
         return {
@@ -567,14 +619,21 @@ def orbits(points, gens, n: int, act=operator.getitem) -> list[list[tuple]]:
 # properties
 
 
-@dataclass(frozen=True)
-class QuandleProperties:
-    connected: bool
-    latin: bool
-    medial: bool
-    faithful: bool
-    involutory: bool
-    finite_type_orders: tuple[int, ...]
+class QuandleProperties(Frozen):
+    __slots__ = ("connected", "latin", "medial", "faithful", "involutory", "finite_type_orders")
+
+    def __init__(self, connected: bool, latin: bool, medial: bool, faithful: bool,
+                 involutory: bool, finite_type_orders: tuple[int, ...]):
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "latin", latin)
+        object.__setattr__(self, "medial", medial)
+        object.__setattr__(self, "faithful", faithful)
+        object.__setattr__(self, "involutory", involutory)
+        object.__setattr__(self, "finite_type_orders", finite_type_orders)
+
+    def _args(self) -> tuple:
+        return (self.connected, self.latin, self.medial, self.faithful, self.involutory,
+                self.finite_type_orders)
 
     def to_json(self) -> dict:
         return {
@@ -635,8 +694,8 @@ def trivial_subquandles(q: FiniteQuandle, max_size: int, cap: int = 10**6) -> li
 
     Equivalent to enumerating cliques in the graph with an edge x~y when
     x*y = x and y*x = y.  Output is every clique as a sorted tuple, in
-    lexicographic order.  The (cap + 1)-th clique raises
-    BudgetExceededError: the list is complete or not returned.
+    lexicographic order.  More than cap cliques raise BudgetExceededError
+    before any is listed: the cliques are counted first, up to cap + 1.
     """
     n = q.order
     if max_size < 2:
@@ -647,21 +706,39 @@ def trivial_subquandles(q: FiniteQuandle, max_size: int, cap: int = 10**6) -> li
             if q.table[x][y] == x and q.table[y][x] == y:
                 adj[x].add(y)
                 adj[y].add(x)
-    out: list[tuple[int, ...]] = []
+    if _count_cliques(adj, max_size, cap, 0, list(range(n))) > cap:
+        raise BudgetExceededError(f"more than {cap}", cap, what="trivial subquandles",
+                                  work="listing")
+    return list(_cliques(adj, max_size, (), list(range(n))))
 
-    def extend(clique: list[int], candidates: set[int]):
-        for v in sorted(candidates):
-            new = clique + [v]
-            if len(new) >= 2:
-                if len(out) == cap:
-                    raise BudgetExceededError(f"more than {cap}", cap, what="trivial subquandles",
-                                              work="listing")
-                out.append(tuple(new))
-            if len(new) < max_size:
-                extend(new, {u for u in candidates if u > v and u in adj[v]})
 
-    extend([], set(range(n)))
-    return out
+def _count_cliques(adj, max_size: int, cap: int, size: int, candidates: list[int]) -> int:
+    """Cliques of 2..max_size points that extend a clique of `size` points
+    by some of `candidates`, each adjacent to all of it; the count stops
+    once it passes cap.  Candidates adjacent to one another (a trivial
+    block) extend it by every subset, counted in closed form."""
+    top = min(max_size - size, len(candidates))
+    if all(v in adj[u] for u, v in itertools.combinations(candidates, 2)):
+        return sum(math.comb(len(candidates), j) for j in range(max(1, 2 - size), top + 1))
+    total = 0
+    for i, v in enumerate(candidates):
+        total += size >= 1
+        if top > 1:
+            rest = [u for u in candidates[i + 1:] if u in adj[v]]
+            total += _count_cliques(adj, max_size, cap - total, size + 1, rest)
+        if total > cap:
+            break
+    return total
+
+
+def _cliques(adj, max_size: int, clique: tuple[int, ...], candidates):
+    """The cliques _count_cliques counts, as sorted tuples in lexicographic order."""
+    for i, v in enumerate(candidates):
+        new = clique + (v,)
+        if len(new) >= 2:
+            yield new
+        if len(new) < max_size:
+            yield from _cliques(adj, max_size, new, [u for u in candidates[i + 1:] if u in adj[v]])
 
 
 # ---------------------------------------------------------------------------
@@ -786,13 +863,19 @@ class QuandleHom:
         return {"images": list(self.images)}
 
 
-@dataclass(frozen=True)
-class Covering:
-    """A surjective hom whose fibers act identically on the domain."""
+class Covering(Frozen):
+    """A surjective hom whose fibers act identically on the domain.
 
-    hom: QuandleHom
-    fibers: dict  # codomain index -> sorted tuple of domain indices
-    nontrivial: bool
+    Not slotted: `orbit_plans` is cached in the instance's __dict__."""
+
+    def __init__(self, hom: QuandleHom, fibers: dict, nontrivial: bool):
+        object.__setattr__(self, "hom", hom)
+        # codomain index -> sorted tuple of domain indices
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "nontrivial", nontrivial)
+
+    def _args(self) -> tuple:
+        return self.hom, self.fibers, self.nontrivial
 
     def fiber(self, y: int) -> tuple[int, ...]:
         if y not in self.fibers:

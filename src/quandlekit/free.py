@@ -14,10 +14,10 @@ operation conjugates the other way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import reduce as _fold
 
 from . import _search_kernel
+from .core import Frozen
 from .errors import (
     BudgetExceededError,
     IndexOutOfRangeError,
@@ -227,12 +227,17 @@ class FreeQuandle:
 # left-associated expressions
 
 
-@dataclass(frozen=True)
-class LeftAssocExpr:
+class LeftAssocExpr(Frozen):
     """head *^{s_1} g_1 *^{s_2} g_2 ... applied left to right."""
 
-    head: int
-    tail: tuple[tuple[int, int], ...]
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head: int, tail: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
+
+    def _args(self) -> tuple:
+        return self.head, self.tail
 
 
 def canonicalize_expr(expr: LeftAssocExpr) -> LeftAssocExpr:

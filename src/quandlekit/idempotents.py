@@ -32,13 +32,14 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 
 from . import _search_kernel
 from .core import (
     Covering,
     FiniteQuandle,
+    Frozen,
     MagmaTable,
+    Record,
     congruences,
     core_quandle,
     dihedral_quandle,
@@ -86,20 +87,24 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Frozen):
     """Scope of an enumeration: the ring, a coefficient box over Z (None:
     every residue of Z/p) and a support cap (None: unrestricted).  The
     declared strata follow from the ring: 0 and 1 over a domain, every
     one (None) otherwise; the kernel's mode and parameter from the box."""
 
-    ring: CoeffRing
-    box_bound: int | None = None
-    max_support: int | None = None
+    __slots__ = ("ring", "box_bound", "max_support")
 
-    def __post_init__(self):
-        if self.max_support is not None and self.max_support < 1:
+    def __init__(self, ring: CoeffRing, box_bound: int | None = None,
+                 max_support: int | None = None):
+        if max_support is not None and max_support < 1:
             raise InvalidParamsError("max_support must be >= 1")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "box_bound", box_bound)
+        object.__setattr__(self, "max_support", max_support)
+
+    def _args(self) -> tuple:
+        return self.ring, self.box_bound, self.max_support
 
     @property
     def augmentation(self) -> tuple[int, ...] | None:
@@ -426,8 +431,7 @@ def _enumerate(carrier, modulus, bound, max_support, budget: int, jobs: int) -> 
 # covering families
 
 
-@dataclass(frozen=True)
-class CoveringFamilyParams:
+class CoveringFamilyParams(Frozen):
     """Structure data for one covering-derived idempotent.
 
     unit_coeffs assigns coefficients summing to 1 inside the fiber over
@@ -436,11 +440,19 @@ class CoveringFamilyParams:
     codomain index, fiber coefficients summing to 0.
     """
 
-    ring: CoeffRing
-    unit_fiber: int
-    base_point: int
-    unit_coeffs: tuple[tuple[int, object], ...]
-    zero_sum_coeffs: tuple[tuple[int, tuple[tuple[int, object], ...]], ...]
+    __slots__ = ("ring", "unit_fiber", "base_point", "unit_coeffs", "zero_sum_coeffs")
+
+    def __init__(self, ring: CoeffRing, unit_fiber: int, base_point: int,
+                 unit_coeffs: tuple[tuple[int, object], ...],
+                 zero_sum_coeffs: tuple[tuple[int, tuple[tuple[int, object], ...]], ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "unit_fiber", unit_fiber)
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "unit_coeffs", unit_coeffs)
+        object.__setattr__(self, "zero_sum_coeffs", zero_sum_coeffs)
+
+    def _args(self) -> tuple:
+        return self.ring, self.unit_fiber, self.base_point, self.unit_coeffs, self.zero_sum_coeffs
 
     def to_json(self) -> dict:
         return {
@@ -539,13 +551,19 @@ def covering_idempotent(covering: Covering, params: CoveringFamilyParams) -> Rin
     return _checked(u, covering.hom.domain, "family element")
 
 
-@dataclass
-class FamilyVerifyReport:
-    verified: bool
-    structures: int
-    cases: int
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+class FamilyVerifyReport(Record):
+    __slots__ = ("verified", "structures", "cases", "failures", "notes")
+
+    def __init__(self, verified: bool, structures: int, cases: int,
+                 failures: list | None = None, notes: list | None = None):
+        self.verified = verified
+        self.structures = structures
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+
+    def _args(self) -> tuple:
+        return self.verified, self.structures, self.cases, self.failures, self.notes
 
     def to_json(self) -> dict:
         return {
@@ -722,12 +740,18 @@ def _grid_note(ring: CoeffRing, grid) -> str:
             "since the defect has degree <= 2 in each free coefficient")
 
 
-@dataclass
-class ClassifyResult:
-    in_family: bool
-    params: CoveringFamilyParams | None = None
-    reason: str | None = None
-    flags: list = field(default_factory=list)
+class ClassifyResult(Record):
+    __slots__ = ("in_family", "params", "reason", "flags")
+
+    def __init__(self, in_family: bool, params: CoveringFamilyParams | None = None,
+                 reason: str | None = None, flags: list | None = None):
+        self.in_family = in_family
+        self.params = params
+        self.reason = reason
+        self.flags = [] if flags is None else flags
+
+    def _args(self) -> tuple:
+        return self.in_family, self.params, self.reason, self.flags
 
     def to_json(self) -> dict:
         return {
@@ -1100,11 +1124,16 @@ def twisted_union_classify(
 # structure checks on idempotent sets
 
 
-@dataclass
-class IdempotentSetReport:
-    passed: bool
-    size: int
-    failures: list = field(default_factory=list)
+class IdempotentSetReport(Record):
+    __slots__ = ("passed", "size", "failures")
+
+    def __init__(self, passed: bool, size: int, failures: list | None = None):
+        self.passed = passed
+        self.size = size
+        self.failures = [] if failures is None else failures
+
+    def _args(self) -> tuple:
+        return self.passed, self.size, self.failures
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "size": self.size, "failures": self.failures}

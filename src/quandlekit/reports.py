@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .core import Record
 from .ring import RingElement, element_to_json
 
 
-@dataclass
-class IdempotentReport:
+class IdempotentReport(Record):
     """Outcome of an idempotent search.
 
     `exhaustive` asserts completeness for the declared scope only (the
@@ -18,18 +16,25 @@ class IdempotentReport:
     runs and worker counts.
     """
 
-    quandle: str
-    order: int | None
-    spec: dict
-    idempotents: list[RingElement]
-    exhaustive: bool
-    flags: list[str] = field(default_factory=list)
-    candidates_tested: int = 0
-    elapsed_ms: int = 0
+    __slots__ = ("quandle", "order", "spec", "idempotents", "exhaustive", "flags",
+                 "candidates_tested", "elapsed_ms")
 
-    def __post_init__(self):
+    def __init__(self, quandle: str, order: int | None, spec: dict,
+                 idempotents: list[RingElement], exhaustive: bool, flags: list[str] | None = None,
+                 candidates_tested: int = 0, elapsed_ms: int = 0):
+        self.quandle = quandle
+        self.order = order
+        self.spec = spec
         # the one order of every report, its JSON included
-        self.idempotents = sorted(self.idempotents, key=lambda u: u.sort_key())
+        self.idempotents = sorted(idempotents, key=lambda u: u.sort_key())
+        self.exhaustive = exhaustive
+        self.flags = [] if flags is None else flags
+        self.candidates_tested = candidates_tested
+        self.elapsed_ms = elapsed_ms
+
+    def _args(self) -> tuple:
+        return (self.quandle, self.order, self.spec, self.idempotents, self.exhaustive,
+                self.flags, self.candidates_tested, self.elapsed_ms)
 
     def to_json(self, include_timing: bool = False) -> dict:
         return {

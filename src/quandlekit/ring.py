@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -41,7 +40,7 @@ from .errors import (
     InvalidParamsError,
     RingMismatchError,
 )
-from .core import FiniteQuandle, MagmaTable
+from .core import FiniteQuandle, Frozen, MagmaTable
 
 
 # Miller-Rabin on the primes up to 41 is exact below _MR_LIMIT (Sorenson
@@ -67,32 +66,47 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoeffRing:
-    """Z, Z mod m, or Q.  Composite moduli are rejected unless forced."""
+class CoeffRing(Frozen):
+    """Z, Z mod m, or Q.  Composite moduli are rejected unless forced.
 
-    kind: str  # "Z" | "Zmod" | "Q"
-    modulus: int = 0
-    forced: bool = False
-    # decided once per ring, outside the fields __eq__ and __hash__ read
-    is_domain: bool = field(init=False, repr=False, compare=False)
+    `==` and hash read kind, modulus and forced only; is_domain, tag,
+    characteristic, zero and one follow from them and are computed once,
+    since the exact loops read them on every product."""
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Zmod", "Q"):
-            raise InvalidParamsError(f"unknown coefficient ring kind {self.kind!r}")
-        if self.kind == "Zmod" and self.modulus < 2:
+    __slots__ = ("kind", "modulus", "forced", "is_domain", "tag", "characteristic",
+                 "zero", "one", "_hash")
+
+    def __init__(self, kind: str, modulus: int = 0, forced: bool = False):
+        if kind not in ("Z", "Zmod", "Q"):
+            raise InvalidParamsError(f"unknown coefficient ring kind {kind!r}")
+        if kind == "Zmod" and modulus < 2:
             raise InvalidParamsError("modulus must be >= 2")
-        object.__setattr__(self, "is_domain", self.kind != "Zmod" or _is_prime(self.modulus))
-        if not self.is_domain and not self.forced:
-            raise CompositeModulusError(self.modulus)
+        is_domain = kind != "Zmod" or _is_prime(modulus)
+        if not is_domain and not forced:
+            raise CompositeModulusError(modulus)
+        object.__setattr__(self, "kind", kind)  # "Z" | "Zmod" | "Q"
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "forced", forced)
+        object.__setattr__(self, "is_domain", is_domain)
+        object.__setattr__(self, "tag", f"Zmod:{modulus}" if kind == "Zmod" else kind)
+        object.__setattr__(self, "characteristic", modulus if kind == "Zmod" else 0)
+        object.__setattr__(self, "zero", Fraction(0) if kind == "Q" else 0)
+        object.__setattr__(self, "one", Fraction(1) if kind == "Q" else 1)
+        object.__setattr__(self, "_hash", hash((kind, modulus, forced)))
 
-    @property
-    def tag(self) -> str:
-        return f"Zmod:{self.modulus}" if self.kind == "Zmod" else self.kind
+    def _args(self) -> tuple:
+        return self.kind, self.modulus, self.forced
 
-    @property
-    def characteristic(self) -> int:
-        return self.modulus if self.kind == "Zmod" else 0
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not CoeffRing:
+            return NotImplemented
+        return (self.kind == other.kind and self.modulus == other.modulus
+                and self.forced == other.forced)
+
+    def __hash__(self):
+        return self._hash
 
     def coerce(self, value):
         if self.kind == "Q":
@@ -107,14 +121,6 @@ class CoeffRing:
             if not isinstance(value, int):
                 raise InvalidParamsError(f"cannot coerce {value!r} into {self.tag}")
         return value % self.modulus if self.kind == "Zmod" else value
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
 
     def add(self, a, b):
         c = a + b

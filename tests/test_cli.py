@@ -1,5 +1,6 @@
 """Command line coverage: golden transcripts plus error and plumbing paths."""
 
+import ast
 import json
 import resource
 import subprocess
@@ -352,6 +353,44 @@ def test_each_subcommand_executes_only_the_modules_it_uses(checkout_env):
     for name, code, out, executed in lines[2:]:
         assert (code, executed) == (0, LOADS[name]), name
         assert out == (GOLDEN / name).read_text(), name
+
+
+START_UP_FREE = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_calls_never_import_dataclasses_or_inspect(name, argv, checkout_env):
+    # together about 4 ms of every CLI process's start-up
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from quandlekit import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([out.getvalue(), [m for m in sys.argv[2:] if m in sys.modules]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv), *START_UP_FREE],
+        env=checkout_env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, loaded = json.loads(proc.stdout)
+    assert out == (GOLDEN / name).read_text()
+    assert loaded == []
+
+
+def test_no_module_of_the_package_imports_dataclasses_or_inspect():
+    for path in sorted((ROOT / "src" / "quandlekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not any(n.split(".")[0] in START_UP_FREE for n in names), path.name
 
 
 def test_integer_ring_requires_bound(capsys):

@@ -446,6 +446,19 @@ def test_trivial_subquandles_cap(b12):
     assert info.value.payload()["budget"] == 32
 
 
+@pytest.mark.parametrize("order", [12, 21], ids=["blocks12", "trivial21"])
+def test_trivial_subquandles_refuse_before_listing(order, b12, monkeypatch):
+    # b12's 33 subsets are counted by the walk, T_21's 2^21 - 22 in closed
+    # form; past a cap of 32 neither lists a single clique
+    q = b12 if order == 12 else core.trivial_quandle(21)
+    listed = []
+    monkeypatch.setattr(core, "_cliques", lambda *args: listed.append(args) or iter(()))
+    with pytest.raises(BudgetExceededError) as info:
+        trivial_subquandles(q, order, cap=32)
+    assert info.value.payload()["needed"] == "more than 32"
+    assert listed == []
+
+
 # ---------------------------------------------------------------------------
 # cocycle extensions
 
