@@ -42,17 +42,19 @@ def doc_int(value, what: str) -> int:
 
 
 class Record:
-    """A plain record: `==` compares and repr shows `_args()`, the
-    constructor's arguments, and a mutable record has no hash.  Records
-    are written by hand rather than with `dataclasses`, which costs a CLI
-    process about 4.5 ms to import and compiles each class's methods at
-    start-up."""
+    """A plain record: `==` compares and repr shows `_args()`, and a
+    mutable record has no hash.  `__slots__` lists the constructor's
+    parameters in order and `_args()` reads them back; a record whose
+    slots hold anything else, or that has none, overrides `_args()`.
+    Records are written by hand rather than with `dataclasses`, which
+    costs a CLI process about 4.5 ms to import and compiles each class's
+    methods at start-up."""
 
     __slots__ = ()
     __hash__ = None
 
     def _args(self) -> tuple:
-        raise NotImplementedError
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -65,8 +67,10 @@ class Record:
 
 class Frozen(Record):
     """An immutable record: __init__ sets each field once through
-    object.__setattr__; hash, pickle and copy go through `_args()`, since
-    the default slot restore would assign through __setattr__."""
+    object.__setattr__, and assignment and deletion raise.  Hash, pickle
+    and copy go through `_args()`: `__reduce__` rebuilds a record as
+    `type(self)(*self._args())`, since the default slot restore would
+    assign through __setattr__."""
 
     __slots__ = ()
 
@@ -441,9 +445,6 @@ class CocycleData(Frozen):
         object.__setattr__(self, "group_order", group_order)
         object.__setattr__(self, "alpha", alpha)
 
-    def _args(self) -> tuple:
-        return self.base, self.group_order, self.alpha
-
     @staticmethod
     def from_parts(base: FiniteQuandle, group_order: int, alpha) -> "CocycleData":
         a = int(group_order)
@@ -468,9 +469,6 @@ class CocycleReport(Frozen):
         object.__setattr__(self, "violation", violation)
         object.__setattr__(self, "involutory_compatible", involutory_compatible)
         object.__setattr__(self, "involutory_violation", involutory_violation)
-
-    def _args(self) -> tuple:
-        return self.valid, self.violation, self.involutory_compatible, self.involutory_violation
 
     def to_json(self) -> dict:
         return {
@@ -630,10 +628,6 @@ class QuandleProperties(Frozen):
         object.__setattr__(self, "faithful", faithful)
         object.__setattr__(self, "involutory", involutory)
         object.__setattr__(self, "finite_type_orders", finite_type_orders)
-
-    def _args(self) -> tuple:
-        return (self.connected, self.latin, self.medial, self.faithful, self.involutory,
-                self.finite_type_orders)
 
     def to_json(self) -> dict:
         return {

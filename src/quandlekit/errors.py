@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error that a caller is expected to catch carries the offending
-indices or limits as attributes, so CLI layers can render structured
-messages without parsing strings.
+indices or limits as keyword details: each is an attribute and a field
+of the error's JSON payload (a tuple written as a list), so CLI layers
+can render structured messages without parsing strings.
 """
 
 from __future__ import annotations
@@ -11,12 +12,18 @@ import math
 
 
 class QuandleKitError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; see the module docstring for its details."""
 
     exit_code = 1
 
+    def __init__(self, message: str = "", **details):
+        super().__init__(message)
+        self.details = details
+        self.__dict__.update(details)
+
     def payload(self) -> dict:
-        return {"error": type(self).__name__.removesuffix("Error"), "message": str(self)}
+        fields = {k: list(v) if isinstance(v, tuple) else v for k, v in self.details.items()}
+        return {"error": type(self).__name__.removesuffix("Error"), "message": str(self), **fields}
 
 
 class InvalidParamsError(QuandleKitError):
@@ -27,31 +34,19 @@ class NotPermutationError(QuandleKitError):
     """A table column is not a permutation of the index set."""
 
     def __init__(self, column: int):
-        self.column = column
-        super().__init__(f"column {column} of the table is not a permutation")
-
-    def payload(self) -> dict:
-        return {**super().payload(), "column": self.column}
+        super().__init__(f"column {column} of the table is not a permutation", column=column)
 
 
 class NotIdempotentError(QuandleKitError):
     """table[j][j] != j: the diagonal element j breaks x*x = x."""
 
     def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"table[{index}][{index}] != {index}")
-
-    def payload(self) -> dict:
-        return {**super().payload(), "index": self.index}
+        super().__init__(f"table[{index}][{index}] != {index}", index=index)
 
 
 class NotRightDistributiveError(QuandleKitError):
     def __init__(self, i: int, j: int, k: int):
-        self.indices = (i, j, k)
-        super().__init__(f"(x*y)*z != (x*z)*(y*z) at (x, y, z) = ({i}, {j}, {k})")
-
-    def payload(self) -> dict:
-        return {**super().payload(), "indices": list(self.indices)}
+        super().__init__(f"(x*y)*z != (x*z)*(y*z) at (x, y, z) = ({i}, {j}, {k})", indices=(i, j, k))
 
 
 class NotSurjectiveError(QuandleKitError):
@@ -62,20 +57,13 @@ class CoveringConditionError(QuandleKitError):
     """Two points share an image but have different right multiplications."""
 
     def __init__(self, x1: int, x2: int):
-        self.pair = (x1, x2)
-        super().__init__(f"points {x1} and {x2} share an image but act differently")
-
-    def payload(self) -> dict:
-        return {**super().payload(), "pair": list(self.pair)}
+        super().__init__(f"points {x1} and {x2} share an image but act differently", pair=(x1, x2))
 
 
 class CompositeModulusError(QuandleKitError):
     def __init__(self, modulus: int):
-        self.modulus = modulus
-        super().__init__(f"modulus {modulus} is composite; coefficients would not form a domain")
-
-    def payload(self) -> dict:
-        return {**super().payload(), "modulus": self.modulus}
+        super().__init__(f"modulus {modulus} is composite; coefficients would not form a domain",
+                         modulus=modulus)
 
 
 class RingMismatchError(QuandleKitError):
@@ -107,18 +95,8 @@ class IndexOutOfRangeError(QuandleKitError):
 
 
 class InternalCheckError(QuandleKitError):
-    """A computed result failed the package's own exact re-verification.
-
-    Keyword arguments are JSON values naming the offending result; they
-    become fields of the payload.
-    """
-
-    def __init__(self, message: str, **details):
-        self.details = details
-        super().__init__(message)
-
-    def payload(self) -> dict:
-        return {**super().payload(), **self.details}
+    """A computed result failed the package's own exact re-verification;
+    its details name the offending result."""
 
 
 def _shown(count: int | str) -> int | str:
@@ -141,12 +119,9 @@ class BudgetExceededError(QuandleKitError):
     exit_code = 2
 
     def __init__(self, needed: int | str, budget: int, what: str = "candidates", work: str = "search"):
-        self.needed = _shown(needed)
-        self.budget = _shown(budget)
-        super().__init__(f"{work} needs {self.needed} {what}, budget is {self.budget}")
-
-    def payload(self) -> dict:
-        return {**super().payload(), "needed": self.needed, "budget": self.budget}
+        needed, budget = _shown(needed), _shown(budget)
+        super().__init__(f"{work} needs {needed} {what}, budget is {budget}",
+                         needed=needed, budget=budget)
 
 
 class SearchBudgetExceededError(BudgetExceededError):

@@ -68,14 +68,16 @@ def letters(a: Word) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-class FreeQuandleElement:
+class FreeQuandleElement(Frozen):
     """Conjugate of a generator, in canonical (base, conjugator) form.
 
     Invariant: the conjugator is a reduced word that does not end in a
     power of the base.  The constructor brings any (base, conjugator)
     pair into that form; _canonical builds an element from a pair that is
     already in it, which is how fq_op returns its products.  The hash is
-    computed once, when the element is built.
+    computed once, when the element is built; it and `==` skip the
+    record's `_args()` tuple, since the free-quandle walk hashes and
+    compares elements on its hot path.
     """
 
     __slots__ = ("base", "conjugator", "_hash")
@@ -90,12 +92,8 @@ class FreeQuandleElement:
         _set_conjugator(self, conj)
         _set_hash(self, hash((base, conj)))
 
-    def __setattr__(self, *_):
-        raise AttributeError("FreeQuandleElement is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not the slots
-        return FreeQuandleElement, (self.base, self.conjugator)
+    def _args(self) -> tuple:
+        return self.base, self.conjugator
 
     def full_word(self) -> Word:
         return self.conjugator + ((self.base, 1),) + word_inv(self.conjugator)
@@ -235,9 +233,6 @@ class LeftAssocExpr(Frozen):
     def __init__(self, head: int, tail: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
-
-    def _args(self) -> tuple:
-        return self.head, self.tail
 
 
 def canonicalize_expr(expr: LeftAssocExpr) -> LeftAssocExpr:

@@ -103,9 +103,6 @@ class SearchSpec(Frozen):
         object.__setattr__(self, "box_bound", box_bound)
         object.__setattr__(self, "max_support", max_support)
 
-    def _args(self) -> tuple:
-        return self.ring, self.box_bound, self.max_support
-
     @property
     def augmentation(self) -> tuple[int, ...] | None:
         return (0, 1) if self.ring.is_domain else None
@@ -451,9 +448,6 @@ class CoveringFamilyParams(Frozen):
         object.__setattr__(self, "unit_coeffs", unit_coeffs)
         object.__setattr__(self, "zero_sum_coeffs", zero_sum_coeffs)
 
-    def _args(self) -> tuple:
-        return self.ring, self.unit_fiber, self.base_point, self.unit_coeffs, self.zero_sum_coeffs
-
     def to_json(self) -> dict:
         return {
             "ring": self.ring.tag,
@@ -561,9 +555,6 @@ class FamilyVerifyReport(Record):
         self.cases = cases
         self.failures = [] if failures is None else failures
         self.notes = [] if notes is None else notes
-
-    def _args(self) -> tuple:
-        return self.verified, self.structures, self.cases, self.failures, self.notes
 
     def to_json(self) -> dict:
         return {
@@ -749,9 +740,6 @@ class ClassifyResult(Record):
         self.params = params
         self.reason = reason
         self.flags = [] if flags is None else flags
-
-    def _args(self) -> tuple:
-        return self.in_family, self.params, self.reason, self.flags
 
     def to_json(self) -> dict:
         return {
@@ -1131,9 +1119,6 @@ class IdempotentSetReport(Record):
         self.passed = passed
         self.size = size
         self.failures = [] if failures is None else failures
-
-    def _args(self) -> tuple:
-        return self.passed, self.size, self.failures
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "size": self.size, "failures": self.failures}

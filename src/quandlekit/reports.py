@@ -33,8 +33,10 @@ class IdempotentReport(Record):
         self.elapsed_ms = elapsed_ms
 
     def _args(self) -> tuple:
+        # the measured time is not part of the outcome: two runs of one
+        # search compare equal, as their JSON does
         return (self.quandle, self.order, self.spec, self.idempotents, self.exhaustive,
-                self.flags, self.candidates_tested, self.elapsed_ms)
+                self.flags, self.candidates_tested)
 
     def to_json(self, include_timing: bool = False) -> dict:
         return {

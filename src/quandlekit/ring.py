@@ -172,11 +172,13 @@ def _key_order(key):
     return key if isinstance(key, int) else key.sort_key()
 
 
-class RingElement:
+class RingElement(Frozen):
     """Immutable finitely supported coefficient vector over basis keys.
 
     Keys are either quandle indices (ints) or free-quandle elements; an
     element never stores a zero coefficient and keeps its support sorted.
+    Its own `==` and hash skip the record's `_args()` tuple, since sets
+    of elements and the searches compare them on hot paths.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -192,13 +194,6 @@ class RingElement:
         pruned.sort(key=lambda kc: _key_order(kc[0]))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", tuple(pruned))
-
-    def __setattr__(self, *_):
-        raise AttributeError("RingElement is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not the slots
-        return RingElement, (self.ring, self.coeffs)
 
     @property
     def support(self) -> tuple:
@@ -373,7 +368,7 @@ def orbit_sum(x: int, y: int, q: FiniteQuandle, ring: CoeffRing = ZZ) -> RingEle
 # matrices
 
 
-class SquareMatrix:
+class SquareMatrix(Frozen):
     """Dense exact square matrix over a coefficient ring."""
 
     __slots__ = ("ring", "entries")
@@ -383,8 +378,8 @@ class SquareMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise InvalidParamsError("matrix is not square")
-        self.ring = ring
-        self.entries = rows
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "entries", rows)
 
     @property
     def size(self) -> int:
@@ -404,16 +399,6 @@ class SquareMatrix:
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SquareMatrix)
-            and self.ring == other.ring
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.entries))
 
     def to_json(self) -> dict:
         return {

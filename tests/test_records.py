@@ -1,24 +1,43 @@
-"""The package's record classes: equality, hash, immutability, pickle and copy."""
+"""The package's value types: equality, hash, immutability, pickle and
+copy of the records, the field-order contract of `core.Record`, and the
+payloads of the structured errors."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quandlekit
 from quandlekit import (
     QQ,
     ZZ,
+    BudgetExceededError,
     ClassifyResult,
     CocycleData,
     CoeffRing,
+    CompositeModulusError,
+    CoveringConditionError,
     FamilyVerifyReport,
+    FreeQuandleElement,
     IdempotentReport,
     IdempotentSetReport,
     IntegersMod,
+    InternalCheckError,
     InvalidParamsError,
+    NotIdempotentError,
+    NotPermutationError,
+    NotRightDistributiveError,
     QuandleHom,
+    RingElement,
+    SearchBudgetExceededError,
     SearchSpec,
+    SquareMatrix,
     check_covering,
     covering_classify,
     covering_family_params,
@@ -31,7 +50,8 @@ from quandlekit import (
     properties,
     validate_cocycle,
 )
-from conftest import load_fixture, read_json
+from conftest import FIXTURES, load_fixture, read_json
+from quandlekit.core import Record
 
 
 def _r3():
@@ -48,13 +68,6 @@ def _cocycle(a=2, alpha00=0):
 
 def _params():
     return family_params_from_json(_covering(), read_json("family_r6.json"))
-
-
-def _report(p):
-    # the search's own report, timed as 0 ms so that two of them compare equal
-    r = enumerate_mod_p(_r3(), p)
-    return IdempotentReport(r.quandle, r.order, r.spec, r.idempotents, r.exhaustive, r.flags,
-                            r.candidates_tested)
 
 
 def _classify():
@@ -77,9 +90,15 @@ FROZEN = {
     "SearchSpec": (lambda: SearchSpec(ZZ, 2, 3), lambda: SearchSpec(ZZ, 2), "box_bound"),
     "CoveringFamilyParams": (_params, lambda: covering_family_params(_covering(), ZZ, 1, {1: 1}, 1),
                              "base_point"),
+    "RingElement": (lambda: RingElement(ZZ, [(0, 1), (2, -1)]), lambda: RingElement(ZZ, [(0, 1)]),
+                    "coeffs"),
+    "SquareMatrix": (lambda: SquareMatrix(ZZ, [[1, 0], [2, 1]]), lambda: SquareMatrix(ZZ, [[1]]),
+                     "ring"),
+    "FreeQuandleElement": (lambda: FreeQuandleElement(0, [(1, 1)]), lambda: FreeQuandleElement(1),
+                           "conjugator"),
 }
 MUTABLE = {
-    "IdempotentReport": (lambda: _report(5), lambda: _report(7)),
+    "IdempotentReport": (lambda: enumerate_mod_p(_r3(), 5), lambda: enumerate_mod_p(_r3(), 7)),
     "FamilyVerifyReport": (lambda: covering_family_verify(_covering()),
                            lambda: covering_family_verify(_covering(), max_j=1)),
     "ClassifyResult": (_classify,
@@ -189,3 +208,92 @@ def test_record_defaults():
     # each record gets its own list
     a.flags.append("flag")
     assert b.flags == []
+
+
+def test_search_reports_compare_equal_whatever_they_took(checkout_env):
+    # the first search of a fresh process pays for its imports; its report
+    # still equals the second one's, as their JSON does
+    code = ("from quandlekit import enumerate_mod_p, load_quandle\n"
+            f"r3 = load_quandle({str(FIXTURES / 'r3.json')!r})\n"
+            "a, b = enumerate_mod_p(r3, 5), enumerate_mod_p(r3, 5)\n"
+            "print(a == b)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=checkout_env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "True"
+    a = enumerate_mod_p(_r3(), 5)
+    fields = [a.quandle, a.order, a.spec, a.idempotents, a.exhaustive, a.flags]
+    assert IdempotentReport(*fields, a.candidates_tested, elapsed_ms=7) == a
+    assert IdempotentReport(*fields, a.candidates_tested + 1) != a
+
+
+def _record_classes() -> list[type]:
+    for info in pkgutil.iter_modules(quandlekit.__path__):
+        importlib.import_module(f"quandlekit.{info.name}")
+    found, todo = [], [Record]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+def test_records_state_their_constructor_parameters_in_slots():
+    # `Record._args` reads `__slots__` back as the constructor's arguments,
+    # which `==`, hash, repr, pickle and copy all go through
+    classes = [cls for cls in _record_classes()
+               if cls._args is Record._args and cls.__name__ not in ("Record", "Frozen")]
+    assert {"CocycleData", "CocycleReport", "QuandleProperties", "SearchSpec",
+            "CoveringFamilyParams", "FamilyVerifyReport", "ClassifyResult", "IdempotentSetReport",
+            "LeftAssocExpr", "RingElement", "SquareMatrix"} <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        params = list(inspect.signature(cls.__init__).parameters)[1:]
+        assert params == list(cls.__slots__), cls.__name__
+
+
+# (an error, its payload, its attributes, its exit code)
+ERRORS = [
+    (NotPermutationError(2),
+     {"error": "NotPermutation", "message": "column 2 of the table is not a permutation",
+      "column": 2},
+     {"column": 2}, 1),
+    (NotIdempotentError(1),
+     {"error": "NotIdempotent", "message": "table[1][1] != 1", "index": 1},
+     {"index": 1}, 1),
+    (NotRightDistributiveError(0, 1, 0),
+     {"error": "NotRightDistributive",
+      "message": "(x*y)*z != (x*z)*(y*z) at (x, y, z) = (0, 1, 0)", "indices": [0, 1, 0]},
+     {"indices": (0, 1, 0)}, 1),
+    (CoveringConditionError(0, 2),
+     {"error": "CoveringCondition", "message": "points 0 and 2 share an image but act differently",
+      "pair": [0, 2]},
+     {"pair": (0, 2)}, 1),
+    (CompositeModulusError(6),
+     {"error": "CompositeModulus",
+      "message": "modulus 6 is composite; coefficients would not form a domain", "modulus": 6},
+     {"modulus": 6}, 1),
+    (BudgetExceededError(10, 7),
+     {"error": "BudgetExceeded", "message": "search needs 10 candidates, budget is 7",
+      "needed": 10, "budget": 7},
+     {"needed": 10, "budget": 7}, 2),
+    (BudgetExceededError(10**5000, 7),
+     {"error": "BudgetExceeded", "message": "search needs ~10^5000 candidates, budget is 7",
+      "needed": "~10^5000", "budget": 7},
+     {"needed": "~10^5000", "budget": 7}, 2),
+    (SearchBudgetExceededError(5),
+     {"error": "SearchBudgetExceeded", "message": "search needs 6 search nodes, budget is 5",
+      "needed": 6, "budget": 5},
+     {"needed": 6, "budget": 5}, 2),
+    (InternalCheckError("m", vector=[1, 2]),
+     {"error": "InternalCheck", "message": "m", "vector": [1, 2]},
+     {"details": {"vector": [1, 2]}}, 1),
+    (InvalidParamsError("x"), {"error": "InvalidParams", "message": "x"}, {}, 1),
+]
+
+
+@pytest.mark.parametrize("err, payload, attributes, exit_code", ERRORS,
+                         ids=[f"{type(e[0]).__name__}-{i}" for i, e in enumerate(ERRORS)])
+def test_structured_errors_pin_their_payloads(err, payload, attributes, exit_code):
+    assert err.payload() == payload
+    assert str(err) == payload["message"]
+    assert {name: getattr(err, name) for name in attributes} == attributes
+    assert err.exit_code == exit_code
