@@ -219,6 +219,20 @@ class FiniteQuandle(MagmaTable):
         """The order of each right multiplication S_y."""
         return tuple(math.lcm(*map(len, cycles)) for cycles in self.right_mult_cycles)
 
+    @cached_property
+    def right_mult_classes(self) -> tuple[int, ...]:
+        """For each key y, the least key y' with S_y' = S_y: the classes of
+        the congruence theta_S, read from the table's own columns.
+
+        e_k u = sum_y c_y e_{k*y} depends on u only through its coefficient
+        sums over these classes, since k*y = k*y' whenever S_y = S_y'.  So
+        when those sums are 1 on the class of t and 0 on every other class,
+        w -> w u is S_t, an automorphism.  This is why the covering-family
+        idempotents form a quandle (the paper: "the set of all these
+        idempotents forms a quandle in itself")."""
+        least: dict = {}
+        return tuple(least.setdefault(p, y) for y, p in enumerate(self.right_mults))
+
 
 def quandle_from_json(doc: dict, as_magma: bool = False) -> FiniteQuandle | MagmaTable:
     if not isinstance(doc, dict) or "table" not in doc:

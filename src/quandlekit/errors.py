@@ -25,6 +25,18 @@ class QuandleKitError(Exception):
         fields = {k: list(v) if isinstance(v, tuple) else v for k, v in self.details.items()}
         return {"error": type(self).__name__.removesuffix("Error"), "message": str(self), **fields}
 
+    def __reduce__(self):
+        # Exception.__reduce__ would call the class with args, the message
+        # alone, which the subclasses do not take.  A process pool returns
+        # a worker's error by pickling it.
+        return _rebuild, (type(self), str(self), self.details)
+
+
+def _rebuild(cls: type, message: str, details: dict) -> QuandleKitError:
+    err = cls.__new__(cls)
+    QuandleKitError.__init__(err, message, **details)
+    return err
+
 
 class InvalidParamsError(QuandleKitError):
     pass

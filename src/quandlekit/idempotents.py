@@ -74,6 +74,7 @@ from .ring import (
     _basis_action,
     _basis_images,
     _checked,
+    _class_action,
     _pair_product,
     augmentation,
     dense_product,
@@ -1132,11 +1133,16 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     index order.  The carrier must be a quandle.
 
     Member i acts as basis element t when every image e_x u_i is a basis
-    element e_{x*t} with coefficient 1: the images are gathered from the
-    member's pairs (_basis_images), with no product.  Let F be the
-    members that act as no basis element.  In a quandle
-    (x*y)*t = (x*t)*(y*t) and x -> x*t is a bijection, so right
-    multiplication R_t by e_t is a ring automorphism.  If u_j acts as t,
+    element e_{x*t} with coefficient 1.  e_x u_i depends on u_i only
+    through its coefficient sums over the theta_S classes
+    (`FiniteQuandle.right_mult_classes`), so a member whose sums are 1 on
+    the class of t and 0 on the others acts as t (_class_action): this is
+    why the covering-family idempotents form a quandle (the paper: "the
+    set of all these idempotents forms a quandle in itself").  For any
+    other member the images are gathered from its pairs (_basis_images),
+    with no product.  Let F be the members that act as no basis element.
+    In a quandle (x*y)*t = (x*t)*(y*t) and x -> x*t is a bijection, so
+    right multiplication R_t by e_t is a ring automorphism.  If u_j acts as t,
     then u_i u_j = R_t(u_i) is a nonzero idempotent; if u_l acts as t,
     then (u_i u_j) u_l = R_t(u_i) R_t(u_j) = (u_i u_l)(u_j u_l).  So closure
     can fail only at (i, j) with j in F, and self-distributivity only at
@@ -1164,6 +1170,8 @@ def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
     columns = set(zip(*table))  # x -> x*t for each t
 
     def acts(u) -> bool:
+        if _class_action(u, q) is not None:
+            return True
         sigma = _basis_action(_basis_images(u, q), ring)
         return sigma is not None and tuple(sigma) in columns
 

@@ -21,10 +21,13 @@ form `_pair_product` on factors given as nonzero (key, coefficient)
 pairs, such as an element's own coeffs: idempotency, nilpotency,
 endomorphisms, annihilator witnesses, and the covering-family sweep,
 classification and idempotent-set check in idempotents.  Right
-multiplication by u needs no product: `_basis_images` gathers each
-e_k u from u's pairs, and `_basis_action` reads off sigma when every
-image is a basis element e_sigma(k).  `mul`, the sparse product on
-RingElements, serves the carriers that have no table: free quandles.
+multiplication by u needs no product.  In a quandle, `_class_action`
+finds t with w*u = S_t(w) from u's coefficient sums over the theta_S
+classes when they are 1 on one class and 0 on the others.  Otherwise
+`_basis_images` gathers each e_k u from u's pairs, and `_basis_action`
+reads off sigma when every image is a basis element e_sigma(k).  `mul`,
+the sparse product on RingElements, serves the carriers that have no
+table: free quandles.
 """
 
 from __future__ import annotations
@@ -439,15 +442,46 @@ def right_mult_matrix(u: RingElement, q: FiniteQuandle | MagmaTable) -> SquareMa
     return SquareMatrix(u.ring, zip(*_basis_images(u, q)))
 
 
+def _class_action(u: RingElement, q: FiniteQuandle) -> int | None:
+    """t when the coefficient sums of u over the theta_S classes of the
+    quandle q (`FiniteQuandle.right_mult_classes`) are 1 on the class of
+    t and 0 on every other class, else None.  Then e_k u = e_{k*t} for
+    every k, since e_k u depends on u only through those sums: w -> w*u
+    is S_t, with no image built.  The keys of u must lie in q."""
+    classes, m = q.right_mult_classes, u.ring.characteristic
+    sums: dict = {}
+    for y, c in u.coeffs:
+        t = classes[y]
+        sums[t] = sums.get(t, 0) + c
+    found = None
+    for t, s in sums.items():
+        if m:
+            s %= m
+        if s:
+            if found is not None or s != 1:
+                return None
+            found = t
+    return found
+
+
 def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     """Whether w -> w*u preserves products, checked on all basis pairs:
-    (e_k u)(e_l u) = e_{k*l} u.  The images e_k u are built once.  When
+    (e_k u)(e_l u) = e_{k*l} u.  A key outside the carrier is refused
+    first.  In a quandle, when the theta_S class sums of u are 1 on the
+    class of some t and 0 on the others (_class_action), w -> w*u is S_t,
+    an automorphism since (x*y)*t = (x*t)*(y*t).  This is why the
+    covering-family idempotents form a quandle (the paper: "the set of
+    all these idempotents forms a quandle in itself").  Otherwise, and
+    on a magma table, the images e_k u are built once.  When
     every image is a basis element e_sigma(k), the map preserves products
     exactly when sigma(k*l) = sigma(k)*sigma(l) for all k, l, compared a
     row of the table at a time.  Otherwise, where both e_k u = e_s and
     e_l u = e_t are basis elements the pair is the integer compare of
     sigma(k*l) with s*t, and only the pairs that touch another image are
     multiplied out."""
+    dense_vector(u, q.order)  # refuses a key outside the carrier
+    if q.is_quandle and _class_action(u, q) is not None:
+        return True
     table = q.table
     image = _basis_images(u, q)
     sigma = _basis_action(image, u.ring)

@@ -42,6 +42,7 @@ from quandlekit import (
     family_params_from_json,
     idempotent_quandle_check,
     is_idempotent,
+    is_ring_endomorphism,
     make,
     mul,
     product_quandle,
@@ -54,6 +55,7 @@ from quandlekit import (
 )
 
 from quandlekit import core, idempotents
+from quandlekit import ring as ring_module
 from quandlekit.core import union_offsets
 from quandlekit._search_kernel import _support_search, _support_tuples
 from quandlekit.idempotents import _union_membership
@@ -1025,17 +1027,24 @@ def test_idempotent_set_check_matches_naive_oracle(name, request):
 
 @functools.cache
 def idempotent_pool(name):
-    """(quandle, modulus, idempotents) to draw idempotent-set samples from."""
-    q = load_fixture({"r6": "r6.json", "r10": "r10.json", "p6": "pairs6.json"}[name[:name.index("-")]])
+    """(quandle, modulus, idempotents) to draw idempotent-set samples from.
+    T_3 has one theta_S class, so each of its idempotents summing to 1
+    acts as S_0, the identity, though it is a member of no covering
+    family; over Z/6 those summing to 3 or 4 act as no basis element."""
+    q = load_fixture({"r6": "r6.json", "r10": "r10.json", "p6": "pairs6.json",
+                      "t3": "t3.json"}[name[:name.index("-")]])
     if name.endswith("-mod5"):
         return q, 5, enumerate_mod_p(q, 5).idempotents
+    if name.endswith("-mod6"):
+        return q, 6, enumerate_mod_p(q, 6, force=True).idempotents
     if name.endswith("-q"):
         return q, None, family_grid((Fraction(1, 2), -3, Fraction(2, 3)), ring=QQ)
     return q, None, enumerate_boxed_Z(q, 2).idempotents
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(["r6-box2", "r10-box2", "r6-mod5", "p6-mod5", "r6-q"]),
+@given(name=st.sampled_from(["r6-box2", "r10-box2", "r6-mod5", "p6-mod5", "r6-q", "t3-box2",
+                             "t3-mod6"]),
        picks=st.lists(st.integers(0, 10**4), min_size=1, max_size=9), repeat=st.integers(0, 8))
 def test_idempotent_set_check_matches_naive_oracle_on_random_samples(name, picks, repeat):
     # random members of a pool, so products leave the sample; repeat > 0 adds a duplicate
@@ -1048,6 +1057,25 @@ def test_idempotent_set_check_matches_naive_oracle_on_random_samples(name, picks
     expected = oracle_failures_reduce_to_basis_action(q.table, vecs, reduce=modulus)
     assert report.failures == expected
     assert report.passed == (not expected)
+
+
+def test_covering_family_members_act_through_their_class_sums(r6, r10, monkeypatch):
+    # each member's theta_S class sums are 1 on one class and 0 on the
+    # others, so both checks read its right multiplication from the sums
+    # and build no basis image
+    def no_images(*args):
+        raise AssertionError("a covering-family member needs no basis image")
+
+    monkeypatch.setattr(ring_module, "_basis_images", no_images)
+    monkeypatch.setattr(idempotents, "_basis_images", no_images)
+    members = {dihedral_even_family(5, j, beta, list(alphas))
+               for j, beta in itertools.product(range(5), (-1, 0, 1, 2))
+               for alphas in itertools.product((-1, 0, 1), repeat=3)}
+    assert len(members) == 304
+    assert all(is_ring_endomorphism(u, r10) for u in members)
+    sample = family_grid((-1, 0, 1))
+    assert len(sample) == 57
+    assert idempotent_quandle_check(sample, r6).passed
 
 
 def pair_products(monkeypatch):

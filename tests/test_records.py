@@ -1,6 +1,6 @@
 """The package's value types: equality, hash, immutability, pickle and
 copy of the records, the field-order contract of `core.Record`, and the
-payloads of the structured errors."""
+payloads of the structured errors and their pickle and copy round trips."""
 
 import copy
 import importlib
@@ -51,6 +51,7 @@ from quandlekit import (
     validate_cocycle,
 )
 from conftest import FIXTURES, load_fixture, read_json
+from quandlekit import errors
 from quandlekit.core import Record
 
 
@@ -297,3 +298,23 @@ def test_structured_errors_pin_their_payloads(err, payload, attributes, exit_cod
     assert str(err) == payload["message"]
     assert {name: getattr(err, name) for name in attributes} == attributes
     assert err.exit_code == exit_code
+
+
+def _every_error():
+    """The errors above, and one instance of each other error class."""
+    pinned = [e[0] for e in ERRORS]
+    covered = {type(e) for e in pinned}
+    others = [cls for cls in vars(errors).values()
+              if isinstance(cls, type) and issubclass(cls, errors.QuandleKitError) and cls not in covered]
+    return pinned + [cls(f"{cls.__name__} message", where=(1, 2)) for cls in others]
+
+
+@pytest.mark.parametrize("copier", COPIERS, ids=COPIER_IDS)
+@pytest.mark.parametrize("err", _every_error(), ids=lambda e: type(e).__name__)
+def test_structured_errors_survive_pickle_and_copy(err, copier):
+    # a process pool sends a worker's error back by pickling it
+    back = copier(err)
+    assert type(back) is type(err) and back is not err
+    assert (str(back), back.args, back.exit_code) == (str(err), err.args, err.exit_code)
+    assert back.payload() == err.payload()
+    assert vars(back) == vars(err) and back.details == err.details

@@ -507,20 +507,35 @@ def test_element_json_rejects_string_keys_without_parser():
 # ---------------------------------------------------------------------------
 # dense products on table carriers against the list oracle
 
-DENSE_TABLES = {name: load_fixture(f"{name}.json") for name in ("r6", "pairs6", "r10")}
+DENSE_TABLES = {name: load_fixture(f"{name}.json") for name in ("r6", "pairs6", "r10", "t3")}
+# S_1 = S_2 (both constant 0), so a e_1 + (1 - a) e_2 has theta_S class
+# sums 0 and 1 and sends every e_k to e_0; but 0 = 0*0 fails, so no such
+# element is an endomorphism of this magma
+DENSE_TABLES["magma3"] = MagmaTable([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
 DENSE_RINGS = [ZZ, QQ, IntegersMod(2), IntegersMod(5), IntegersMod(7)]
 
 
+def _same_columns(q):
+    """The pairs y != y' with S_y = S_y', read from the table's columns."""
+    columns = list(zip(*q.table))
+    return [(y, z) for y, z in itertools.permutations(range(q.order), 2) if columns[y] == columns[z]]
+
+
 def _planted(draw, name, q, ring):
-    """An element known to be idempotent: a basis element, a dihedral
-    family member on R_6 and R_10, a weighted pair on pairs6."""
+    """An element whose theta_S class sums are 1 on one class and 0 on the
+    others: a basis element, a dihedral family member on R_6 and R_10, a
+    weighted pair on pairs6, any element summing to 1 on T_3 (on the
+    quandles, all idempotents), and a e_1 + (1 - a) e_2 on the magma."""
     if draw(st.booleans()):
         return basis(ring, draw(st.integers(0, q.order - 1)))
     small = st.integers(-2, 2)
-    if name == "pairs6":
-        a_idx = 2 * draw(st.integers(0, 2))
+    if name in ("pairs6", "magma3"):
+        a_idx = 2 * draw(st.integers(0, 2)) if name == "pairs6" else 1
         a = draw(small)
         return elem(ring, [(a_idx, a), (a_idx + 1, 1 - a)])
+    if name == "t3":
+        a, b = draw(small), draw(small)
+        return elem(ring, [(0, a), (1, b), (2, 1 - a - b)])
     half = q.order // 2
     width = (half - 1) // 2 + 1
     alphas = draw(st.lists(small, min_size=width, max_size=width))
@@ -529,8 +544,10 @@ def _planted(draw, name, q, ring):
 
 @st.composite
 def table_elements(draw):
-    """(table name, element): random small supports, planted idempotents,
-    planted ones with one coefficient moved, and keys outside the table."""
+    """(table name, element): random small supports, planted elements,
+    planted ones with one coefficient moved, planted ones plus
+    a (e_y - e_y') with S_y = S_y' (class sums kept, so no family member
+    in general), and keys outside the table."""
     name = draw(st.sampled_from(sorted(DENSE_TABLES)))
     q = DENSE_TABLES[name]
     ring = draw(st.sampled_from(DENSE_RINGS))
@@ -538,11 +555,16 @@ def table_elements(draw):
         scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     else:
         scalar = st.integers(-3, 3)
-    kind = draw(st.sampled_from(["random", "planted", "moved", "foreign"]))
-    if kind in ("planted", "moved"):
+    kind = draw(st.sampled_from(["random", "planted", "moved", "classed", "foreign"]))
+    if kind in ("planted", "moved", "classed"):
         u = _planted(draw, name, q, ring)
         if kind == "moved":
             u = u + elem(ring, [(draw(st.integers(0, q.order - 1)), draw(scalar))])
+        same = _same_columns(q)
+        if kind == "classed" and same:
+            a = draw(scalar)
+            for y, z in draw(st.lists(st.sampled_from(same), min_size=1, max_size=2)):
+                u = u + elem(ring, [(y, a), (z, -a)])
         return name, u
     keys = st.integers(0, q.order - 1)
     pairs = draw(st.lists(st.tuples(keys, scalar), min_size=0, max_size=4))
@@ -586,6 +608,26 @@ def test_dense_checks_see_both_answers(r6, r10):
     assert not is_idempotent(elem(IntegersMod(5), [(0, 2)]), r6)
     half = elem(QQ, [(0, "1/2"), (3, "1/2")])
     assert is_idempotent(half, r6) and is_ring_endomorphism(half, r6)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, IntegersMod(5)], ids=["Z", "Q", "Zmod5"])
+def test_endomorphism_check_reads_a_unit_on_one_class_only(ring):
+    # theta_S class sums decide w -> w*u in a quandle only when one class
+    # sums to 1 and every other to 0, and never on a magma
+    r6, t3, magma3 = DENSE_TABLES["r6"], DENSE_TABLES["t3"], DENSE_TABLES["magma3"]
+    cases = [
+        (r6, [(0, 2), (3, -1), (1, 4), (4, -4)], True),  # sums 1, 0, 0
+        (r6, [(0, 1), (4, -1), (5, 1)], False),  # sums 1, -1, 1
+        (r6, [(0, 2), (3, -1), (4, 1), (5, -1)], False),  # sums 1, 1, -1
+        (t3, [(0, 2), (1, -1)], True),  # one class: every S_y is the identity
+        (t3, [(0, 2)], False),
+        (magma3, [(1, 2), (2, -1)], False),  # sums 0 and 1, but not a quandle
+    ]
+    for q, pairs, expected in cases:
+        u = elem(ring, pairs)
+        vec = _vector(u, q.order)
+        assert naive_is_ring_endomorphism(q.table, vec, ring.modulus or None) is expected
+        assert is_ring_endomorphism(u, q) is expected, (q, u)
 
 
 def test_endomorphism_check_decides_basis_images_on_a_magma(magma8):
