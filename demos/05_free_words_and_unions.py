@@ -59,8 +59,9 @@ report = fq_idempotent_search(2, 2, 2, 1)
 print("window search found:", [str(v) for v in report.idempotents])
 print("tested:", report.candidates_tested, "| flags:", report.flags)
 
-# Disjoint unions: enumerate, then explain each finding by a generator
-# clause; anything unexplained is reported as a gap, not swept away.
+# Disjoint unions: enumerate, then explain each finding as a member of a
+# union kind, rebuilt from parameters read off its blocks; anything
+# unexplained is reported as a gap, not swept away.
 t2, t3 = trivial_quandle(2), trivial_quandle(3)
 accounting = union_cross_check([t2, t3], bound=1)
 print("\nunion of trivial parts, box 1:")

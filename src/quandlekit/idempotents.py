@@ -21,9 +21,10 @@ candidates_tested still counts the in-box vectors of the declared scope,
 not the vectors the sweep or the walk evaluates.  Both run in
 _search_kernel; this module plans them and rechecks every result exactly.
 
-Family constructors build idempotents from structure (coverings, even
-dihedral tables, unions) and every construction is re-checked by exact
-multiplication before it is returned.
+Each family built from structure (coverings, of which the even dihedral
+family is one, and unions) has one builder; membership is a round trip:
+read the parameters off u, rebuild, compare.  Every element a public
+builder returns is re-checked by exact multiplication.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from .core import (
     FiniteQuandle,
     Frozen,
     MagmaTable,
+    QuandleHom,
     Record,
+    check_covering,
     congruences,
     core_quandle,
     dihedral_quandle,
@@ -84,7 +87,6 @@ from .ring import (
     orbit_sum,
     right_mult_matrix,
     ring_from_tag,
-    zero,
 )
 
 
@@ -835,44 +837,39 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
 
 
 @functools.cache
-def _dihedral(order: int) -> FiniteQuandle:
-    """The dihedral table of each order, built and validated once."""
-    return dihedral_quandle(order)
+def _dihedral_covering(n: int) -> Covering:
+    """The covering R_2n -> R_n, x -> x mod n, built and validated once per n."""
+    r2n = dihedral_quandle(2 * n)
+    return check_covering(QuandleHom(r2n, dihedral_quandle(n), [x % n for x in range(2 * n)]))
 
 
 def dihedral_even_family(n: int, j: int, beta, alphas, ring: CoeffRing = ZZ) -> RingElement:
-    """Idempotent of the order-2n dihedral table built from its mod-n covering.
-
-    n must be odd, j picks the unit fiber {j, n+j}, beta splits the unit
-    mass over it, and alphas (one per index 0..(n-1)/2) weight the
-    reflection-orbit differences.  Indices are mod 2n.
+    """The covering family of R_2n -> R_n, n odd, with unit fiber and
+    base point j: beta e_j + (1 - beta) e_{n+j} plus, for i = 0..(n-1)/2,
+    the zero sum alpha_i e_i - alpha_i e_{n+i}.  covering_idempotent's
+    exact recheck is the check of these parameters.
     """
     if n < 1 or n % 2 == 0:
         raise InvalidParamsError("n must be odd")
     if not 0 <= j < n:
         raise InvalidParamsError(f"j must be in [0, {n})")
-    m = (n - 1) // 2
     alphas = list(alphas)
-    if len(alphas) != m + 1:
-        raise InvalidParamsError(f"need {m + 1} alpha values, got {len(alphas)}")
+    if len(alphas) != (n + 1) // 2:
+        raise InvalidParamsError(f"need {(n + 1) // 2} alpha values, got {len(alphas)}")
     beta = ring.coerce(beta)
-    order = 2 * n
-    pairs = [(j, beta), (n + j, ring.add(ring.one, ring.neg(beta)))]
-    for i, a in enumerate(alphas):
-        a = ring.coerce(a)
-        pairs.append((i % order, a))
-        pairs.append(((n + i) % order, ring.neg(a)))
-        pairs.append(((2 * j - i) % order, a))
-        pairs.append(((n + 2 * j - i) % order, ring.neg(a)))
-    return _checked(RingElement(ring, pairs), _dihedral(order), "family element")
+    unit = ((j, beta), (n + j, ring.add(ring.one, ring.neg(beta))))
+    zero_sums = tuple((i, ((i, a), (n + i, ring.neg(a)))) for i, a in enumerate(map(ring.coerce, alphas)))
+    return covering_idempotent(_dihedral_covering(n), CoveringFamilyParams(ring, j, j, unit, zero_sums))
 
 
 # ---------------------------------------------------------------------------
 # unions
 
 
-def _lift(u: RingElement, offset: int) -> RingElement:
-    return RingElement(u.ring, [(k + offset, c) for k, c in u.coeffs])
+def _lift(u: RingElement, offset: int, ring: CoeffRing, scale=1) -> list:
+    if u.ring != ring:  # as RingElement's + refuses
+        raise RingMismatchError(f"{u.ring.tag} vs {ring.tag}")
+    return [(k + offset, ring.mul(scale, c)) for k, c in u.coeffs]
 
 
 def union_idempotents(
@@ -895,12 +892,20 @@ def union_idempotents(
     """
     parts = list(parts)
     union_q = union_quandle(parts)
-    offsets = union_offsets(parts)
+    out = _union_element(parts, union_offsets(parts), kind, ring, weights, elements, unit_index)
+    return _checked(out, union_q, "union element")
+
+
+def _union_element(parts, offsets, kind: str, ring: CoeffRing, weights=None, elements=None,
+                   unit_index: int | None = None) -> RingElement:
+    """union_idempotents' element before its exact recheck.  It refuses
+    every argument that builds no member of the kind, so a rebuild needs
+    no union table."""
+    pairs: list = []
     if kind == "weighted_idempotents":
         if elements is None or weights is None or len(elements) != len(parts) or len(weights) != len(parts):
             raise InvalidParamsError("need one element and one weight per part")
         total = ring.zero
-        out = zero(ring)
         for part, off, u, wgt in zip(parts, offsets, elements, weights):
             if not is_idempotent(u, part):
                 raise NotIdempotentInputError(f"part element over block at {off} is not idempotent")
@@ -908,13 +913,14 @@ def union_idempotents(
                 raise ConstraintViolatedError("part idempotents must have coefficient sum 1")
             wgt = ring.coerce(wgt)
             total = ring.add(total, wgt)
-            out = out + _lift(u, off).scale(wgt)
+            pairs += _lift(u, off, ring, wgt)
         if total != ring.one:
             raise ConstraintViolatedError(f"weights sum to {total}, need 1")
     elif kind == "nilpotent_perturbation":
         if elements is None or unit_index is None or len(elements) != len(parts):
             raise InvalidParamsError("need one element per part and a unit index")
-        out = zero(ring)
+        if unit_index not in range(len(parts)):
+            raise InvalidParamsError(f"unit index {unit_index} is not a part index")
         for i, (part, off, u) in enumerate(zip(parts, offsets, elements)):
             if i == unit_index:
                 if not is_idempotent(u, part):
@@ -923,21 +929,20 @@ def union_idempotents(
                     raise ConstraintViolatedError("unit part must have coefficient sum 1")
             elif any(_square(u, part)):
                 raise NotNilpotentError(f"part element over block at {off} does not square to zero")
-            out = out + _lift(u, off)
+            pairs += _lift(u, off, ring)
     elif kind == "component_mass":
         if weights is None or len(weights) != len(parts):
             raise InvalidParamsError("need one weight per part")
         mass = ring.zero
-        out = zero(ring)
         for part, off, wgt in zip(parts, offsets, weights):
             wgt = ring.coerce(wgt)
             mass = ring.add(mass, ring.mul(wgt, ring.coerce(part.order)))
-            out = out + RingElement(ring, [(off + x, wgt) for x in range(part.order)])
+            pairs += [(off + x, wgt) for x in range(part.order)]
         if mass != ring.one:
             raise ConstraintViolatedError(f"total weighted mass is {mass}, need 1")
     else:
         raise InvalidParamsError(f"unknown union family kind {kind!r}")
-    return _checked(out, union_q, "union element")
+    return RingElement(ring, pairs)
 
 
 def _square(u: RingElement, part: FiniteQuandle) -> list:
@@ -945,56 +950,40 @@ def _square(u: RingElement, part: FiniteQuandle) -> list:
     return dense_product(vec, vec, part.table, u.ring)
 
 
-def _union_membership(u: RingElement, parts, offsets) -> str | None:
-    """Which union family clause explains u, or None."""
+def _union_arguments(u: RingElement, parts, offsets):
+    """Each union kind, in union_idempotents' order, with the arguments
+    read off u's blocks that would build u: weighted, the block
+    augmentations and each block divided by its own (e_0 for a zero
+    block); nilpotent, the blocks, the unit the first block of
+    augmentation 1 that is idempotent; mass, each block's first coefficient."""
     ring = u.ring
-    blocks = []
-    for part, off in zip(parts, offsets):
-        blocks.append(
-            RingElement(ring, [(k - off, c) for k, c in u.coeffs if off <= k < off + part.order])
-        )
-    # weighted idempotents: each nonzero block is a scalar times a sum-1 idempotent
-    def clause_weighted() -> bool:
-        for part, v in zip(parts, blocks):
-            if v.is_zero():
-                continue
-            a = augmentation(v)
-            quotients = [(k, ring.div(c, a)) for k, c in v.coeffs]
-            if any(c is None for _, c in quotients):
-                return False
-            if not is_idempotent(RingElement(ring, quotients), part):
-                return False
-        return True
+    blocks = [RingElement(ring, [(k - off, c) for k, c in u.coeffs if off <= k < off + part.order])
+              for part, off in zip(parts, offsets)]
+    weights = [augmentation(v) for v in blocks]
+    quotients = [[(k, ring.div(c, a)) for k, c in v.coeffs] if v.coeffs else [(0, ring.one)]
+                 for v, a in zip(blocks, weights)]
+    # a block that is no multiple of its augmentation leaves no elements to pass
+    elements = None if any(c is None for pairs in quotients for _, c in pairs) else [
+        RingElement(ring, pairs) for pairs in quotients]
+    yield "weighted_idempotents", dict(weights=weights, elements=elements)
+    unit = next((i for i, (part, v) in enumerate(zip(parts, blocks))
+                 if augmentation(v) == ring.one and is_idempotent(v, part)), None)
+    yield "nilpotent_perturbation", dict(elements=blocks, unit_index=unit)
+    yield "component_mass", dict(weights=[v.coeff(0) for v in blocks])
 
-    def clause_nilpotent() -> bool:
-        unit = None
-        for i, (part, v) in enumerate(zip(parts, blocks)):
-            if v.is_zero():
-                continue
-            if augmentation(v) == ring.one and is_idempotent(v, part):
-                if unit is None:
-                    unit = i
-                    continue
-            if any(_square(v, part)):
-                return False
-        return unit is not None
 
-    def clause_mass() -> bool:
-        for part, v in zip(parts, blocks):
-            if v.is_zero():
-                continue
-            if len(v.coeffs) != part.order:
-                return False
-            if len({c for _, c in v.coeffs}) != 1:
-                return False
-        return True
-
-    if clause_weighted():
-        return "weighted_idempotents"
-    if clause_nilpotent():
-        return "nilpotent_perturbation"
-    if clause_mass():
-        return "component_mass"
+def _union_membership(u: RingElement, parts, offsets) -> str | None:
+    """The first union kind whose builder rebuilds u from the arguments
+    _union_arguments reads off u; None if none does.  Only the builder's
+    refusals of the arguments mean "not this kind"; no InternalCheckError
+    is caught."""
+    for kind, kwargs in _union_arguments(u, parts, offsets):
+        try:
+            if _union_element(parts, offsets, kind, u.ring, **kwargs) == u:
+                return kind
+        except (InvalidParamsError, ConstraintViolatedError, NotIdempotentInputError,
+                NotNilpotentError):
+            continue
     return None
 
 
@@ -1006,9 +995,9 @@ def union_cross_check(
     budget: int = 10**8,
     jobs: int = 1,
 ) -> dict:
-    """Enumerate union idempotents and explain each by a family clause.
+    """Enumerate union idempotents and explain each by a union kind.
 
-    Extras are reported as observed gaps, not failures: the clauses are
+    Extras are reported as observed gaps, not failures: the kinds are
     generators, not a claimed classification.
     """
     parts = list(parts)
@@ -1018,11 +1007,11 @@ def union_cross_check(
     counts = {"weighted_idempotents": 0, "nilpotent_perturbation": 0, "component_mass": 0}
     gaps = []
     for u in report.idempotents:
-        clause = _union_membership(u, parts, offsets)
-        if clause is None:
+        kind = _union_membership(u, parts, offsets)
+        if kind is None:
             gaps.append(u)
         else:
-            counts[clause] += 1
+            counts[kind] += 1
     return {
         "quandle": union_q.name,
         "spec": report.spec,
@@ -1073,12 +1062,10 @@ def twisted_union_classify(
             if ring.coerce(sum(vec)) == ring.one:
                 expected.add(RingElement(ring, [(offset + i, c) for i, c in enumerate(vec)]))
     for a in alphabet:
-        # the one b, if any, with a*nx + b*ny = 1
+        # the one b, if any, with a*nx + b*ny = 1: the component-mass union member
         b = ring.div(ring.coerce(1 - a * nx), ny)
         if b is not None and b in alphabet:
-            expected.add(
-                RingElement(ring, [(i, a) for i in range(nx)] + [(nx + i, b) for i in range(ny)])
-            )
+            expected.add(_union_element([x, y], [0, nx], "component_mass", ring, weights=[a, b]))
     got = set(report.idempotents)
     missing = sorted(expected - got, key=lambda u: u.sort_key())
     extra = sorted(got - expected, key=lambda u: u.sort_key())

@@ -20,6 +20,7 @@ from quandlekit import (
     CoveringConditionError,
     HypothesisFailedError,
     IntegersMod,
+    InternalCheckError,
     InvalidParamsError,
     NotIdempotentInputError,
     NotNilpotentError,
@@ -58,7 +59,7 @@ from quandlekit import core, idempotents
 from quandlekit import ring as ring_module
 from quandlekit.core import union_offsets
 from quandlekit._search_kernel import _support_search, _support_tuples
-from quandlekit.idempotents import _union_membership
+from quandlekit.idempotents import _union_arguments, _union_membership
 
 from conftest import family_grid, fixture_path, load_fixture, read_json
 from oracles import (
@@ -614,6 +615,30 @@ def test_even_dihedral_rejects_bad_params():
         dihedral_even_family(3, 0, 0, [1])
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_even_dihedral_matches_the_covering_oracle(n):
+    # the family of R_2n -> R_n with unit fiber and base point j, unit
+    # coefficients beta and 1 - beta, and zero sums alpha_i e_i - alpha_i e_{n+i}
+    table, images = dihedral_quandle(2 * n).table, [x % n for x in range(2 * n)]
+    width = (n + 1) // 2
+    cases = [(ZZ, "Z", beta, alphas) for beta in (-1, 0, 2)
+             for alphas in itertools.product((-1, 0, 1), repeat=width)]
+    cases += [(QQ, "Q", Fraction(1, 2), alphas)
+              for alphas in itertools.product((Fraction(-1, 3), Fraction(1, 2)), repeat=width)]
+    cases += [(IntegersMod(7), "Zmod:7", beta, alphas) for beta in (3, 6)
+              for alphas in itertools.product((0, 5), repeat=width)]
+    for (ring, tag, beta, alphas), j in itertools.product(cases, range(n)):
+        doc = {
+            "ring": tag,
+            "unit_fiber": j,
+            "base_point": j,
+            "unit_coeffs": [[j, str(beta)], [n + j, str(1 - beta)]],
+            "zero_sum_coeffs": [[i, [[i, str(a)], [n + i, str(-a)]]] for i, a in enumerate(alphas)],
+        }
+        u = dihedral_even_family(n, j, beta, alphas, ring=ring)
+        assert [u.coeff(k) for k in range(2 * n)] == naive_family_vector(table, images, doc)
+
+
 def test_even_dihedral_grid_order_10():
     # every grid choice must assemble without tripping the internal
     # idempotency assertion
@@ -707,6 +732,9 @@ UNION_REFUSALS = {
     "nilpotent-unit-sum-not-1": (ConstraintViolatedError, "unit part must", dict(
         kind="nilpotent_perturbation", unit_index=0, ring=Z6,
         elements=[elem(Z6, [(0, 3)]), RingElement(Z6, [])])),
+    "nilpotent-unit-index-out-of-range": (InvalidParamsError, "not a part index", dict(
+        kind="nilpotent_perturbation", unit_index=7,
+        elements=[RingElement(ZZ, []), RingElement(ZZ, [])])),
     "mass-one-weight-short": (InvalidParamsError, "one weight per part", dict(
         kind="component_mass", weights=[1])),
 }
@@ -748,6 +776,65 @@ def test_union_membership_needs_nilpotent_non_unit_blocks(r3):
 def test_union_cross_check_needs_scope(t2, r3):
     with pytest.raises(InvalidParamsError):
         union_cross_check([t2, r3])
+
+
+# parts, scope, then (total, weighted, nilpotent, mass, gaps) of union_cross_check
+UNION_ACCOUNTS = {
+    "t2-t3-box1": (("t2", "t3"), dict(bound=1), (45, 8, 24, 1, 12)),
+    "t2-t3-mod5": (("t2", "t3"), dict(modulus=5), (625, 405, 220, 0, 0)),
+    "t2-r3-box1": (("t2", "r3"), dict(bound=1), (15, 5, 6, 1, 3)),
+    "t1-r3-box2": (("t1", "r3"), dict(bound=2), (11, 10, 0, 1, 0)),
+    "r3-r3-mod3": (("r3", "r3"), dict(modulus=3), (27, 15, 12, 0, 0)),
+    "t2-r6-box1-support3": (("t2", "r6"), dict(bound=1, max_support=3), (44, 8, 24, 0, 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNION_ACCOUNTS))
+def test_union_cross_check_counts_are_pinned(case):
+    names, scope, pinned = UNION_ACCOUNTS[case]
+    parts = [trivial_quandle(1) if name == "t1" else load_fixture(f"{name}.json") for name in names]
+    out = union_cross_check(parts, **scope)
+    explained = out["explained"]
+    assert (out["total"], explained["weighted_idempotents"], explained["nilpotent_perturbation"],
+            explained["component_mass"], len(out["observed_gaps"])) == pinned
+
+
+def test_union_arguments_read_back_what_the_builder_took(t2, r3, r6):
+    cases = [
+        ([t2, r3], dict(kind="weighted_idempotents", weights=[2, -1],
+                        elements=[basis(ZZ, 1), basis(ZZ, 2)])),
+        ([r6, t2], dict(kind="nilpotent_perturbation", unit_index=1,
+                        elements=[elem(ZZ, [(0, 1), (3, -1)]), basis(ZZ, 0)])),
+        ([r3, t2], dict(kind="component_mass", weights=[1, -1])),
+    ]
+    for parts, kwargs in cases:
+        u = union_idempotents(parts, **kwargs)
+        read = dict(_union_arguments(u, parts, union_offsets(parts)))[kwargs.pop("kind")]
+        assert {key: read[key] for key in kwargs} == kwargs
+
+
+def test_union_membership_reads_the_first_unit_and_compares_the_rebuild(t2, t3, r3):
+    # two unit blocks: the first is read as the unit, and the second is not nilpotent
+    parts = [t2, t3]
+    u = elem(ZZ, [(1, 1), (4, 1)])
+    assert dict(_union_arguments(u, parts, union_offsets(parts)))[
+        "nilpotent_perturbation"]["unit_index"] == 0
+    assert _union_membership(u, parts, union_offsets(parts)) is None
+    # first coefficients -1 and 1 give mass 1, but the blocks are not constant
+    parts = [t2, r3]
+    u = elem(ZZ, [(0, -1), (1, 1), (2, 1), (3, 1), (4, -1)])
+    assert dict(_union_arguments(u, parts, union_offsets(parts)))["component_mass"] == {
+        "weights": [-1, 1]}
+    assert _union_membership(u, parts, union_offsets(parts)) is None
+
+
+def test_union_cross_check_passes_internal_errors_through(t2, t3, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalCheckError("rebuild broke")
+
+    monkeypatch.setattr(idempotents, "_union_element", broken)
+    with pytest.raises(InternalCheckError, match="rebuild broke"):
+        union_cross_check([t2, t3], bound=1)
 
 
 # ---------------------------------------------------------------------------
