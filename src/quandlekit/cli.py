@@ -152,8 +152,6 @@ def _cmd_quandle_make(args) -> dict:
         alpha = alpha_doc["alpha"] if isinstance(alpha_doc, dict) else alpha_doc
         data = core.CocycleData.from_parts(load_quandle(params[0]), _int(params[1], "group order"), alpha)
         q = core.make(kind, data)
-    else:
-        raise InvalidParamsError(f"unknown construction '{kind}'")
     doc = q.to_json()
     doc["name"] = q.name
     return doc
@@ -416,7 +414,8 @@ def build_parser() -> _Parser:
     p = sub(isub, "family", _cmd_idem_family, help="build one covering-family idempotent")
     p.add_argument("--covering", required=True, help="covering JSON file")
     p.add_argument("--params", required=True, help="family parameter JSON file")
-    p = sub(isub, "union", _cmd_idem_union, help="enumerate a union and explain by family clauses")
+    p = sub(isub, "union", _cmd_idem_union, help="enumerate a union and explain each idempotent "
+            "by the first union kind that rebuilds it")
     p.add_argument("files", nargs="+", help="part quandle files")
     p.add_argument("--ring", required=True, help="z (with --bound) or zp:P")
     p.add_argument("--bound", type=int, default=None)

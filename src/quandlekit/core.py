@@ -87,6 +87,21 @@ class Frozen(Record):
         return type(self), self._args()
 
 
+def fields_json(record) -> dict:
+    """A record's fields by slot name, for a record whose JSON is its
+    fields: a nested record as its to_json, a tuple or list as a new
+    list, anything else as it is."""
+    doc = {}
+    for name in record.__slots__:
+        value = getattr(record, name)
+        if isinstance(value, Record):
+            value = value.to_json()
+        elif isinstance(value, (tuple, list)):
+            value = list(value)
+        doc[name] = value
+    return doc
+
+
 def _normalize_table(table) -> Table:
     try:
         rows = tuple(tuple(doc_int(v, "a table entry") for v in row) for row in table)
@@ -294,17 +309,14 @@ def _check_order(n: int) -> None:
 
 def trivial_quandle(n: int) -> FiniteQuandle:
     _check_order(n)
-    q = FiniteQuandle(tuple(tuple(i for _ in range(n)) for i in range(n)))
-    q.name = f"trivial({n})"
-    return q
+    return FiniteQuandle(tuple(tuple(i for _ in range(n)) for i in range(n)), name=f"trivial({n})")
 
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
     """i*j = 2j - i mod n."""
     _check_order(n)
-    q = FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
-    q.name = f"dihedral({n})"
-    return q
+    return FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)),
+                         name=f"dihedral({n})")
 
 
 def core_quandle(factors) -> FiniteQuandle:
@@ -320,9 +332,7 @@ def core_quandle(factors) -> FiniteQuandle:
     for a in factors:
         own = [[(2 * y - x) % a for y in range(a)] for x in range(a)]
         table = [tuple(v * a + w for v in row for w in own_row) for row in table for own_row in own]
-    q = FiniteQuandle(table)
-    q.name = f"core({','.join(map(str, factors))})"
-    return q
+    return FiniteQuandle(table, name=f"core({','.join(map(str, factors))})")
 
 
 def _group_inverses(g: Table) -> tuple[int, list[int]]:
@@ -357,9 +367,7 @@ def conj_quandle(group_table) -> FiniteQuandle:
     _, inv = _group_inverses(g)
     n = len(g)
     table = tuple(tuple(g[g[y][x]][inv[y]] for y in range(n)) for x in range(n))
-    q = FiniteQuandle(table)
-    q.name = f"conj(order {n} group)"
-    return q
+    return FiniteQuandle(table, name=f"conj(order {n} group)")
 
 
 def product_quandle(x: FiniteQuandle, y: FiniteQuandle) -> FiniteQuandle:
@@ -376,9 +384,7 @@ def product_quandle(x: FiniteQuandle, y: FiniteQuandle) -> FiniteQuandle:
     labels = None
     if x.labels and y.labels:
         labels = [f"({lx},{ly})" for lx in x.labels for ly in y.labels]
-    q = FiniteQuandle(table, labels=labels)
-    q.name = f"product({x.name or nx},{y.name or ny})"
-    return q
+    return FiniteQuandle(table, labels=labels, name=f"product({x.name or nx},{y.name or ny})")
 
 
 def union_quandle(parts) -> FiniteQuandle:
@@ -396,9 +402,8 @@ def union_quandle(parts) -> FiniteQuandle:
     labels = None
     if all(p.labels for p in parts):
         labels = [s for p in parts for s in p.labels]
-    q = FiniteQuandle(table, labels=labels)
-    q.name = "union(" + ",".join(p.name or str(p.order) for p in parts) + ")"
-    return q
+    return FiniteQuandle(table, labels=labels,
+                         name="union(" + ",".join(p.name or str(p.order) for p in parts) + ")")
 
 
 def union_offsets(parts) -> list[int]:
@@ -440,9 +445,7 @@ def twisted_union_quandle(x: FiniteQuandle, y: FiniteQuandle, f, g) -> FiniteQua
                 table[i][j] = nx + g[i - nx]
             else:
                 table[i][j] = i
-    q = FiniteQuandle(table)
-    q.name = f"twisted_union({nx},{ny})"
-    return q
+    return FiniteQuandle(table, name=f"twisted_union({nx},{ny})")
 
 
 class CocycleData(Frozen):
@@ -484,13 +487,7 @@ class CocycleReport(Frozen):
         object.__setattr__(self, "involutory_compatible", involutory_compatible)
         object.__setattr__(self, "involutory_violation", involutory_violation)
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "violation": self.violation,
-            "involutory_compatible": self.involutory_compatible,
-            "involutory_violation": self.involutory_violation,
-        }
+    to_json = fields_json
 
 
 def validate_cocycle(data: CocycleData) -> CocycleReport:
@@ -543,9 +540,7 @@ def cocycle_extension(data: CocycleData) -> FiniteQuandle:
     labels = None
     if q.labels:
         labels = [f"({lx},{s})" for lx in q.labels for s in range(a)]
-    ext = FiniteQuandle(table, labels=labels)
-    ext.name = f"extension({q.name or n},{a})"
-    return ext
+    return FiniteQuandle(table, labels=labels, name=f"extension({q.name or n},{a})")
 
 
 def make(kind: str, *args) -> FiniteQuandle:
@@ -643,15 +638,7 @@ class QuandleProperties(Frozen):
         object.__setattr__(self, "involutory", involutory)
         object.__setattr__(self, "finite_type_orders", finite_type_orders)
 
-    def to_json(self) -> dict:
-        return {
-            "connected": self.connected,
-            "latin": self.latin,
-            "medial": self.medial,
-            "faithful": self.faithful,
-            "involutory": self.involutory,
-            "finite_type_orders": list(self.finite_type_orders),
-        }
+    to_json = fields_json
 
 
 def inner_orbits(q: FiniteQuandle) -> list[tuple[int, ...]]:

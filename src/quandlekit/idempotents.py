@@ -47,6 +47,7 @@ from .core import (
     core_quandle,
     dihedral_quandle,
     doc_int,
+    fields_json,
     inner_generators,
     orbits,
     perm_cycles,
@@ -290,13 +291,16 @@ def _enumerate_table(
     """The report of one search; None, before any recheck, once more than
     max_hits idempotents are found.
 
-    The budget and the kernel's index limit are checked first, on the
-    direct sweep, whichever path then runs.  A support-capped search over
-    Z that _walks_supports takes _support_search on the table, with the
-    Inn(X) generators of a quandle (none for a magma table); every other
-    search sweeps the quotient plan (_sweep_plan) through the kernel, one
-    target per Inn(X)-orbit.  Both paths end in _checked_report.
+    A worker count below 1 is refused first; then the budget and the
+    kernel's index limit are checked on the direct sweep, whichever path
+    then runs.  A support-capped search over Z that _walks_supports
+    takes _support_search on the table, with the Inn(X) generators of a
+    quandle (none for a magma table); every other search sweeps the
+    quotient plan (_sweep_plan) through the kernel, one target per
+    Inn(X)-orbit.  Both paths end in _checked_report.
     """
+    if jobs < 1:
+        raise InvalidParamsError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     n, mode, param = carrier.order, spec.mode, spec.param
     # the direct sweep: one block of all keys per augmentation stratum
@@ -482,9 +486,7 @@ def covering_family_params(
     for x, _ in unit_pairs:
         if x not in fibers[unit_fiber]:
             raise ConstraintViolatedError(f"{x} is not in the fiber over {unit_fiber}")
-    total = ring.zero
-    for _, c in unit_pairs:
-        total = ring.add(total, c)
+    total = ring.sum(c for _, c in unit_pairs)
     if total != ring.one:
         raise ConstraintViolatedError(f"unit coefficients sum to {total}, need 1")
     if base_point not in {x for x, _ in unit_pairs}:
@@ -497,9 +499,7 @@ def covering_family_params(
         for x, _ in pairs:
             if x not in fibers[y]:
                 raise ConstraintViolatedError(f"{x} is not in the fiber over {y}")
-        s = ring.zero
-        for _, c in pairs:
-            s = ring.add(s, c)
+        s = ring.sum(c for _, c in pairs)
         if s != ring.zero:
             raise ConstraintViolatedError(f"coefficients over {y} sum to {s}, need 0")
         if pairs:
@@ -559,14 +559,7 @@ class FamilyVerifyReport(Record):
         self.failures = [] if failures is None else failures
         self.notes = [] if notes is None else notes
 
-    def to_json(self) -> dict:
-        return {
-            "verified": self.verified,
-            "structures": self.structures,
-            "cases": self.cases,
-            "failures": self.failures,
-            "notes": list(self.notes),
-        }
+    to_json = fields_json
 
 
 def covering_family_verify(
@@ -744,13 +737,7 @@ class ClassifyResult(Record):
         self.reason = reason
         self.flags = [] if flags is None else flags
 
-    def to_json(self) -> dict:
-        return {
-            "in_family": self.in_family,
-            "params": self.params.to_json() if self.params else None,
-            "reason": self.reason,
-            "flags": list(self.flags),
-        }
+    to_json = fields_json
 
 
 def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
@@ -821,11 +808,8 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
                 flags=flags,
             )
         groups.setdefault(y_star, {})[rep] = m
-    for y_star, reps in groups.items():
-        total = zero
-        for m in reps.values():
-            total = ring.add(total, m)
-        if total != zero:
+    for reps in groups.values():
+        if ring.sum(reps.values()) != zero:
             return ClassifyResult(
                 False, reason="orbit multipliers do not cancel over a fiber class", flags=flags
             )
@@ -933,11 +917,10 @@ def _union_element(parts, offsets, kind: str, ring: CoeffRing, weights=None, ele
     elif kind == "component_mass":
         if weights is None or len(weights) != len(parts):
             raise InvalidParamsError("need one weight per part")
-        mass = ring.zero
-        for part, off, wgt in zip(parts, offsets, weights):
-            wgt = ring.coerce(wgt)
-            mass = ring.add(mass, ring.mul(wgt, ring.coerce(part.order)))
-            pairs += [(off + x, wgt) for x in range(part.order)]
+        weights = [ring.coerce(wgt) for wgt in weights]
+        pairs = [(off + x, wgt) for part, off, wgt in zip(parts, offsets, weights)
+                 for x in range(part.order)]
+        mass = ring.sum(wgt * part.order for part, wgt in zip(parts, weights))
         if mass != ring.one:
             raise ConstraintViolatedError(f"total weighted mass is {mass}, need 1")
     else:
@@ -1108,8 +1091,7 @@ class IdempotentSetReport(Record):
         self.size = size
         self.failures = [] if failures is None else failures
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "size": self.size, "failures": self.failures}
+    to_json = fields_json
 
 
 def idempotent_quandle_check(sample, q: FiniteQuandle) -> IdempotentSetReport:
@@ -1210,9 +1192,7 @@ def right_zero_divisor_from_fiber(covering: Covering, y: int, alphas, ring: Coef
         raise InvalidParamsError(
             f"need between 2 and {len(fiber)} coefficients for the fiber over {y}"
         )
-    total = ring.zero
-    for a in alphas:
-        total = ring.add(total, a)
+    total = ring.sum(alphas)
     if total != ring.zero:
         raise ConstraintViolatedError(f"coefficients sum to {total}, need 0")
     v = RingElement(ring, list(zip(fiber, alphas)))
@@ -1283,8 +1263,7 @@ def conjecture_scan(
     for name, table in items:
         entry: dict = {"quandle": name}
         try:
-            q = FiniteQuandle(table)
-            q.name = name
+            q = FiniteQuandle(table, name=name)
         except QuandleKitError as err:
             entry["status"] = "not_a_quandle"
             entry["error"] = err.payload()

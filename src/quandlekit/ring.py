@@ -33,7 +33,6 @@ table: free quandles.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .errors import (
@@ -124,6 +123,10 @@ class CoeffRing(Frozen):
             if not isinstance(value, int):
                 raise InvalidParamsError(f"cannot coerce {value!r} into {self.tag}")
         return value % self.modulus if self.kind == "Zmod" else value
+
+    def sum(self, values):
+        """The sum of scalars of this ring, reduced once."""
+        return self.coerce(sum(values, self.zero))
 
     def add(self, a, b):
         c = a + b
@@ -262,10 +265,6 @@ def zero(ring: CoeffRing) -> RingElement:
     return RingElement(ring, [])
 
 
-def add(u: RingElement, v: RingElement) -> RingElement:
-    return u + v
-
-
 def scalar_mul(c, u: RingElement) -> RingElement:
     return u.scale(c)
 
@@ -326,10 +325,7 @@ def _pair_product(left: list, right: list, table, ring: CoeffRing) -> list:
 
 def augmentation(u: RingElement):
     """Coefficient sum; a ring map onto the coefficients for any carrier."""
-    total = u.ring.zero
-    for _, c in u.coeffs:
-        total = u.ring.add(total, c)
-    return total
+    return u.ring.sum(c for _, c in u.coeffs)
 
 
 def is_idempotent(u: RingElement, carrier) -> bool:
@@ -472,27 +468,15 @@ def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     an automorphism since (x*y)*t = (x*t)*(y*t).  This is why the
     covering-family idempotents form a quandle (the paper: "the set of
     all these idempotents forms a quandle in itself").  Otherwise, and
-    on a magma table, the images e_k u are built once.  When
-    every image is a basis element e_sigma(k), the map preserves products
-    exactly when sigma(k*l) = sigma(k)*sigma(l) for all k, l, compared a
-    row of the table at a time.  Otherwise, where both e_k u = e_s and
-    e_l u = e_t are basis elements the pair is the integer compare of
-    sigma(k*l) with s*t, and only the pairs that touch another image are
-    multiplied out."""
+    on a magma table, the images e_k u are built once.  Where both
+    e_k u = e_s and e_l u = e_t are basis elements the pair is the integer
+    compare of sigma(k*l) with s*t, and only the pairs that touch another
+    image are multiplied out."""
     dense_vector(u, q.order)  # refuses a key outside the carrier
     if q.is_quandle and _class_action(u, q) is not None:
         return True
     table = q.table
     image = _basis_images(u, q)
-    sigma = _basis_action(image, u.ring)
-    if sigma is not None:
-        if len(sigma) == 1:
-            # one element: sigma(0*0) = 0 = sigma(0)*sigma(0); itemgetter of
-            # one index would return a scalar, not a tuple
-            return True
-        row_image = operator.itemgetter(*sigma)
-        return all(tuple(map(sigma.__getitem__, row)) == row_image(table[s])
-                   for row, s in zip(table, sigma))
     one = u.ring.one
     nonzero = [_nonzero(vec) for vec in image]
     sigma = [pairs[0][0] if len(pairs) == 1 and pairs[0][1] == one else None for pairs in nonzero]
@@ -601,10 +585,10 @@ def ring_from_tag(tag: str, force: bool = False) -> CoeffRing:
     raise InvalidParamsError(f"unknown ring tag {tag!r}")
 
 
-def element_from_json(doc: dict, key_parser=None, force: bool = False) -> RingElement:
+def element_from_json(doc: dict) -> RingElement:
     if not isinstance(doc, dict):
         raise InvalidParamsError(f"element document must be an object, got {type(doc).__name__}")
-    ring = ring_from_tag(doc["ring"], force=force)
+    ring = ring_from_tag(doc["ring"])
     coeffs = doc["coeffs"]
     if not isinstance(coeffs, (list, tuple)):
         raise InvalidParamsError(f"coeffs must be a list of [key, coefficient] pairs: {coeffs!r}")
@@ -613,9 +597,7 @@ def element_from_json(doc: dict, key_parser=None, force: bool = False) -> RingEl
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InvalidParamsError(f"expected a [key, coefficient] pair, got {entry!r}")
         key, coeff = entry
-        if key_parser is not None:
-            key = key_parser(key)
-        elif not isinstance(key, int) or isinstance(key, bool):
+        if not isinstance(key, int) or isinstance(key, bool):
             raise InvalidParamsError(f"expected integer basis key, got {key!r}")
         pairs.append((key, ring.scalar_parse(str(coeff))))
     return RingElement(ring, pairs)

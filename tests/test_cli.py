@@ -463,6 +463,14 @@ def test_budget_refusal_is_exit_two(capsys):
     assert doc["needed"] == 2 * 7**5
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_exit_one(jobs, capsys):
+    code, out, _ = run_cli(["idem", "enumerate", fx("r3.json"), "--ring", "z", "--bound", "1",
+                            "--jobs", jobs], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "InvalidParams", "message": f"jobs must be >= 1, got {jobs}"}
+
+
 def test_index_space_beyond_int64_is_exit_two(capsys):
     started = time.monotonic()
     code, out, _ = run_cli(

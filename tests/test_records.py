@@ -5,6 +5,7 @@ payloads of the structured errors and their pickle and copy round trips."""
 import copy
 import importlib
 import inspect
+import json
 import pickle
 import pkgutil
 import subprocess
@@ -52,7 +53,7 @@ from quandlekit import (
 )
 from conftest import FIXTURES, load_fixture, read_json
 from quandlekit import errors
-from quandlekit.core import Record
+from quandlekit.core import Record, fields_json
 
 
 def _r3():
@@ -249,6 +250,76 @@ def test_records_state_their_constructor_parameters_in_slots():
     for cls in classes:
         params = list(inspect.signature(cls.__init__).parameters)[1:]
         assert params == list(cls.__slots__), cls.__name__
+
+
+_FLAGS = ["codomain ring assumed, not certified, to have only trivial idempotents"]
+# the records whose JSON is their fields (`core.fields_json`): (a record, its JSON)
+FIELDS_JSON = {
+    "CocycleReport": (
+        lambda: validate_cocycle(_cocycle()),
+        {"valid": True, "violation": None, "involutory_compatible": True,
+         "involutory_violation": None}),
+    "CocycleReport-failing": (
+        lambda: validate_cocycle(CocycleData.from_parts(_r3(), 3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])),
+        {"valid": False, "violation": {"kind": "cocycle", "x": 0, "y": 1, "z": 0},
+         "involutory_compatible": False, "involutory_violation": {"x": 0, "y": 1}}),
+    "QuandleProperties": (
+        lambda: properties(_r3()),
+        {"connected": True, "latin": True, "medial": True, "faithful": True, "involutory": True,
+         "finite_type_orders": [2, 2, 2]}),
+    "FamilyVerifyReport": (
+        lambda: covering_family_verify(_covering(), max_j=1),
+        {"verified": True, "structures": 24, "cases": 180, "failures": [],
+         "notes": ["grid {-1,0,1} per free coefficient certifies all coefficient values: the "
+                   "idempotency defect is polynomial of degree <= 2 in each free coefficient"]}),
+    "ClassifyResult": (
+        _classify,
+        {"in_family": True,
+         "params": {"ring": "Z", "unit_fiber": 1, "base_point": 1, "unit_coeffs": [[1, "1"]],
+                    "zero_sum_coeffs": [[0, [[0, "1"], [3, "-1"]]]]},
+         "reason": None, "flags": _FLAGS}),
+    "ClassifyResult-negative": (
+        lambda: covering_classify(RingElement(IntegersMod(5), [(0, 2), (2, 2), (4, 2)]),
+                                  _covering()),
+        {"in_family": False, "params": None, "reason": "fiber sums are not a single unit mass",
+         "flags": _FLAGS}),
+    "IdempotentSetReport": (
+        lambda: idempotent_quandle_check(enumerate_mod_p(_r3(), 5).idempotents, _r3()),
+        {"passed": False, "size": 7, "failures": [
+            {"check": "closure", "indices": [3, 4]}, {"check": "closure", "indices": [3, 5]},
+            {"check": "closure", "indices": [3, 6]}, {"check": "closure", "indices": [4, 3]},
+            {"check": "closure", "indices": [5, 3]}, {"check": "closure", "indices": [6, 3]},
+            *({"check": "right_mult_is_basis_action", "indices": [i]} for i in (3, 4, 5, 6))]}),
+}
+
+
+@pytest.mark.parametrize("name", FIELDS_JSON)
+def test_fields_json_records_pin_their_json(name):
+    build, expected = FIELDS_JSON[name]
+    doc = build().to_json()
+    assert doc == expected
+    assert json.dumps(doc) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("name", FIELDS_JSON)
+def test_fields_json_records_write_their_slots_in_order(name):
+    # beside the field-order contract above: the JSON keys are the slots
+    record = FIELDS_JSON[name][0]()
+    assert type(record).to_json is fields_json
+    assert list(record.to_json()) == list(type(record).__slots__)
+
+
+def test_fields_json_hands_out_fresh_lists():
+    failure = {"check": "closure", "indices": [0, 1]}
+    for record in (FamilyVerifyReport(False, 1, 1, failures=[failure], notes=["note"]),
+                   IdempotentSetReport(False, 1, failures=[failure]),
+                   ClassifyResult(False, reason="r", flags=["flag"]),
+                   properties(_r3())):
+        before = copy.deepcopy(record)
+        for value in record.to_json().values():
+            if isinstance(value, list):
+                value.append("extra")
+        assert record == before
 
 
 # (an error, its payload, its attributes, its exit code)

@@ -437,6 +437,22 @@ def test_coeff_ring_div():
     assert IntegersMod(6, force=True).div(2, 2) is None
 
 
+@pytest.mark.parametrize("ring, values, expected", [
+    (ZZ, [3, -5, 4], 2),
+    (ZZ, [], 0),
+    (QQ, [Fraction(1, 2), Fraction(1, 3), 1], Fraction(11, 6)),
+    (QQ, [2, 3], Fraction(5)),
+    (QQ, [], Fraction(0)),
+    (IntegersMod(5), [3, 4, 4], 1),
+    (IntegersMod(7), [-1, -1], 5),
+    (IntegersMod(6, force=True), [4, 2], 0),
+    (IntegersMod(5), [], 0),
+], ids=["Z", "Z-empty", "Q", "Q-ints", "Q-empty", "Z5", "Z7-negative", "Z6-forced", "Z5-empty"])
+def test_coeff_ring_sum_is_reduced_once(ring, values, expected):
+    total = ring.sum(iter(values))
+    assert total == expected and type(total) is type(expected)
+
+
 def test_right_annihilator_witness(r6):
     found, witness = has_nontrivial_right_annihilator(elem(ZZ, [(0, 1), (3, -1)]), r6)
     assert found

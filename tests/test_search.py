@@ -25,6 +25,7 @@ from quandlekit import (
     SearchSpec,
     ZZ,
     augmentation,
+    conjecture_scan,
     core_quandle,
     dihedral_quandle,
     enumerate_boxed_Z,
@@ -35,7 +36,9 @@ from quandlekit import (
     is_idempotent,
     make,
     trivial_quandle,
+    twisted_union_classify,
     twisted_union_quandle,
+    union_cross_check,
     union_quandle,
 )
 from quandlekit import _search_kernel, idempotents
@@ -228,6 +231,28 @@ def test_budget_precheck(r6):
     # the coefficient sum pins the final coordinate, so each stratum
     # sweeps only the first five
     assert err.needed == 2 * 7**5
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_are_refused_before_the_budget_and_any_search(
+        jobs, r5, r6, t2, t3, monkeypatch):
+    def searched(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(_search_kernel, "run", searched)
+    monkeypatch.setattr(_search_kernel, "_support_search", searched)
+    searches = [
+        # over budget as well: the worker count is refused first
+        lambda: enumerate_boxed_Z(r6, 3, budget=100, jobs=jobs),
+        lambda: enumerate_boxed_Z(r6, 1, max_support=1, jobs=jobs),
+        lambda: enumerate_mod_p(r6, 5, jobs=jobs),
+        lambda: union_cross_check([t2, t3], bound=1, jobs=jobs),
+        lambda: twisted_union_classify(t2, t3, [1, 0], [1, 2, 0], modulus=7, jobs=jobs),
+        lambda: conjecture_scan([("r5", r5.table)], moduli=(3,), jobs=jobs),
+    ]
+    for search in searches:
+        with pytest.raises(InvalidParamsError, match=f"^jobs must be >= 1, got {jobs}$"):
+            search()
 
 
 def test_index_space_beyond_int64_is_refused_up_front():
