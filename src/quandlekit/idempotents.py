@@ -85,7 +85,6 @@ from .ring import (
     dense_vector,
     element_to_json,
     is_idempotent,
-    orbit_sum,
     right_mult_matrix,
     ring_from_tag,
 )
@@ -569,28 +568,24 @@ def covering_family_verify(
     max_j: int = 2,
     budget: int = 10**6,
 ) -> FamilyVerifyReport:
-    """Sweep the family's structural choices and certify idempotency on a grid.
+    """Certify the family for every structural choice, linearly; sweep
+    the grid only where the certificate does not apply.
 
     Structural choices: every subset J of the codomain with |J| <= max_j,
-    every unit fiber, every base point, full fibers throughout.  Free
-    coefficients run over the grid; the last coefficient of each group is
-    determined by its sum constraint.  The idempotency defect has degree
-    at most 2 in each free coefficient, so over a domain vanishing on three
-    points per coefficient certifies every scalar value; the note says
-    whether the grid used does that.  A case is u(a) = e + sum_t a_t d_t,
-    e the unit fiber's last point and a_t its free coefficients: d_t is
-    the orbit sum of t minus that of its fiber's last point, or
-    e_t - e_last on the unit fiber.
+    every unit fiber, every base point x0, full fibers throughout.  A case
+    is u(a) = e + sum_t a_t d_t, e the unit fiber's last point and a_t on
+    the grid: d_t is the orbit sum of t minus that of its fiber's last
+    point, or e_t - e_last on the unit fiber.
 
-    The product is bilinear, so u(a)^2 - u(a) is a quadratic polynomial
-    in a (_defect_vanishes).  A structure whose coefficient vectors are
-    all 0 in the ring passes at every grid point, and its
-    len(grid)^N cases are counted without evaluating one; on a covering
-    every structure does, since fibers share their right multiplications.
-    Any other structure squares each case on coefficient lists
-    (ring.dense_product), integral grid values staying ints over Q: a
-    nonzero polynomial can still vanish at every point (over Z/2,
-    a^2 - a does).  Only a failure is turned into parameters
+    u u = sum_C s_C S_C u over the theta_S classes C (x ~ y iff S_x =
+    S_y), s the class sums of u.  So every u(a) is idempotent, over every
+    ring, when e has class sums 1 on x0's class and 0 elsewhere, each d_t
+    has zero class sums, and S_x0 fixes e and each d_t (_fixed_mass).  On
+    a covering every structure is certified, since a fiber lies in one
+    class and S_x0 permutes the fibers, and its cases are counted, none
+    evaluated.  Any other structure (a Covering record whose fibers do
+    not act alike) squares each grid case (ring.dense_product), integral
+    values staying ints over Q; only a failure is turned into parameters
     (covering_family_params).
     """
     if not isinstance(covering, Covering):
@@ -601,7 +596,7 @@ def covering_family_verify(
     fibers = covering.fibers
     codomain = sorted(fibers)
     # count the sweep before running it: a structure has len(grid)^(free
-    # slots) cases, whether its defect vanishes or its cases are squared
+    # slots) cases, whether it is certified or its cases are squared
     structures = 0
     cases = 0
     for size in range(0, max_j + 1):
@@ -614,19 +609,36 @@ def covering_family_verify(
     if cases > budget:
         raise BudgetExceededError(cases, budget)
     report = FamilyVerifyReport(True, structures, cases)
-    domain = covering.hom.domain
+    domain, images = covering.hom.domain, covering.hom.images
+    cycles, orders = domain.right_mult_cycles, domain.right_mult_orders
     # over Q an integral case squares the same in ints
     m = ring.characteristic
     arith = ring if m else ZZ
-    # coefficient lists keyed by direction, ("orbit", x, x0) or
-    # ("unit", x, last), and e by ("e", last); the defect's verdicts
+    # integer coefficient lists keyed (kind, x, z), certificates by (key,
+    # x0): the orbit sum of x under S_z minus its fiber's last point's,
+    # e_x - e_z ("unit"), or e = e_x ("e")
     vectors: dict = {}
     verdicts: dict = {}
 
-    def add(key, pairs) -> None:
-        vectors[key] = vec = [0] * domain.order
-        for k, a in pairs:
-            vec[k] += a
+    def vector(key) -> list:
+        if key not in vectors:
+            kind, x, z = key
+            vectors[key] = vec = [0] * domain.order
+            if kind == "orbit":
+                for point, sign in ((x, 1), (fibers[images[x]][-1], -1)):
+                    cycle = next(c for c in cycles[z] if point in c)
+                    for k in cycle:
+                        vec[k] += sign * (orders[z] // len(cycle))
+            else:
+                vec[x] += 1
+                if kind == "unit":
+                    vec[z] -= 1
+        return vectors[key]
+
+    def certified(key, x0: int) -> bool:
+        if (key, x0) not in verdicts:
+            verdicts[key, x0] = _fixed_mass(vector(key), x0, domain, m, int(key[0] == "e"))
+        return verdicts[key, x0]
 
     for size in range(0, max_j + 1):
         for j_set in itertools.combinations(codomain, size):
@@ -638,18 +650,9 @@ def covering_family_verify(
                     unit_slots = list(fiber0[:-1])
                     keys = [("orbit", x, x0) for _, x in free_slots]
                     keys += [("unit", x, last) for x in unit_slots]
-                    for key, (y, x) in zip(keys, free_slots):
-                        if key not in vectors:
-                            add(key, (orbit_sum(x, x0, domain)
-                                      - orbit_sum(fibers[y][-1], x0, domain)).coeffs)
-                    for key, x in zip(keys[len(free_slots):], unit_slots):
-                        if key not in vectors:
-                            add(key, ((x, 1), (last, -1)))
-                    if ("e", last) not in vectors:
-                        add(("e", last), ((last, 1),))
-                    if _defect_vanishes(("e", last), keys, vectors, domain.table, ring, verdicts):
+                    if certified(("e", last, last), x0) and all(certified(k, x0) for k in keys):
                         continue
-                    dirs = [[(k, a) for k, a in enumerate(vectors[key]) if a] for key in keys]
+                    dirs = [[(k, a) for k, a in enumerate(vector(key)) if a] for key in keys]
                     for point in itertools.product(grid, repeat=len(dirs)):
                         u = [0] * domain.order
                         u[last] = 1
@@ -676,38 +679,19 @@ def covering_family_verify(
     return report
 
 
-def _defect_vanishes(e, dirs, vectors: dict, table, ring: CoeffRing, verdicts: dict) -> bool:
-    """Whether u(a) = e + sum_t a_t d_t squares to itself for every a.
-
-    The product is bilinear, so u^2 - u is the quadratic polynomial
-        (e^2 - e) + sum_t a_t (e d_t + d_t e - d_t) + sum_t a_t^2 d_t^2
-        + sum_{s<t} a_s a_t (d_s d_t + d_t d_s),
-    and it vanishes for every a when each coefficient vector is 0 in the
-    ring.  e and dirs are keys of vectors, integer coefficient lists.
-    Each coefficient's verdict is kept in verdicts under the keys it
-    reads, so a term met by an earlier call costs a lookup.
-    """
-    m = ring.characteristic
-    arith = ring if m else ZZ
-
-    def vanishes(a, b, minus=None) -> bool:
-        """Whether a a - minus (a == b) or a b + b a - minus is 0 in the ring."""
-        key = (a, b, minus)
-        if key not in verdicts:
-            u, v = vectors[a], vectors[b]
-            if a == b:
-                out = dense_product(u, u, table, arith)
-            else:
-                out = [s + t for s, t in zip(dense_product(u, v, table, arith),
-                                             dense_product(v, u, table, arith))]
-            if minus is not None:
-                out = [s - t for s, t in zip(out, vectors[minus])]
-            verdicts[key] = not any(c % m for c in out) if m else not any(out)
-        return verdicts[key]
-
-    return (vanishes(e, e, e)
-            and all(vanishes(e, t, t) and vanishes(t, t) for t in dirs)
-            and all(vanishes(s, t) for s, t in itertools.combinations(dirs, 2)))
+def _fixed_mass(vec: list, x0: int, q: FiniteQuandle, m: int, mass: int) -> bool:
+    """Whether S_x0 fixes the integer list vec and its sums over the
+    theta_S classes are mass on the class of x0 and 0 on every other
+    class, all mod m when m is nonzero."""
+    if m:
+        vec = [c % m for c in vec]
+    classes = q.right_mult_classes
+    sums = [0] * len(vec)
+    for k, c in enumerate(vec):
+        sums[classes[k]] += c
+    sums[classes[x0]] -= mass
+    invariant = [vec[k] for k in q.right_mults[x0]] == vec
+    return invariant and not any(c % m if m else c for c in sums)
 
 
 def _grid_note(ring: CoeffRing, grid) -> str:
@@ -744,27 +728,32 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     """Decompose an idempotent into unit part plus orbit sums, if possible.
 
     Splits u as v + w with w the fiber part over the unique unit-mass
-    codomain index, then reconstructs v as a combination of orbit sums of
-    the base point's right multiplication.  Works extensionally: only the
-    element's own fiber sums and orbit structure matter, not a particular
-    choice of representatives.  u is squared once, on its nonzero pairs;
-    the stabilizer test v*w = v multiplies the pairs of v and w; the
-    orbits, multiplicities and fiber classes of each base point come from
-    covering.orbit_plans, built once per covering.  The parameters are
-    built as they are found, not re-validated by covering_family_params:
-    rebuilding u from them (_family_vector) is the check.
+    codomain index, then reconstructs v from orbit sums of the base point
+    x0's right multiplication S_x0 (covering.orbit_plans).  Idempotency is
+    is_idempotent's test.  v w = sum_C s_C S_C v over the theta_S classes
+    C, s the class sums of w, so when w lies in one class the stabilizer
+    test v w = v compares v with S_x0 v.  The parameters are not
+    re-validated: rebuilding u from them (_family_vector) is the check.
+
+    The family is a sublattice of the unit-mass idempotents: an orbit of
+    S_x0 shorter than its order n_x0 carries multiples of n_x0 / |orbit|
+    only.  On R_3 + T_2 over R_3 + T_1, e_0 + e_3 - e_4 is idempotent, but
+    S_0 has order 2 and fixes 3, so the orbit multiplicity does not divide
+    the orbit coefficient.
     """
     domain = covering.hom.domain
     ring = u.ring
-    zero, one = ring.zero, ring.one
+    zero, one, m = ring.zero, ring.one, ring.characteristic
     flags = ["codomain ring assumed, not certified, to have only trivial idempotents"]
     vec = dense_vector(u, domain.order)
-    if u.is_zero() or _pair_product(u.coeffs, u.coeffs, domain.table, ring) != vec:
+    if not is_idempotent(u, domain):
         raise NotIdempotentInputError("element is not idempotent (its square differs)")
     images = covering.hom.images
-    fiber_sum: dict[int, object] = {y: zero for y in covering.fibers}
+    fiber_sum = dict.fromkeys(covering.fibers, zero)
     for x, c in u.coeffs:
-        fiber_sum[images[x]] = ring.add(fiber_sum[images[x]], c)
+        fiber_sum[images[x]] += c
+    if m:
+        fiber_sum = {y: s % m for y, s in fiber_sum.items()}
     units = [y for y, s in fiber_sum.items() if s == one]
     rest = [y for y, s in fiber_sum.items() if s not in (zero, one)]
     if len(units) != 1 or rest:
@@ -787,27 +776,34 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     v = list(vec)
     for x, _ in w:
         v[x] = zero
-    if _pair_product(v_pairs, w, domain.table, ring) != v:
+    classes = domain.right_mult_classes
+    if len({classes[x] for x, _ in w}) == 1:
+        stable = [v[k] for k in domain.right_mults[x0]] == v
+    else:
+        stable = _pair_product(v_pairs, w, domain.table, ring) == v
+    if not stable:
         return ClassifyResult(
             False, reason="orbit part is not stabilized by the unit part", flags=flags
         )
     groups: dict[int, dict[int, object]] = {}
     for orbit, multiplicity, y_star, rep in covering.orbit_plans[x0]:
         c = v[orbit[0]]
-        if any(v[t] != c for t in orbit):
-            return ClassifyResult(
-                False, reason="coefficients are not constant on a right-multiplication orbit", flags=flags
-            )
+        for t in orbit:
+            if v[t] != c:
+                return ClassifyResult(
+                    False, reason="coefficients are not constant on a right-multiplication orbit",
+                    flags=flags,
+                )
         if c == zero:
             continue
-        m = ring.div(c, multiplicity)
-        if m is None:
+        a = ring.div(c, multiplicity)
+        if a is None:
             return ClassifyResult(
                 False,
                 reason="orbit multiplicity does not divide the orbit coefficient",
                 flags=flags,
             )
-        groups.setdefault(y_star, {})[rep] = m
+        groups.setdefault(y_star, {})[rep] = a
     for reps in groups.values():
         if ring.sum(reps.values()) != zero:
             return ClassifyResult(

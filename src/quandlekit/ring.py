@@ -16,18 +16,16 @@ Products have two routines.  Table carriers use `dense_product`, the
 product on coefficient lists indexed by the keys 0..n-1: it loops over
 the nonzero entries of each factor only, in the ring's own exact scalars
 (ints, Fractions, or ints reduced mod m once at the end), and builds no
-RingElement.  Every check on a table goes through it, or through its
+RingElement.  Every product on a table goes through it, or through its
 form `_pair_product` on factors given as nonzero (key, coefficient)
-pairs, such as an element's own coeffs: idempotency, nilpotency,
-endomorphisms, annihilator witnesses, and the covering-family sweep,
-classification and idempotent-set check in idempotents.  Right
-multiplication by u needs no product.  In a quandle, `_class_action`
-finds t with w*u = S_t(w) from u's coefficient sums over the theta_S
-classes when they are 1 on one class and 0 on the others.  Otherwise
-`_basis_images` gathers each e_k u from u's pairs, and `_basis_action`
-reads off sigma when every image is a basis element e_sigma(k).  `mul`,
-the sparse product on RingElements, serves the carriers that have no
-table: free quandles.
+pairs, such as an element's own coeffs.  Right multiplication by u needs
+no product.  In a quandle, `_class_action` finds t with w*u = S_t(w)
+from u's coefficient sums over the theta_S classes when they are 1 on
+one class and 0 on the others; then u u = u is the compare of u with
+S_t u.  Otherwise `_basis_images` gathers each e_k u from u's pairs, and
+`_basis_action` reads off sigma when every image is a basis element
+e_sigma(k).  `mul`, the sparse product on RingElements, serves the
+carriers that have no table: free quandles.
 """
 
 from __future__ import annotations
@@ -329,11 +327,17 @@ def augmentation(u: RingElement):
 
 
 def is_idempotent(u: RingElement, carrier) -> bool:
+    """Whether u is nonzero and u u = u.  When the theta_S class sums of u
+    in a quandle table are 1 on t's class and 0 elsewhere (_class_action),
+    u u = S_t u: an O(n) compare.  Otherwise u is squared."""
     if u.is_zero():
         return False
     if not isinstance(carrier, MagmaTable):
         return mul(u, u, carrier) == u
     vec = dense_vector(u, carrier.order)
+    t = _class_action(u, carrier) if carrier.is_quandle else None
+    if t is not None:
+        return [vec[k] for k in carrier.right_mults[t]] == vec
     return _pair_product(u.coeffs, u.coeffs, carrier.table, u.ring) == vec
 
 

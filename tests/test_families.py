@@ -15,6 +15,7 @@ from quandlekit import (
     ZZ,
     BudgetExceededError,
     CarrierMismatchError,
+    CocycleData,
     ConstraintViolatedError,
     Covering,
     CoveringConditionError,
@@ -29,6 +30,7 @@ from quandlekit import (
     RingMismatchError,
     basis,
     check_covering,
+    cocycle_extension,
     conjecture_scan,
     core_quandle,
     core_three_support_check,
@@ -205,6 +207,31 @@ def test_family_verify_matches_the_naive_oracle(cov_name, ring_name):
     assert report.verified and failures == []
 
 
+def _non_latin_coverings():
+    """R_3 + T_2 over R_3 + T_1, and an extension of R_4 by Z/2 over R_4:
+    bases with nontrivial idempotents, where the paper's hypothesis fails."""
+    r3, r4 = dihedral_quandle(3), dihedral_quandle(4)
+    union = QuandleHom(union_quandle([r3, trivial_quandle(2)]),
+                       union_quandle([r3, trivial_quandle(1)]), [0, 1, 2, 3, 3])
+    alpha = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+    ext = cocycle_extension(CocycleData.from_parts(r4, 2, alpha))
+    return [check_covering(union), check_covering(QuandleHom(ext, r4, [i // 2 for i in range(8)]))]
+
+
+@pytest.mark.parametrize("max_j", [0, 1, 2])
+def test_family_verify_matches_the_naive_oracle_off_latin_bases(monkeypatch, max_j):
+    # the certificate uses only the covering condition, so it holds here too
+    calls = dense_product_calls(monkeypatch)
+    rings = [(ZZ, None), (QQ, None), (IntegersMod(2), 2), (IntegersMod(3), 3)]
+    for cov, (ring, modulus) in itertools.product(_non_latin_coverings(), rings):
+        assert cov.nontrivial
+        report = covering_family_verify(cov, ring=ring, max_j=max_j)
+        structures, cases, failures = _oracle_family(cov, ring, modulus, max_j=max_j)
+        assert (report.structures, report.cases, report.failures) == (structures, cases, failures)
+        assert report.verified and failures == []
+    assert calls == []
+
+
 def _forged_covering(domain, codomain, images):
     """A Covering record on a hom whose fibers do not act alike."""
     hom = QuandleHom(domain, codomain, images)
@@ -275,13 +302,15 @@ def dense_product_calls(monkeypatch):
 
 
 def test_family_verify_decides_a_covering_from_the_defect_terms(monkeypatch):
-    # every structure of r10 -> R_5 has a vanishing defect polynomial, so its
-    # cases are counted, not squared: the terms take 470 products per call,
-    # where squaring each case took one per case
+    # every structure of a covering is certified by its class sums and its
+    # invariance under S_x0, so its cases are counted, none squared
     calls = dense_product_calls(monkeypatch)
-    report = covering_family_verify(FAMILY_COVERINGS["r10_r5"])
-    assert (report.verified, report.structures, report.cases, report.failures) == (True, 160, 3180, [])
-    assert len(calls) <= 470
+    for name, (ring, _) in itertools.product(("r6_r3", "r10_r5"), FAMILY_RINGS.values()):
+        report = covering_family_verify(FAMILY_COVERINGS[name], ring=ring)
+        assert report.verified and report.failures == []
+        if name == "r10_r5":
+            assert (report.structures, report.cases) == (160, 3180)
+    assert calls == []
 
 
 def test_family_verify_squares_each_case_where_the_defect_is_nonzero(r3, monkeypatch):
@@ -328,11 +357,16 @@ POLARIZATION_CASES = {
 @pytest.mark.parametrize("kind", sorted(POLARIZATION_CASES))
 def test_defect_polynomial_fails_on_each_kind_of_term_alone(kind):
     fixture, ring, e, dirs = POLARIZATION_CASES[kind]
-    table = load_fixture(fixture).table if fixture else dihedral_quandle(4).table
+    q = load_fixture(fixture) if fixture else dihedral_quandle(4)
+    table = q.table
     modulus = ring.modulus or None
     assert _defect_terms(table, e, dirs, modulus) == {kind}
-    vectors = {"e": e, **{t: d for t, d in enumerate(dirs)}}
-    assert not idempotents._defect_vanishes("e", list(range(len(dirs))), vectors, table, ring, {})
+    # no base point certifies the set: some vector is moved by S_x0, or
+    # has class sums other than a unit mass on x0's class (e) or 0 (d_t)
+    m = ring.characteristic
+    for x0 in range(q.order):
+        assert not (idempotents._fixed_mass(e, x0, q, m, 1)
+                    and all(idempotents._fixed_mass(d, x0, q, m, 0) for d in dirs))
     # and some member of the family is not idempotent
     values = range(modulus) if modulus else (-1, 0, 1)
     squares = []
@@ -457,6 +491,30 @@ def test_classify_rejects_non_idempotent(cov63):
         covering_classify(elem(ZZ, [(0, 1), (3, -1)]), cov63)
 
 
+def test_classify_rejects_non_idempotent_with_unit_class_sums(cov63):
+    # class sums 1 on {0, 3} and 0 elsewhere, but S_0 moves u: u u = S_0 u != u
+    u = elem(ZZ, [(0, 1), (1, 1), (4, -1)])
+    assert ring_module._class_action(u, cov63.hom.domain) == 0
+    assert not is_idempotent(u, cov63.hom.domain)
+    with pytest.raises(NotIdempotentInputError):
+        covering_classify(u, cov63)
+
+
+def test_classify_family_is_a_sublattice_of_the_unit_mass_idempotents():
+    # S_0 has order 2 and fixes 3, so the orbit sum of 3 is 2 e_3: only even
+    # coefficients on 3 are reached, and e_0 + e_3 - e_4 is refused
+    r3 = dihedral_quandle(3)
+    domain = union_quandle([r3, trivial_quandle(2)])
+    cov = check_covering(QuandleHom(domain, union_quandle([r3, trivial_quandle(1)]), [0, 1, 2, 3, 3]))
+    assert cov.nontrivial
+    u = elem(ZZ, [(0, 1), (3, 1), (4, -1)])
+    assert is_idempotent(u, domain)
+    result = covering_classify(u, cov)
+    assert (result.in_family, result.params) == (False, None)
+    assert result.reason == "orbit multiplicity does not divide the orbit coefficient"
+    assert covering_classify(elem(ZZ, [(0, 1), (3, 2), (4, -2)]), cov).in_family
+
+
 def test_classify_negative_without_unit_mass(p6, t2):
     # over the product with a trivial factor the fiber sums can be 2 and
     # -1; no single fiber carries the unit, so membership fails
@@ -570,8 +628,19 @@ def test_classify_recovers_every_random_family_element(case):
     assert family_params_from_json(cov, result.params.to_json()) == result.params
 
 
-def test_classify_builds_orbit_data_once_per_quandle_and_base_point(monkeypatch):
-    # the 304 r10 family members of the benchmark, on fresh tables
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_random_family_params())
+def test_classify_round_trips_family_parameters(case):
+    name, params = case
+    cov = FAMILY_COVERINGS[name]
+    u = covering_idempotent(cov, params)
+    result = covering_classify(u, cov)
+    assert result.in_family
+    assert covering_idempotent(cov, result.params) == u
+
+
+def _r10_family_members():
+    """The 304 r10 family members of the benchmark, on fresh tables."""
     r10, r5 = load_fixture("r10.json"), load_fixture("r5.json")
     cov = check_covering(QuandleHom(r10, r5, [i % 5 for i in range(10)]))
     members = list(dict.fromkeys(
@@ -580,6 +649,23 @@ def test_classify_builds_orbit_data_once_per_quandle_and_base_point(monkeypatch)
         for alphas in itertools.product((-1, 0, 1), repeat=3)
     ))
     assert len(members) == 304
+    return cov, members
+
+
+def test_classify_reads_family_members_without_a_product(monkeypatch):
+    # idempotency and the stabilizer test are S_x0-invariance compares
+    cov, members = _r10_family_members()
+    calls = []
+    real = ring_module._pair_product
+    monkeypatch.setattr(ring_module, "_pair_product", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(idempotents, "_pair_product", lambda *a: calls.append(a) or real(*a))
+    assert all(covering_classify(u, cov).in_family for u in members)
+    assert calls == []
+
+
+def test_classify_builds_orbit_data_once_per_quandle_and_base_point(monkeypatch):
+    cov, members = _r10_family_members()
+    r10, r5 = cov.hom.domain, cov.hom.codomain
     calls = []
     real = core.perm_cycles
     monkeypatch.setattr(core, "perm_cycles", lambda perm: calls.append(perm) or real(perm))
