@@ -879,12 +879,14 @@ class Covering(Frozen):
 
     @cached_property
     def orbit_plans(self) -> tuple[tuple[tuple[tuple[int, ...], int, int, int], ...], ...]:
-        """Per base point x0, one entry per cycle of sigma = S_x0 on the
-        domain: (cycle, n_sigma // its length, fiber class, representative).
+        """Per base point x0, one entry per cycle of sigma = S_x0 outside
+        x0's fiber: (cycle, n_sigma // its length, fiber class,
+        representative).
 
         sigma induces S_{images[x0]} on the codomain, since the hom sends
-        t*x0 to images[t]*images[x0].  A cycle's fiber class is the least
-        point of the induced cycle through its image, and its
+        t*x0 to images[t]*images[x0]; it fixes images[x0], so a cycle lies
+        inside x0's fiber or outside it.  A cycle's fiber class is the
+        least point of the induced cycle through its image, and its
         representative the least point of the cycle over that class."""
         domain, codomain, images = self.hom.domain, self.hom.codomain, self.hom.images
         plans = []
@@ -893,7 +895,7 @@ class Covering(Frozen):
             fiber_class = {z: cycle[0] for cycle in codomain.right_mult_cycles[images[x0]]
                            for z in cycle}
             plan = []
-            for cycle in cycles:
+            for cycle in (c for c in cycles if images[c[0]] != images[x0]):
                 y_star = fiber_class[images[cycle[0]]]
                 rep = min(t for t in cycle if images[t] == y_star)
                 plan.append((cycle, n_sigma // len(cycle), y_star, rep))

@@ -60,6 +60,7 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
+    CarrierMismatchError,
     ConstraintViolatedError,
     HypothesisFailedError,
     InternalCheckError,
@@ -79,7 +80,10 @@ from .ring import (
     _basis_images,
     _checked,
     _class_action,
+    _nonzero,
     _pair_product,
+    _squares_to_itself,
+    _unit_class,
     augmentation,
     dense_product,
     dense_vector,
@@ -580,9 +584,11 @@ def covering_family_verify(
     u u = sum_C s_C S_C u over the theta_S classes C (x ~ y iff S_x =
     S_y), s the class sums of u.  So every u(a) is idempotent, over every
     ring, when e has class sums 1 on x0's class and 0 elsewhere, each d_t
-    has zero class sums, and S_x0 fixes e and each d_t (_fixed_mass).  On
-    a covering every structure is certified, since a fiber lies in one
-    class and S_x0 permutes the fibers, and its cases are counted, none
+    has zero class sums, and S_x0 fixes e and each d_t (_fixed_mass).
+    These verdicts are taken once per (fiber, base point), before the
+    sweep, and a structure passes when those of its fibers at x0 hold.
+    On a covering every structure passes, since a fiber lies in one class
+    and S_x0 permutes the fibers, and its cases are counted, none
     evaluated.  Any other structure (a Covering record whose fibers do
     not act alike) squares each grid case (ring.dense_product), integral
     values staying ints over Q; only a failure is turned into parameters
@@ -614,11 +620,10 @@ def covering_family_verify(
     # over Q an integral case squares the same in ints
     m = ring.characteristic
     arith = ring if m else ZZ
-    # integer coefficient lists keyed (kind, x, z), certificates by (key,
-    # x0): the orbit sum of x under S_z minus its fiber's last point's,
-    # e_x - e_z ("unit"), or e = e_x ("e")
+    # integer coefficient lists keyed (kind, x, z): the orbit sum of x
+    # under S_z minus its fiber's last point's, e_x - e_z ("unit"), or
+    # e = e_x ("e")
     vectors: dict = {}
-    verdicts: dict = {}
 
     def vector(key) -> list:
         if key not in vectors:
@@ -635,23 +640,25 @@ def covering_family_verify(
                     vec[z] -= 1
         return vectors[key]
 
-    def certified(key, x0: int) -> bool:
-        if (key, x0) not in verdicts:
-            verdicts[key, x0] = _fixed_mass(vector(key), x0, domain, m, int(key[0] == "e"))
-        return verdicts[key, x0]
+    def certified(keys, x0: int) -> bool:
+        return all(_fixed_mass(vector(k), x0, domain, m, int(k[0] == "e")) for k in keys)
 
+    orbit_ok = {(y, x0): certified([("orbit", x, x0) for x in fibers[y][:-1]], x0)
+                for y in codomain for x0 in range(domain.order)} if max_j else {}
+    unit_ok = {x0: certified([("e", f[-1], f[-1])] + [("unit", x, f[-1]) for x in f[:-1]], x0)
+               for f in fibers.values() for x0 in f}
     for size in range(0, max_j + 1):
         for j_set in itertools.combinations(codomain, size):
             for y0 in codomain:
                 fiber0 = fibers[y0]
                 last = fiber0[-1]
                 for x0 in fiber0:
+                    if unit_ok[x0] and all(orbit_ok[y, x0] for y in j_set):
+                        continue
                     free_slots = [(y, x) for y in j_set for x in fibers[y][:-1]]
                     unit_slots = list(fiber0[:-1])
                     keys = [("orbit", x, x0) for _, x in free_slots]
                     keys += [("unit", x, last) for x in unit_slots]
-                    if certified(("e", last, last), x0) and all(certified(k, x0) for k in keys):
-                        continue
                     dirs = [[(k, a) for k, a in enumerate(vector(key)) if a] for key in keys]
                     for point in itertools.product(grid, repeat=len(dirs)):
                         u = [0] * domain.order
@@ -727,13 +734,21 @@ class ClassifyResult(Record):
 def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     """Decompose an idempotent into unit part plus orbit sums, if possible.
 
-    Splits u as v + w with w the fiber part over the unique unit-mass
-    codomain index, then reconstructs v from orbit sums of the base point
-    x0's right multiplication S_x0 (covering.orbit_plans).  Idempotency is
-    is_idempotent's test.  v w = sum_C s_C S_C v over the theta_S classes
-    C, s the class sums of w, so when w lies in one class the stabilizer
-    test v w = v compares v with S_x0 v.  The parameters are not
-    re-validated: rebuilding u from them (_family_vector) is the check.
+    One pass over u's pairs builds its coefficient list (refusing a key
+    outside the domain), fiber sums and theta_S class sums; the class
+    sums give is_idempotent's test.  u = v + w, w the part over the one
+    unit-mass fiber y0 and x0 its first point; v is read off the cycles
+    of S_x0 outside y0's fiber (covering.orbit_plans).
+
+    v w = sum_C s_C S_C v over the theta_S classes C, s the class sums of
+    w.  When w lies in x0's class and u's class sums are 1 there (always
+    on a check_covering covering), the idempotency test u u = S_x0 u = u
+    shows u, and so v, S_x0-invariant, since S_x0 maps y0's fiber to
+    itself (y0 y0 = y0).  Then the stabilizer test v w = S_x0 v = v and
+    the constancy of v on each cycle are implied, and one coefficient per
+    cycle is read.  Otherwise (a Covering record whose fibers do not act
+    alike) both are tested.  Rebuilding u from the parameters
+    (_family_vector) is their check.
 
     The family is a sublattice of the unit-mass idempotents: an orbit of
     S_x0 shorter than its order n_x0 carries multiples of n_x0 / |orbit|
@@ -741,75 +756,65 @@ def covering_classify(u: RingElement, covering: Covering) -> ClassifyResult:
     S_0 has order 2 and fixes 3, so the orbit multiplicity does not divide
     the orbit coefficient.
     """
-    domain = covering.hom.domain
-    ring = u.ring
+    domain, images = covering.hom.domain, covering.hom.images
+    ring, n, classes = u.ring, domain.order, domain.right_mult_classes
     zero, one, m = ring.zero, ring.one, ring.characteristic
     flags = ["codomain ring assumed, not certified, to have only trivial idempotents"]
-    vec = dense_vector(u, domain.order)
-    if not is_idempotent(u, domain):
-        raise NotIdempotentInputError("element is not idempotent (its square differs)")
-    images = covering.hom.images
-    fiber_sum = dict.fromkeys(covering.fibers, zero)
+
+    def refused(reason: str) -> ClassifyResult:
+        return ClassifyResult(False, reason=reason, flags=flags)
+
+    vec = [zero] * n
+    fiber_sum = [zero] * covering.hom.codomain.order
+    class_sum: dict = {}
     for x, c in u.coeffs:
+        if not (isinstance(x, int) and 0 <= x < n):
+            raise CarrierMismatchError(f"basis key {x!r} is not in the carrier")
+        vec[x] = c
         fiber_sum[images[x]] += c
+        class_sum[classes[x]] = class_sum.get(classes[x], 0) + c
+    t = _unit_class(class_sum, m)
+    if not _squares_to_itself(u, vec, t, domain):
+        raise NotIdempotentInputError("element is not idempotent (its square differs)")
     if m:
-        fiber_sum = {y: s % m for y, s in fiber_sum.items()}
-    units = [y for y, s in fiber_sum.items() if s == one]
-    rest = [y for y, s in fiber_sum.items() if s not in (zero, one)]
-    if len(units) != 1 or rest:
-        return ClassifyResult(False, reason="fiber sums are not a single unit mass", flags=flags)
-    y0 = units[0]
-    w = [(x, c) for x, c in u.coeffs if images[x] == y0]
-    v_pairs = [(x, c) for x, c in u.coeffs if images[x] != y0]
+        fiber_sum = [s % m for s in fiber_sum]
+    if fiber_sum.count(zero) != len(fiber_sum) - 1 or one not in fiber_sum:
+        return refused("fiber sums are not a single unit mass")
+    y0 = fiber_sum.index(one)
+    w = tuple([(x, vec[x]) for x in covering.fibers[y0] if vec[x]])
     x0 = w[0][0]
-
-    def result(groups: dict) -> ClassifyResult:
-        # built by construction; the round trip to u proves the decomposition
-        zero_sums = tuple((y, tuple(sorted(reps.items()))) for y, reps in sorted(groups.items()))
-        params = CoveringFamilyParams(ring, y0, x0, tuple(sorted(w)), zero_sums)
-        if _family_vector(covering, params) != vec:
-            raise InternalCheckError("classification failed to round-trip", element=element_to_json(u))
-        return ClassifyResult(True, params=params, flags=flags)
-
-    if not v_pairs:
-        return result({})
-    v = list(vec)
-    for x, _ in w:
-        v[x] = zero
-    classes = domain.right_mult_classes
-    if len({classes[x] for x, _ in w}) == 1:
-        stable = [v[k] for k in domain.right_mults[x0]] == v
-    else:
-        stable = _pair_product(v_pairs, w, domain.table, ring) == v
-    if not stable:
-        return ClassifyResult(
-            False, reason="orbit part is not stabilized by the unit part", flags=flags
-        )
+    implied = t == classes[x0] and all(classes[x] == t for x, _ in w)
+    if not implied:
+        v = list(vec)
+        for x, _ in w:
+            v[x] = zero
+        if len({classes[x] for x, _ in w}) == 1:
+            stable = [v[k] for k in domain.right_mults[x0]] == v
+        else:
+            stable = _pair_product(_nonzero(v), w, domain.table, ring) == v
+        if not stable:
+            return refused("orbit part is not stabilized by the unit part")
     groups: dict[int, dict[int, object]] = {}
     for orbit, multiplicity, y_star, rep in covering.orbit_plans[x0]:
-        c = v[orbit[0]]
-        for t in orbit:
-            if v[t] != c:
-                return ClassifyResult(
-                    False, reason="coefficients are not constant on a right-multiplication orbit",
-                    flags=flags,
-                )
+        c = vec[orbit[0]]
+        if not implied and any(vec[k] != c for k in orbit):
+            return refused("coefficients are not constant on a right-multiplication orbit")
         if c == zero:
             continue
-        a = ring.div(c, multiplicity)
+        a = c if multiplicity == 1 else ring.div(c, multiplicity)
         if a is None:
-            return ClassifyResult(
-                False,
-                reason="orbit multiplicity does not divide the orbit coefficient",
-                flags=flags,
-            )
+            return refused("orbit multiplicity does not divide the orbit coefficient")
         groups.setdefault(y_star, {})[rep] = a
-    for reps in groups.values():
+    zero_sums = []
+    for y, reps in sorted(groups.items()):
         if ring.sum(reps.values()) != zero:
-            return ClassifyResult(
-                False, reason="orbit multipliers do not cancel over a fiber class", flags=flags
-            )
-    return result(groups)
+            return refused("orbit multipliers do not cancel over a fiber class")
+        zero_sums.append((y, tuple(sorted(reps.items()))))
+    # built by construction; the round trip to u proves the decomposition
+    params = CoveringFamilyParams(ring, y0, x0, w, tuple(zero_sums))
+    if _family_vector(covering, params) != vec:
+        raise InternalCheckError("classification failed to round-trip", element=element_to_json(u))
+    return ClassifyResult(True, params=params, flags=flags)
 
 
 # ---------------------------------------------------------------------------

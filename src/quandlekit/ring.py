@@ -330,15 +330,20 @@ def is_idempotent(u: RingElement, carrier) -> bool:
     """Whether u is nonzero and u u = u.  When the theta_S class sums of u
     in a quandle table are 1 on t's class and 0 elsewhere (_class_action),
     u u = S_t u: an O(n) compare.  Otherwise u is squared."""
-    if u.is_zero():
-        return False
     if not isinstance(carrier, MagmaTable):
-        return mul(u, u, carrier) == u
+        return not u.is_zero() and mul(u, u, carrier) == u
     vec = dense_vector(u, carrier.order)
     t = _class_action(u, carrier) if carrier.is_quandle else None
+    return _squares_to_itself(u, vec, t, carrier)
+
+
+def _squares_to_itself(u: RingElement, vec: list, t: int | None, carrier) -> bool:
+    """Whether u, with coefficient list vec over the table carrier, is
+    nonzero and u u = u: the compare of vec with S_t vec when t is
+    _class_action's class of u, else the square of u's pairs."""
     if t is not None:
         return [vec[k] for k in carrier.right_mults[t]] == vec
-    return _pair_product(u.coeffs, u.coeffs, carrier.table, u.ring) == vec
+    return bool(u.coeffs) and _pair_product(u.coeffs, u.coeffs, carrier.table, u.ring) == vec
 
 
 def _checked(u: RingElement, carrier, what: str) -> RingElement:
@@ -448,11 +453,17 @@ def _class_action(u: RingElement, q: FiniteQuandle) -> int | None:
     t and 0 on every other class, else None.  Then e_k u = e_{k*t} for
     every k, since e_k u depends on u only through those sums: w -> w*u
     is S_t, with no image built.  The keys of u must lie in q."""
-    classes, m = q.right_mult_classes, u.ring.characteristic
+    classes = q.right_mult_classes
     sums: dict = {}
     for y, c in u.coeffs:
         t = classes[y]
         sums[t] = sums.get(t, 0) + c
+    return _unit_class(sums, u.ring.characteristic)
+
+
+def _unit_class(sums: dict, m: int) -> int | None:
+    """The class t of the theta_S class sums {class: sum} when they are 1
+    on t and 0 on every other class, all mod m when m is nonzero; else None."""
     found = None
     for t, s in sums.items():
         if m:

@@ -1,6 +1,7 @@
 """Structured idempotent families: coverings, unions, twisted unions, scans."""
 
 import functools
+import hashlib
 import itertools
 import json
 import subprocess
@@ -311,6 +312,41 @@ def test_family_verify_decides_a_covering_from_the_defect_terms(monkeypatch):
         if name == "r10_r5":
             assert (report.structures, report.cases) == (160, 3180)
     assert calls == []
+
+
+@pytest.mark.parametrize("name,calls", [("r6_r3", 30), ("r10_r5", 70)])
+def test_family_verify_certifies_once_per_fiber_and_base_point(monkeypatch, name, calls):
+    # one _fixed_mass verdict per direction of each (fiber y, base point
+    # x0): |y| - 1 orbit directions of every fiber at every x0, and e with
+    # the |fiber of x0| - 1 unit directions; none per structure
+    cov = FAMILY_COVERINGS[name]
+    fibers = cov.fibers.values()
+    per_pair = cov.hom.domain.order * sum(len(f) - 1 for f in fibers) + sum(len(f) ** 2 for f in fibers)
+    assert per_pair == calls
+    seen = []
+    real = idempotents._fixed_mass
+    monkeypatch.setattr(idempotents, "_fixed_mass", lambda *a: seen.append(a) or real(*a))
+    products = dense_product_calls(monkeypatch)
+    for ring, _ in FAMILY_RINGS.values():
+        seen.clear()
+        report = covering_family_verify(cov, ring=ring)
+        assert report.verified and report.structures > per_pair
+        assert len(seen) == calls
+    assert products == []
+
+
+@pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
+def test_family_verify_sweeps_where_only_the_orbit_verdict_fails(t2, ring_name):
+    # R_3 + T_1 over T_2: the one-point fiber {3} is certified as a unit
+    # fiber, but S_3 fixes R_3 pointwise, so the orbit directions
+    # e_x - e_2 of the R_3 fiber have nonzero class sums; those
+    # structures are swept, and some of their cases fail
+    ring, modulus = FAMILY_RINGS[ring_name]
+    cov = _forged_covering(union_quandle([dihedral_quandle(3), trivial_quandle(1)]), t2, [0, 0, 0, 1])
+    report = covering_family_verify(cov, ring=ring, max_j=1)
+    structures, cases, failures = _oracle_family(cov, ring, modulus, max_j=1)
+    assert (report.structures, report.cases, report.failures) == (structures, cases, failures)
+    assert any(f["unit_coeffs"] == [[3, "1"]] and f["zero_sum_coeffs"] for f in failures)
 
 
 def test_family_verify_squares_each_case_where_the_defect_is_nonzero(r3, monkeypatch):
@@ -679,6 +715,78 @@ def test_classify_builds_orbit_data_once_per_quandle_and_base_point(monkeypatch)
     # _family_vector is their check, not covering_family_params
     monkeypatch.setattr(idempotents, "covering_family_params", None)
     assert all(covering_classify(u, cov).in_family for u in members)
+
+
+def _union_covering():
+    r3 = dihedral_quandle(3)
+    return check_covering(QuandleHom(union_quandle([r3, trivial_quandle(2)]),
+                                     union_quandle([r3, trivial_quandle(1)]), [0, 1, 2, 3, 3]))
+
+
+IN = (True, None)
+SUMS = (False, "fiber sums are not a single unit mass")
+MULTIPLICITY = (False, "orbit multiplicity does not divide the orbit coefficient")
+# (covering, search, literal verdict histogram, SHA-256 of the results' JSON or None)
+CLASSIFY_VERDICTS = {
+    "r6_Z_box3": ("r6_r3", ("Z", 3), {IN: 126},
+                  "6f64c1f4e60ef4fb390f40fe6552eeed50b101acedda925ac670689d492915fd"),
+    "r6_Q_box2": ("r6_r3", ("Q", 2), {IN: 60},
+                  "bca3e7983899eb7706b80e6593d1885c2f43372982376f7701f688a9b21e32a7"),
+    "r6_Z5": ("r6_r3", ("mod", 5), {IN: 75, SUMS: 20},
+              "07758b6e4ec9b888427c21f9a733f7984c8a8f8da4411b54b7bc581093de5b33"),
+    "r6_Z4_forced": ("r6_r3", ("mod", 4), {IN: 48, SUMS: 16},
+                     "8c82caa6a235343ccb969ffb64c9c3c66a9f81e3ab13fb724f1ef07227f7890a"),
+    "r10_Z_box2": ("r10_r5", ("Z", 2), {IN: 500},
+                   "881a81e0955e7cdde7111781ac67857dcb5d84beb4828b82e33d07a0c7d7a318"),
+    "r10_Z3": ("r10_r5", ("mod", 3), {IN: 135, SUMS: 48},
+               "a5daddadb3e6f26a190da81732ae9ab377d45cb6da0e604caf2de6ec330e06be"),
+    "union_Z_box2": ("union", ("Z", 2), {IN: 13, SUMS: 31, MULTIPLICITY: 6}, None),
+    "union_Z2": ("union", ("mod", 2), {IN: 5, SUMS: 5, MULTIPLICITY: 3}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFY_VERDICTS))
+def test_classify_verdicts_are_pinned(case):
+    # every idempotent a search finds, classified: literal verdict counts,
+    # and on r6 and r10 a digest of every result's JSON, taken when
+    # classify ran is_idempotent and both invariance tests on every input
+    name, (kind, value), histogram, digest = CLASSIFY_VERDICTS[case]
+    cov = _union_covering() if name == "union" else FAMILY_COVERINGS[name]
+    domain = cov.hom.domain
+    if kind == "mod":
+        found = enumerate_mod_p(domain, value, force=True).idempotents
+    else:
+        found = enumerate_boxed_Z(domain, value).idempotents
+        if kind == "Q":
+            found = [RingElement(QQ, u.coeffs) for u in found]
+    results = [covering_classify(u, cov) for u in found]
+    counts: dict = {}
+    for r in results:
+        counts[r.in_family, r.reason] = counts.get((r.in_family, r.reason), 0) + 1
+    assert counts == histogram
+    if digest is not None:
+        text = json.dumps([r.to_json() for r in results], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_orbit_plans_hold_the_cycles_outside_the_base_fiber():
+    for cov in [*FAMILY_COVERINGS.values(), _union_covering()]:
+        domain, images = cov.hom.domain, cov.hom.images
+        for x0, plan in enumerate(cov.orbit_plans):
+            inside = [c for c in domain.right_mult_cycles[x0] if images[c[0]] == images[x0]]
+            assert all(images[t] == images[x0] for c in inside for t in c)
+            assert sorted(t for c in inside for t in c) == list(cov.fibers[images[x0]])
+            assert [c for c, *_ in plan] == [c for c in domain.right_mult_cycles[x0] if c not in inside]
+
+
+def test_classify_checks_its_parameters_by_the_rebuild(cov63, monkeypatch):
+    # the decomposition is trusted only after _family_vector gives u back
+    u = elem(ZZ, [(0, 1), (1, 1), (2, 1), (3, -1), (5, -1)])
+    real = idempotents._family_vector
+    monkeypatch.setattr(idempotents, "_family_vector",
+                        lambda cov, params: [c + (k == 4) for k, c in enumerate(real(cov, params))])
+    with pytest.raises(InternalCheckError, match="round-trip"):
+        covering_classify(u, cov63)
 
 
 # ---------------------------------------------------------------------------
