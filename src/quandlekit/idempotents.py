@@ -581,18 +581,23 @@ def covering_family_verify(
     the grid: d_t is the orbit sum of t minus that of its fiber's last
     point, or e_t - e_last on the unit fiber.
 
+    The counts come first, in closed form: a structure has g^(free
+    slots) cases, g = len(grid), so summed over J and y0 they factor
+    into elementary symmetric sums of the fiber weights g^(|y| - 1).
+
     u u = sum_C s_C S_C u over the theta_S classes C (x ~ y iff S_x =
     S_y), s the class sums of u.  So every u(a) is idempotent, over every
     ring, when e has class sums 1 on x0's class and 0 elsewhere, each d_t
     has zero class sums, and S_x0 fixes e and each d_t (_fixed_mass).
-    These verdicts are taken once per (fiber, base point), before the
-    sweep, and a structure passes when those of its fibers at x0 hold.
-    On a covering every structure passes, since a fiber lies in one class
-    and S_x0 permutes the fibers, and its cases are counted, none
-    evaluated.  Any other structure (a Covering record whose fibers do
-    not act alike) squares each grid case (ring.dense_product), integral
-    values staying ints over Q; only a failure is turned into parameters
-    (covering_family_params).
+    x0 enters only through S_x0, so these verdicts are taken once per
+    (fiber, theta_S class), and a structure passes when those of its
+    fibers at x0's class hold.  On a covering every verdict holds, since
+    a fiber lies in one class and S_x0 permutes the fibers, and the
+    report is returned with no structure visited.  Otherwise the
+    structures are walked, and each one that does not pass (a Covering
+    record whose fibers do not act alike) squares each grid case
+    (ring.dense_product), integral values staying ints over Q; only a
+    failure is turned into parameters (covering_family_params).
     """
     if not isinstance(covering, Covering):
         raise TypeError("covering_family_verify needs a Covering, not a bare hom")
@@ -601,22 +606,25 @@ def covering_family_verify(
     note = _grid_note(ring, grid)
     fibers = covering.fibers
     codomain = sorted(fibers)
-    # count the sweep before running it: a structure has len(grid)^(free
-    # slots) cases, whether it is certified or its cases are squared
-    structures = 0
-    cases = 0
-    for size in range(0, max_j + 1):
-        for j_set in itertools.combinations(codomain, size):
-            free = sum(len(fibers[y]) - 1 for y in j_set)
-            for y0 in codomain:
-                k0 = len(fibers[y0])
-                structures += k0
-                cases += k0 * len(grid) ** (free + k0 - 1)
+    # count the sweep before running it: a structure (J, y0, x0) has
+    # g^(free slots of J) g^(|y0| - 1) cases, whether it is certified or
+    # its cases are squared, so the counts factor over J and over y0;
+    # count[s] and weight[s] are the elementary symmetric sums e_s of the
+    # fiber weights 1 and g^(|y| - 1), each fiber added by a downward pass
+    g = len(grid)
+    count, weight = [1] + [0] * max_j, [1] + [0] * max_j
+    for w in (g ** (len(f) - 1) for f in fibers.values()):
+        for s in range(max_j, 0, -1):
+            count[s] += count[s - 1]
+            weight[s] += weight[s - 1] * w
+    structures = sum(count) * sum(len(f) for f in fibers.values())
+    cases = sum(weight) * sum(len(f) * g ** (len(f) - 1) for f in fibers.values())
     if cases > budget:
         raise BudgetExceededError(cases, budget)
-    report = FamilyVerifyReport(True, structures, cases)
+    report = FamilyVerifyReport(True, structures, cases, notes=[note])
     domain, images = covering.hom.domain, covering.hom.images
     cycles, orders = domain.right_mult_cycles, domain.right_mult_orders
+    classes = domain.right_mult_classes
     # over Q an integral case squares the same in ints
     m = ring.characteristic
     arith = ring if m else ZZ
@@ -643,17 +651,21 @@ def covering_family_verify(
     def certified(keys, x0: int) -> bool:
         return all(_fixed_mass(vector(k), x0, domain, m, int(k[0] == "e")) for k in keys)
 
-    orbit_ok = {(y, x0): certified([("orbit", x, x0) for x in fibers[y][:-1]], x0)
-                for y in codomain for x0 in range(domain.order)} if max_j else {}
-    unit_ok = {x0: certified([("e", f[-1], f[-1])] + [("unit", x, f[-1]) for x in f[:-1]], x0)
-               for f in fibers.values() for x0 in f}
+    # x0 enters a verdict only through S_x0, so through its class c
+    orbit_ok = {(y, c): certified([("orbit", x, c) for x in fibers[y][:-1]], c)
+                for y in codomain for c in set(classes)} if max_j else {}
+    unit_ok = {(y, c): certified([("e", f[-1], f[-1])] + [("unit", x, f[-1]) for x in f[:-1]], c)
+               for y, f in fibers.items() for c in {classes[x0] for x0 in f}}
+    if all(orbit_ok.values()) and all(unit_ok.values()):
+        return report
     for size in range(0, max_j + 1):
         for j_set in itertools.combinations(codomain, size):
             for y0 in codomain:
                 fiber0 = fibers[y0]
                 last = fiber0[-1]
                 for x0 in fiber0:
-                    if unit_ok[x0] and all(orbit_ok[y, x0] for y in j_set):
+                    c = classes[x0]
+                    if unit_ok[y0, c] and all(orbit_ok[y, c] for y in j_set):
                         continue
                     free_slots = [(y, x) for y in j_set for x in fibers[y][:-1]]
                     unit_slots = list(fiber0[:-1])
@@ -682,7 +694,6 @@ def covering_family_verify(
                         params = covering_family_params(covering, ring, y0, unit, x0, zs)
                         report.verified = False
                         report.failures.append(params.to_json())
-    report.notes.append(note)
     return report
 
 

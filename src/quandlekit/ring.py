@@ -452,10 +452,13 @@ def _class_action(u: RingElement, q: FiniteQuandle) -> int | None:
     quandle q (`FiniteQuandle.right_mult_classes`) are 1 on the class of
     t and 0 on every other class, else None.  Then e_k u = e_{k*t} for
     every k, since e_k u depends on u only through those sums: w -> w*u
-    is S_t, with no image built.  The keys of u must lie in q."""
-    classes = q.right_mult_classes
+    is S_t, with no image built.  The same pass over u's pairs refuses a
+    key outside q, as dense_vector does."""
+    classes, n = q.right_mult_classes, q.order
     sums: dict = {}
     for y, c in u.coeffs:
+        if not (isinstance(y, int) and 0 <= y < n):
+            raise CarrierMismatchError(f"basis key {y!r} is not in the carrier")
         t = classes[y]
         sums[t] = sums.get(t, 0) + c
     return _unit_class(sums, u.ring.characteristic)
@@ -477,17 +480,17 @@ def _unit_class(sums: dict, m: int) -> int | None:
 
 def is_ring_endomorphism(u: RingElement, q: FiniteQuandle) -> bool:
     """Whether w -> w*u preserves products, checked on all basis pairs:
-    (e_k u)(e_l u) = e_{k*l} u.  A key outside the carrier is refused
-    first.  In a quandle, when the theta_S class sums of u are 1 on the
-    class of some t and 0 on the others (_class_action), w -> w*u is S_t,
-    an automorphism since (x*y)*t = (x*t)*(y*t).  This is why the
-    covering-family idempotents form a quandle (the paper: "the set of
-    all these idempotents forms a quandle in itself").  Otherwise, and
-    on a magma table, the images e_k u are built once.  Where both
-    e_k u = e_s and e_l u = e_t are basis elements the pair is the integer
-    compare of sigma(k*l) with s*t, and only the pairs that touch another
-    image are multiplied out."""
-    dense_vector(u, q.order)  # refuses a key outside the carrier
+    (e_k u)(e_l u) = e_{k*l} u.  A key outside the carrier is refused by
+    the first pass over u's pairs.  In a quandle that pass is
+    _class_action's: when the theta_S class sums of u are 1 on the class
+    of some t and 0 on the others, w -> w*u is S_t, an automorphism since
+    (x*y)*t = (x*t)*(y*t).  This is why the covering-family idempotents
+    form a quandle (the paper: "the set of all these idempotents forms a
+    quandle in itself").  Otherwise, and on a magma table, the images
+    e_k u are built once (_basis_images, which refuses a foreign key
+    itself).  Where both e_k u = e_s and e_l u = e_t are basis elements
+    the pair is the integer compare of sigma(k*l) with s*t, and only the
+    pairs that touch another image are multiplied out."""
     if q.is_quandle and _class_action(u, q) is not None:
         return True
     table = q.table

@@ -302,6 +302,14 @@ def dense_product_calls(monkeypatch):
     return calls
 
 
+def fixed_mass_calls(monkeypatch):
+    """Spy on the family verdicts' _fixed_mass: the arguments of each call."""
+    calls = []
+    real = idempotents._fixed_mass
+    monkeypatch.setattr(idempotents, "_fixed_mass", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 def test_family_verify_decides_a_covering_from_the_defect_terms(monkeypatch):
     # every structure of a covering is certified by its class sums and its
     # invariance under S_x0, so its cases are counted, none squared
@@ -314,18 +322,20 @@ def test_family_verify_decides_a_covering_from_the_defect_terms(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name,calls", [("r6_r3", 30), ("r10_r5", 70)])
+@pytest.mark.parametrize("name,calls", [("r6_r3", 15), ("r10_r5", 35)])
 def test_family_verify_certifies_once_per_fiber_and_base_point(monkeypatch, name, calls):
-    # one _fixed_mass verdict per direction of each (fiber y, base point
-    # x0): |y| - 1 orbit directions of every fiber at every x0, and e with
-    # the |fiber of x0| - 1 unit directions; none per structure
+    # one _fixed_mass verdict per direction of each (fiber y, theta_S class
+    # c), since a base point x0 enters only through S_x0: |y| - 1 orbit
+    # directions of every fiber at every class, and e with the |y| - 1
+    # unit directions at each class that meets y (one on a covering);
+    # none per base point or per structure
     cov = FAMILY_COVERINGS[name]
     fibers = cov.fibers.values()
-    per_pair = cov.hom.domain.order * sum(len(f) - 1 for f in fibers) + sum(len(f) ** 2 for f in fibers)
+    classes = cov.hom.domain.right_mult_classes
+    per_pair = (len(set(classes)) * sum(len(f) - 1 for f in fibers)
+                + sum(len({classes[x] for x in f}) * len(f) for f in fibers))
     assert per_pair == calls
-    seen = []
-    real = idempotents._fixed_mass
-    monkeypatch.setattr(idempotents, "_fixed_mass", lambda *a: seen.append(a) or real(*a))
+    seen = fixed_mass_calls(monkeypatch)
     products = dense_product_calls(monkeypatch)
     for ring, _ in FAMILY_RINGS.values():
         seen.clear()
@@ -333,6 +343,79 @@ def test_family_verify_certifies_once_per_fiber_and_base_point(monkeypatch, name
         assert report.verified and report.structures > per_pair
         assert len(seen) == calls
     assert products == []
+
+
+def test_family_verify_scales_with_fibers_and_classes(monkeypatch):
+    # R_42 -> R_21 at max_j = 2: 9,744 structures, but 21 x 21 orbit
+    # verdicts and 21 unit verdicts of two directions each, and no case squared
+    cov = _dihedral_double_covering(21)
+    seen = fixed_mass_calls(monkeypatch)
+    products = dense_product_calls(monkeypatch)
+    report = covering_family_verify(cov, max_j=2)
+    assert report.verified and report.failures == []
+    assert (report.structures, report.cases) == (9744, 246204)
+    assert len(seen) == 483 and products == []
+
+
+def test_family_verify_takes_a_unit_verdict_per_class_of_a_fiber(monkeypatch, r6, t2):
+    # the forged R_6 -> T_2 record has fibers {0, 2, 4} and {1, 3, 5}, each
+    # meeting the three theta_S classes of R_6: e is checked at each of
+    # them, not once per fiber, and every verdict fails, so all is swept
+    cov = _forged_covering(r6, t2, [i % 2 for i in range(6)])
+    seen = fixed_mass_calls(monkeypatch)
+    report = covering_family_verify(cov, max_j=0)
+    assert sorted(a[1] for a in seen if a[4] == 1) == [0, 0, 1, 1, 2, 2]
+    assert report.failures == _oracle_family(cov, ZZ, None, max_j=0)[2] != []
+
+
+def _dihedral_double_covering(n):
+    return check_covering(QuandleHom(dihedral_quandle(2 * n), dihedral_quandle(n),
+                                     [i % n for i in range(2 * n)]))
+
+
+def _enumerated_counts(cov, g, max_j):
+    """(structures, cases) of the family sweep, one structure at a time."""
+    fibers = cov.fibers
+    structures = cases = 0
+    for size in range(max_j + 1):
+        for j_set in itertools.combinations(sorted(fibers), size):
+            free = sum(len(fibers[y]) - 1 for y in j_set)
+            for fiber0 in fibers.values():
+                for _ in fiber0:
+                    structures += 1
+                    cases += g ** (free + len(fiber0) - 1)
+    return structures, cases
+
+
+def test_family_verify_counts_match_the_enumeration(r6, t2):
+    coverings = [_dihedral_double_covering(n) for n in (3, 5, 7, 6)]
+    coverings += [
+        check_covering(QuandleHom(trivial_quandle(3), trivial_quandle(1), [0, 0, 0])),
+        _forged_covering(r6, t2, [i % 2 for i in range(6)]),
+        _union_covering(),
+    ]
+    for cov, g, max_j in itertools.product(coverings, range(5), range(4)):
+        report = covering_family_verify(cov, grid=tuple(range(g)), max_j=max_j)
+        assert (report.structures, report.cases) == _enumerated_counts(cov, g, max_j)
+    pins = {3: (42, 666), 5: (160, 3180), 9: (828, 19008), 21: (9744, 246204)}
+    for n, counts in pins.items():
+        cov = _dihedral_double_covering(n)
+        assert _enumerated_counts(cov, 3, 2) == counts
+        if n < 21:
+            report = covering_family_verify(cov)
+            assert (report.structures, report.cases) == counts
+
+
+def test_family_verify_refuses_the_budget_before_any_verdict(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a verdict was taken")
+
+    monkeypatch.setattr(idempotents, "_fixed_mass", refuse)
+    cov = FAMILY_COVERINGS["r10_r5"]
+    with pytest.raises(BudgetExceededError):
+        covering_family_verify(cov, budget=3179)
+    with pytest.raises(AssertionError, match="a verdict was taken"):
+        covering_family_verify(cov, budget=3180)
 
 
 @pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
