@@ -49,8 +49,9 @@ params = covering_family_params(
 u = covering_idempotent(cov, params)
 print("\nassembled idempotent:", u)
 
-# The verifier sweeps every structural choice and certifies the scalar
-# grid; the defect is quadratic per coefficient, so three points decide.
+# The verifier certifies every structural choice for every coefficient
+# value with one linear check per (fiber, theta_S class), and counts the
+# structures and the {-1,0,1} grid cases they stand for.
 report = covering_family_verify(cov)
 print("verified:", report.verified, "| structures:", report.structures, "| cases:", report.cases)
 

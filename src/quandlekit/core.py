@@ -861,16 +861,39 @@ class QuandleHom:
 class Covering(Frozen):
     """A surjective hom whose fibers act identically on the domain.
 
+    The constructor is the check: it raises NotSurjectiveError when some
+    codomain point has no preimage and CoveringConditionError on the first
+    two points that share an image but act differently, so every Covering,
+    a pickled or copied one included, is a covering.  `fibers` maps each
+    codomain index to the sorted tuple of its preimages, and `nontrivial`
+    records whether some whole connected component of the codomain has
+    all fibers of size >= 2.
+
     Not slotted: `orbit_plans` is cached in the instance's __dict__."""
 
-    def __init__(self, hom: QuandleHom, fibers: dict, nontrivial: bool):
+    def __init__(self, hom: QuandleHom):
+        x_q, y_q = hom.domain, hom.codomain
+        fibers: dict[int, list[int]] = {y: [] for y in range(y_q.order)}
+        for i, y in enumerate(hom.images):
+            fibers[y].append(i)
+        missing = [y for y, f in fibers.items() if not f]
+        if missing:
+            raise NotSurjectiveError(f"no preimage for codomain index {missing[0]}")
+        for fiber in fibers.values():
+            first = fiber[0]
+            for other in fiber[1:]:
+                if x_q.right_mults[first] != x_q.right_mults[other]:
+                    raise CoveringConditionError(first, other)
+        # fibers are trivial subquandles: if R_a = R_b then a*b = R_b(a) = R_a(a) = a*a = a
+        nontrivial = any(
+            all(len(fibers[y]) >= 2 for y in component) for component in inner_orbits(y_q)
+        )
         object.__setattr__(self, "hom", hom)
-        # codomain index -> sorted tuple of domain indices
-        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "fibers", {y: tuple(f) for y, f in fibers.items()})
         object.__setattr__(self, "nontrivial", nontrivial)
 
     def _args(self) -> tuple:
-        return self.hom, self.fibers, self.nontrivial
+        return (self.hom,)
 
     def fiber(self, y: int) -> tuple[int, ...]:
         if y not in self.fibers:
@@ -911,29 +934,8 @@ class Covering(Frozen):
 
 
 def check_covering(hom: QuandleHom) -> Covering:
-    """Promote a hom to a covering, or raise.
-
-    Needs surjectivity and that any two points with the same image have
-    the same right multiplication.  `nontrivial` records whether some
-    whole connected component of the codomain has all fibers of size >= 2.
-    """
-    x_q, y_q = hom.domain, hom.codomain
-    fibers: dict[int, list[int]] = {y: [] for y in range(y_q.order)}
-    for i, y in enumerate(hom.images):
-        fibers[y].append(i)
-    missing = [y for y, f in fibers.items() if not f]
-    if missing:
-        raise NotSurjectiveError(f"no preimage for codomain index {missing[0]}")
-    for y, fiber in fibers.items():
-        first = fiber[0]
-        for other in fiber[1:]:
-            if x_q.right_mults[first] != x_q.right_mults[other]:
-                raise CoveringConditionError(first, other)
-    # fibers are trivial subquandles: if R_a = R_b then a*b = R_b(a) = R_a(a) = a*a = a
-    nontrivial = any(
-        all(len(fibers[y]) >= 2 for y in component) for component in inner_orbits(y_q)
-    )
-    return Covering(hom, {y: tuple(f) for y, f in fibers.items()}, nontrivial)
+    """Promote a hom to a covering, or raise: the Covering constructor."""
+    return Covering(hom)
 
 
 def find_coverings(x_q: FiniteQuandle, y_q: FiniteQuandle, budget: int = 10**7) -> list[Covering]:

@@ -26,6 +26,7 @@ from quandlekit import (
     InvalidParamsError,
     NotIdempotentInputError,
     NotNilpotentError,
+    NotSurjectiveError,
     QuandleHom,
     RingElement,
     RingMismatchError,
@@ -233,39 +234,34 @@ def test_family_verify_matches_the_naive_oracle_off_latin_bases(monkeypatch, max
     assert calls == []
 
 
-def _forged_covering(domain, codomain, images):
-    """A Covering record on a hom whose fibers do not act alike."""
-    hom = QuandleHom(domain, codomain, images)
-    with pytest.raises(CoveringConditionError):
-        check_covering(hom)
-    fibers = {}
-    for x, y in enumerate(images):
-        fibers.setdefault(y, []).append(x)
-    return Covering(hom, {y: tuple(f) for y, f in fibers.items()}, False)
+# homs whose fibers do not act alike, with the pair each refusal names
+NOT_COVERINGS = [
+    (lambda: dihedral_quandle(6), 2, [i % 2 for i in range(6)], (0, 2)),
+    (lambda: dihedral_quandle(3), 1, [0, 0, 0], (0, 1)),
+    (lambda: union_quandle([dihedral_quandle(3), trivial_quandle(1)]), 2, [0, 0, 0, 1], (0, 1)),
+    (lambda: union_quandle([dihedral_quandle(4), trivial_quandle(1)]), 2, [0, 1, 0, 1, 0], (0, 4)),
+    (lambda: union_quandle([dihedral_quandle(3), trivial_quandle(2)]), 2, [0, 0, 0, 1, 1], (0, 1)),
+]
+
+
+def test_covering_refuses_a_hom_whose_fibers_act_differently():
+    # the constructor is check_covering: no Covering holds fibers that act
+    # differently, so nothing downstream has to sweep or test for them
+    for domain, codomain_order, images, pair in NOT_COVERINGS:
+        hom = QuandleHom(domain(), trivial_quandle(codomain_order), images)
+        for build in (Covering, check_covering):
+            with pytest.raises(CoveringConditionError) as err:
+                build(hom)
+            assert err.value.pair == pair
+    hom = QuandleHom(trivial_quandle(2), trivial_quandle(3), [0, 1])
+    for build in (Covering, check_covering):
+        with pytest.raises(NotSurjectiveError, match="no preimage for codomain index 2"):
+            build(hom)
 
 
 @pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
-def test_family_verify_failures_match_the_oracle_off_a_covering(r3, r6, t2, ring_name):
-    ring, modulus = FAMILY_RINGS[ring_name]
-    forged = [
-        _forged_covering(r6, t2, [i % 2 for i in range(6)]),
-        _forged_covering(r3, trivial_quandle(1), [0, 0, 0]),
-    ]
-    for cov in forged:
-        for grid, max_j in [((-1, 0, 1), 2), ((0, 1, 2), 1)]:
-            report = covering_family_verify(cov, ring=ring, grid=grid, max_j=max_j)
-            structures, cases, failures = _oracle_family(cov, ring, modulus, grid=grid, max_j=max_j)
-            assert (report.structures, report.cases) == (structures, cases)
-            assert report.failures == failures
-            assert report.verified is (failures == [])
-    # R_3 has only trivial idempotents over Z, so splitting its one fiber fails
-    assert not covering_family_verify(forged[1]).verified
-
-
-@pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
-def test_family_verify_builds_parameters_only_for_failures(monkeypatch, r3, r6, t2, ring_name):
-    # the sweep squares each case from its directions; covering_family_params
-    # runs once per reported failure, to build its payload
+def test_family_verify_builds_parameters_only_for_failures(monkeypatch, ring_name):
+    # a covering's report has no failures, so no parameters are built
     calls = []
     real = idempotents.covering_family_params
 
@@ -278,15 +274,6 @@ def test_family_verify_builds_parameters_only_for_failures(monkeypatch, r3, r6, 
     for name in ("r6_r3", "r10_r5"):
         assert covering_family_verify(FAMILY_COVERINGS[name], ring=ring).verified
     assert calls == []
-    forged = [
-        _forged_covering(r6, t2, [i % 2 for i in range(6)]),
-        _forged_covering(r3, trivial_quandle(1), [0, 0, 0]),
-    ]
-    failures = 0
-    for cov in forged:
-        for grid, max_j in [((-1, 0, 1), 2), ((0, 1, 2), 1)]:
-            failures += len(covering_family_verify(cov, ring=ring, grid=grid, max_j=max_j).failures)
-    assert failures > 0 and len(calls) == failures
 
 
 def dense_product_calls(monkeypatch):
@@ -327,13 +314,13 @@ def test_family_verify_certifies_once_per_fiber_and_base_point(monkeypatch, name
     # one _fixed_mass verdict per direction of each (fiber y, theta_S class
     # c), since a base point x0 enters only through S_x0: |y| - 1 orbit
     # directions of every fiber at every class, and e with the |y| - 1
-    # unit directions at each class that meets y (one on a covering);
-    # none per base point or per structure
+    # unit directions at the one class that y lies in; none per base
+    # point or per structure
     cov = FAMILY_COVERINGS[name]
     fibers = cov.fibers.values()
     classes = cov.hom.domain.right_mult_classes
-    per_pair = (len(set(classes)) * sum(len(f) - 1 for f in fibers)
-                + sum(len({classes[x] for x in f}) * len(f) for f in fibers))
+    assert all(len({classes[x] for x in f}) == 1 for f in fibers)
+    per_pair = len(set(classes)) * sum(len(f) - 1 for f in fibers) + sum(len(f) for f in fibers)
     assert per_pair == calls
     seen = fixed_mass_calls(monkeypatch)
     products = dense_product_calls(monkeypatch)
@@ -357,15 +344,26 @@ def test_family_verify_scales_with_fibers_and_classes(monkeypatch):
     assert len(seen) == 483 and products == []
 
 
-def test_family_verify_takes_a_unit_verdict_per_class_of_a_fiber(monkeypatch, r6, t2):
-    # the forged R_6 -> T_2 record has fibers {0, 2, 4} and {1, 3, 5}, each
-    # meeting the three theta_S classes of R_6: e is checked at each of
-    # them, not once per fiber, and every verdict fails, so all is swept
-    cov = _forged_covering(r6, t2, [i % 2 for i in range(6)])
-    seen = fixed_mass_calls(monkeypatch)
-    report = covering_family_verify(cov, max_j=0)
-    assert sorted(a[1] for a in seen if a[4] == 1) == [0, 0, 1, 1, 2, 2]
-    assert report.failures == _oracle_family(cov, ZZ, None, max_j=0)[2] != []
+def test_family_verify_raises_where_a_verdict_fails(monkeypatch):
+    # the verdicts are the function's own exact check: whichever one
+    # fails, it raises naming that verdict's fiber and class, and squares
+    # no case
+    cov = FAMILY_COVERINGS["r10_r5"]
+    real = idempotents._fixed_mass
+    products = dense_product_calls(monkeypatch)
+    for failing in range(35):
+        seen = []
+
+        def flaky(*args):
+            seen.append(args)
+            return len(seen) - 1 != failing and real(*args)
+
+        monkeypatch.setattr(idempotents, "_fixed_mass", flaky)
+        with pytest.raises(InternalCheckError, match="fails its certificate") as err:
+            covering_family_verify(cov)
+        assert len(seen) == failing + 1
+        assert err.value.fiber in cov.fibers and err.value.theta_class == seen[-1][1]
+    assert products == []
 
 
 def _dihedral_double_covering(n):
@@ -387,16 +385,15 @@ def _enumerated_counts(cov, g, max_j):
     return structures, cases
 
 
-def test_family_verify_counts_match_the_enumeration(r6, t2):
+def test_family_verify_counts_match_the_enumeration():
     coverings = [_dihedral_double_covering(n) for n in (3, 5, 7, 6)]
     coverings += [
         check_covering(QuandleHom(trivial_quandle(3), trivial_quandle(1), [0, 0, 0])),
-        _forged_covering(r6, t2, [i % 2 for i in range(6)]),
         _union_covering(),
     ]
-    for cov, g, max_j in itertools.product(coverings, range(5), range(4)):
-        report = covering_family_verify(cov, grid=tuple(range(g)), max_j=max_j)
-        assert (report.structures, report.cases) == _enumerated_counts(cov, g, max_j)
+    for cov, max_j in itertools.product(coverings, range(4)):
+        report = covering_family_verify(cov, max_j=max_j)
+        assert (report.structures, report.cases) == _enumerated_counts(cov, 3, max_j)
     pins = {3: (42, 666), 5: (160, 3180), 9: (828, 19008), 21: (9744, 246204)}
     for n, counts in pins.items():
         cov = _dihedral_double_covering(n)
@@ -416,34 +413,6 @@ def test_family_verify_refuses_the_budget_before_any_verdict(monkeypatch):
         covering_family_verify(cov, budget=3179)
     with pytest.raises(AssertionError, match="a verdict was taken"):
         covering_family_verify(cov, budget=3180)
-
-
-@pytest.mark.parametrize("ring_name", sorted(FAMILY_RINGS))
-def test_family_verify_sweeps_where_only_the_orbit_verdict_fails(t2, ring_name):
-    # R_3 + T_1 over T_2: the one-point fiber {3} is certified as a unit
-    # fiber, but S_3 fixes R_3 pointwise, so the orbit directions
-    # e_x - e_2 of the R_3 fiber have nonzero class sums; those
-    # structures are swept, and some of their cases fail
-    ring, modulus = FAMILY_RINGS[ring_name]
-    cov = _forged_covering(union_quandle([dihedral_quandle(3), trivial_quandle(1)]), t2, [0, 0, 0, 1])
-    report = covering_family_verify(cov, ring=ring, max_j=1)
-    structures, cases, failures = _oracle_family(cov, ring, modulus, max_j=1)
-    assert (report.structures, report.cases, report.failures) == (structures, cases, failures)
-    assert any(f["unit_coeffs"] == [[3, "1"]] and f["zero_sum_coeffs"] for f in failures)
-
-
-def test_family_verify_squares_each_case_where_the_defect_is_nonzero(r3, monkeypatch):
-    # R_3 over one point: the unit directions e_x - e_2 leave nonzero linear
-    # and square terms, which cancel at every point over Z/2 (a^2 = a there),
-    # so every case is squared, none fails, and the sweep agrees with the oracle
-    cov = _forged_covering(r3, trivial_quandle(1), [0, 0, 0])
-    calls = dense_product_calls(monkeypatch)
-    report = covering_family_verify(cov, ring=IntegersMod(2), max_j=0)
-    expected = _oracle_family(cov, IntegersMod(2), 2, max_j=0)
-    assert (report.structures, report.cases, report.failures) == expected == (3, 27, [])
-    assert report.verified
-    assert len([args for args in calls if args[0] is args[1]]) >= 27
-    assert not covering_family_verify(cov, max_j=0).verified
 
 
 def _defect_terms(table, e, dirs, modulus):
@@ -552,13 +521,16 @@ DEGREE_NOTE = (
     ],
 )
 def test_family_verify_note_states_what_its_grid_shows(cov63, ring, grid, note):
-    (got,) = covering_family_verify(cov63, ring=ring, grid=grid, max_j=1).notes
+    got = idempotents._grid_note(ring, grid)
     assert got.startswith(note)
+    if grid == idempotents._GRID:
+        assert covering_family_verify(cov63, ring=ring, max_j=1).notes == [got]
 
 
 def test_three_point_grid_certifies_quadratics(rng):
-    """The verify sweep trusts that a per-variable-degree-2 polynomial
-    vanishing on {-1,0,1}^n is zero; check that on random polynomials."""
+    """The family-verify note states that a per-variable-degree-2
+    polynomial vanishing on {-1,0,1}^n is zero; check that on random
+    polynomials."""
     for _ in range(300):
         nvars = rng.randrange(1, 4)
         poly = {
@@ -667,29 +639,24 @@ def test_every_boxed_idempotent_of_a_covering_is_in_its_family(order, bound, cou
 
 
 @pytest.mark.parametrize(
-    "genuine,domain,images,ring,coeffs,reason",
+    "domain,codomain,images,ring,coeffs,reason",
     [
-        (False, dihedral_quandle(6), [i % 2 for i in range(6)], ZZ,
-         [(0, -1), (1, -1), (2, -1), (3, 1), (4, 2), (5, 1)],
-         "orbit part is not stabilized by the unit part"),
-        (False, union_quandle([dihedral_quandle(4), trivial_quandle(1)]), [0, 1, 0, 1, 0], ZZ,
-         [(0, -2), (1, -2), (2, 2), (3, 2), (4, 1)],
-         "coefficients are not constant on a right-multiplication orbit"),
-        (False, union_quandle([dihedral_quandle(3), trivial_quandle(2)]), [0, 0, 0, 1, 1], ZZ,
-         [(0, 1), (3, -1), (4, 1)],
-         "orbit multiplicity does not divide the orbit coefficient"),
-        # a genuine covering; over Z/2 the orbit multipliers of a fiber
-        # class need not cancel, since the orbit order 2 is zero there
-        (True, dihedral_quandle(4), [0, 1, 0, 1], IntegersMod(2),
-         [(0, 1), (1, 1), (2, 1)],
-         "orbit multipliers do not cancel over a fiber class"),
+        # in Z[T_2] u u = aug(u) u, so 2e_0 - e_1 is idempotent
+        (trivial_quandle(2), trivial_quandle(2), [0, 1], ZZ, [(0, 2), (1, -1)],
+         "fiber sums are not a single unit mass"),
+        # S_0 has order 2 and fixes 3, so e_3 - e_4 is no multiple of 2 orbit sums
+        (union_quandle([dihedral_quandle(3), trivial_quandle(2)]),
+         union_quandle([dihedral_quandle(3), trivial_quandle(1)]), [0, 1, 2, 3, 3], ZZ,
+         [(0, 1), (3, 1), (4, -1)], "orbit multiplicity does not divide the orbit coefficient"),
+        # over Z/2 the orbit multipliers of a fiber class need not cancel,
+        # since the orbit order 2 is zero there
+        (dihedral_quandle(4), trivial_quandle(2), [0, 1, 0, 1], IntegersMod(2),
+         [(0, 1), (1, 1), (2, 1)], "orbit multipliers do not cancel over a fiber class"),
     ],
+    ids=["unit-mass", "multiplicity", "cancel"],
 )
-def test_classify_names_each_rejection(t2, genuine, domain, images, ring, coeffs, reason):
-    if genuine:
-        cov = check_covering(QuandleHom(domain, t2, images))
-    else:
-        cov = _forged_covering(domain, t2, images)
+def test_classify_names_each_rejection(domain, codomain, images, ring, coeffs, reason):
+    cov = check_covering(QuandleHom(domain, codomain, images))
     u = elem(ring, coeffs)
     assert is_idempotent(u, domain)
     result = covering_classify(u, cov)
