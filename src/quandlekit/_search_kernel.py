@@ -379,16 +379,28 @@ def _support_tuples(n: int, bound: int, max_support: int, limit: int | None = No
     return total
 
 
-def _support_search(keys, op, bound: int, max_support: int,
+def _product_table(keys, op) -> list[list[int]]:
+    """op on keys as the walk's product table: op(a, b) is computed once
+    per pair of keys and interned as an int, keys get 0..n-1 in order and
+    products outside keys get fresh ids from n on.  Keys must be
+    distinct."""
+    keys = list(keys)
+    ids = {key: i for i, key in enumerate(keys)}
+    return [[ids.setdefault(op(a, b), len(ids)) for b in keys] for a in keys]
+
+
+def _support_search(table, bound: int, max_support: int,
                     gens=()) -> list[tuple[tuple[int, int], ...]]:
-    """Every integer idempotent supported on at most max_support of keys.
+    """Every integer idempotent supported on at most max_support keys.
 
     It serves core_three_support_check, fq_idempotent_search and the
-    support-capped table searches over Z (_walks_supports).  Walks each
-    support S (combinations of keys in order) and each tuple of
-    nonzero coefficients in [-bound, bound] on S.  op(a, b) is computed
-    once per pair of keys and interned as an int: keys get 0..n-1 in
-    order, products outside keys get fresh ids.  Keys must be distinct.
+    support-capped table searches over Z (_walks_supports).  table is a
+    product table: its rows are the keys 0..n-1, and table[a][b] is the
+    id of a*b, a key or an id from n on for a product outside the keys.
+    A quandle's or magma's own table is one, and _product_table makes
+    one from any operation.  Walks each support S (combinations of keys
+    in order) and each tuple of nonzero coefficients in [-bound, bound]
+    on S.
 
     A support is ruled out without evaluating any tuple on it when some id
     outside S is reached by exactly one ordered pair (a, b) of S, a == b
@@ -400,9 +412,9 @@ def _support_search(keys, op, bound: int, max_support: int,
     tuple whose coefficient sum is not 0 or 1 is skipped (an integer
     idempotent's augmentation squares to itself) and the rest are squared.
 
-    gens are permutations of the key indices, each an automorphism of op
-    on keys (the right multiplications of a quandle, by right
-    distributivity); op must then keep keys closed.  Extended linearly,
+    gens are permutations of the keys, each an automorphism of the table
+    (the right multiplications of a quandle, by right distributivity);
+    the table must then keep the keys closed.  Extended linearly,
     an automorphism g maps an idempotent on S to one on g(S), with the
     same size and coefficients, so the idempotents of the window are
     closed under the group G the gens generate.  The orbits (core.orbits)
@@ -429,7 +441,12 @@ def _support_search(keys, op, bound: int, max_support: int,
     extended only by keys that cover t: t itself, or x with (x, s),
     (s, x) or (x, x) reaching t.  Any other x leaves t reached once,
     outside the support.  A square is checked target by target, the ids
-    outside S (sum 0) first, and stops at the first that fails.
+    outside S (sum 0) first, and stops at the first that fails.  Many
+    supports share one system up to the names of their keys (a support
+    and its translates in a core quandle, say): the tuples that solve a
+    system are found once per call, keyed by its checks, each target's
+    position in S (or |S| for an id outside S) with its pairs of positions,
+    and reused for every support with the same checks.
 
     Returns the idempotents as sorted (key index, coefficient) tuples in
     the order the naive loop finds them: by support size, then support,
@@ -437,13 +454,11 @@ def _support_search(keys, op, bound: int, max_support: int,
     count, _support_tuples: every (support, coefficient tuple) pair, the
     tuples ruled out, not walked or skipped by the sum filter included.
     """
-    keys = list(keys)
-    n = len(keys)
-    ids = {key: i for i, key in enumerate(keys)}
-    table = [[ids.setdefault(op(a, b), len(ids)) for b in keys] for a in keys]
-    if gens and len(ids) > n:
+    n = len(table)
+    size = max([n - 1, *map(max, table)]) + 1  # keys and the ids outside them
+    if gens and size > n:
         raise InternalCheckError("a product leaves the keys that automorphisms permute")
-    covers = _pairs(table, len(ids))  # the pairs reaching each id
+    covers = _pairs(table, size)  # the pairs reaching each id
     width = [len(pairs) for pairs in covers]
     top = min(max_support, n)
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
@@ -452,22 +467,28 @@ def _support_search(keys, op, bound: int, max_support: int,
     found: set[tuple[tuple[int, int], ...]] = set()  # sorted (index, coefficient) pairs
     walked = [False] * n  # points of the orbits whose supports are done
     support: list[int] = []
+    solved: dict[tuple, list[tuple[int, ...]]] = {}  # checks -> the tuples solving them
 
     def evaluate(groups):
         k = len(support)
         # outside targets first; their sums must be 0, the entry at position k
-        checks = [(k, pairs) for t, pairs in groups.items() if t not in support]
-        checks += [(i, groups.get(x, [])) for i, x in enumerate(support)]
-        for coeffs in tuples[k]:
-            want = coeffs + (0,)
-            for target, pairs in checks:
-                total = 0
-                for i, j in pairs:
-                    total += coeffs[i] * coeffs[j]
-                if total != want[target]:
-                    break
-            else:
-                found.add(tuple(sorted(zip(support, coeffs))))
+        checks = tuple([(k, tuple(pairs)) for t, pairs in groups.items() if t not in support]
+                       + [(i, tuple(groups.get(x, ()))) for i, x in enumerate(support)])
+        solutions = solved.get(checks)
+        if solutions is None:
+            solutions = solved[checks] = []
+            for coeffs in tuples[k]:
+                want = coeffs + (0,)
+                for target, pairs in checks:
+                    total = 0
+                    for i, j in pairs:
+                        total += coeffs[i] * coeffs[j]
+                    if total != want[target]:
+                        break
+                else:
+                    solutions.append(coeffs)
+        for coeffs in solutions:
+            found.add(tuple(sorted(zip(support, coeffs))))
 
     def visit(x, start):
         support.append(x)

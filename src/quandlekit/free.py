@@ -411,7 +411,8 @@ def fq_idempotent_search(
         raise BudgetExceededError(total, budget)
     universe = enumerate_elements(rank, max_len)
     carrier = FreeQuandle(rank)
-    walk = _search_kernel._support_search(universe, carrier.op, bound, max_support)
+    walk = _search_kernel._support_search(_search_kernel._product_table(universe, carrier.op),
+                                          bound, max_support)
     found = [_checked(RingElement(ZZ, [(universe[x], c) for x, c in u]), carrier,
                       "support walk result") for u in walk]
     elapsed = int((time.monotonic() - start) * 1000)

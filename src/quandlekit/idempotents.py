@@ -316,7 +316,7 @@ def _enumerate_table(
         raise BudgetExceededError(space, _search_kernel.INDEX_LIMIT - 1, what="indices per stratum")
     max_support = n if spec.max_support is None else min(spec.max_support, n)
     if _walks_supports(spec, n, space * len(direct)):
-        found = _search_kernel._support_search(range(n), carrier.op, param, max_support,
+        found = _search_kernel._support_search(carrier.table, param, max_support,
                                                gens=inner_generators(carrier))
         if max_hits is not None and len(found) > max_hits:
             return None
@@ -1183,7 +1183,7 @@ def core_three_support_check(factors, bound: int, budget: int = 10**8) -> dict:
     if total > budget:
         raise BudgetExceededError(total, budget)
     q = core_quandle(factors)
-    walk = _search_kernel._support_search(range(q.order), q.op, bound, 3, gens=inner_generators(q))
+    walk = _search_kernel._support_search(q.table, bound, 3, gens=inner_generators(q))
     found = [_checked(RingElement(ZZ, u), q, "support walk result") for u in walk]
     nontrivial = [u for u in found if not (len(u.coeffs) == 1 and u.coeffs[0][1] == 1)]
     return {

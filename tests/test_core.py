@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,7 @@ from quandlekit import (
 from quandlekit import core
 from quandlekit.core import congruences, principal_congruence, quotient_table
 
+from conftest import load_fixture
 from oracles import (
     brute_force_coverings,
     naive_congruences,
@@ -138,6 +140,100 @@ def test_right_distributivity_holds_on_validated(r6, p6, b12):
         n = q.order
         for x, y, z in itertools.product(range(n), repeat=3):
             assert t[t[x][y]][z] == t[t[x][z]][t[y][z]]
+
+
+def _perturbed(q, rng):
+    """q's table with two entries off the diagonal of one column swapped:
+    the columns stay permutations and the diagonal stays fixed."""
+    table = [list(row) for row in q.table]
+    c = rng.randrange(q.order)
+    i, j = rng.sample([x for x in range(q.order) if x != c], 2)
+    table[i][c], table[j][c] = table[j][c], table[i][c]
+    return table
+
+
+# real quandles of order 8 to 27, connected or not, with small and large
+# generating sets
+PERTURBED = {
+    "T_8": lambda: make("trivial", 8),
+    "R_8": lambda: make("dihedral", 8),
+    "R_3+R_5": lambda: union_quandle([make("dihedral", 3), make("dihedral", 5)]),
+    "T_3+R_5": lambda: union_quandle([make("trivial", 3), make("dihedral", 5)]),
+    "R_3xT_3": lambda: product_quandle(make("dihedral", 3), make("trivial", 3)),
+    "core(3,3)": lambda: make("core", [3, 3]),
+    "R_10": lambda: load_fixture("r10.json"),
+    "R_11": lambda: make("dihedral", 11),
+    "blocks12": lambda: load_fixture("blocks12.json"),
+    "R_6xT_2": lambda: product_quandle(make("dihedral", 6), make("trivial", 2)),
+    "R_16": lambda: make("dihedral", 16),
+    "core(5,5)": lambda: make("core", [5, 5]),
+    "core(3,3,3)": lambda: make("core", [3, 3, 3]),
+}
+
+
+@pytest.mark.parametrize("name", list(PERTURBED))
+def test_validate_raises_the_naive_first_failure_on_perturbed_quandles(name):
+    # the generating-set check passes the quandle itself; after a swap it
+    # must pass or raise exactly what the full naive loop finds
+    q = PERTURBED[name]()
+    assert validate_table(q.table) == q.table
+    rng = random.Random(f"perturbed {name}")
+    for _ in range(25):
+        table = _perturbed(q, rng)
+        expected = naive_first_axiom_failure(table)
+        if expected is None:
+            assert validate_table(table) == tuple(map(tuple, table))
+            continue
+        cls, args = expected
+        with pytest.raises(QuandleKitError) as exc:
+            validate_table(table)
+        assert type(exc.value) is cls
+        assert exc.value.payload() == cls(*args).payload()
+
+
+@pytest.mark.parametrize("build, gens", [
+    (lambda: load_fixture("r6.json"), [0, 1]),
+    (lambda: load_fixture("r10.json"), [0, 1]),
+    (lambda: make("dihedral", 7), [0, 1]),
+    (lambda: load_fixture("pairs6.json"), [0, 1, 2]),
+    (lambda: load_fixture("blocks12.json"), [0, 1, 2, 3, 4]),
+    (lambda: make("core", [5, 5]), [0, 1, 5]),
+    (lambda: make("core", [3] * 5), [0, 1, 3, 9, 27, 81]),
+], ids=["r6", "r10", "R_7", "pairs6", "blocks12", "core(5,5)", "core(3^5)"])
+def test_generating_set_pins(build, gens):
+    q = build()
+    assert core._generating_set(q.table, q.right_mults) == gens
+
+
+def _closure(table, keys) -> set:
+    """keys closed under the table's product, by squaring the set until it stops growing."""
+    members = set(keys)
+    while True:
+        more = {table[a][b] for a in members for b in members} - members
+        if not more:
+            return members
+        members |= more
+
+
+@st.composite
+def idempotent_tables(draw):
+    """A random table with a fixed diagonal; about half the other entries
+    are a*b = a, so keys often generate small closures."""
+    n = draw(st.integers(1, 9))
+    cells = draw(st.lists(st.none() | st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    return [[a if a == b or c is None else c for b, c in enumerate(cells[a * n:(a + 1) * n])]
+            for a in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=idempotent_tables())
+def test_generating_set_is_each_least_key_outside_the_earlier_closure(table):
+    rows = tuple(map(tuple, table))
+    gens = core._generating_set(rows, list(zip(*rows)))
+    keys = set(range(len(table)))
+    assert _closure(table, gens) == keys
+    for i, g in enumerate(gens):
+        assert g == min(keys - _closure(table, gens[:i]))
 
 
 def test_tables_are_normalized_once_per_construction(monkeypatch, r6):
@@ -566,6 +662,17 @@ def test_parity_map_fails_covering_condition(r6, t2):
 def test_constant_hom_not_surjective(r3):
     with pytest.raises(NotSurjectiveError):
         check_covering(QuandleHom(r3, r3, [0, 0, 0]))
+
+
+def test_equal_homs_and_coverings_have_equal_reprs(r6, r3):
+    homs = [QuandleHom(make("dihedral", 6), make("dihedral", 3), [0, 1, 2, 0, 1, 2]) for _ in "ab"]
+    assert homs[0] == homs[1] and homs[0] is not homs[1]
+    assert repr(homs[0]) == repr(homs[1]) == (
+        "QuandleHom(FiniteQuandle(dihedral(6)), FiniteQuandle(dihedral(3)), [0, 1, 2, 0, 1, 2])")
+    covs = [check_covering(h) for h in homs]
+    assert repr(covs[0]) == repr(covs[1]) == f"Covering({homs[0]!r},)"
+    assert "0x" not in repr(covs[0])
+    assert repr(QuandleHom(r6, r3, [0, 1, 2, 0, 1, 2])).startswith("QuandleHom(FiniteQuandle(r6), ")
 
 
 def test_covering_fiber_lookup_range(cov63):

@@ -1157,7 +1157,7 @@ def test_core_small_support_only_trivial_mod_coprime():
 def test_support_search_finds_non_basis_idempotents(r6):
     # order 6 is not coprime to 2 and 3, so this support window holds
     # idempotents other than the basis; the naive oracle knows all of them
-    found = [RingElement(ZZ, u) for u in _support_search(range(6), core_quandle([6]).op, 2, 3)]
+    found = [RingElement(ZZ, u) for u in _support_search(core_quandle([6]).table, 2, 3)]
     vectors = {element_to_vector(u, 6) for u in found}
     assert len(vectors) == len(found) == 12
     assert vectors == naive_idempotents_boxed(r6.table, 2, max_support=3)

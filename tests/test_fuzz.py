@@ -247,3 +247,45 @@ def test_output_paths(scratch, command, target):
         assert (code, doc.get("error")) == {"directory": (1, "IsADirectoryError"),
                                             "missing parent": (1, "FileNotFoundError"),
                                             "empty": (0, None)}[target]
+
+
+DEEP = "\x00deep\x00"  # stands for a file of arrays nested 10^5 deep
+ALPHA = "\x00alpha\x00"  # stands for a valid cocycle matrix file
+COV = ["--total", fx("r6.json"), "--base", fx("r3.json"), "--map", "0,1,2,0,1,2"]
+DEEP_COMMANDS = [
+    ["quandle", "check", DEEP],
+    ["quandle", "check", DEEP, "--as-magma"],
+    ["quandle", "props", DEEP],
+    ["quandle", "orbits", DEEP],
+    ["quandle", "subquandles", DEEP, "--max", "2"],
+    ["quandle", "make", "conj", DEEP],
+    ["quandle", "make", "product", fx("r3.json"), DEEP],
+    ["quandle", "make", "union", DEEP, fx("r3.json")],
+    ["quandle", "make", "twisted-union", fx("t2.json"), DEEP, "--f", "1,0", "--g", "0"],
+    ["quandle", "make", "cocycle", DEEP, "2", "--alpha", ALPHA],
+    ["quandle", "make", "cocycle", fx("r3.json"), "2", "--alpha", DEEP],
+    ["covering", "check", "--total", DEEP, "--base", fx("r3.json"), "--map", "0,1,2,0,1,2"],
+    ["covering", "find", "--total", fx("r6.json"), "--base", DEEP],
+    ["covering", "family-verify", "--total", fx("r6.json"), "--base", DEEP, "--map", "0,1,2,0,1,2"],
+    ["covering", "classify", *COV, "--element", DEEP],
+    ["covering", "zero-divisor", "--total", DEEP, "--base", fx("r3.json"), "--map", "0,1,2,0,1,2",
+     "--fiber", "0", "--alphas", "1,-1"],
+    ["idem", "enumerate", DEEP, "--ring", "zp:3"],
+    ["idem", "family", "--covering", DEEP, "--params", fx("family_r6.json")],
+    ["idem", "family", "--covering", fx("cov_r6_r3.json"), "--params", DEEP],
+    ["idem", "union", fx("t2.json"), DEEP, "--ring", "zp:3"],
+    ["idem", "twisted-union", DEEP, fx("t2.json"), "--f", "0", "--g", "1,0", "--ring", "zp:3"],
+    ["idem", "scan", fx("r3.json"), DEEP, "--bound", "1"],
+]
+
+
+@pytest.mark.parametrize("command", DEEP_COMMANDS, ids=lambda c: " ".join(
+    {DEEP: "DEEP", ALPHA: "ALPHA"}.get(a, a.rsplit("/", 1)[-1]) for a in c))
+def test_deeply_nested_files(scratch, command):
+    # the decoder's recursion limit is reached long before 10^5 levels
+    path = scratch / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    files = {DEEP: str(path), ALPHA: _write(scratch / "alpha.json", {"alpha": [[0, 0, 0]] * 3})}
+    code, doc = _run([files.get(a, a) for a in command])
+    assert (code, doc["error"]) == (1, "InvalidParams")
+    assert doc["message"] == f"{path}: JSON nested too deeply"

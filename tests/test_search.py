@@ -1117,7 +1117,7 @@ def test_support_search_matches_the_naive_oracle(source, data, bound):
         sizes |= st.just(planted)
     max_support = data.draw(sizes)
     word = dict(zip(keys, naive_keys))
-    found = _search_kernel._support_search(keys, op, bound, max_support)
+    found = _search_kernel._support_search(_search_kernel._product_table(keys, op), bound, max_support)
     naive_tested, naive_found = naive_support_search(naive_keys, naive_op, bound, max_support)
     assert _search_kernel._support_tuples(len(keys), bound, max_support) == naive_tested
     assert [{word[keys[x]]: c for x, c in u} for u in found] == [dict(u) for u in naive_found]
@@ -1133,12 +1133,25 @@ def test_support_search_covers_by_squares_and_ids_outside_the_support(keys):
     table = [[0, 3, 0], [1, 1, 1], [2, 0, 3]]
     op = lambda a, b: table[a][b]
     for max_support in (3, 4):
-        found = _search_kernel._support_search(keys, op, 1, max_support)
+        found = _search_kernel._support_search(_search_kernel._product_table(keys, op), 1, max_support)
         naive_tested, naive_found = naive_support_search(keys, op, 1, max_support)
         assert _search_kernel._support_tuples(len(keys), 1, max_support) == naive_tested
         found = [{keys[x]: c for x, c in u} for u in found]
         assert found == [dict(u) for u in naive_found]
         assert {0: 1, 1: -1, 2: 1} in found
+
+
+def test_support_search_solves_each_pattern_for_its_own_targets():
+    # {0, 1} and {2, 3} group their ordered pairs alike, (0,0) with (1,0)
+    # and (0,1) with (1,1), but the second group reaches 1 inside {0, 1}
+    # and 4 outside {2, 3}: every pair of coefficients with sum 1 is
+    # idempotent on {0, 1}, and none is on {2, 3}
+    table = [[0, 1, 0, 0], [0, 1, 1, 1], [2, 2, 2, 4], [3, 3, 2, 4]]
+    found = _search_kernel._support_search(table, 2, 2)
+    _, naive_found = naive_support_search(range(4), lambda a, b: table[a][b], 2, 2)
+    assert found == [tuple(u) for u in naive_found]
+    assert ((0, 2), (1, -1)) in found and ((0, -1), (1, 2)) in found
+    assert not any({x for x, _ in u} == {2, 3} for u in found)
 
 
 @st.composite
@@ -1166,8 +1179,8 @@ def inner_windows(draw):
 def test_support_search_by_orbits_matches_the_plain_walk(window):
     # the orbit walk returns the plain walk's list, element for element
     q, gens, bound, max_support = window
-    plain = _search_kernel._support_search(range(q.order), q.op, bound, max_support)
-    by_orbits = _search_kernel._support_search(range(q.order), q.op, bound, max_support, gens=gens)
+    plain = _search_kernel._support_search(q.table, bound, max_support)
+    by_orbits = _search_kernel._support_search(q.table, bound, max_support, gens=gens)
     assert by_orbits == plain
 
 
@@ -1182,29 +1195,28 @@ def test_support_search_by_orbits_closes_what_it_finds(name, bound, found, non_b
     # and come from the closure
     q = load_fixture(name)
     gens = tuple(dict.fromkeys(q.right_mults))
-    out = _search_kernel._support_search(range(q.order), q.op, bound, 3, gens=gens)
+    out = _search_kernel._support_search(q.table, bound, 3, gens=gens)
     assert len(out) == found
     assert sum(1 for u in out if len(u) > 1) == non_basis
     assert out == sorted(out, key=lambda u: (len(u), [x for x, _ in u], [c for _, c in u]))
 
 
 def test_support_search_by_orbits_needs_products_inside_the_keys():
-    # the automorphisms permute keys; a product outside them has no image
+    # the automorphisms permute keys; a product outside them (id 2) has no image
     table = [[0, 2], [1, 1]]
-    op = lambda a, b: table[a][b]
-    assert _search_kernel._support_search(range(2), op, 1, 2) == [((0, 1),), ((1, 1),)]
+    assert _search_kernel._support_search(table, 1, 2) == [((0, 1),), ((1, 1),)]
     assert _search_kernel._support_tuples(2, 1, 2) == 2 * 2 + 4
     with pytest.raises(InternalCheckError, match="leaves the keys"):
-        _search_kernel._support_search(range(2), op, 1, 2, gens=((0, 1),))
+        _search_kernel._support_search(table, 1, 2, gens=((0, 1),))
 
 
 def test_core3_walks_by_inner_automorphisms(monkeypatch):
     calls = []
     real = _search_kernel._support_search
 
-    def spy(keys, op, bound, max_support, gens=()):
+    def spy(table, bound, max_support, gens=()):
         calls.append(gens)
-        return real(keys, op, bound, max_support, gens=gens)
+        return real(table, bound, max_support, gens=gens)
 
     monkeypatch.setattr(_search_kernel, "_support_search", spy)
     out = idempotents.core_three_support_check([5], 2)
@@ -1253,9 +1265,9 @@ def _search_paths(monkeypatch):
     walks, plans = [], []
     real_walk, real_plan = _search_kernel._support_search, idempotents._sweep_plan
 
-    def walk_spy(keys, op, bound, max_support, gens=()):
-        walks.append((len(keys), gens))
-        return real_walk(keys, op, bound, max_support, gens=gens)
+    def walk_spy(table, bound, max_support, gens=()):
+        walks.append((len(table), gens))
+        return real_walk(table, bound, max_support, gens=gens)
 
     def plan_spy(carrier, *args):
         plans.append(carrier.order)
@@ -1345,24 +1357,23 @@ def test_walk_hit_failing_the_exact_recheck_is_an_internal_error(r10, monkeypatc
     assert info.value.payload()["vector"] == [2, -1] + [0] * 8
 
 
-@pytest.mark.parametrize("search", [
-    lambda: idempotents.core_three_support_check([5], 2),
-    lambda: fq_idempotent_search(2, 2, 2, 1),
+@pytest.mark.parametrize("search, keys", [
+    (lambda: idempotents.core_three_support_check([5], 2), range(5)),
+    (lambda: fq_idempotent_search(2, 2, 2, 1), enumerate_elements(2, 2)),
 ], ids=["core3", "fq-search"])
-def test_walk_result_failing_the_exact_recheck_is_an_internal_error(search, monkeypatch):
-    # augmentation 1, so only the idempotency recheck can catch it
-    lies = []
+def test_walk_result_failing_the_exact_recheck_is_an_internal_error(search, keys, monkeypatch):
+    # augmentation 1, so only the idempotency recheck can catch it; the lie
+    # is on key ids 0 and 1, the window's first two keys
     real = _search_kernel._support_search
 
-    def lying_walk(keys, *args, **kwargs):
-        keys = list(keys)
-        lies.append(element_to_json(idempotents.RingElement(ZZ, [(keys[0], 2), (keys[1], -1)])))
-        return real(keys, *args, **kwargs) + [((0, 2), (1, -1))]
+    def lying_walk(*args, **kwargs):
+        return real(*args, **kwargs) + [((0, 2), (1, -1))]
 
     monkeypatch.setattr(_search_kernel, "_support_search", lying_walk)
     with pytest.raises(InternalCheckError, match="fails exact recheck") as info:
         search()
-    assert info.value.payload()["element"] == lies[0]
+    lie = idempotents.RingElement(ZZ, [(keys[0], 2), (keys[1], -1)])
+    assert info.value.payload()["element"] == element_to_json(lie)
 
 
 def test_walk_keeps_max_hits(r10):
